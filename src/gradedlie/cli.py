@@ -94,14 +94,20 @@ def cmd_hall(args) -> int:
         if not part:
             continue
         if ":" in part:
-            name, w = part.split(":")
-            specs.append((name.strip(), int(w)))
+            name, _, w = part.partition(":")
+            try:
+                specs.append((name.strip(), int(w)))
+            except ValueError:
+                raise InputError(f"bad generator weight in {part!r}")
         else:
             specs.append((part, 1))
     if not specs:
         raise InputError("empty generator list")
     field = _field(args)
-    alg = FreeLieAlgebra(field, specs)
+    try:
+        alg = FreeLieAlgebra(field, specs)
+    except ValueError as exc:
+        raise InputError(str(exc))
     counts = alg.hall_counts(args.max_degree)
     expected = witt_dims([w for _, w in specs], args.max_degree)
     data = {
@@ -367,18 +373,29 @@ def cmd_selftest(args) -> int:
 # -- parser ---------------------------------------------------------------
 
 
+def _count(text: str) -> int:
+    """A nonnegative integer option; argparse turns a bad one into exit 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gradedlie",
         description="computations with finitely presented graded Lie algebras",
     )
     parser.add_argument("--field", default="Q", help="ground field: Q or Fp:<prime>")
-    parser.add_argument("--max-degree", type=int, default=8, dest="max_degree")
-    parser.add_argument("--hom-bound", type=int, default=4, dest="hom_bound")
+    parser.add_argument("--max-degree", type=_count, default=8, dest="max_degree")
+    parser.add_argument("--hom-bound", type=_count, default=4, dest="hom_bound")
     parser.add_argument("--format", choices=("json", "table"), default="json")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="write the report to a file")
-    parser.add_argument("--cap", type=int, default=200, help="layer cap for decompositions")
+    parser.add_argument("--cap", type=_count, default=200, help="layer cap for decompositions")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hall", help="Hall basis counts for a free Lie algebra")
@@ -405,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     gsub = p.add_subparsers(dest="graph_command", required=True)
     gv = gsub.add_parser("verify", help="verify the fundamental-algebra sequence")
     gv.add_argument("file")
-    gv.add_argument("--explicit-to", type=int, default=None, dest="explicit_to")
+    gv.add_argument("--explicit-to", type=_count, default=None, dest="explicit_to")
     gv.set_defaults(func=cmd_graph_verify)
 
     p = sub.add_parser("onerelator")

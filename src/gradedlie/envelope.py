@@ -95,21 +95,10 @@ class Envelope:
             # (p.last).z = (p.z).last + p.[last,z]
             out = {}
             for m, c in self.mult_by_key(prefix, key).items():
-                for m2, c2 in self.mult_by_key(m, last).items():
-                    v = field.add(out.get(m2, field.zero), field.mul(c, c2))
-                    if field.is_zero(v):
-                        out.pop(m2, None)
-                    else:
-                        out[m2] = v
+                field.axpy(out, c, self.mult_by_key(m, last))
             bracket = self.algebra.engine.pair(last, key)
             for i, c in bracket.items():
-                d = (last[0] + key[0], i)
-                for m2, c2 in self.mult_by_key(prefix, d).items():
-                    v = field.add(out.get(m2, field.zero), field.mul(c, c2))
-                    if field.is_zero(v):
-                        out.pop(m2, None)
-                    else:
-                        out[m2] = v
+                field.axpy(out, c, self.mult_by_key(prefix, (last[0] + key[0], i)))
         self._mult_memo[(mono, key)] = out
         return out
 
@@ -120,12 +109,7 @@ class Envelope:
         for key in m2:
             nxt: dict = {}
             for m, c in acc.items():
-                for m2_, c2 in self.mult_by_key(m, key).items():
-                    v = field.add(nxt.get(m2_, field.zero), field.mul(c, c2))
-                    if field.is_zero(v):
-                        nxt.pop(m2_, None)
-                    else:
-                        nxt[m2_] = v
+                field.axpy(nxt, c, self.mult_by_key(m, key))
             acc = nxt
         return acc
 
@@ -135,15 +119,7 @@ class Envelope:
         out: dict = {}
         for m1, c1 in a.items():
             for m2, c2 in b.items():
-                c = field.mul(c1, c2)
-                if field.is_zero(c):
-                    continue
-                for m, cm in self.mult_mono(m1, m2).items():
-                    v = field.add(out.get(m, field.zero), field.mul(c, cm))
-                    if field.is_zero(v):
-                        out.pop(m, None)
-                    else:
-                        out[m] = v
+                field.axpy(out, field.mul(c1, c2), self.mult_mono(m1, m2))
         return out
 
     def lie_vector_as_u(self, w: int, vec: dict) -> dict:

@@ -23,8 +23,9 @@ from the exhaustive pair-enumeration oracle.
 from __future__ import annotations
 
 from itertools import combinations, product
+from typing import Optional
 
-from .fields import GF, QQ, Field, PrimeField
+from .fields import GF, QQ, Field, FieldError
 from .homology import homology_table
 from .linalg import Echelon
 from .presented import GradedSubalgebra, PresentedLieAlgebra, infer_presentation
@@ -138,18 +139,27 @@ def pairing_rank(q: NilpotentQuotient) -> int:
     return ech.rank
 
 
-def fingerprint(source: PresentedLieAlgebra, primes=(2, 3)) -> tuple:
+def fingerprint(
+    source: PresentedLieAlgebra,
+    primes=(2, 3),
+    rational: Optional[PresentedLieAlgebra] = None,
+) -> tuple:
     """Isomorphism-invariant fingerprint of the class-2 quotient.
 
     Components: dim L_2; the bracket-pairing rank; per prime p, the number
     of pairs (v1, v2) in V x V over F_p with [v1, v2] = 0 and the multiset
     of ad-ranks over all v in V(F_p).  Zero-pair counts are evaluated as
     sum_v p^(dim ker ad_v), which agrees with exhaustive enumeration (the
-    test oracle).
+    test oracle).  The mod-p algebras are reductions of `rational`, the
+    same presentation over Q (by default source itself, which must then be
+    over Q): residues mod another prime do not reduce mod p.
     """
+    rational = source if rational is None else rational
+    if rational.field != QQ:
+        raise FieldError("mod-p reductions need the presentation over Q")
     parts = [source.dim(2), pairing_rank(NilpotentQuotient(source, 2))]
     for p in primes:
-        quo = NilpotentQuotient(change_field(source, GF(p)), 2)
+        quo = NilpotentQuotient(change_field(rational, GF(p)), 2)
         fp = quo.field
         d1, d2 = quo.dims[0], quo.dims[1]
         tensor = quo.bracket_tensor()
@@ -264,7 +274,8 @@ def distinguish_quotients(field: Field = QQ):
     non-isomorphism claim).
     """
     algs = quotient_algebras(field)
-    prints = {name: fingerprint(alg) for name, alg in algs.items()}
+    over_q = algs if field == QQ else quotient_algebras(QQ)
+    prints = {name: fingerprint(alg, rational=over_q[name]) for name, alg in algs.items()}
     names = list(algs)
     separated = {}
     for a, b in combinations(names, 2):
@@ -302,13 +313,14 @@ def not_raag_witness(field: Field = QQ):
     s_report = build_s(field, N=7)
     classes = four_vertex_two_edge_graphs()
     E = quotient_algebras(field)["E"]
-    fp_e = fingerprint(E)
+    fp_e = fingerprint(E, rational=E if field == QQ else quotient_algebras(QQ)["E"])
     comparisons = {}
     for label, graph in classes.items():
         raag = raag_presentation(graph, field)
+        raag_q = raag if field == QQ else raag_presentation(graph, QQ)
         comparisons[label] = {
-            "fingerprint": fingerprint(raag),
-            "differs_from_E": fingerprint(raag) != fp_e,
+            "fingerprint": fingerprint(raag, rational=raag_q),
+            "differs_from_E": fingerprint(raag, rational=raag_q) != fp_e,
         }
     report = {
         "h1_total": s_report["h1_total"],

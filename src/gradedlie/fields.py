@@ -1,11 +1,16 @@
 """Exact field arithmetic over the rationals and prime fields.
 
 A field is represented by a small coefficient-protocol object rather than by
-wrapping every scalar: rational values are ``gmpy2.mpq`` (or
-``fractions.Fraction`` when gmpy2 is unavailable), prime-field values are
-plain ints in ``[0, p)``.  All values are immutable, so they are safe to
-share between threads.  Containers (matrices, Lie elements, ...) carry the
-field object and guard against mixing fields at their own boundaries.
+wrapping every scalar.  A rational value is a plain ``int`` when it is
+integral and a ``fractions.Fraction`` (lowest terms, positive denominator)
+otherwise; every operation of :class:`RationalField` returns a value of that
+form, so an integral value is never a ``Fraction`` and never a float.  The
+sparse rows of the elimination kernel are almost all integral, and ``int``
+arithmetic is several times cheaper than ``Fraction`` arithmetic.
+Prime-field values are plain ints in ``[0, p)``.  All values are immutable,
+so they are safe to share between threads.  Containers (matrices, Lie
+elements, ...) carry the field object and guard against mixing fields at
+their own boundaries.
 
 Fields are spelled ``"Q"`` or ``"Fp:<prime>"`` in config files and on the
 command line; see :func:`parse_field`.
@@ -13,14 +18,7 @@ command line; see :func:`parse_field`.
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as _mpq
-
-    _HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as _mpq
-
-    _HAVE_GMPY2 = False
+from fractions import Fraction
 
 
 class FieldError(ValueError):
@@ -55,18 +53,19 @@ class Field:
     """Common interface of the concrete fields below.
 
     Subclasses provide exact ``add/sub/mul/neg/inv/div`` plus coercion
-    (``of``), parsing and formatting.  Zero coefficients are represented as
-    the field's canonical zero; sparse containers drop them.
+    (``of``), parsing, formatting and the in-place ``axpy`` of the
+    elimination kernel.  Zero coefficients are represented as the field's
+    canonical zero; sparse containers drop them.
     """
 
-    zero = None
-    one = None
+    zero = 0
+    one = 1
 
     def of(self, x):
         raise NotImplementedError
 
     def is_zero(self, a) -> bool:
-        return a == self.zero
+        return not a
 
     def add(self, a, b):
         raise NotImplementedError
@@ -86,6 +85,10 @@ class Field:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
+    def axpy(self, out: dict, a, v: dict):
+        """In place out += a*v for sparse vectors {index: nonzero value}."""
+        raise NotImplementedError
+
     def parse(self, text: str):
         raise NotImplementedError
 
@@ -100,43 +103,58 @@ class Field:
         return self.name
 
 
+def _q(x):
+    """An exact rational as int when integral, else as Fraction."""
+    if type(x) is int or x.denominator != 1:
+        return x
+    return x.numerator
+
+
 class RationalField(Field):
-    """The field of rationals with arbitrary-precision arithmetic.
-
-    Values are normalized automatically (lowest terms, positive
-    denominator) by the backing mpq/Fraction type.
-    """
-
-    def __init__(self):
-        self.zero = _mpq(0)
-        self.one = _mpq(1)
+    """The field of rationals with arbitrary-precision arithmetic."""
 
     def of(self, x):
         if isinstance(x, float):
             raise FieldError("refusing to coerce float to an exact rational")
-        return _mpq(x)
+        if isinstance(x, int):
+            return int(x)
+        return _q(Fraction(x))
 
     def add(self, a, b):
-        return a + b
+        return _q(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _q(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _q(a * b)
 
     def neg(self, a):
         return -a
 
     def inv(self, a):
-        if a == 0:
+        if not a:
             raise ZeroDivisionError("inverse of zero in Q")
-        return 1 / a
+        return _q(Fraction(1, a))
 
     def div(self, a, b):
-        if b == 0:
+        if not b:
             raise ZeroDivisionError("division by zero in Q")
-        return a / b
+        return _q(Fraction(a, b))
+
+    def axpy(self, out: dict, a, v: dict):
+        if not a:
+            return
+        for c, x in v.items():
+            ax = a * x
+            if c in out:
+                ax += out[c]
+                if not ax:
+                    del out[c]
+                    continue
+            if type(ax) is not int and ax.denominator == 1:
+                ax = ax.numerator
+            out[c] = ax
 
     def parse(self, text: str):
         text = text.strip()
@@ -145,8 +163,8 @@ class RationalField(Field):
             d = int(den)
             if d == 0:
                 raise FieldError("zero denominator")
-            return _mpq(int(num), d)
-        return _mpq(int(text))
+            return _q(Fraction(int(num), d))
+        return int(text)
 
     @property
     def name(self) -> str:
@@ -166,8 +184,6 @@ class PrimeField(Field):
         if not is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p
-        self.zero = 0
-        self.one = 1 % p
 
     def of(self, x):
         if isinstance(x, float):
@@ -200,6 +216,21 @@ class PrimeField(Field):
 
     def div(self, a, b):
         return a * self.inv(b) % self.p
+
+    def axpy(self, out: dict, a, v: dict):
+        if not a:
+            return
+        p = self.p
+        for c, x in v.items():
+            if c in out:
+                s = (out[c] + a * x) % p
+                if s:
+                    out[c] = s
+                else:
+                    del out[c]
+            else:
+                # a and x are nonzero residues mod a prime: so is a*x
+                out[c] = a * x % p
 
     def parse(self, text: str):
         return self.of(int(text.strip()))

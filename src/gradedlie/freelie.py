@@ -74,6 +74,7 @@ class FreeLieAlgebra:
             self._gen_id.append(mid)
 
         self._hall_by_weight: dict[int, list[int]] = {}
+        self._hall_pos: dict[int, dict[int, int]] = {}  # n -> {mid: position}
         self._enumerated = 0
         self._bracket_memo: dict[tuple[int, int], dict] = {}
         self._in_progress: set[tuple[int, int]] = set()
@@ -225,14 +226,21 @@ class FreeLieAlgebra:
     def element(self, ast) -> "LieElement":
         """Evaluate a parsed bracket-expression AST to a normal form."""
         kind = ast[0]
+        if kind in ("add", "sub"):
+            # a sum parses to a left-deep chain: walk it without recursion
+            chain = []
+            while ast[0] in ("add", "sub"):
+                chain.append(ast)
+                ast = ast[1]
+            out = self.element(ast)
+            for node in reversed(chain):
+                rhs = self.element(node[2])
+                out = out + rhs if node[0] == "add" else out - rhs
+            return out
         if kind == "gen":
             return self.gen_element(ast[1])
         if kind == "br":
             return self.element(ast[1]).bracket(self.element(ast[2]))
-        if kind == "add":
-            return self.element(ast[1]) + self.element(ast[2])
-        if kind == "sub":
-            return self.element(ast[1]) - self.element(ast[2])
         if kind == "neg":
             return -self.element(ast[1])
         if kind == "scale":
@@ -244,8 +252,10 @@ class FreeLieAlgebra:
 
     def coordinates(self, elem: "LieElement", n: int) -> dict:
         """Coordinates of the weight-n part over hall_basis(n) positions."""
-        basis = self.hall_basis(n)
-        pos = {mid: i for i, mid in enumerate(basis)}
+        pos = self._hall_pos.get(n)
+        if pos is None:
+            pos = {mid: i for i, mid in enumerate(self.hall_basis(n))}
+            self._hall_pos[n] = pos
         out = {}
         for mid, coef in elem.terms.items():
             if self._weight[mid] == n:
@@ -442,6 +452,9 @@ def witt_dims(weights: list[int], max_weight: int) -> list[int]:
 #   scalar := int | int '/' int
 #
 # Names may contain letters, digits, '_' and '.' (qualified names use dots).
+# Brackets, parentheses and prefix operators nest at most MAX_NESTING deep.
+
+MAX_NESTING = 100
 
 
 class ExprSyntaxError(ValueError):
@@ -509,41 +522,43 @@ def parse_expression(text: str):
             return f"{t[1]}/{t2[1]}"
         return t[1]
 
-    def parse_atom():
+    def parse_atom(depth):
         t = peek()
         if t[0] == "name":
             advance()
             return ("gen", t[1])
         if t[0] == "[":
             advance()
-            left = parse_expr()
+            left = parse_expr(depth + 1)
             expect(",")
-            right = parse_expr()
+            right = parse_expr(depth + 1)
             expect("]")
             return ("br", left, right)
         if t[0] == "(":
             advance()
-            inner = parse_expr()
+            inner = parse_expr(depth + 1)
             expect(")")
             return inner
         raise ExprSyntaxError(text, t[2], f"unexpected token {t[1]!r}")
 
-    def parse_term():
+    def parse_term(depth=0):
         t = peek()
+        if depth > MAX_NESTING:
+            raise ExprSyntaxError(text, t[2], f"nested deeper than {MAX_NESTING}")
         if t[0] == "-":
             advance()
-            return ("neg", parse_term())
+            return ("neg", parse_term(depth + 1))
         if t[0] == "int":
             scalar = parse_scalar_text()
             expect("*")
-            return ("scale", scalar, parse_term())
-        return parse_atom()
+            return ("scale", scalar, parse_term(depth + 1))
+        return parse_atom(depth)
 
-    def parse_expr():
-        node = parse_term()
+    def parse_expr(depth=0):
+        node = parse_term(depth)
         while peek()[0] in ("+", "-"):
             op = advance()[0]
-            rhs = parse_term()
+            rhs = parse_term(depth)
             node = ("add", node, rhs) if op == "+" else ("sub", node, rhs)
         return node
 

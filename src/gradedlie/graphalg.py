@@ -209,45 +209,24 @@ class LieDerivation:
         field = self.field
         eng = base.engine
         shift = self.shift
-        # graph rows: (weight m, A-coords in L_m, value coords in L_{m+shift})
-        rows: dict[int, list] = {}
-        labels: dict[int, list] = {}
+        # per weight m, the graph of d on A_m: rows are A-coordinates in L_m
+        # carrying their values in L_{m+shift} as companions
+        graphs: dict[int, Echelon] = {}
+        labels: dict[tuple, str] = {}  # (weight, pivot) -> label
 
         def reduce_and_add(m, avec, dvec, label):
-            # reduce against existing rows (A-part first); a zero A-part
-            # with nonzero value part is a Leibniz violation
-            avec, dvec = dict(avec), dict(dvec)
-            for a0, d0, _ in rows.get(m, []):
-                hit = None
-                for c in avec:
-                    if c in a0 and a0[c] == field.one:
-                        hit = c
-                        break
-                # rows are kept with a normalized leading A-coordinate
-                if hit is not None:
-                    coef = field.neg(avec[hit])
-                    vec_axpy(field, avec, coef, a0)
-                    vec_axpy(field, dvec, coef, d0)
-            if not avec:
-                if dvec:
-                    raise GraphError(
-                        f"Leibniz violation at weight {m}: {label} maps to a"
-                        " nonzero value on a zero domain element"
-                    )
-                return
-            p = min(avec)
-            inv = field.inv(avec[p])
-            avec = {c: field.mul(inv, x) for c, x in avec.items()}
-            dvec = {c: field.mul(inv, x) for c, x in dvec.items()}
-            # keep rows reduced against the new one
-            store = rows.setdefault(m, [])
-            for entry in store:
-                a0, d0, _ = entry
-                if p in a0:
-                    coef = field.neg(a0[p])
-                    vec_axpy(field, a0, coef, avec)
-                    vec_axpy(field, d0, coef, dvec)
-            store.append((avec, dvec, label))
+            pivot, rest = graphs.setdefault(m, Echelon(field)).insert(avec, dvec)
+            if pivot is not None:
+                labels[(m, pivot)] = label
+            elif rest:
+                raise GraphError(
+                    f"Leibniz violation at weight {m}: {label} maps to a"
+                    " nonzero value on a zero domain element"
+                )
+
+        def rows(m):
+            ech = graphs.get(m, Echelon(field))
+            return [(a, ech.companions[p], labels[(m, p)]) for p, a in ech.rows.items()]
 
         weighted_gens = []
         for g, v in zip(self.domain_gens, self.values):
@@ -265,8 +244,8 @@ class LieDerivation:
                 b = m - a
                 if b < a:
                     break
-                for (a1, d1, l1) in list(rows.get(a, [])):
-                    for (a2, d2, l2) in list(rows.get(b, [])):
+                for (a1, d1, l1) in rows(a):
+                    for (a2, d2, l2) in rows(b):
                         if a == b and l1 == l2:
                             continue
                         av = eng.bracket_vec(a, a1, b, a2)

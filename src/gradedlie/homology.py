@@ -122,10 +122,9 @@ class ChainComplex:
             for n in range(0, self.N + 1):
                 d_i = self.differential(i, n)
                 d_im1 = self.differential(i - 1, n)
-                cols = d_i.col_vectors()
-                for col_vec in cols:
+                low = d_im1.col_vectors()
+                for col_vec in d_i.col_vectors():
                     out: dict = {}
-                    low = d_im1.col_vectors()
                     for r, c in col_vec.items():
                         vec_axpy(field, out, c, low[r])
                     if out:

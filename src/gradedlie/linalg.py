@@ -13,45 +13,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .fields import Field, FieldError, check_same_field
-
-
-def vec_add(field: Field, u: dict, v: dict) -> dict:
-    out = dict(u)
-    add, is_zero = field.add, field.is_zero
-    for c, x in v.items():
-        if c in out:
-            s = add(out[c], x)
-            if is_zero(s):
-                del out[c]
-            else:
-                out[c] = s
-        else:
-            out[c] = x
-    return out
-
-
-def vec_scale(field: Field, a, v: dict) -> dict:
-    if field.is_zero(a):
-        return {}
-    mul = field.mul
-    return {c: mul(a, x) for c, x in v.items()}
+from .fields import Field, check_same_field
 
 
 def vec_axpy(field: Field, out: dict, a, v: dict):
     """In-place out += a*v (out is a plain dict being built)."""
-    add, mul, is_zero = field.add, field.mul, field.is_zero
-    for c, x in v.items():
-        ax = mul(a, x)
-        if c in out:
-            s = add(out[c], ax)
-            if is_zero(s):
-                del out[c]
-            else:
-                out[c] = s
-        else:
-            if not is_zero(ax):
-                out[c] = ax
+    field.axpy(out, a, v)
 
 
 class Echelon:
@@ -60,12 +27,19 @@ class Echelon:
     Pivot columns are chosen as the lowest index of each reduced row; the
     stored rows are fully reduced against each other (pivot entries 1, each
     pivot column cleared from all other rows), so the row set is the unique
-    canonical basis of the span.
+    canonical basis of the span.  Clearing one pivot column of a vector
+    never brings in another, so a vector is reduced in one pass over the
+    pivot columns in its support.
+
+    Rows inserted with a companion vector (:meth:`insert`) carry it along:
+    every row operation applied to a row is applied to its companion too.
+    Either every row of an echelon has a companion or none has.
     """
 
     def __init__(self, field: Field):
         self.field = field
         self.rows: dict[int, dict] = {}  # pivot column -> row vector
+        self.companions: dict[int, dict] = {}  # pivot column -> companion
 
     @property
     def rank(self) -> int:
@@ -74,45 +48,63 @@ class Echelon:
     def pivots(self) -> list[int]:
         return sorted(self.rows)
 
+    def _clear(self, out: dict, track: Optional[dict] = None) -> list[int]:
+        """Clear the pivot columns of out in place, lowest first, applying
+        the same operations to track through the companions; return the
+        cleared columns."""
+        field, rows = self.field, self.rows
+        hits = sorted([c for c in out if c in rows])
+        for p in hits:
+            coef = field.neg(out[p])
+            vec_axpy(field, out, coef, rows[p])
+            if track is not None:
+                vec_axpy(field, track, coef, self.companions[p])
+        return hits
+
     def reduce(self, vec: dict) -> dict:
         """Return the residue of vec modulo the current row space."""
-        field = self.field
         out = dict(vec)
-        rows = self.rows
-        # repeatedly clear the lowest reducible coordinate
-        while True:
-            hit = None
-            for c in out:
-                if c in rows:
-                    if hit is None or c < hit:
-                        hit = c
-            if hit is None:
-                return out
-            coef = field.neg(out[hit])
-            vec_axpy(field, out, coef, rows[hit])
-            if hit in out:  # numerical impossibility over exact fields
-                del out[hit]
+        self._clear(out)
+        return out
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
 
     def add(self, vec: dict) -> Optional[int]:
         """Insert vec; return its new pivot column, or None if dependent."""
+        return self.insert(vec)[0]
+
+    def insert(self, vec: dict, companion: Optional[dict] = None):
+        """Insert vec carrying companion; return (pivot, companion residue).
+
+        The companion residue is what the row operations that reduce vec
+        leave of the companion.  If vec is independent it is stored,
+        normalised like vec's row, as that row's companion; if vec is
+        dependent the pivot is None and the residue is the companion minus
+        the combination of stored companions that matches vec.
+        """
         field = self.field
-        res = self.reduce(vec)
-        if not res:
-            return None
-        p = min(res)
-        inv = field.inv(res[p])
-        row = {c: field.mul(inv, x) for c, x in res.items()}
+        out = dict(vec)
+        track = None if companion is None else dict(companion)
+        self._clear(out, track)
+        if not out:
+            return None, track
+        p = min(out)
+        inv, mul = field.inv(out[p]), field.mul
+        row = {c: mul(inv, x) for c, x in out.items()}
+        if track is not None:
+            track = {c: mul(inv, x) for c, x in track.items()}
         # back-substitute into existing rows to keep the reduced form
         for q, other in self.rows.items():
             if p in other:
                 coef = field.neg(other[p])
                 vec_axpy(field, other, coef, row)
-                other.pop(p, None)
+                if track is not None:
+                    vec_axpy(field, self.companions[q], coef, track)
         self.rows[p] = row
-        return p
+        if track is not None:
+            self.companions[p] = track
+        return p, track
 
     def basis(self) -> list[dict]:
         """Canonical basis, ordered by pivot column."""
@@ -124,23 +116,11 @@ class Echelon:
         Returns ``{pivot column: coefficient}`` such that
         ``vec == sum(coeff * row)``.
         """
-        field = self.field
         out = dict(vec)
-        coeffs = {}
-        while True:
-            hit = None
-            for c in out:
-                if c in self.rows:
-                    if hit is None or c < hit:
-                        hit = c
-            if hit is None:
-                break
-            coeffs[hit] = out[hit]
-            vec_axpy(field, out, field.neg(out[hit]), self.rows[hit])
-            out.pop(hit, None)
+        hits = self._clear(out)
         if out:
             return None
-        return coeffs
+        return {p: vec[p] for p in hits}
 
 
 class SparseMatrix:
@@ -150,6 +130,7 @@ class SparseMatrix:
         self.field = field
         self.rows = rows
         self.cols = cols
+        self._col_vectors: Optional[list[dict]] = None  # cache for apply
         self.entries = {}
         for (r, c), v in entries.items():
             if not (0 <= r < rows and 0 <= c < cols):
@@ -216,11 +197,12 @@ class SparseMatrix:
 
     def apply(self, vec: dict) -> dict:
         """Matrix-vector product (vec indexed by columns)."""
-        field = self.field
+        if self._col_vectors is None:
+            self._col_vectors = self.col_vectors()
+        cols = self._col_vectors
         out: dict = {}
-        cols = self.col_vectors()
         for c, x in vec.items():
-            vec_axpy(field, out, x, cols[c])
+            vec_axpy(self.field, out, x, cols[c])
         return out
 
 
@@ -325,41 +307,8 @@ class ColumnSolver:
         self.field = field
         self.columns = columns
         self._ech = Echelon(field)
-        self._combos: dict[int, dict] = {}  # pivot -> combination of columns
         for j, col in enumerate(columns):
-            self._insert(j, col)
-
-    def _insert(self, j: int, col: dict):
-        field = self.field
-        res = dict(col)
-        combo = {j: field.one}
-        while True:
-            hit = None
-            for c in res:
-                if c in self._ech.rows:
-                    if hit is None or c < hit:
-                        hit = c
-            if hit is None:
-                break
-            coef = field.neg(res[hit])
-            vec_axpy(field, res, coef, self._ech.rows[hit])
-            res.pop(hit, None)
-            vec_axpy(field, combo, coef, self._combos[hit])
-        if not res:
-            return
-        p = min(res)
-        inv = field.inv(res[p])
-        row = {c: field.mul(inv, x) for c, x in res.items()}
-        cmb = {c: field.mul(inv, x) for c, x in combo.items()}
-        for q in self._ech.rows:
-            other = self._ech.rows[q]
-            if p in other:
-                coef = field.neg(other[p])
-                vec_axpy(field, other, coef, row)
-                other.pop(p, None)
-                vec_axpy(field, self._combos[q], coef, cmb)
-        self._ech.rows[p] = row
-        self._combos[p] = cmb
+            self._ech.insert(col, {j: field.one})
 
     @property
     def rank(self) -> int:
@@ -367,21 +316,10 @@ class ColumnSolver:
 
     def solve(self, b: dict) -> Optional[dict]:
         """A particular solution x (dict col->coeff), or None if unsolvable."""
-        field = self.field
-        res = dict(b)
-        sol: dict = {}
-        while True:
-            hit = None
-            for c in res:
-                if c in self._ech.rows:
-                    if hit is None or c < hit:
-                        hit = c
-            if hit is None:
-                break
-            coef = res[hit]
-            vec_axpy(field, res, field.neg(coef), self._ech.rows[hit])
-            res.pop(hit, None)
-            vec_axpy(field, sol, coef, self._combos[hit])
-        if res:
+        coeffs = self._ech.express(b)
+        if coeffs is None:
             return None
+        sol: dict = {}
+        for p, c in coeffs.items():
+            vec_axpy(self.field, sol, c, self._ech.companions[p])
         return sol

@@ -801,13 +801,9 @@ def infer_presentation(
         for row in ideal.ideal(n).basis():
             ech.add(row)
         for kv in ker.basis:
-            res = ech.reduce(kv)
-            if res:
-                p = min(res)
-                inv = field.inv(res[p])
-                res = {c: field.mul(inv, x) for c, x in res.items()}
-                relators.append(fhat.element_from_coordinates(res, n))
-                ech.add(res)
+            p = ech.add(kv)
+            if p is not None:
+                relators.append(fhat.element_from_coordinates(ech.rows[p], n))
                 ideal.invalidate_from(n)
         # sanity: presentation dims must match span dims at this degree
         if len(basis) - ideal.ideal(n).rank != S._spans[n].rank:

@@ -55,8 +55,9 @@ class SimpleGraph:
     def has_edge(self, u, v) -> bool:
         return frozenset((u, v)) in self.edges
 
-    def neighbors(self, v) -> set:
-        return {u for e in self.edges if v in e for u in e if u != v}
+    def neighbors(self, v) -> list:
+        """The neighbours of v, in vertex order."""
+        return [u for u in self.vertices if u != v and frozenset((u, v)) in self.edges]
 
     def subgraph(self, vertices) -> "SimpleGraph":
         keep = [v for v in self.vertices if v in set(vertices)]
@@ -423,7 +424,7 @@ def _decomposition_tree(graph: SimpleGraph, peo: list) -> dict:
     if graph.is_complete():
         return {"complete": list(graph.vertices)}
     v = next(u for u in peo if u in graph.vertices)
-    closed = [v] + sorted(graph.neighbors(v), key=graph.vertices.index)
+    closed = [v] + graph.neighbors(v)
     g1 = graph.subgraph(closed)
     if not g1.is_complete():
         raise AssertionError("simplicial neighborhood is not complete")

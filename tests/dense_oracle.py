@@ -1,0 +1,38 @@
+"""Dense Gauss-Jordan elimination: the test oracle for the sparse kernel.
+
+Works on full lists of field values, with no pivot bookkeeping shared with
+gradedlie.linalg, and returns the unique reduced row echelon form.
+"""
+
+
+def rref(field, rows: list[dict], ncols: int) -> list[dict]:
+    """The nonzero rows of the reduced row echelon form, as sparse dicts
+    ordered by pivot column."""
+    dense = [[row.get(c, field.zero) for c in range(ncols)] for row in rows]
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(dense)) if not field.is_zero(dense[i][c])), None)
+        if pivot is None:
+            continue
+        dense[r], dense[pivot] = dense[pivot], dense[r]
+        inv = field.inv(dense[r][c])
+        dense[r] = [field.mul(inv, x) for x in dense[r]]
+        for i in range(len(dense)):
+            if i != r and not field.is_zero(dense[i][c]):
+                f = dense[i][c]
+                dense[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(dense[i], dense[r])]
+        r += 1
+    return [{c: x for c, x in enumerate(row) if not field.is_zero(x)} for row in dense[:r]]
+
+
+def rank(field, rows: list[dict], ncols: int) -> int:
+    return len(rref(field, rows, ncols))
+
+
+def combination(field, coeffs: dict, vectors) -> dict:
+    """sum of coeffs[k] * vectors[k], without the kernel's axpy."""
+    out: dict = {}
+    for k, a in coeffs.items():
+        for c, x in vectors[k].items():
+            out[c] = field.add(out.get(c, field.zero), field.mul(a, x))
+    return {c: x for c, x in out.items() if not field.is_zero(x)}

@@ -169,3 +169,67 @@ def test_selftest(capsys):
     assert code == 0
     report = json.loads(out)
     assert all(report["data"].values())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--max-degree", "-1", "hall", "--gens", "x,y"],
+        ["--max-degree", "-3", "hilbert", "{mn}"],
+        ["--hom-bound", "-1", "homology", "{mn}"],
+        ["hall", "--gens", "x:a"],
+        ["dims", "{deep}"],
+    ],
+    ids=["negative-max-degree-hall", "negative-max-degree-hilbert",
+         "negative-hom-bound", "bad-generator-weight", "deep-nesting"],
+)
+def test_bad_input_exits_2(capsys, tmp_path, argv):
+    mn = tmp_path / "mn.lie"
+    mn.write_text("field = Q\ngen a weight 1\ngen b weight 1\ngen x weight 1\nrel [a,b]\n")
+    deep = tmp_path / "deep.lie"
+    nested = "x"
+    for _ in range(1200):
+        nested = f"[x,{nested}]"
+    deep.write_text(f"field = Q\ngen x weight 1\ngen y weight 1\nrel {nested}\n")
+    argv = [a.format(mn=mn, deep=deep) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects bad option values
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_example_sec6_over_large_prime_field(capsys):
+    _, out = run(capsys, "example", "sec6")
+    over_q = json.loads(out)["data"]
+    code, out = run(capsys, "--field", "Fp:2147483647", "example", "sec6")
+    assert code == 0
+    data = json.loads(out)["data"]
+    for key in ("h1_total", "h2_total", "relator_weights"):
+        assert data[key] == over_q[key]
+
+
+@pytest.mark.parametrize("command,key", [("chordal", "induced_cycle"), ("verdict", "cycle")])
+def test_raag_reports_independent_of_hash_seed(tmp_path, command, key):
+    import os
+    import subprocess
+    import sys
+
+    c5 = tmp_path / "c5.graph"
+    c5.write_text("vertices a b c d e\nedge a b\nedge b c\nedge c d\nedge d e\nedge e a\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gradedlie.cli", "raag", command, str(c5)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1, proc.stderr  # C5 is not chordal
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["data"][key] == ["a", "b", "c", "d", "e"]

@@ -131,3 +131,13 @@ def test_change_field():
 def test_full_report():
     report = full_report(QQ)
     assert report["ok"]
+
+
+def test_fingerprint_reduces_from_q():
+    from gradedlie.fields import FieldError
+
+    over_q = quotient_algebras(QQ)["E"]
+    over_p = quotient_algebras(GF(2147483647))["E"]
+    with pytest.raises(FieldError):
+        fingerprint(over_p)
+    assert fingerprint(over_p, rational=over_q) == fingerprint(over_q)

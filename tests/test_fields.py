@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -86,3 +88,26 @@ def test_field_axioms_fp(x, y, z):
     assert F.add(a, F.neg(a)) == F.zero
     if not F.is_zero(a):
         assert F.mul(a, F.inv(a)) == F.one
+
+
+def test_rationals_are_int_when_integral():
+    half = QQ.parse("1/2")
+    assert QQ.zero == 0 and type(QQ.zero) is int and type(QQ.one) is int
+    for value in (QQ.add(half, half), QQ.mul(half, QQ.of(4)), QQ.sub(half, half),
+                  QQ.inv(QQ.of(-1)), QQ.div(QQ.of(6), QQ.of(3)), QQ.parse("4/2"),
+                  QQ.of(Fraction(3, 1)), QQ.inv(half)):
+        assert type(value) is int
+    for value in (QQ.inv(QQ.of(3)), QQ.div(QQ.of(1), QQ.of(2)), QQ.mul(half, QQ.of(3))):
+        assert type(value) is Fraction
+    out = {0: half, 1: QQ.of(2)}
+    QQ.axpy(out, half, {0: QQ.one, 1: QQ.of(-4), 2: QQ.of(4)})
+    assert out == {0: 1, 2: 2} and all(type(v) is int for v in out.values())
+
+
+def test_prime_field_axpy():
+    F5 = GF(5)
+    out = {0: 1, 1: 2}
+    F5.axpy(out, 3, {0: 3, 1: 1, 2: 4})
+    assert out == {2: 2}
+    F5.axpy(out, 0, {2: 1})
+    assert out == {2: 2}

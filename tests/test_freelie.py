@@ -180,6 +180,17 @@ def test_parser():
         alg.parse("[x,zz]")
 
 
+def test_parser_depth_limits():
+    alg = FreeLieAlgebra(QQ, ["x", "y"])
+    for nested in ("[x," * 101 + "y" + "]" * 101, "(" * 150 + "x" + ")" * 150, "-" * 200 + "x"):
+        with pytest.raises(ExprSyntaxError, match="nested deeper"):
+            parse_expression(nested)
+    # long sums are flat, not nested, and evaluate without deep recursion
+    x, y = alg.gen_element("x"), alg.gen_element("y")
+    assert alg.parse(" + ".join(["[x,y]"] * 3000)) == x.bracket(y).scale(QQ.of(3000))
+    assert alg.parse("x" + " - x" * 3000) == x.scale(QQ.of(-2999))
+
+
 def test_parser_qualified_names():
     alg = FreeLieAlgebra(QQ, ["v.a", "w.b"])
     e = alg.parse("[v.a, w.b]")

@@ -1,6 +1,6 @@
 import pytest
 
-from gradedlie.fields import QQ
+from gradedlie.fields import GF, QQ
 from gradedlie.graphalg import (
     Edge,
     GraphError,
@@ -128,6 +128,28 @@ def test_hnn_leibniz_violation():
     d = LieDerivation(base, ["a", "b", "[a,b]"], ["[a,b]", "0*a", "0*[a,b]"], shift=1)
     with pytest.raises(GraphError):
         d.validate_leibniz(4)
+
+
+def test_leibniz_violation_on_dependent_generators():
+    # four weight-1 generators of A in the 3-dimensional span of a, b, c
+    # over F_7; the values agree with d(a) = [a,b], d(b) = [a,c],
+    # d(c) = [b,c] except that the first generator's [a,b] coefficient is
+    # 5 instead of 4, so d is not well defined on A_1.  Reducing each new
+    # generator at the first coordinate equal to 1 of a stored row, instead
+    # of at that row's pivot, leaves the fourth generator nonzero and
+    # misses the violation.
+    base = PresentedLieAlgebra(GF(7), ["a", "b", "c"])
+    gens = ["3*b+c+4*a", "3*b+5*a+2*c", "2*b+5*c", "5*c+3*b+a"]
+    values = [
+        "3*[a,c]+[b,c]+5*[a,b]",
+        "3*[a,c]+5*[a,b]+2*[b,c]",
+        "2*[a,c]+5*[b,c]",
+        "5*[b,c]+3*[a,c]+[a,b]",
+    ]
+    with pytest.raises(GraphError, match="Leibniz violation at weight 1"):
+        LieDerivation(base, gens, values, shift=1).validate_leibniz(1)
+    values[0] = "3*[a,c]+[b,c]+4*[a,b]"
+    LieDerivation(base, gens, values, shift=1).validate_leibniz(2)
 
 
 def test_hnn_ascending_free():

@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_oracle import combination, rank as oracle_rank, rref
 from gradedlie.fields import QQ, GF
 from gradedlie.linalg import (
     ColumnSolver,
@@ -140,3 +142,101 @@ def test_kernel_vectors_annihilate(rows):
             if c in v:
                 image[r] = QQ.add(image.get(r, QQ.zero), QQ.mul(val, v[c]))
         assert all(QQ.is_zero(x) for x in image.values())
+
+
+# -- the elimination kernel against the dense oracle ------------------------
+
+NCOLS = 7
+F7 = GF(7)
+
+
+def q_value():
+    return st.builds(
+        lambda n, d: QQ.div(QQ.of(n), QQ.of(d)),
+        st.integers(-6, 6).filter(bool),
+        st.sampled_from([1, 1, 1, 2, 3]),
+    )
+
+
+def sparse_rows(value):
+    row = st.dictionaries(st.integers(0, NCOLS - 1), value, max_size=4)
+    return st.lists(row, max_size=8)
+
+
+FIELDS = {
+    "Q": (QQ, sparse_rows(q_value())),
+    "F7": (F7, sparse_rows(st.integers(1, 6))),
+}
+
+
+def exact_rational(x) -> bool:
+    """x is an int when integral and a Fraction otherwise."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_echelon_matches_dense_oracle(name):
+    field, rows_strategy = FIELDS[name]
+
+    @given(rows_strategy)
+    @settings(max_examples=120, deadline=None)
+    def check(rows):
+        ech = Echelon(field)
+        for row in rows:
+            ech.add(row)
+        assert ech.basis() == rref(field, rows, NCOLS)
+        for row in rows:
+            assert ech.reduce(row) == {}
+            assert combination(field, ech.express(row), ech.rows) == row
+        if field == QQ:
+            assert all(
+                exact_rational(x) for r in ech.rows.values() for x in r.values()
+            )
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_column_solver_against_oracle(name):
+    field, rows_strategy = FIELDS[name]
+
+    @given(rows_strategy, rows_strategy)
+    @settings(max_examples=120, deadline=None)
+    def check(columns, targets):
+        solver = ColumnSolver(field, columns)
+        assert solver.rank == oracle_rank(field, columns, NCOLS)
+        for b in targets + [dict(c) for c in columns]:
+            x = solver.solve(b)
+            in_span = oracle_rank(field, columns + [b], NCOLS) == solver.rank
+            assert (x is not None) == in_span
+            if x is not None:
+                assert combination(field, x, columns) == b
+                if field == QQ:
+                    assert all(exact_rational(c) for c in x.values())
+
+    check()
+
+
+def test_tracked_insert_rank_over_f7():
+    # a row sequence on which reducing at the first coordinate equal to 1
+    # (rather than at each row's pivot) leaves a dependent row nonzero
+    seq = [
+        {1: 3, 2: 1, 0: 4}, {1: 3, 0: 5, 2: 2}, {1: 2, 2: 5},
+        {2: 5, 1: 3, 0: 1}, {2: 5}, {2: 6, 0: 3, 1: 6},
+    ]
+    ech = Echelon(F7)
+    results = [ech.insert(v, {k: 1}) for k, v in enumerate(seq)]
+    assert ech.rank == 3
+    # each row's companion is the combination of inputs that gives the row
+    for p, row in ech.rows.items():
+        assert combination(F7, ech.companions[p], seq) == row
+    # each dependent input's companion residue is a relation among inputs
+    for pivot, relation in results:
+        if pivot is None:
+            assert relation and combination(F7, relation, seq) == {}
+
+
+def test_apply_matches_columns():
+    m = mat([[1, 2, 0], [0, 1, -1]])
+    assert m.apply({0: QQ.one, 2: QQ.of(2)}) == {0: QQ.one, 1: QQ.of(-2)}
+    assert m.apply({1: QQ.of(-1)}) == {0: QQ.of(-2), 1: QQ.of(-1)}
