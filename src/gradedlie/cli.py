@@ -5,7 +5,8 @@ onerelator decompose, raag chordal|resolve|verdict, example sec6, selftest.
 Reports are JSON (schema 1) with all dimensions as decimal strings so that
 consumers never overflow; identical inputs, configuration and seed produce
 byte-identical reports.  Exit codes: 0 pass, 1 verification failure,
-2 input error.
+2 input error, 3 internal error (a bug: a one-line message on stderr, no
+report).
 """
 
 from __future__ import annotations
@@ -465,6 +466,9 @@ def main(argv=None) -> int:
     except InconclusiveAtDegree as exc:
         sys.stderr.write(f"inconclusive: {exc}\n")
         return 1
+    except Exception as exc:  # not a verdict on the input: keep it out of 1 and 2
+        sys.stderr.write(f"internal error: {exc!r}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -18,10 +18,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .fields import FieldError
 from .linalg import Echelon, vec_axpy
 from .presented import GradedSubalgebra, PresentedLieAlgebra
 from .series import HilbertSeries
+
+
+class EmbeddingError(ValueError):
+    """A claimed embedding of graded Lie algebras is not injective."""
 
 
 class Envelope:
@@ -246,7 +249,7 @@ def induced_module_dims(
         span_dims = image.span_dims(N)
         for n in range(1, N + 1):
             if span_dims[n - 1] != src_dims[n - 1]:
-                raise FieldError(
+                raise EmbeddingError(
                     f"embedding not injective at weight {n}: "
                     f"span dim {span_dims[n - 1]} != source dim {src_dims[n - 1]}"
                 )

@@ -26,6 +26,7 @@ from itertools import combinations, product
 from typing import Optional
 
 from .fields import GF, QQ, Field, FieldError
+from .freelie import FreeLieAlgebra, substitution
 from .homology import homology_table
 from .linalg import Echelon
 from .presented import GradedSubalgebra, PresentedLieAlgebra, infer_presentation
@@ -78,17 +79,18 @@ def build_s(field: Field = QQ, N: int = 8):
     return report
 
 
-def not_free_product_witness(field: Field = QQ, N: int = 6):
+def not_free_product_witness(s_report: dict, N: int = 6):
     """The dimension contradiction against S = M * Q.
 
     If S = M * Q then Q would be free on the images of z, t, and H_2 would
-    add up to dim H_2(M) + dim H_2(free_2) = 1 + 0 = 1, not 2.
+    add up to dim H_2(M) + dim H_2(free_2) = 1 + 0 = 1, not 2.  `s_report`
+    is the report of `build_s`.
     """
+    field = s_report["presentation"].field
     M = PresentedLieAlgebra(field, ["a", "b"], ["[a,b]"], name="M")
     Q = PresentedLieAlgebra(field, [("z", 2), ("t", 2)], name="free on z,t")
     h2_m = sum(M.h2_hopf(N))
     h2_q = sum(Q.h2_hopf(N))
-    s_report = build_s(field, N=max(N, 7))
     report = {
         "h2_M": h2_m,
         "h2_Q_candidate": h2_q,
@@ -191,37 +193,11 @@ def fingerprint(
 
 def change_field(source: PresentedLieAlgebra, field: Field) -> PresentedLieAlgebra:
     """The same presentation with coefficients coerced into another field."""
-    from .freelie import FreeLieAlgebra
-
-    free = FreeLieAlgebra(field, [(g.name, g.weight) for g in source.generators])
-    src_free = source.free
-    rels = []
-    for r in source.relators:
-        memo = {}
-
-        def mono(mid):
-            got = memo.get(mid)
-            if got is not None:
-                return got
-            if src_free.is_generator(mid):
-                res = free.gen_element(src_free.generator_of(mid).name)
-            else:
-                l, rr = src_free.factors(mid)
-                res = mono(l).bracket(mono(rr))
-            memo[mid] = res
-            return res
-
-        out = free.zero()
-        for mid, c in r.terms.items():
-            out = out + mono(mid).scale(field.of(c))
-        rels.append(out)
-    return PresentedLieAlgebra(
-        field,
-        [(g.name, g.weight) for g in source.generators],
-        rels,
-        name=source.name,
-        free=free,
-    )
+    gens = [(g.name, g.weight) for g in source.generators]
+    free = FreeLieAlgebra(field, gens)
+    coerce = substitution(source.free, free, {name: free.gen_element(name) for name, _ in gens})
+    rels = [coerce(r) for r in source.relators]
+    return PresentedLieAlgebra(field, gens, rels, name=source.name, free=free)
 
 
 def zero_pair_count_oracle(source: PresentedLieAlgebra, p: int) -> int:
@@ -304,13 +280,14 @@ def four_vertex_two_edge_graphs() -> dict:
     return classes
 
 
-def not_raag_witness(field: Field = QQ):
+def not_raag_witness(s_report: dict):
     """S is not a right-angled Artin Lie algebra.
 
-    H_1 = 4 and H_2 = 2 force a 4-vertex, 2-edge graph; both isomorphism
-    classes yield class-2 quotients whose fingerprints differ from E's.
+    H_1 = 4 and H_2 = 2 (from `s_report`, the report of `build_s`) force a
+    4-vertex, 2-edge graph; both isomorphism classes yield class-2
+    quotients whose fingerprints differ from E's.
     """
-    s_report = build_s(field, N=7)
+    field = s_report["presentation"].field
     classes = four_vertex_two_edge_graphs()
     E = quotient_algebras(field)["E"]
     fp_e = fingerprint(E, rational=E if field == QQ else quotient_algebras(QQ)["E"])
@@ -318,10 +295,8 @@ def not_raag_witness(field: Field = QQ):
     for label, graph in classes.items():
         raag = raag_presentation(graph, field)
         raag_q = raag if field == QQ else raag_presentation(graph, QQ)
-        comparisons[label] = {
-            "fingerprint": fingerprint(raag, rational=raag_q),
-            "differs_from_E": fingerprint(raag, rational=raag_q) != fp_e,
-        }
+        fp_raag = fingerprint(raag, rational=raag_q)
+        comparisons[label] = {"fingerprint": fp_raag, "differs_from_E": fp_raag != fp_e}
     report = {
         "h1_total": s_report["h1_total"],
         "h2_total": s_report["h2_total"],
@@ -340,9 +315,9 @@ def not_raag_witness(field: Field = QQ):
 def full_report(field: Field = QQ) -> dict:
     """Every claim of the worked example with computed values."""
     s = build_s(field)
-    nf = not_free_product_witness(field)
+    nf = not_free_product_witness(s)
     dq = distinguish_quotients(field)
-    nr = not_raag_witness(field)
+    nr = not_raag_witness(s)
     return {
         "build_s": s,
         "not_free_product": nf,

@@ -21,7 +21,7 @@ operations are safe to run concurrently afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .fields import Field, FieldError, check_same_field
 
@@ -362,6 +362,36 @@ class LieElement:
             else:
                 parts.append(f"{cs}*{s}")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+def substitution(
+    source: FreeLieAlgebra, target: FreeLieAlgebra, images: dict
+) -> Callable[[LieElement], LieElement]:
+    """The Lie map source -> target sending each generator name to its
+    image in `images` (elements of target).
+
+    The returned function applies the map to elements of source; the images
+    of Hall monomials are memoised for as long as the function lives.
+    Coefficients pass through target.field.of, which leaves them unchanged
+    when both algebras share a field and reduces them otherwise (Q -> F_p).
+    """
+    field = target.field
+    memo = {source.gen_monomial(name): img for name, img in images.items()}
+
+    def mono(mid: int) -> LieElement:
+        got = memo.get(mid)
+        if got is None:
+            l, r = source.factors(mid)
+            got = memo[mid] = mono(l).bracket(mono(r))
+        return got
+
+    def apply(elem: LieElement) -> LieElement:
+        out = target.zero()
+        for mid, c in elem.terms.items():
+            out = out + mono(mid).scale(field.of(c))
+        return out
+
+    return apply
 
 
 def canonical_decomposition(alg: FreeLieAlgebra, mid: int) -> tuple[list[int], int]:

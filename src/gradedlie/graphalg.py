@@ -17,6 +17,8 @@ degree-wise exactness check where the middle map is built by recursive
 gluing: amalgam steps contribute (1 (x) u, -1 (x) u), HNN steps contribute
 1 (x) t.u, and components landing in an already-glued partial algebra are
 lifted through the previous step's surjection by solving linear systems.
+Amalgams and HNN extensions are the one-edge graphs, so their sequences are
+verified by building that graph; there is no separate closed-form check.
 
 Graph file format::
 
@@ -36,7 +38,7 @@ from typing import Optional
 
 from .envelope import Envelope, InducedModule
 from .fields import Field, check_same_field
-from .freelie import LieElement
+from .freelie import LieElement, substitution
 from .linalg import ColumnSolver, Echelon, vec_axpy
 from .presented import (
     GradedSubalgebra,
@@ -81,6 +83,8 @@ class LieHomomorphism:
         extra = set(images) - {g.name for g in source.generators}
         if extra:
             raise GraphError(f"images given for unknown generators {sorted(extra)}")
+        # substitutes the generator images into source free-algebra elements
+        self.map_element = substitution(source.free, target.free, self.images)
         self._validated = False
         self._matrices: dict[int, list] = {}
 
@@ -98,28 +102,6 @@ class LieHomomorphism:
                     f"relator {r!r} does not map to zero in {self.target.name or 'target'}"
                 )
         self._validated = True
-
-    def map_element(self, elem: LieElement) -> LieElement:
-        """Substitute generator images into a source free-algebra element."""
-        free_s = self.source.free
-        out = self.target.free.zero()
-        memo: dict[int, LieElement] = {}
-
-        def mono(mid: int) -> LieElement:
-            got = memo.get(mid)
-            if got is not None:
-                return got
-            if free_s.is_generator(mid):
-                res = self.images[free_s.generator_of(mid).name]
-            else:
-                l, r = free_s.factors(mid)
-                res = mono(l).bracket(mono(r))
-            memo[mid] = res
-            return res
-
-        for mid, c in elem.terms.items():
-            out = out + mono(mid).scale(c)
-        return out
 
     def matrix_columns(self, n: int) -> list[dict]:
         """Columns of L_source,n -> L_target,n over engine bases."""
@@ -299,19 +281,15 @@ def amalgam(
     ]
     out = PresentedLieAlgebra(field, gens, [], name=name)
     free = out.free
-    rels = []
-    for src in (L1, L2):
-        for r in src.relators:
-            rels.append(_transport(r, free, {g.name: g.name for g in src.generators}))
-    if L0.generators:
-        map1 = {g.name: g.name for g in L1.generators}
-        map2 = {g.name: g.name for g in L2.generators}
-        for g in L0.generators:
-            img1 = _transport(sigma.images[g.name], free, map1)
-            img2 = _transport(tau.images[g.name], free, map2)
-            diff = img1 - img2
-            if not diff.is_zero():
-                rels.append(diff)
+    into1, into2 = (
+        substitution(src.free, free, {g.name: free.gen_element(g.name) for g in src.generators})
+        for src in (L1, L2)
+    )
+    rels = [into1(r) for r in L1.relators] + [into2(r) for r in L2.relators]
+    for g in L0.generators:
+        diff = into1(sigma.images[g.name]) - into2(tau.images[g.name])
+        if not diff.is_zero():
+            rels.append(diff)
     return PresentedLieAlgebra(field, gens, rels, name=name, free=free)
 
 
@@ -343,41 +321,17 @@ def hnn(
     gens = [(g.name, g.weight) for g in L.generators] + [(t_name, t_weight)]
     out = PresentedLieAlgebra(L.field, gens, [], name=name)
     free = out.free
-    idmap = {g.name: g.name for g in L.generators}
-    rels = [_transport(r, free, idmap) for r in L.relators]
+    into = substitution(L.free, free, {g.name: free.gen_element(g.name) for g in L.generators})
+    rels = [into(r) for r in L.relators]
     t = free.gen_element(t_name)
     for g_expr, v_expr in zip(derivation.domain_gens, derivation.values):
-        a = _transport(g_expr, free, idmap)
-        rel = t.bracket(a)
+        rel = t.bracket(into(g_expr))
         if not v_expr.is_zero():
-            rel = rel - _transport(v_expr, free, idmap)
+            rel = rel - into(v_expr)
         if rel.is_zero():
             continue
         rels.append(rel)
     return PresentedLieAlgebra(L.field, gens, rels, name=name, free=free)
-
-
-def _transport(elem: LieElement, target_free, name_map: dict) -> LieElement:
-    """Rebuild a free-algebra element inside another free algebra."""
-    src = elem.algebra
-    memo: dict[int, LieElement] = {}
-
-    def mono(mid: int) -> LieElement:
-        got = memo.get(mid)
-        if got is not None:
-            return got
-        if src.is_generator(mid):
-            res = target_free.gen_element(name_map[src.generator_of(mid).name])
-        else:
-            l, r = src.factors(mid)
-            res = mono(l).bracket(mono(r))
-        memo[mid] = res
-        return res
-
-    out = target_free.zero()
-    for mid, c in elem.terms.items():
-        out = out + mono(mid).scale(c)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -521,34 +475,34 @@ class FundamentalAlgebra:
 
         shell = PresentedLieAlgebra(field, gens, [], name="fundamental")
         free = shell.free
+        # vertex algebra -> fundamental algebra, on free-algebra elements
+        self._into = {
+            vid: substitution(
+                alg.free, free, {g: free.gen_element(q) for g, q in self.vertex_gen_map[vid].items()}
+            )
+            for vid, alg in graph.vertices.items()
+        }
         rels = []
         for vid, alg in graph.vertices.items():
-            for r in alg.relators:
-                rels.append(_transport(r, free, self.vertex_gen_map[vid]))
+            rels.extend(self._into[vid](r) for r in alg.relators)
         for e in graph.edges:
+            into_src, into_dst = self._into[e.src], self._into[e.dst]
             if e.in_forest:
                 for g in e.algebra.generators:
-                    img_s = _transport(
-                        graph.sigma[e.id].images[g.name], free, self.vertex_gen_map[e.src]
+                    diff = into_src(graph.sigma[e.id].images[g.name]) - into_dst(
+                        graph.tau[e.id].images[g.name]
                     )
-                    img_t = _transport(
-                        graph.tau[e.id].images[g.name], free, self.vertex_gen_map[e.dst]
-                    )
-                    diff = img_s - img_t
                     if not diff.is_zero():
                         rels.append(diff)
             else:
                 t = free.gen_element(e.id)
                 for g in e.algebra.generators:
-                    img_s = _transport(
-                        graph.sigma[e.id].images[g.name], free, self.vertex_gen_map[e.src]
-                    )
-                    rel = t.bracket(img_s)
+                    rel = t.bracket(into_src(graph.sigma[e.id].images[g.name]))
                     dval = e.der_values[g.name]
                     if isinstance(dval, str):
                         dval = graph.vertices[e.dst].parse(dval)
                     if not dval.is_zero():
-                        rel = rel - _transport(dval, free, self.vertex_gen_map[e.dst])
+                        rel = rel - into_dst(dval)
                     if not rel.is_zero():
                         rels.append(rel)
         self.algebra = PresentedLieAlgebra(field, gens, rels, name="fundamental", free=free)
@@ -594,11 +548,7 @@ class FundamentalAlgebra:
     def edge_embedding(self, eid: str) -> LieHomomorphism:
         e = next(e for e in self.graph.edges if e.id == eid)
         sigma = self.graph.sigma[eid]
-        images = {}
-        for g in e.algebra.generators:
-            images[g.name] = _transport(
-                sigma.images[g.name], self.algebra.free, self.vertex_gen_map[e.src]
-            )
+        images = {g.name: self._into[e.src](sigma.images[g.name]) for g in e.algebra.generators}
         return LieHomomorphism(e.algebra, self.algebra, images)
 
     def stable_letter_u(self, env: Envelope, eid: str):
@@ -864,127 +814,6 @@ def verify_theorem_a(
             SequenceCheck(n, src_dim, mid_dim, rank_alpha, rank_beta, composite_zero)
         )
     return report
-
-
-# ----------------------------------------------------------------------
-# base-case sequence checks (explicit closed-form maps)
-
-
-def verify_amalgam_sequence(
-    L1, L2, L0, sigma_images, tau_images, N: int, name="amalgam"
-) -> TheoremAReport:
-    """Exactness of 0 -> Q_{L0} -> Q_{L1} (+) Q_{L2} -> k -> 0 with the
-    closed-form map alpha(1 (x) u) = (1 (x) u, -1 (x) u)."""
-    sigma = LieHomomorphism(L0, L1, sigma_images) if L0.generators else None
-    tau = LieHomomorphism(L0, L2, tau_images) if L0.generators else None
-    L = amalgam(L1, L2, L0, sigma, tau, name=name)
-    env = Envelope(L)
-    id1 = {g.name: g.name for g in L1.generators}
-    id2 = {g.name: g.name for g in L2.generators}
-    e1 = LieHomomorphism(L1, L, {g.name: L.parse(g.name) for g in L1.generators})
-    e2 = LieHomomorphism(L2, L, {g.name: L.parse(g.name) for g in L2.generators})
-    report = TheoremAReport()
-    report.N = N
-    report.explicit_to = N
-    for tag, hom in (("L1", e1), ("L2", e2)):
-        bad = hom.injectivity_failure(N)
-        if bad is not None:
-            report.embedding_failures.append(("vertex", tag, bad))
-    if L0.generators:
-        img0 = {
-            g.name: _transport(sigma.images[g.name], L.free, id1)
-            for g in L0.generators
-        }
-        e0 = LieHomomorphism(L0, L, img0)
-        bad = e0.injectivity_failure(N)
-        if bad is not None:
-            report.embedding_failures.append(("edge", "L0", bad))
-        sub0 = e0.image_subalgebra()
-    else:
-        sub0 = L.subalgebra([])
-    if report.embedding_failures:
-        return report
-    Q0 = InducedModule(env, sub0)
-    Q1 = InducedModule(env, e1.image_subalgebra())
-    Q2 = InducedModule(env, e2.image_subalgebra())
-    field = L.field
-    for n in range(N + 1):
-        d1, d2 = Q1.dim(n), Q2.dim(n)
-        cols = []
-        for mono in Q0.quotient_basis(n):
-            u = {mono: field.one}
-            col = dict(Q1.project(u, n))
-            for i, c in Q2.project(u, n).items():
-                col[d1 + i] = field.neg(c)
-            cols.append(col)
-        ech = Echelon(field)
-        for col in cols:
-            ech.add(col)
-        rank_beta = 1 if n == 0 else 0
-        composite_zero = True
-        if n == 0:
-            for col in cols:
-                s = field.zero
-                for _, c in col.items():
-                    s = field.add(s, c)
-                if not field.is_zero(s):
-                    composite_zero = False
-        report.checks.append(
-            SequenceCheck(n, Q0.dim(n), d1 + d2, ech.rank, rank_beta, composite_zero)
-        )
-    return report
-
-
-def verify_hnn_sequence(L, derivation, t_name, t_weight, N: int) -> TheoremAReport:
-    """Exactness of 0 -> Q_A -> Q_L -> k -> 0 for an HNN extension, with
-    the closed-form map alpha(1 (x) u) = 1 (x) t.u (weight shift w(t))."""
-    W = hnn(L, derivation, t_name, t_weight)
-    env = Envelope(W)
-    idmap = {g.name: g.name for g in L.generators}
-    eL = LieHomomorphism(L, W, {g.name: W.parse(g.name) for g in L.generators})
-    report = TheoremAReport()
-    report.N = N
-    report.explicit_to = N
-    bad = eL.injectivity_failure(N)
-    if bad is not None:
-        report.embedding_failures.append(("vertex", "base", bad))
-        return report
-    subL = eL.image_subalgebra()
-    domain_in_w = [_transport(g, W.free, idmap) for g in derivation.domain_gens]
-    subA = W.subalgebra(domain_in_w)
-    QA = InducedModule(env, subA)
-    QL = InducedModule(env, subL)
-    field = W.field
-    _, tvec = W.evaluate(W.parse(t_name))
-    t_u = env.lie_vector_as_u(t_weight, tvec)
-    for n in range(N + 1):
-        m = n - t_weight
-        cols = []
-        src_dim = QA.dim(m) if m >= 0 else 0
-        if m >= 0:
-            for mono in QA.quotient_basis(m):
-                tu = env.mult(t_u, {mono: field.one})
-                cols.append(QL.project(tu, n))
-        ech = Echelon(field)
-        for col in cols:
-            ech.add(col)
-        rank_beta = 1 if n == 0 else 0
-        composite_zero = True
-        if n == 0 and cols:
-            composite_zero = all(
-                field.is_zero(sum_coords(field, col)) for col in cols
-            )
-        report.checks.append(
-            SequenceCheck(n, src_dim, QL.dim(n), ech.rank, rank_beta, composite_zero)
-        )
-    return report
-
-
-def sum_coords(field, col):
-    s = field.zero
-    for c in col.values():
-        s = field.add(s, c)
-    return s
 
 
 # ----------------------------------------------------------------------

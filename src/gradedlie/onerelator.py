@@ -11,17 +11,18 @@ generator symbol as its leading Hall monomial; the resulting base and all
 associated subalgebras are free, certified a posteriori by H_2 = 0
 witnesses and by r not lying in F(Z) at any layer.
 
-`verify_tower` reconstructs the algebra layer by layer through HNN
-extensions and recomputes, independently: the dimension sequence match
-with the original presentation, the freeness witnesses, the Leibniz law of
-every layer derivation, and the minimality of each exponent.
+`rebuild` reconstructs the algebra layer by layer through HNN extensions.
+`verify_tower` takes the base, the layer derivations and the rebuilt
+algebra from that same walk and recomputes, independently: the dimension
+sequence match with the original presentation, the freeness witnesses, the
+Leibniz law of every layer derivation, and the minimality of each exponent.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .freelie import FreeLieAlgebra, LieElement
+from .freelie import FreeLieAlgebra, LieElement, substitution
 from .graphalg import GraphError, LieDerivation, hnn
 from .linalg import ColumnSolver, Echelon
 from .presented import (
@@ -151,27 +152,11 @@ def _express_over(free: FreeLieAlgebra, family: list[int], r: LieElement):
     w = r.weight()
     gens = [(f"w{m}", free.weight(m)) for m in family]
     abstract = FreeLieAlgebra(free.field, gens)
-    name_to_monomial = {f"w{m}": m for m in family}
     basis = abstract.hall_basis(w)
     if not basis:
         return None
-    columns = []
-    memo: dict[int, LieElement] = {}
-
-    def image(mid: int) -> LieElement:
-        got = memo.get(mid)
-        if got is not None:
-            return got
-        if abstract.is_generator(mid):
-            res = free.monomial_element(name_to_monomial[abstract.generator_of(mid).name])
-        else:
-            l, rr = abstract.factors(mid)
-            res = image(l).bracket(image(rr))
-        memo[mid] = res
-        return res
-
-    for mid in basis:
-        columns.append(free.coordinates(image(mid), w))
+    image = substitution(abstract, free, {f"w{m}": free.monomial_element(m) for m in family})
+    columns = [free.coordinates(image(abstract.monomial_element(mid)), w) for mid in basis]
     solver = ColumnSolver(free.field, columns)
     sol = solver.solve(free.coordinates(r, w))
     if sol is None:
@@ -268,41 +253,45 @@ class TowerReport:
         )
 
 
-def rebuild(tower: HNNTower, validate_to: int = 0) -> PresentedLieAlgebra:
+def _walk(tower: HNNTower) -> tuple[PresentedLieAlgebra, list, PresentedLieAlgebra]:
     """Reassemble the algebra from the tower, innermost base outward.
 
     Layer i contributes an HNN extension with stable letter h_i and the
-    derivation z |-> [h_i, z] on the associated family.
+    derivation z |-> [h_i, z] on the associated family.  Returns the base
+    presentation, one (layer, derivation) pair per layer in that order (the
+    derivation lives on the algebra the layer extends), and the last
+    extension.
     """
     free = tower.original.free
-    field = tower.original.field
-
     expressed = _express_over(free, tower.base_family, tower.relator)
     if expressed is None:
         raise DecompositionError("base family does not express the relator")
     abstract, r_hat = expressed
-    current = PresentedLieAlgebra(
-        field,
+    base = PresentedLieAlgebra(
+        tower.original.field,
         [(g.name, g.weight) for g in abstract.gens],
         [r_hat],
         name="tower base",
         free=abstract,
     )
+    steps = []
+    current = base
     for layer in reversed(tower.layers):
         # the derivation sends [h,^j,z] to [h,^{j+1},z]; all of these are
         # generator symbols of the current presentation
-        domain = []
-        values = []
-        for z in layer.Z:
-            zname = f"w{z}"
-            target = free.hall_pair(layer.h, z)
-            domain.append(current.free.gen_element(zname))
-            values.append(current.free.gen_element(f"w{target}"))
+        domain = [current.free.gen_element(f"w{z}") for z in layer.Z]
+        values = [
+            current.free.gen_element(f"w{free.hall_pair(layer.h, z)}") for z in layer.Z
+        ]
         der = LieDerivation(current, domain, values, shift=layer.weight)
-        if validate_to:
-            der.validate_leibniz(validate_to)
+        steps.append((layer, der))
         current = hnn(current, der, f"w{layer.h}", layer.weight, name="tower layer")
-    return current
+    return base, steps, current
+
+
+def rebuild(tower: HNNTower) -> PresentedLieAlgebra:
+    """The algebra reassembled from the tower (the last HNN extension)."""
+    return _walk(tower)[2]
 
 
 def verify_tower(tower: HNNTower, P: PresentedLieAlgebra, N: int) -> TowerReport:
@@ -320,41 +309,16 @@ def verify_tower(tower: HNNTower, P: PresentedLieAlgebra, N: int) -> TowerReport
     w = r.weight()
 
     try:
-        rebuilt = rebuild(tower)
+        base, steps, rebuilt = _walk(tower)
     except (GraphError, DecompositionError) as exc:
         report.errors.append(str(exc))
         return report
     report.rebuilt_dims = rebuilt.dim_sequence(N)
     report.original_dims = P.dim_sequence(N)
     report.dims_match = report.rebuilt_dims == report.original_dims
-
-    expressed = _express_over(free, tower.base_family, r)
-    if expressed is None:
-        report.errors.append("base family does not express the relator")
-        return report
-    abstract, r_hat = expressed
-    base = PresentedLieAlgebra(
-        tower.original.field,
-        [(g.name, g.weight) for g in abstract.gens],
-        [r_hat],
-        free=abstract,
-    )
     report.base_free = base.is_free_up_to(N) == "free-witnessed"
 
-    # walk layers innermost-out to validate each derivation in its base
-    current = PresentedLieAlgebra(
-        tower.original.field,
-        [(g.name, g.weight) for g in abstract.gens],
-        [r_hat],
-        free=abstract,
-    )
-    for layer in reversed(tower.layers):
-        domain = [current.free.gen_element(f"w{z}") for z in layer.Z]
-        values = [
-            current.free.gen_element(f"w{free.hall_pair(layer.h, z)}")
-            for z in layer.Z
-        ]
-        der = LieDerivation(current, domain, values, shift=layer.weight)
+    for layer, der in steps:
         leibniz_ok = True
         try:
             der.validate_leibniz(min(N, 2 * w))
@@ -362,9 +326,8 @@ def verify_tower(tower: HNNTower, P: PresentedLieAlgebra, N: int) -> TowerReport
             leibniz_ok = False
         # associated subalgebra: free witness via its inferred presentation
         if layer.Z:
-            sub = current.subalgebra(domain)
             max_w = max(free.weight(z) for z in layer.Z)
-            inf = infer_presentation(sub, max(max_w + 2, 4), strict_boundary=False)
+            inf = infer_presentation(der.domain, max(max_w + 2, 4), strict_boundary=False)
             associated_free = not inf.presentation.relators
         else:
             associated_free = True
@@ -391,7 +354,6 @@ def verify_tower(tower: HNNTower, P: PresentedLieAlgebra, N: int) -> TowerReport
                 "j_minimal": j_minimal,
             }
         )
-        current = hnn(current, der, f"w{layer.h}", layer.weight)
     return report
 
 

@@ -148,6 +148,21 @@ def test_input_errors(capsys, tmp_path):
     assert code == 2
 
 
+def test_internal_error_exits_3(capsys, monkeypatch, heisenberg_file):
+    import gradedlie.cli as cli
+
+    def broken(args):
+        raise KeyError("no such table\nsecond line")
+
+    monkeypatch.setattr(cli, "cmd_dims", broken)
+    code = main(["dims", heisenberg_file])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: KeyError(")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_byte_identical_reports(capsys, heisenberg_file):
     _, out1 = run(capsys, "--max-degree", "4", "dims", heisenberg_file)
     _, out2 = run(capsys, "--max-degree", "4", "dims", heisenberg_file)

@@ -1,7 +1,13 @@
 import pytest
 
-from gradedlie.envelope import Envelope, InducedModule, hilbert_series, induced_module_dims
-from gradedlie.fields import QQ
+from gradedlie.envelope import (
+    EmbeddingError,
+    Envelope,
+    InducedModule,
+    hilbert_series,
+    induced_module_dims,
+)
+from gradedlie.fields import QQ, FieldError
 from gradedlie.presented import PresentedLieAlgebra
 from gradedlie.series import HilbertSeries
 
@@ -126,9 +132,10 @@ def test_embedding_injectivity_error():
     # claim the source is free on two generators: fails at weight 2
     S_pres = PresentedLieAlgebra(QQ, ["u", "v"])
     img = L.subalgebra(["a", "b"])
-    with pytest.raises(Exception) as exc:
+    with pytest.raises(EmbeddingError) as exc:
         induced_module_dims(env, S_pres, img, 4)
     assert "weight 2" in str(exc.value)
+    assert not isinstance(exc.value, FieldError)
 
 
 def test_right_action():

@@ -16,8 +16,13 @@ from gradedlie.example6 import (
 from gradedlie.fields import GF, QQ
 
 
-def test_build_s():
-    report = build_s(QQ, N=8)
+@pytest.fixture(scope="module")
+def s_report():
+    return build_s(QQ, N=8)
+
+
+def test_build_s(s_report):
+    report = s_report
     assert report["h1_total"] == 4
     assert report["h2_total"] == 2
     assert report["h1_ce_total"] == 4  # Chevalley-Eilenberg route agrees
@@ -29,8 +34,8 @@ def test_build_s():
     assert report["ok"]
 
 
-def test_not_free_product_witness():
-    report = not_free_product_witness(QQ)
+def test_not_free_product_witness(s_report):
+    report = not_free_product_witness(s_report)
     assert report["h2_M"] == 1
     assert report["h2_Q_candidate"] == 0
     assert report["h2_sum"] == 1
@@ -105,8 +110,8 @@ def test_four_vertex_two_edge_enumeration():
     assert set(classes) == {"shared", "disjoint"}
 
 
-def test_not_raag_witness():
-    report = not_raag_witness(QQ)
+def test_not_raag_witness(s_report):
+    report = not_raag_witness(s_report)
     assert report["ok"]
     assert report["h1_total"] == 4 and report["h2_total"] == 2
     for label in ("shared", "disjoint"):

@@ -10,8 +10,6 @@ from gradedlie.graphalg import (
     amalgam,
     hnn,
     parse_graph_file,
-    verify_amalgam_sequence,
-    verify_hnn_sequence,
     verify_theorem_a,
 )
 from gradedlie.presented import PresentedLieAlgebra
@@ -309,40 +307,50 @@ def test_theorem_a_loop_tree_mix():
     assert report.ok
 
 
-def test_verify_amalgam_sequence_instances():
-    # closed-form alpha on three amalgam instances, weights <= 6
-    M = k2_abelian()
-    N = k1()
-    r1 = verify_amalgam_sequence(M, N, zero_algebra(), {}, {}, 6)
-    assert r1.explicit_ok
-
-    M1 = k2_abelian("a1", "b1")
-    M2 = k2_abelian("b2", "c2")
-    K = k1("z")
-    r2 = verify_amalgam_sequence(M1, M2, K, {"z": "b1"}, {"z": "b2"}, 6)
-    assert r2.explicit_ok
-
-    F1 = PresentedLieAlgebra(QQ, ["u1", "v1"])
-    F2 = PresentedLieAlgebra(QQ, ["u2", "v2"])
-    r3 = verify_amalgam_sequence(F1, F2, k1("z"), {"z": "u1"}, {"z": "u2"}, 6)
-    assert r3.explicit_ok
+def one_edge_amalgam(L1, L2, L0, sigma, tau):
+    e = Edge("e1", "v1", "v2", L0, sigma, in_forest=True, tau_images=tau)
+    return GraphOfLieAlgebras(QQ, {"v1": L1, "v2": L2}, [e])
 
 
-def test_verify_hnn_sequence_instances():
-    base = k1("a")
-    d0 = LieDerivation(base, ["a"], [base.free.zero()], shift=1)
-    r1 = verify_hnn_sequence(base, d0, "t", 1, 6)
-    assert r1.explicit_ok
+def one_edge_loop(V, K, sigma, der):
+    e = Edge("t", "v", "v", K, sigma, in_forest=False, der_values=der, stable_weight=1)
+    return GraphOfLieAlgebras(QQ, {"v": V}, [e])
 
-    free2 = PresentedLieAlgebra(QQ, ["a", "b"])
-    d1 = LieDerivation(free2, ["a", "b"], ["[a,b]", free2.free.zero()], shift=1)
-    r2 = verify_hnn_sequence(free2, d1, "t", 1, 6)
-    assert r2.explicit_ok
 
-    ab = PresentedLieAlgebra(QQ, [("a", 1), ("b", 2)], ["[a,b]"])
-    d2 = LieDerivation(ab, ["a", "b"], ["b", ab.free.zero()], shift=1)
-    r3 = verify_hnn_sequence(ab, d2, "t", 1, 6)
-    assert r3.explicit_ok
+ONE_EDGE_GRAPHS = {
+    "m-n": lambda: one_edge_amalgam(k2_abelian(), k1(), zero_algebra(), {}, {}),
+    "path": lambda: one_edge_amalgam(
+        k2_abelian("a1", "b1"), k2_abelian("b2", "c2"), k1("z"), {"z": "b1"}, {"z": "b2"}
+    ),
+    "free2-amalgam-free2": lambda: one_edge_amalgam(
+        PresentedLieAlgebra(QQ, ["u1", "v1"]),
+        PresentedLieAlgebra(QQ, ["u2", "v2"]),
+        k1("z"),
+        {"z": "u1"},
+        {"z": "u2"},
+    ),
+    "zero-derivation": lambda: one_edge_loop(k1("a"), k1("z"), {"z": "a"}, {"z": "0*a"}),
+    "free2-loop": lambda: one_edge_loop(
+        PresentedLieAlgebra(QQ, ["a", "b"]),
+        PresentedLieAlgebra(QQ, ["u", "v"]),
+        {"u": "a", "v": "b"},
+        {"u": "[a,b]", "v": "0*a"},
+    ),
+    "heisenberg-loop": lambda: one_edge_loop(
+        PresentedLieAlgebra(QQ, [("a", 1), ("b", 2)], ["[a,b]"]),
+        PresentedLieAlgebra(QQ, [("u", 1), ("w", 2)], ["[u,w]"]),
+        {"u": "a", "w": "b"},
+        {"u": "b", "w": "0*b"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_EDGE_GRAPHS))
+def test_theorem_a_one_edge(name):
+    # amalgams and HNN extensions are the one-edge graphs of Lie algebras
+    report = verify_theorem_a(ONE_EDGE_GRAPHS[name](), 6, explicit_to=6)
+    assert report.ok
+    assert [c.n for c in report.checks] == list(range(7))
 
 
 def test_graph_file_parser(tmp_path):
