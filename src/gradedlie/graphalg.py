@@ -475,15 +475,11 @@ class FundamentalAlgebra:
 
         shell = PresentedLieAlgebra(field, gens, [], name="fundamental")
         free = shell.free
-        # vertex algebra -> fundamental algebra, on free-algebra elements
-        self._into = {
-            vid: substitution(
-                alg.free, free, {g: free.gen_element(q) for g, q in self.vertex_gen_map[vid].items()}
-            )
-            for vid, alg in graph.vertices.items()
-        }
         rels = []
+        self._into = {}  # vertex id -> substitution into the fundamental algebra
         for vid, alg in graph.vertices.items():
+            images = {g: free.gen_element(q) for g, q in self.vertex_gen_map[vid].items()}
+            self._into[vid] = substitution(alg.free, free, images)
             rels.extend(self._into[vid](r) for r in alg.relators)
         for e in graph.edges:
             into_src, into_dst = self._into[e.src], self._into[e.dst]

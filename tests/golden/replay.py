@@ -44,7 +44,8 @@ def replay() -> dict:
 def record(results: dict):
     os.makedirs(EXPECTED, exist_ok=True)
     for name, res in results.items():
-        with open(os.path.join(EXPECTED, f"{name}.stdout"), "w", encoding="utf-8", newline="") as fh:
+        path = os.path.join(EXPECTED, f"{name}.stdout")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(res["stdout"])
     codes = {name: res["exit"] for name, res in results.items()}
     with open(os.path.join(EXPECTED, "exit_codes.json"), "w", encoding="utf-8") as fh:

@@ -9,6 +9,7 @@ from gradedlie.freelie import (
     FreeLieAlgebra,
     canonical_decomposition,
     parse_expression,
+    substitution,
     witt_dims,
 )
 
@@ -204,3 +205,14 @@ def test_hall_monomial_interning_stable():
     assert b3a == b3b
     alg2 = FreeLieAlgebra(QQ, ["x", "y"])
     assert alg2.hall_basis(3) == b3a  # deterministic across instances
+
+
+def test_substitution_composes_and_coerces():
+    # x -> [a,b], y -> a over Q, then everything reduced mod 5
+    src = FreeLieAlgebra(QQ, [("x", 2), ("y", 1)])
+    tgt = FreeLieAlgebra(QQ, ["a", "b"])
+    phi = substitution(src, tgt, {"x": tgt.parse("[a,b]"), "y": tgt.parse("a")})
+    assert phi(src.parse("1/2*[y,x] - x")) == tgt.parse("1/2*[a,[a,b]] - [a,b]")
+    f5 = FreeLieAlgebra(GF(5), ["a", "b"])
+    reduce = substitution(tgt, f5, {"a": f5.parse("a"), "b": f5.parse("b")})
+    assert reduce(tgt.parse("1/2*[a,[a,b]]")) == f5.parse("3*[a,[a,b]]")
