@@ -266,6 +266,11 @@ class FreeLieAlgebra:
         basis = self.hall_basis(n)
         return self.from_terms({basis[i]: v for i, v in coords.items()})
 
+    def bracket_coordinates(self, m: int, row: dict, w: int, elem: "LieElement") -> dict:
+        """Coordinates of [row, elem] for weight-m coordinates row and a
+        weight-w element."""
+        return self.coordinates(self.element_from_coordinates(row, m).bracket(elem), m + w)
+
 
 class LieElement:
     """Sparse exact-coefficient combination of Hall monomials."""

@@ -26,9 +26,9 @@ from .freelie import FreeLieAlgebra, LieElement, substitution
 from .graphalg import GraphError, LieDerivation, hnn
 from .linalg import ColumnSolver, Echelon
 from .presented import (
-    GradedSubalgebra,
     PresentationError,
     PresentedLieAlgebra,
+    add_brackets,
     infer_presentation,
 )
 
@@ -96,34 +96,16 @@ class HNNTower:
 
 def _free_subalgebra_spans(free: FreeLieAlgebra, elements: list[LieElement], N: int) -> dict:
     """Per-weight echelons of the subalgebra of F generated by elements."""
+    gens = [(e.weight(), e) for e in elements if e.weight() is not None]
     spans: dict[int, Echelon] = {}
-    field = free.field
-    by_weight: dict[int, list[LieElement]] = {}
-    for e in elements:
-        w = e.weight()
-        if w is not None and w <= N:
-            by_weight.setdefault(w, []).append(e)
-    basis_elems: dict[int, list[LieElement]] = {}
     for m in range(1, N + 1):
-        ech = Echelon(field)
-        rows_elems = []
-        for e in by_weight.get(m, []):
-            vec = free.coordinates(e, m)
-            if ech.add(vec) is not None:
-                rows_elems.append(e)
-        for a in range(1, m):
-            b = m - a
-            if b < a:
-                break
-            for ea in basis_elems.get(a, []):
-                for eb in basis_elems.get(b, []):
-                    br = ea.bracket(eb)
-                    if br.is_zero():
-                        continue
-                    if ech.add(free.coordinates(br, m)) is not None:
-                        rows_elems.append(br)
-        spans[m] = ech
-        basis_elems[m] = rows_elems
+        seeds = Echelon(free.field)
+        for w, e in gens:
+            if w == m:
+                seeds.add(free.coordinates(e, m))
+        spans[m] = add_brackets(
+            seeds, lambda k: spans[k].basis(), gens, m, free.bracket_coordinates
+        )
     return spans
 
 

@@ -218,6 +218,14 @@ class GradedEngine:
     pairs x < y and lower basis elements b, and the relators of weight n.
     Deterministic echelon (lowest candidate index pivots) makes bases and
     tables reproducible.
+
+    ``_cand_red[n]`` maps each weight-n candidate to its reduction over the
+    weight-n basis.  While weight n is being built it maps each candidate to
+    its own unit vector instead (candidate coordinates), so the one bracket
+    recursion (:meth:`_pair`, :meth:`_bracket`, :meth:`_eval_monomial`)
+    writes the constraint rows of weight n in candidate coordinates.  After
+    elimination the real reduction replaces it and the weight-n memos,
+    which held candidate coordinates, are reset.
     """
 
     def __init__(self, algebra: PresentedLieAlgebra):
@@ -230,8 +238,8 @@ class GradedEngine:
         self._cand_red: dict[int, dict] = {}    # n -> {cand key: vector}
         self._gen_red: list = [None] * len(self.gens)
         self._gen_alive: list = [False] * len(self.gens)
-        self._pair_memo: dict = {}
-        self._eval_memo: dict[int, tuple] = {}
+        self._pair_memo: dict[int, dict] = {}   # n -> {(p, q): vector}
+        self._eval_memo: dict[int, dict] = {}   # n -> {monomial id: vector}
         self._commutator_rank: dict[int, int] = {}
         self._relators_by_weight: dict[int, list] = {}
         for r in algebra.relators:
@@ -292,24 +300,13 @@ class GradedEngine:
 
     def pair(self, p: tuple, q: tuple) -> dict:
         """Structure constants [b_p, b_q] as a vector over basis[wp+wq]."""
-        wp, ip = p
-        wq, iq = q
-        n = wp + wq
-        self.build_to(n)
+        self.build_to(p[0] + q[0])
         return self._pair(p, q)
 
     def bracket_vec(self, wa: int, va: dict, wb: int, vb: dict) -> dict:
         """Bracket of two coordinate vectors; result over basis[wa+wb]."""
         self.build_to(wa + wb)
-        field = self.field
-        out: dict = {}
-        for ia, ca in va.items():
-            for ib, cb in vb.items():
-                c = field.mul(ca, cb)
-                if field.is_zero(c):
-                    continue
-                vec_axpy(field, out, c, self._pair((wa, ia), (wb, ib)))
-        return out
+        return self._bracket(wa, va, wb, vb)
 
     def evaluate(self, elem: LieElement) -> tuple[int, dict]:
         """Image of a homogeneous free-algebra element in engine coordinates."""
@@ -328,72 +325,78 @@ class GradedEngine:
         return w, out
 
     def commutator_rank(self, n: int) -> int:
-        """dim of ([L,L])_n."""
+        """dim of ([L,L])_n = sum over generators x of [L_{n-w(x)}, x]."""
         got = self._commutator_rank.get(n)
         if got is not None:
             return got
         self.build_to(n)
-        ech = Echelon(self.field)
-        for gi, g in enumerate(self.gens):
-            m = n - g.weight
-            if m < 1:
-                continue
-            red = self._gen_red[gi]
-            if not red:
-                continue
-            for i in range(len(self._defs[m])):
-                vec = self.bracket_vec(m, {i: self.field.one}, g.weight, red)
-                ech.add(vec)
-        self._commutator_rank[n] = ech.rank
-        return ech.rank
+        one = self.field.one
+
+        def units(m):
+            return [{i: one} for i in range(len(self._defs[m]))]
+
+        gens = [(g.weight, red) for g, red in zip(self.gens, self._gen_red) if red]
+        rank = add_brackets(Echelon(self.field), units, gens, n, self._bracket).rank
+        self._commutator_rank[n] = rank
+        return rank
 
     # -- internals ----------------------------------------------------------
 
     def _eval_monomial(self, mid: int) -> dict:
-        got = self._eval_memo.get(mid)
-        if got is not None:
-            return got[1]
         free = self.algebra.free
+        memo = self._eval_memo[free.weight(mid)]
+        got = memo.get(mid)
+        if got is not None:
+            return got
         if free.is_generator(mid):
             g = free.generator_of(mid)
-            gi = free.gen_index[g.name]
-            vec = self._gen_red[gi]
-            self._eval_memo[mid] = (g.weight, vec)
-            return vec
-        l, r = free.factors(mid)
-        wl, wr = free.weight(l), free.weight(r)
-        vl = self._eval_monomial(l)
-        vr = self._eval_monomial(r)
-        vec = self.bracket_vec(wl, vl, wr, vr)
-        self._eval_memo[mid] = (wl + wr, vec)
+            vec = self._cand_red[g.weight][("gen", free.gen_index[g.name])]
+        else:
+            l, r = free.factors(mid)
+            vl = self._eval_monomial(l)
+            vr = self._eval_monomial(r)
+            vec = self._bracket(free.weight(l), vl, free.weight(r), vr)
+        memo[mid] = vec
         return vec
+
+    def _bracket(self, wa: int, va: dict, wb: int, vb: dict) -> dict:
+        field = self.field
+        out: dict = {}
+        for ia, ca in va.items():
+            for ib, cb in vb.items():
+                c = field.mul(ca, cb)
+                if field.is_zero(c):
+                    continue
+                vec_axpy(field, out, c, self._pair((wa, ia), (wb, ib)))
+        return out
 
     def _pair(self, p: tuple, q: tuple) -> dict:
         if p == q:
             return {}
-        got = self._pair_memo.get((p, q))
+        n = p[0] + q[0]
+        memo = self._pair_memo[n]
+        got = memo.get((p, q))
         if got is not None:
             return got
         field = self.field
+        red = self._cand_red[n]
         defs_q = self._defs[q[0]][q[1]]
         if defs_q[0] == "gen":
-            res = dict(self._cand_red[p[0] + q[0]][(p, defs_q[1])])
+            res = dict(red[(p, defs_q[1])])
         else:
             # q = [b', x_z]: [p,q] = [[p,b'],z] - [[p,z],b']
             bprime, gz = defs_q
             wz = self.gens[gz].weight
-            n = p[0] + q[0]
             u = self._pair(p, bprime)  # over basis[n - wz]
             res: dict = {}
             for i, c in u.items():
-                vec_axpy(field, res, c, self._cand_red[n][((n - wz, i), gz)])
+                vec_axpy(field, res, c, red[((n - wz, i), gz)])
             w2 = self._cand_red[p[0] + wz][(p, gz)]
             for j, c in w2.items():
                 sub = self._pair((p[0] + wz, j), bprime)
                 vec_axpy(field, res, field.neg(c), sub)
-        self._pair_memo[(p, q)] = res
-        neg = {k: field.neg(v) for k, v in res.items()}
-        self._pair_memo[(q, p)] = neg
+        memo[(p, q)] = res
+        memo[(q, p)] = {k: field.neg(v) for k, v in res.items()}
         return res
 
     def _candidates(self, n: int) -> list:
@@ -413,60 +416,17 @@ class GradedEngine:
 
     def _build(self, n: int):
         field = self.field
+        one = field.one
         cands = self._candidates(n)
         pos = {c: i for i, c in enumerate(cands)}
-        pairW_memo: dict = {}
-
-        def pairW(p: tuple, q: tuple) -> dict:
-            # bracket of basis elements with total weight n, in candidate
-            # coordinates (pre-quotient)
-            if p == q:
-                return {}
-            got = pairW_memo.get((p, q))
-            if got is not None:
-                return got
-            dq = self._defs[q[0]][q[1]]
-            if dq[0] == "gen":
-                res = {pos[(p, dq[1])]: field.one}
-            else:
-                bprime, gz = dq
-                wz = self.gens[gz].weight
-                u = self._pair(p, bprime)  # basis[n - wz]
-                res = {}
-                for i, c in u.items():
-                    res_i = pos[((n - wz, i), gz)]
-                    s = field.add(res.get(res_i, field.zero), c)
-                    if field.is_zero(s):
-                        res.pop(res_i, None)
-                    else:
-                        res[res_i] = s
-                w2 = self._cand_red[p[0] + wz][(p, gz)]
-                for j, c in w2.items():
-                    vec_axpy(field, res, field.neg(c), pairW((p[0] + wz, j), bprime))
-            pairW_memo[(p, q)] = res
-            pairW_memo[(q, p)] = {k: field.neg(v) for k, v in res.items()}
-            return res
-
-        def bracketW(wa: int, va: dict, vb_weight: int, vb: dict) -> dict:
-            out: dict = {}
-            for ia, ca in va.items():
-                for ib, cb in vb.items():
-                    c = field.mul(ca, cb)
-                    if field.is_zero(c):
-                        continue
-                    vec_axpy(field, out, c, pairW((wa, ia), (vb_weight, ib)))
-            return out
-
-        def pairW_vec(wa: int, va: dict, q: tuple) -> dict:
-            # bracket of a basis[wa]-vector with one basis element q
-            out: dict = {}
-            for ia, ca in va.items():
-                vec_axpy(field, out, ca, pairW((wa, ia), q))
-            return out
+        # candidate coordinates for weight n until the elimination below
+        self._cand_red[n] = {c: {i: one} for i, c in enumerate(cands)}
+        self._pair_memo[n] = {}
+        self._eval_memo[n] = {}
 
         rows = []
         # antisymmetry on pairs of surviving generators of total weight n
-        # (pairs with a reduced generator are automatic: pairW evaluates the
+        # (pairs with a reduced generator are automatic: _pair evaluates the
         # reduced image antisymmetrically)
         live = [
             (gi, g) for gi, g in enumerate(self.gens)
@@ -481,11 +441,11 @@ class GradedEngine:
                     continue
                 idx_j = next(iter(self._gen_red[gj]))
                 if gi == gj:
-                    row = {pos[((g.weight, idx_i), gi)]: field.one}
+                    row = {pos[((g.weight, idx_i), gi)]: one}
                 else:
                     row = {
-                        pos[((h.weight, idx_j), gi)]: field.one,
-                        pos[((g.weight, idx_i), gj)]: field.one,
+                        pos[((h.weight, idx_j), gi)]: one,
+                        pos[((g.weight, idx_i), gj)]: one,
                     }
                 rows.append(row)
         # Jacobi consistency [[p,q],x] + [[q,x],p] + [[x,p],q] over all basis
@@ -504,20 +464,20 @@ class GradedEngine:
                     jq_start = ip + 1 if dq == dp else 0
                     for iq in range(jq_start, len(self._defs[dq])):
                         q = (dq, iq)
-                        row = bracketW(dp + dq, self._pair(p, q), wx, red_x)
-                        u = self.bracket_vec(dq, {iq: field.one}, wx, red_x)
+                        row = self._bracket(dp + dq, self._pair(p, q), wx, red_x)
+                        u = self._bracket(dq, {iq: one}, wx, red_x)
                         if u:
-                            vec_axpy(field, row, field.one, pairW_vec(dq + wx, u, p))
-                        v = self.bracket_vec(wx, red_x, dp, {ip: field.one})
+                            vec_axpy(field, row, one, self._bracket(dq + wx, u, dp, {ip: one}))
+                        v = self._bracket(wx, red_x, dp, {ip: one})
                         if v:
-                            vec_axpy(field, row, field.one, pairW_vec(wx + dp, v, q))
+                            vec_axpy(field, row, one, self._bracket(wx + dp, v, dq, {iq: one}))
                         if row:
                             rows.append(row)
         # relators of weight n
         for r in self._relators_by_weight.get(n, []):
             row: dict = {}
             for mid, coef in r.terms.items():
-                vec_axpy(field, row, coef, self._eval_monomial_W(mid, n, pos, bracketW))
+                vec_axpy(field, row, coef, self._eval_monomial(mid))
             if row:
                 rows.append(row)
 
@@ -553,83 +513,82 @@ class GradedEngine:
                     vec[basis_pos[j]] = field.neg(coef)
                 red[c] = vec
             else:
-                red[c] = {basis_pos[i]: field.one}
+                red[c] = {basis_pos[i]: one}
         self._defs[n] = defs
         self._mdeg[n] = mdeg
         self._cand_red[n] = red
+        self._pair_memo[n] = {}
+        self._eval_memo[n] = {}
         for gi, g in enumerate(self.gens):
             if g.weight == n:
                 self._gen_red[gi] = red[("gen", gi)]
                 self._gen_alive[gi] = pos[("gen", gi)] not in pivots
         self._built = n
 
-    def _eval_monomial_W(self, mid: int, n: int, pos: dict, bracketW) -> dict:
-        """Evaluate a weight-n Hall monomial into candidate coordinates."""
-        free = self.algebra.free
-        if free.is_generator(mid):
-            gi = free.gen_index[free.generator_of(mid).name]
-            return {pos[("gen", gi)]: self.field.one}
-        l, r = free.factors(mid)
-        wl, wr = free.weight(l), free.weight(r)
-        vl = self._eval_monomial(l)
-        vr = self._eval_monomial(r)
-        return bracketW(wl, vl, wr, vr)
+
+def add_brackets(ech: Echelon, rows, gens, n: int, bracket) -> Echelon:
+    """Add sum over (w, g) in gens of [V_{n-w}, g] to ech and return ech.
+
+    rows(m) spans V_m and bracket(m, v, w, g) is the weight-(m+w) bracket
+    of a weight-m vector v with g.  The span step of every bracket-generated
+    graded space: if V_n = seeds_n + sum_g [V_{n-w(g)}, g], left-normed
+    brackets of the generators g span V (Reutenauer, Free Lie Algebras,
+    0.4), so no pair of lower components has to be bracketed.
+    """
+    for w, g in gens:
+        m = n - w
+        if m >= 1:
+            for v in rows(m):
+                ech.add(bracket(m, v, w, g))
+    return ech
+
+
+def _seed(field: Field, vectors) -> Echelon:
+    ech = Echelon(field)
+    for vec in vectors:
+        ech.add(vec)
+    return ech
 
 
 class _IdealSpans:
     """Relation-ideal components inside the free algebra, degree by degree.
 
     I_n = span(relators of weight n) + sum_x [I_{n-w(x)}, x];
-    [I,F]_n likewise with seed [I_{n-w(x)}, x] replaced appropriately.
+    [I,F]_n = sum_x ([I_{n-w(x)}, x] + [[I,F]_{n-w(x)}, x]).
     """
 
     def __init__(self, algebra: PresentedLieAlgebra):
         self.algebra = algebra
+        free = algebra.free
+        self._gens = [(g.weight, free.gen_element(g.name)) for g in free.gens]
         self._ideal: dict[int, Echelon] = {}
         self._bracket: dict[int, Echelon] = {}
 
-    def _bracket_rows(self, ech: Echelon, m: int, gname: str) -> list[dict]:
-        free = self.algebra.free
-        out = []
-        for row in ech.basis():
-            elem = free.element_from_coordinates(row, m)
-            img = elem.bracket(free.gen_element(gname))
-            out.append(free.coordinates(img, m + free.gens[free.gen_index[gname]].weight))
-        return out
-
     def ideal(self, n: int) -> Echelon:
         got = self._ideal.get(n)
-        if got is not None:
-            return got
-        free = self.algebra.free
-        ech = Echelon(self.algebra.field)
-        for r in self.algebra.relators:
-            if r.weight() == n:
-                ech.add(free.coordinates(r, n))
-        for g in free.gens:
-            m = n - g.weight
-            if m >= 1:
-                for row in self._bracket_rows(self.ideal(m), m, g.name):
-                    ech.add(row)
-        self._ideal[n] = ech
-        return ech
+        if got is None:
+            free = self.algebra.free
+            seeds = _seed(self.algebra.field, [
+                free.coordinates(r, n) for r in self.algebra.relators if r.weight() == n
+            ])
+            got = add_brackets(
+                seeds, lambda m: self.ideal(m).basis(), self._gens, n, free.bracket_coordinates
+            )
+            self._ideal[n] = got
+        return got
 
     def bracket_ideal(self, n: int) -> Echelon:
-        """[I, F]_n = sum_x ([I_{n-w(x)}, x] + [[I,F]_{n-w(x)}, x])."""
         got = self._bracket.get(n)
-        if got is not None:
-            return got
-        ech = Echelon(self.algebra.field)
-        free = self.algebra.free
-        for g in free.gens:
-            m = n - g.weight
-            if m >= 1:
-                for row in self._bracket_rows(self.ideal(m), m, g.name):
-                    ech.add(row)
-                for row in self._bracket_rows(self.bracket_ideal(m), m, g.name):
-                    ech.add(row)
-        self._bracket[n] = ech
-        return ech
+        if got is None:
+            def rows(m):
+                return self.ideal(m).basis() + self.bracket_ideal(m).basis()
+
+            got = add_brackets(
+                Echelon(self.algebra.field), rows, self._gens, n,
+                self.algebra.free.bracket_coordinates,
+            )
+            self._bracket[n] = got
+        return got
 
 
 class GradedSubalgebra:
@@ -659,22 +618,21 @@ class GradedSubalgebra:
     def max_generator_weight(self) -> int:
         return max((w for _, w, _ in self.generators), default=0)
 
+    def weighted_generators(self) -> list[tuple]:
+        """The generators as (weight, vector) pairs."""
+        return [(w, vec) for _, w, vec in self.generators]
+
+    def rows(self, n: int) -> list[dict]:
+        """Canonical basis of the weight-n component (built to n already)."""
+        return self._spans[n].basis()
+
     def _build_to(self, n: int):
+        gens = self.weighted_generators()
+        bracket = self.ambient.engine.bracket_vec
         while self._built < n:
             m = self._built + 1
-            ech = Echelon(self.field)
-            for _, w, vec in self.generators:
-                if w == m:
-                    ech.add(vec)
-            eng = self.ambient.engine
-            for a in range(1, m):
-                b = m - a
-                if b < 1:
-                    continue
-                for va in self._spans.get(a, Echelon(self.field)).basis():
-                    for vb in self._spans.get(b, Echelon(self.field)).basis():
-                        ech.add(eng.bracket_vec(a, va, b, vb))
-            self._spans[m] = ech
+            seeds = _seed(self.field, [vec for w, vec in gens if w == m])
+            self._spans[m] = add_brackets(seeds, self.rows, gens, m, bracket)
             self._built = m
 
     def span(self, n: int) -> Subspace:
@@ -733,16 +691,12 @@ def infer_presentation(
     eng = ambient.engine
     S._build_to(N)
 
-    # graded generator lifts: S_n modulo sum of brackets of lower components
+    # graded generator lifts: S_n modulo [S,S]_n
     gen_specs = []  # (weight, vector)
+    s_gens = S.weighted_generators()
     for n in range(1, N + 1):
-        comm = Echelon(field)
-        for a in range(1, n):
-            b = n - a
-            for va in S._spans[a].basis():
-                for vb in S._spans[b].basis():
-                    comm.add(eng.bracket_vec(a, va, b, vb))
-        for row in S._spans[n].basis():
+        comm = add_brackets(Echelon(field), S.rows, s_gens, n, eng.bracket_vec)
+        for row in S.rows(n):
             if not comm.contains(row):
                 gen_specs.append((n, row))
                 comm.add(row)
@@ -830,22 +784,17 @@ class _IdealSpansForList:
 
     def ideal(self, n: int) -> Echelon:
         got = self._cache.get(n)
-        if got is not None:
-            return got
-        free = self.free
-        ech = Echelon(self.field)
-        for r in self.relators:
-            if r.weight() == n:
-                ech.add(free.coordinates(r, n))
-        for g in free.gens:
-            m = n - g.weight
-            if m >= 1:
-                for row in self.ideal(m).basis():
-                    elem = free.element_from_coordinates(row, m)
-                    img = elem.bracket(free.gen_element(g.name))
-                    ech.add(free.coordinates(img, n))
-        self._cache[n] = ech
-        return ech
+        if got is None:
+            free = self.free
+            seeds = _seed(
+                self.field, [free.coordinates(r, n) for r in self.relators if r.weight() == n]
+            )
+            gens = [(g.weight, free.gen_element(g.name)) for g in free.gens]
+            got = add_brackets(
+                seeds, lambda m: self.ideal(m).basis(), gens, n, free.bracket_coordinates
+            )
+            self._cache[n] = got
+        return got
 
 
 # ----------------------------------------------------------------------
