@@ -17,8 +17,9 @@ degree-wise exactness check where the middle map is built by recursive
 gluing: amalgam steps contribute (1 (x) u, -1 (x) u), HNN steps contribute
 1 (x) t.u, and components landing in an already-glued partial algebra are
 lifted through the previous step's surjection by solving linear systems.
-Amalgams and HNN extensions are the one-edge graphs, so their sequences are
-verified by building that graph; there is no separate closed-form check.
+Amalgams and HNN extensions are the one-edge graphs: an amalgam is built
+and verified as the fundamental algebra of a one-edge graph, and `hnn`
+builds a single HNN extension directly for the one-relator towers.
 
 Graph file format::
 
@@ -238,59 +239,7 @@ class LieDerivation:
 
 
 # ----------------------------------------------------------------------
-# amalgams and HNN extensions
-
-
-def amalgam(
-    L1: PresentedLieAlgebra,
-    L2: PresentedLieAlgebra,
-    L0: PresentedLieAlgebra,
-    sigma: Optional[LieHomomorphism],
-    tau: Optional[LieHomomorphism],
-    name: str = "amalgam",
-    check_injective_to: Optional[int] = None,
-) -> PresentedLieAlgebra:
-    """Free product of L1 and L2 amalgamating L0 along sigma, tau.
-
-    Generators are the disjoint union of the generators of L1 and L2
-    (name collisions are an error), relators are those of both factors
-    plus sigma(g) - tau(g) for each generator g of L0.  Pass
-    check_injective_to to rank-check the edge maps up to that weight.
-    """
-    field = L1.field
-    check_same_field(field, L2.field, "amalgam factors")
-    names1 = set(L1.generator_names)
-    names2 = set(L2.generator_names)
-    clash = names1 & names2
-    if clash:
-        raise GraphError(f"generator name collision in amalgam: {sorted(clash)}")
-    if L0.generators:
-        if sigma is None or tau is None:
-            raise GraphError("amalgam over a nonzero algebra needs both edge maps")
-        if sigma.source is not L0 or tau.source is not L0:
-            raise GraphError("edge maps must have the amalgamated algebra as source")
-        sigma.validate_relators()
-        tau.validate_relators()
-        if check_injective_to is not None:
-            for tag, hom in (("sigma", sigma), ("tau", tau)):
-                bad = hom.injectivity_failure(check_injective_to)
-                if bad is not None:
-                    raise GraphError(f"edge map {tag} not injective at weight {bad}")
-    gens = [(g.name, g.weight) for g in L1.generators] + [
-        (g.name, g.weight) for g in L2.generators
-    ]
-    out = PresentedLieAlgebra(field, gens, [], name=name)
-    free = out.free
-    into1, into2 = (
-        substitution(src.free, free, {g.name: free.gen_element(g.name) for g in src.generators})
-        for src in (L1, L2)
-    )
-    rels = [into1(r) for r in L1.relators] + [into2(r) for r in L2.relators]
-    for g in L0.generators:
-        diff = into1(sigma.images[g.name]) - into2(tau.images[g.name])
-        if not diff.is_zero():
-            rels.append(diff)
-    return PresentedLieAlgebra(field, gens, rels, name=name, free=free)
+# HNN extensions
 
 
 def hnn(
@@ -688,38 +637,38 @@ def verify_theorem_a(
     def partial_module() -> InducedModule:
         return InducedModule(env, L.subalgebra(list(partial_gens)))
 
+    offsets: dict[int, tuple] = {}  # n -> ({vertex: offset}, total)
+
     def vertex_offsets(n: int) -> tuple[dict, int]:
-        offs = {}
-        total = 0
-        for vid in graph.vertices:
-            offs[vid] = total
-            total += vertex_modules[vid].dim(n)
-        return offs, total
+        got = offsets.get(n)
+        if got is None:
+            offs = {}
+            total = 0
+            for vid in graph.vertices:
+                offs[vid] = total
+                total += vertex_modules[vid].dim(n)
+            got = offsets[n] = (offs, total)
+        return got
 
     current = None  # InducedModule of the partial subalgebra
-    solvers: dict[int, ColumnSolver] = {}
+    # n -> (solver over the placed vertices' columns, column -> vertex offset)
+    solvers: dict[int, tuple] = {}
 
     def lift(target_coords: dict, n: int) -> dict:
         """Solve g(xi) = target through the current partial module."""
-        solver = solvers.get(n)
-        if solver is None:
-            cols = []
+        got = solvers.get(n)
+        if got is None:
+            offs, _ = vertex_offsets(n)
+            cols, remap = [], []
             for vid in placed_vertices:
-                for mono in vertex_modules[vid].quotient_basis(n):
+                for i, mono in enumerate(vertex_modules[vid].quotient_basis(n)):
                     cols.append(current.project({mono: L.field.one}, n))
-            solver = ColumnSolver(L.field, cols)
-            solvers[n] = solver
+                    remap.append(offs[vid] + i)
+            got = solvers[n] = (ColumnSolver(L.field, cols), remap)
+        solver, remap = got
         sol = solver.solve(target_coords)
         if sol is None:
             raise GraphError(f"gluing lift failed at weight {n} (not exact?)")
-        # re-index solution columns to global vertex offsets
-        offs, _ = vertex_offsets(n)
-        pos = 0
-        remap = {}
-        for vid in placed_vertices:
-            for i in range(vertex_modules[vid].dim(n)):
-                remap[pos] = offs[vid] + i
-                pos += 1
         return {remap[j]: c for j, c in sol.items()}
 
     for step in fund.trace:
@@ -739,12 +688,12 @@ def verify_theorem_a(
             blocks = {}
             for n in range(0, M + 1):
                 cols = []
+                offs, _ = vertex_offsets(n)
                 for mono in edge_modules[e.id].quotient_basis(n):
                     u = {mono: L.field.one}
                     tgt = current.project(u, n)
                     lifted = lift(tgt, n)
                     col = {k: L.field.neg(c) for k, c in lifted.items()}
-                    offs, _ = vertex_offsets(n)
                     proj_new = vertex_modules[new_vid].project(u, n)
                     for i, c in proj_new.items():
                         key = offs[new_vid] + i

@@ -7,7 +7,6 @@ from gradedlie.graphalg import (
     GraphOfLieAlgebras,
     LieDerivation,
     LieHomomorphism,
-    amalgam,
     hnn,
     parse_graph_file,
     verify_theorem_a,
@@ -53,43 +52,6 @@ def test_hom_image_subalgebra():
     hom = LieHomomorphism(M, L, {"a": "a", "b": "b"})
     sub = hom.image_subalgebra()
     assert sub.span_dims(4) == [2, 0, 0, 0]
-
-
-def test_amalgam_free_product():
-    # L0 = 0: free product, relators = union
-    M = k2_abelian()
-    N = k1()
-    L = amalgam(M, N, zero_algebra(), None, None)
-    assert sorted(L.generator_names) == ["a", "b", "x"]
-    assert L.dim_sequence(3) == [3, 2, 5]
-
-
-def test_amalgam_identity_maps():
-    # L1 = L2 = L0 with identity maps: amalgam has L0's dimensions
-    M = k2_abelian()
-    M1 = k2_abelian("a1", "b1")
-    M2 = k2_abelian("a2", "b2")
-    sigma = LieHomomorphism(M, M1, {"a": "a1", "b": "b1"})
-    tau = LieHomomorphism(M, M2, {"a": "a2", "b": "b2"})
-    L = amalgam(M1, M2, M, sigma, tau, check_injective_to=4)
-    assert L.dim_sequence(4) == M.dim_sequence(4)
-
-
-def test_amalgam_path_raag():
-    # k^2 *_k k^2 gluing b1 = b2: the path RAAG a1 - b - c2
-    M1 = k2_abelian("a1", "b1")
-    M2 = k2_abelian("b2", "c2")
-    K = k1("z")
-    sigma = LieHomomorphism(K, M1, {"z": "b1"})
-    tau = LieHomomorphism(K, M2, {"z": "b2"})
-    L = amalgam(M1, M2, K, sigma, tau)
-    path = PresentedLieAlgebra(QQ, ["a", "b", "c"], ["[a,b]", "[b,c]"])
-    assert L.dim_sequence(8) == path.dim_sequence(8)
-
-
-def test_amalgam_name_collision():
-    with pytest.raises(GraphError):
-        amalgam(k2_abelian(), k2_abelian(), zero_algebra(), None, None)
 
 
 def test_hnn_zero_derivation_abelian():
@@ -200,9 +162,31 @@ def test_fundamental_single_vertex():
 def test_fundamental_free_product_m_n():
     g = single_edge_graph_free_product()
     fund = g.fundamental()
+    assert fund.algebra.generator_names == ["vM.a", "vM.b", "vN.x"]
     assert fund.algebra.dim_sequence(3) == [3, 2, 5]
     emb = fund.vertex_embedding("vM")
     assert emb.injectivity_failure(4) is None
+
+
+def test_fundamental_identity_maps():
+    # L1 = L2 = L0 glued by identity maps: the amalgam has L0's dimensions
+    M = k2_abelian()
+    g = one_edge_amalgam(
+        k2_abelian("a1", "b1"), k2_abelian("a2", "b2"), M,
+        {"a": "a1", "b": "b1"}, {"a": "a2", "b": "b2"},
+    )
+    assert g.sigma["e1"].injectivity_failure(4) is None
+    assert g.tau["e1"].injectivity_failure(4) is None
+    assert g.fundamental().algebra.dim_sequence(4) == M.dim_sequence(4)
+
+
+def test_fundamental_path_raag():
+    # k^2 *_k k^2 gluing b1 = b2: the path RAAG a1 - b - c2
+    g = one_edge_amalgam(
+        k2_abelian("a1", "b1"), k2_abelian("b2", "c2"), k1("z"), {"z": "b1"}, {"z": "b2"}
+    )
+    path = PresentedLieAlgebra(QQ, ["a", "b", "c"], ["[a,b]", "[b,c]"])
+    assert g.fundamental().algebra.dim_sequence(8) == path.dim_sequence(8)
 
 
 def test_fundamental_single_loop_is_hnn():
