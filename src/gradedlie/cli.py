@@ -284,7 +284,7 @@ def cmd_example_sec6(args) -> int:
         "h2_ce_total": str(report["build_s"]["h2_ce_total"]),
         "relator_weights": _strs(report["build_s"]["relator_weights"]),
         "not_free_product": {
-            k: str(v) if isinstance(v, int) else v
+            k: v if isinstance(v, bool) else str(v) if isinstance(v, int) else v
             for k, v in report["not_free_product"].items()
         },
         "quotients_separated": report["distinguish_quotients"]["ok"],

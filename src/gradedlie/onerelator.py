@@ -109,14 +109,13 @@ def _free_subalgebra_spans(free: FreeLieAlgebra, elements: list[LieElement], N: 
     return spans
 
 
-def freiheitssatz_check(P: PresentedLieAlgebra, r: LieElement, Z: list, N: Optional[int] = None) -> bool:
+def freiheitssatz_check(P: PresentedLieAlgebra, r: LieElement, Z: list) -> bool:
     """True iff r is outside the subalgebra of F generated by Z (truncated
     at r's weight).  Z entries are monomial ids or free-algebra elements."""
     free = P.free
     w = r.weight()
     if w is None:
         raise PresentationError("relator must be homogeneous")
-    N = w if N is None else max(N, w)
     elems = [
         free.monomial_element(z) if isinstance(z, int) else z for z in Z
     ]
@@ -283,7 +282,10 @@ def verify_tower(tower: HNNTower, P: PresentedLieAlgebra, N: int) -> TowerReport
     sequence equality with P up to N; (c) freeness witnesses (H_2 = 0) for
     the base and all associated subalgebras, plus the Freiheitssatz
     condition r not in F(Z); (d) Leibniz validity of every layer
-    derivation; and minimality of every exponent.
+    derivation; and minimality of every exponent.  Each layer report gives
+    in `associated_checked_to` the weight to which the associated
+    subalgebra's presentation was inferred (None for an empty family, whose
+    subalgebra is 0).
     """
     report = TowerReport()
     free = tower.original.free
@@ -306,13 +308,14 @@ def verify_tower(tower: HNNTower, P: PresentedLieAlgebra, N: int) -> TowerReport
             der.validate_leibniz(min(N, 2 * w))
         except GraphError:
             leibniz_ok = False
-        # associated subalgebra: free witness via its inferred presentation
+        # associated subalgebra: free witness via its inferred presentation,
+        # certified up to checked_to (the zero subalgebra is free outright)
+        checked_to = None
+        associated_free = True
         if layer.Z:
-            max_w = max(free.weight(z) for z in layer.Z)
-            inf = infer_presentation(der.domain, max(max_w + 2, 4), strict_boundary=False)
+            checked_to = max(max(free.weight(z) for z in layer.Z) + 2, 4)
+            inf = infer_presentation(der.domain, checked_to, strict_boundary=False)
             associated_free = not inf.presentation.relators
-        else:
-            associated_free = True
         frei = freiheitssatz_check(tower.original, r, layer.Z)
         j_minimal = True
         if layer.j > 0:
@@ -332,6 +335,7 @@ def verify_tower(tower: HNNTower, P: PresentedLieAlgebra, N: int) -> TowerReport
                 "stable_letter": free.monomial_str(layer.h),
                 "leibniz": leibniz_ok,
                 "associated_free": associated_free,
+                "associated_checked_to": None if checked_to is None else str(checked_to),
                 "freiheitssatz": frei,
                 "j_minimal": j_minimal,
             }

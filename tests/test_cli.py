@@ -135,6 +135,10 @@ def test_example_sec6(capsys):
     report = json.loads(out)
     assert report["data"]["h1_total"] == "4"
     assert report["data"]["h2_total"] == "2"
+    # flags are JSON booleans, counts are strings
+    nfp = report["data"]["not_free_product"]
+    assert nfp["contradiction"] is True and nfp["ok"] is True
+    assert nfp["h2_M"] == "1"
 
 
 def test_input_errors(capsys, tmp_path):

@@ -19,6 +19,24 @@ def test_freiheitssatz_examples():
     y = P.free.gen_monomial("y")
     assert freiheitssatz_check(P, r, [x])
     assert not freiheitssatz_check(P, r, [x, y])
+    # the spans are truncated at the relator weight; there is no bound to pass
+    with pytest.raises(TypeError):
+        freiheitssatz_check(P, r, [x], 8)
+
+
+def test_layer_reports_state_associated_weight():
+    P = PresentedLieAlgebra(QQ, ["x", "y", "z"], ["[x,[x,y]]+[z,[z,y]]"])
+    tower = decompose(P, N=6)
+    report = verify_tower(tower, P, 6)
+    assert report.ok
+    # layer reports run base outward, the reverse of extraction order
+    for layer, lr in zip(reversed(tower.layers), report.layer_reports):
+        assert lr["stable_letter"] == P.free.monomial_str(layer.h)
+        if layer.Z:
+            max_w = max(P.free.weight(z) for z in layer.Z)
+            assert lr["associated_checked_to"] == str(max(max_w + 2, 4))
+        else:
+            assert lr["associated_checked_to"] is None
 
 
 def test_decompose_abelian_rank2():
