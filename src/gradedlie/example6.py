@@ -17,7 +17,7 @@ of total dimension 2, which drives three witnesses:
   exactly E~ and E^.
 
 Fingerprint values are implementer-derived; the test suite freezes them
-from the exhaustive pair-enumeration oracle.
+from an exhaustive pair-enumeration oracle (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -198,34 +198,6 @@ def change_field(source: PresentedLieAlgebra, field: Field) -> PresentedLieAlgeb
     coerce = substitution(source.free, free, {name: free.gen_element(name) for name, _ in gens})
     rels = [coerce(r) for r in source.relators]
     return PresentedLieAlgebra(field, gens, rels, name=source.name, free=free)
-
-
-def zero_pair_count_oracle(source: PresentedLieAlgebra, p: int) -> int:
-    """Exhaustive enumeration of commuting pairs over F_p (test oracle)."""
-    fp = GF(p)
-    quo = NilpotentQuotient(change_field(source, fp), 2)
-    d1 = quo.dims[0]
-    tensor = quo.bracket_tensor()
-    count = 0
-    for v1 in product(range(p), repeat=d1):
-        for v2 in product(range(p), repeat=d1):
-            acc: dict = {}
-            for i in range(d1):
-                if v1[i] == 0:
-                    continue
-                for j in range(d1):
-                    if v2[j] == 0 or i == j:
-                        continue
-                    coeff = fp.mul(v1[i], v2[j])
-                    for k, c in tensor.get((i, j), {}).items():
-                        s = fp.add(acc.get(k, fp.zero), fp.mul(coeff, c))
-                        if fp.is_zero(s):
-                            acc.pop(k, None)
-                        else:
-                            acc[k] = s
-            if not acc:
-                count += 1
-    return count
 
 
 QUOTIENT_PRESENTATIONS = {

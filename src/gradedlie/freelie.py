@@ -399,27 +399,6 @@ def substitution(
     return apply
 
 
-def canonical_decomposition(alg: FreeLieAlgebra, mid: int) -> tuple[list[int], int]:
-    """Write the Hall monomial as a right-normed chain [u_1,...,u_m,z].
-
-    Returns (list of u_i ids, generator id z) with u_1 >= ... >= u_m < z and
-    each u_i in the Hall set; z is a generator.  The decomposition exists
-    and is unique for every Hall monomial.
-    """
-    us = []
-    cur = mid
-    while not alg.is_generator(cur):
-        l, r = alg.factors(cur)
-        us.append(l)
-        cur = r
-    for i in range(len(us) - 1):
-        if alg.key(us[i]) < alg.key(us[i + 1]):
-            raise AssertionError("canonical decomposition order violated")
-    if us and not alg.key(us[-1]) < alg.key(cur):
-        raise AssertionError("canonical decomposition tail violated")
-    return us, cur
-
-
 # ----------------------------------------------------------------------
 # Witt dimension formulas
 

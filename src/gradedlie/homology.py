@@ -185,56 +185,3 @@ def homology_table(P: PresentedLieAlgebra, I: int, N: int) -> HomologyTable:
             row.append(c - rank(i, n) - rank(i + 1, n))
         dims.append(row)
     return HomologyTable(dims, I, N)
-
-
-class MayerVietorisReport:
-    def __init__(self, ok: bool, failures: list, inconclusive_tail: bool, I: int, N: int):
-        self.ok = ok
-        self.failures = failures  # list of (weight, position, detail)
-        self.inconclusive_tail = inconclusive_tail
-        self.I = I
-        self.N = N
-
-    def __repr__(self):
-        status = "ok" if self.ok else f"failures={self.failures}"
-        tail = " (tail inconclusive)" if self.inconclusive_tail else ""
-        return f"<MayerVietoris {status}{tail}>"
-
-
-def mv_rank_certificate(
-    edge_tables: list[tuple[HomologyTable, int]],
-    vertex_tables: list[HomologyTable],
-    total_table: HomologyTable,
-    I: int,
-    N: int,
-) -> MayerVietorisReport:
-    """Degreewise exactness certificate for the long homology sequence
-
-        ... -> (+)_e H_i(L_e) -> (+)_v H_i(L_v) -> H_i(L) -> (+)_e H_{i-1}(L_e) -> ...
-
-    using only dimensions: starting from surjectivity onto H_0(L), the
-    ranks forced by exactness must stay nonnegative at every position.
-    Edge entries carry a weight shift (the stable-letter weight for
-    non-forest edges, 0 for forest edges).  The topmost homological degree
-    cannot be certified without H_{I+1} data and is flagged inconclusive.
-    """
-    failures = []
-    for n in range(N + 1):
-        seq = []  # dims from the left: E_I, V_I, H_I, E_{I-1}, ..., V_0, H_0
-        for i in range(I, -1, -1):
-            e_dim = sum(
-                t[i][n - shift] if 0 <= n - shift <= t.N else 0
-                for t, shift in edge_tables
-            )
-            v_dim = sum(t[i][n] for t in vertex_tables)
-            seq.extend([e_dim, v_dim, total_table[i][n]])
-        # walk from the right: the map into the last module is surjective,
-        # rank f_{k-1} = dim A_k - rank f_k must stay nonnegative; at the
-        # top boundary the slack is absorbed by H_{I+1} (left unchecked)
-        r = seq[-1]
-        for pos in range(len(seq) - 2, -1, -1):
-            r = seq[pos] - r
-            if r < 0:
-                failures.append((n, pos, f"rank deficit {r}"))
-                break
-    return MayerVietorisReport(not failures, failures, True, I, N)

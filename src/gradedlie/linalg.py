@@ -3,17 +3,16 @@
 Vectors are dicts ``{column index: nonzero scalar}``.  The central tool is
 :class:`Echelon`, an incremental reduced-row-echelon builder with
 deterministic pivoting (lowest column index wins, rows inserted in arrival
-order), which everything else (rank, kernel, quotient bases, intersections,
-solving) is built on.  Matrices are immutable after construction;
-elimination always produces new objects, so independent computations can
-run concurrently.
+order), which everything else (rank, kernel, subspaces, solving) is built
+on.  Matrices are immutable after construction; elimination always
+produces new objects, so independent computations can run concurrently.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .fields import Field, check_same_field
+from .fields import Field
 
 
 def vec_axpy(field: Field, out: dict, a, v: dict):
@@ -253,47 +252,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def quotient_basis(sub: Subspace) -> list[int]:
-    """Indices of standard basis vectors complementing sub (non-pivot cols)."""
-    pivots = set(sub.pivots())
-    return [c for c in range(sub.ambient_dim) if c not in pivots]
-
-
-def sum_spaces(a: Subspace, b: Subspace) -> Subspace:
-    check_same_field(a.field, b.field, "subspaces")
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    return Subspace.from_vectors(a.field, a.ambient_dim, a.basis + b.basis)
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Canonical basis of the intersection (Zassenhaus-style)."""
-    check_same_field(a.field, b.field, "subspaces")
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    field = a.field
-    # Solve sum x_i a_i + sum y_j b_j = 0; each kernel element yields the
-    # intersection vector sum x_i a_i.
-    abasis = a.basis
-    bbasis = b.basis
-    n = a.ambient_dim
-    rows = []
-    for i, v in enumerate(abasis):
-        rows.append(dict(v))
-    for j, v in enumerate(bbasis):
-        rows.append({c: field.neg(x) for c, x in v.items()})
-    m = SparseMatrix.from_row_vectors(field, n, rows).transpose()
-    ker = m.kernel()
-    vectors = []
-    for kv in ker.basis:
-        vec: dict = {}
-        for idx, coef in kv.items():
-            if idx < len(abasis):
-                vec_axpy(field, vec, coef, abasis[idx])
-        vectors.append(vec)
-    return Subspace.from_vectors(field, n, vectors)
 
 
 class ColumnSolver:

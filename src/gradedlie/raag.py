@@ -448,22 +448,3 @@ def coherence_verdict(graph: SimpleGraph) -> CoherenceVerdict:
         tree = _decomposition_tree(graph, res.peo)
         return CoherenceVerdict(graph, True, res.peo, tree)
     return CoherenceVerdict(graph, False, res.cycle, None)
-
-
-# ----------------------------------------------------------------------
-# small-graph enumeration (oracles and corpus builders)
-
-
-def all_labeled_graphs(n: int) -> list[SimpleGraph]:
-    """Every labeled simple graph on vertices v1..vn."""
-    names = [f"v{i + 1}" for i in range(n)]
-    pairs = list(combinations(names, 2))
-    out = []
-    for mask in range(2 ** len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        out.append(SimpleGraph(names, edges))
-    return out
-
-
-def brute_force_chordal(graph: SimpleGraph) -> bool:
-    return find_induced_cycle(graph) is None

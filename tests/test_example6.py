@@ -11,9 +11,9 @@ from gradedlie.example6 import (
     not_free_product_witness,
     not_raag_witness,
     quotient_algebras,
-    zero_pair_count_oracle,
 )
 from gradedlie.fields import GF, QQ
+from oracles import zero_pair_count_oracle
 
 
 @pytest.fixture(scope="module")

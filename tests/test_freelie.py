@@ -7,11 +7,11 @@ from gradedlie.fields import QQ, GF
 from gradedlie.freelie import (
     ExprSyntaxError,
     FreeLieAlgebra,
-    canonical_decomposition,
     parse_expression,
     substitution,
     witt_dims,
 )
+from oracles import canonical_decomposition
 
 
 def necklace_rank2(n):

@@ -4,8 +4,6 @@ from gradedlie.fields import QQ
 from gradedlie.presented import PresentedLieAlgebra
 from gradedlie.raag import (
     SimpleGraph,
-    all_labeled_graphs,
-    brute_force_chordal,
     coherence_verdict,
     is_chordal,
     minimal_resolution,
@@ -15,6 +13,7 @@ from gradedlie.raag import (
     verify_resolution,
 )
 from gradedlie.series import HilbertSeries
+from oracles import all_labeled_graphs, brute_force_chordal
 
 
 def path(n):
