@@ -3,8 +3,8 @@
 Each one recomputes something the library computes another way (commuting
 pairs by exhaustive enumeration, chordality by induced-cycle search over
 every labeled graph, Mayer-Vietoris exactness from dimensions alone, Hall
-monomial chains, subspace sums and intersections), so a test can compare
-the two.
+monomial chains, subspace sums and intersections, bracket closures over
+all pairs of lower components), so a test can compare the two.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from gradedlie.example6 import NilpotentQuotient, change_field
 from gradedlie.fields import GF, check_same_field
 from gradedlie.freelie import FreeLieAlgebra
 from gradedlie.homology import HomologyTable
-from gradedlie.linalg import SparseMatrix, Subspace, vec_axpy
+from gradedlie.linalg import Echelon, SparseMatrix, Subspace, vec_axpy
 from gradedlie.presented import PresentedLieAlgebra
 from gradedlie.raag import SimpleGraph, find_induced_cycle
 
@@ -192,3 +192,35 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
                 vec_axpy(field, vec, coef, abasis[idx])
         vectors.append(vec)
     return Subspace.from_vectors(field, n, vectors)
+
+
+# ----------------------------------------------------------------------
+# all-pairs bracket closures
+
+
+def all_pairs_subalgebra_spans(S, N: int) -> dict:
+    """S_n = span(generators of weight n) + sum_{a+b=n} [S_a, S_b]."""
+    eng = S.ambient.engine
+    spans = {}
+    for n in range(1, N + 1):
+        ech = Echelon(S.field)
+        for _, w, vec in S.generators:
+            if w == n:
+                ech.add(vec)
+        for a in range(1, n):
+            for va in spans[a].basis():
+                for vb in spans[n - a].basis():
+                    ech.add(eng.bracket_vec(a, va, n - a, vb))
+        spans[n] = ech
+    return spans
+
+
+def all_pairs_commutator_rank(L: PresentedLieAlgebra, n: int) -> int:
+    """dim [L,L]_n from the brackets of every pair of basis elements."""
+    eng = L.engine
+    ech = Echelon(L.field)
+    for a in range(1, n):
+        for i in range(L.dim(a)):
+            for j in range(L.dim(n - a)):
+                ech.add(eng.pair((a, i), (n - a, j)))
+    return ech.rank
