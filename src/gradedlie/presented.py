@@ -223,9 +223,10 @@ class GradedEngine:
     weight-n basis.  While weight n is being built it maps each candidate to
     its own unit vector instead (candidate coordinates), so the one bracket
     recursion (:meth:`_pair`, :meth:`_bracket`, :meth:`_eval_monomial`)
-    writes the constraint rows of weight n in candidate coordinates.  After
-    elimination the real reduction replaces it and the weight-n memos,
-    which held candidate coordinates, are reset.
+    writes the constraint rows of weight n in candidate coordinates.  Once
+    the rows are written the weight-n memos, which hold candidate
+    coordinates, are reset, and after elimination the real reduction
+    replaces the identity map.
     """
 
     def __init__(self, algebra: PresentedLieAlgebra):
@@ -481,6 +482,10 @@ class GradedEngine:
             if row:
                 rows.append(row)
 
+        # the rows are written: drop the candidate-coordinate state
+        del self._cand_red[n]
+        self._pair_memo[n] = {}
+        self._eval_memo[n] = {}
         ech = Echelon(field)
         for row in rows:
             ech.add(row)
@@ -517,8 +522,6 @@ class GradedEngine:
         self._defs[n] = defs
         self._mdeg[n] = mdeg
         self._cand_red[n] = red
-        self._pair_memo[n] = {}
-        self._eval_memo[n] = {}
         for gi, g in enumerate(self.gens):
             if g.weight == n:
                 self._gen_red[gi] = red[("gen", gi)]
@@ -550,32 +553,49 @@ def _seed(field: Field, vectors) -> Echelon:
     return ech
 
 
-class _IdealSpans:
-    """Relation-ideal components inside the free algebra, degree by degree.
+class _IdealSpansForList:
+    """Relation-ideal components inside the free algebra, degree by degree:
+    I_n = span(relators of weight n) + sum_x [I_{n-w(x)}, x].
 
-    I_n = span(relators of weight n) + sum_x [I_{n-w(x)}, x];
-    [I,F]_n = sum_x ([I_{n-w(x)}, x] + [[I,F]_{n-w(x)}, x]).
+    The relator list may grow (infer_presentation appends to it and calls
+    invalidate_from).
     """
 
-    def __init__(self, algebra: PresentedLieAlgebra):
-        self.algebra = algebra
-        free = algebra.free
+    def __init__(self, field, free, relators: list):
+        self.field = field
+        self.free = free
+        self.relators = relators
         self._gens = [(g.weight, free.gen_element(g.name)) for g in free.gens]
-        self._ideal: dict[int, Echelon] = {}
-        self._bracket: dict[int, Echelon] = {}
+        self._cache: dict[int, Echelon] = {}
+
+    def invalidate_from(self, n: int):
+        for k in [k for k in self._cache if k >= n]:
+            del self._cache[k]
 
     def ideal(self, n: int) -> Echelon:
-        got = self._ideal.get(n)
+        got = self._cache.get(n)
         if got is None:
-            free = self.algebra.free
-            seeds = _seed(self.algebra.field, [
-                free.coordinates(r, n) for r in self.algebra.relators if r.weight() == n
-            ])
+            free = self.free
+            seeds = _seed(
+                self.field, [free.coordinates(r, n) for r in self.relators if r.weight() == n]
+            )
             got = add_brackets(
                 seeds, lambda m: self.ideal(m).basis(), self._gens, n, free.bracket_coordinates
             )
-            self._ideal[n] = got
+            self._cache[n] = got
         return got
+
+
+class _IdealSpans(_IdealSpansForList):
+    """The ideal components of a presentation, and [I,F]_n =
+    sum_x ([I_{n-w(x)}, x] + [[I,F]_{n-w(x)}, x])."""
+
+    # an attribute of this class too: bench/tracer.py wraps both by name
+    ideal = _IdealSpansForList.ideal
+
+    def __init__(self, algebra: PresentedLieAlgebra):
+        super().__init__(algebra.field, algebra.free, algebra.relators)
+        self._bracket: dict[int, Echelon] = {}
 
     def bracket_ideal(self, n: int) -> Echelon:
         got = self._bracket.get(n)
@@ -584,8 +604,7 @@ class _IdealSpans:
                 return self.ideal(m).basis() + self.bracket_ideal(m).basis()
 
             got = add_brackets(
-                Echelon(self.algebra.field), rows, self._gens, n,
-                self.algebra.free.bracket_coordinates,
+                Echelon(self.field), rows, self._gens, n, self.free.bracket_coordinates
             )
             self._bracket[n] = got
         return got
@@ -767,34 +786,6 @@ def infer_presentation(
 
     pres = PresentedLieAlgebra(field, gens, relators, name="inferred", free=fhat)
     return InferredPresentation(pres, gen_vecs, conclusive, N)
-
-
-class _IdealSpansForList:
-    """Ideal spans for a mutable relator list (infer_presentation helper)."""
-
-    def __init__(self, field, free, relators: list):
-        self.field = field
-        self.free = free
-        self.relators = relators
-        self._cache: dict[int, Echelon] = {}
-
-    def invalidate_from(self, n: int):
-        for k in [k for k in self._cache if k >= n]:
-            del self._cache[k]
-
-    def ideal(self, n: int) -> Echelon:
-        got = self._cache.get(n)
-        if got is None:
-            free = self.free
-            seeds = _seed(
-                self.field, [free.coordinates(r, n) for r in self.relators if r.weight() == n]
-            )
-            gens = [(g.weight, free.gen_element(g.name)) for g in free.gens]
-            got = add_brackets(
-                seeds, lambda m: self.ideal(m).basis(), gens, n, free.bracket_coordinates
-            )
-            self._cache[n] = got
-        return got
 
 
 # ----------------------------------------------------------------------
