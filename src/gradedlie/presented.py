@@ -420,7 +420,7 @@ class GradedEngine:
         one = field.one
         cands = self._candidates(n)
         pos = {c: i for i, c in enumerate(cands)}
-        # candidate coordinates for weight n until the elimination below
+        # candidate coordinates for weight n until the rows are written
         self._cand_red[n] = {c: {i: one} for i, c in enumerate(cands)}
         self._pair_memo[n] = {}
         self._eval_memo[n] = {}
@@ -533,10 +533,11 @@ def add_brackets(ech: Echelon, rows, gens, n: int, bracket) -> Echelon:
     """Add sum over (w, g) in gens of [V_{n-w}, g] to ech and return ech.
 
     rows(m) spans V_m and bracket(m, v, w, g) is the weight-(m+w) bracket
-    of a weight-m vector v with g.  The span step of every bracket-generated
-    graded space: if V_n = seeds_n + sum_g [V_{n-w(g)}, g], left-normed
-    brackets of the generators g span V (Reutenauer, Free Lie Algebras,
-    0.4), so no pair of lower components has to be bracketed.
+    of a weight-m vector v with g.  Subalgebra spans, [L,L], the relation
+    ideal I and [I,F] are each V_n = seeds_n + sum_g [V_{n-w(g)}, g]:
+    left-normed brackets of generators span the Lie algebra (or ideal)
+    they generate (Reutenauer, Free Lie Algebras, 1993), so no pair of
+    lower components needs bracketing.
     """
     for w, g in gens:
         m = n - w
