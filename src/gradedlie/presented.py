@@ -362,13 +362,16 @@ class GradedEngine:
 
     def _bracket(self, wa: int, va: dict, wb: int, vb: dict) -> dict:
         field = self.field
+        memo = self._pair_memo[wa + wb]  # memo hits skip the _pair call
         out: dict = {}
         for ia, ca in va.items():
             for ib, cb in vb.items():
                 c = field.mul(ca, cb)
                 if field.is_zero(c):
                     continue
-                vec_axpy(field, out, c, self._pair((wa, ia), (wb, ib)))
+                pq = ((wa, ia), (wb, ib))
+                vec = memo.get(pq)
+                vec_axpy(field, out, c, self._pair(*pq) if vec is None else vec)
         return out
 
     def _pair(self, p: tuple, q: tuple) -> dict:
