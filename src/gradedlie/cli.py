@@ -17,7 +17,7 @@ import random
 import sys
 
 from . import example6
-from .fields import GF, QQ, FieldError, parse_field
+from .fields import FieldError, parse_field
 from .freelie import FreeLieAlgebra, witt_dims
 from .homology import homology_table
 from .onerelator import DecompositionError, decompose, verify_tower
@@ -27,7 +27,6 @@ from .presented import (
     infer_presentation,
     load_presentation,
 )
-from .series import HilbertSeries
 
 SCHEMA = 1
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .linalg import Echelon, vec_axpy
+from .linalg import Echelon
 from .presented import GradedSubalgebra, PresentedLieAlgebra
 from .series import HilbertSeries
 
@@ -38,9 +38,6 @@ class Envelope:
         self._mult_memo: dict = {}                     # (mono, key) -> dict
 
     # -- PBW bases ---------------------------------------------------------
-
-    def keys_of_weight(self, n: int) -> list[tuple]:
-        return [(n, i) for i in range(self.algebra.dim(n))]
 
     def pbw_basis(self, n: int) -> list[tuple]:
         """Ordered multisets (nondecreasing key tuples) of total weight n."""
@@ -138,14 +135,6 @@ class Envelope:
                 out[index[m]] = c
         return out
 
-    def from_coords(self, coords: dict, n: int) -> dict:
-        basis = self.pbw_basis(n)
-        return {basis[i]: c for i, c in coords.items()}
-
-    def augmentation(self, u: dict):
-        """The coefficient of the empty monomial."""
-        return u.get((), self.field.zero)
-
 
 def hilbert_series(P: PresentedLieAlgebra, N: int) -> HilbertSeries:
     """Hilbert series of U(P) via the PBW product formula."""
@@ -155,10 +144,11 @@ def hilbert_series(P: PresentedLieAlgebra, N: int) -> HilbertSeries:
 class InducedModule:
     """k (x)_{U(S)} U(L) realized as U(L)/(S.U(L)) for a graded subalgebra S.
 
-    Per weight, the right ideal component (S.U(L))_n is spanned by products
-    s.u with s running over a graded basis of S and u over PBW monomials of
-    complementary weight; the quotient basis is the canonical complement
-    (non-pivot PBW monomials).
+    The right ideal S.U(L) is generated by any generating set of S, since
+    [x,g] = xg - gx; so per weight, (S.U(L))_n is spanned by the products
+    g.u with g running over the given generators of S (not a basis of S)
+    and u over PBW monomials of complementary weight.  The quotient basis
+    is the canonical complement (non-pivot PBW monomials).
     """
 
     def __init__(self, env: Envelope, sub: Optional[GradedSubalgebra], name: str = ""):
@@ -177,15 +167,11 @@ class InducedModule:
         field = self.field
         ech = Echelon(field)
         if self.sub is not None:
-            for w in range(1, n + 1):
-                span = self.sub.span(w)
-                if span.dim == 0:
-                    continue
-                svecs = [env.lie_vector_as_u(w, b) for b in span.basis]
-                for u_mono in env.pbw_basis(n - w):
-                    for s_u in svecs:
-                        prod = env.mult(s_u, {u_mono: field.one})
-                        ech.add(env.coords(prod, n))
+            for w, g in self.sub.weighted_generators():
+                if w <= n:
+                    g_u = env.lie_vector_as_u(w, g)
+                    for u_mono in env.pbw_basis(n - w):
+                        ech.add(env.coords(env.mult(g_u, {u_mono: field.one}), n))
         self._ideal[n] = ech
         pivots = set(ech.rows)
         basis = [
@@ -217,18 +203,11 @@ class InducedModule:
         qindex = self._qindex[n]
         return {qindex[pbw[i]]: c for i, c in res.items()}
 
-    def project_monomial(self, mono: tuple) -> dict:
-        n = self.env.mono_weight(mono)
-        return self.project({mono: self.field.one}, n)
-
     def right_action(self, coords: dict, n: int, u: dict, j: int) -> dict:
         """Act on a weight-n class by a weight-j element of U(L)."""
         self._build(n)
-        env = self.env
-        field = self.field
         lift = {self._qbasis[n][i]: c for i, c in coords.items()}
-        prod = env.mult(lift, u)
-        return self.project(prod, n + j)
+        return self.project(self.env.mult(lift, u), n + j)
 
 
 def induced_module_dims(

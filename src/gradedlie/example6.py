@@ -29,7 +29,7 @@ from .fields import GF, QQ, Field, FieldError
 from .freelie import FreeLieAlgebra, substitution
 from .homology import homology_table
 from .linalg import Echelon
-from .presented import GradedSubalgebra, PresentedLieAlgebra, infer_presentation
+from .presented import PresentedLieAlgebra, infer_presentation
 from .raag import SimpleGraph, raag_presentation
 
 
@@ -141,26 +141,28 @@ def pairing_rank(q: NilpotentQuotient) -> int:
     return ech.rank
 
 
+FINGERPRINT_PRIMES = (2, 3)
+
+
 def fingerprint(
-    source: PresentedLieAlgebra,
-    primes=(2, 3),
-    rational: Optional[PresentedLieAlgebra] = None,
+    source: PresentedLieAlgebra, rational: Optional[PresentedLieAlgebra] = None
 ) -> tuple:
     """Isomorphism-invariant fingerprint of the class-2 quotient.
 
-    Components: dim L_2; the bracket-pairing rank; per prime p, the number
-    of pairs (v1, v2) in V x V over F_p with [v1, v2] = 0 and the multiset
-    of ad-ranks over all v in V(F_p).  Zero-pair counts are evaluated as
-    sum_v p^(dim ker ad_v), which agrees with exhaustive enumeration (the
-    test oracle).  The mod-p algebras are reductions of `rational`, the
-    same presentation over Q (by default source itself, which must then be
-    over Q): residues mod another prime do not reduce mod p.
+    Components: dim L_2; the bracket-pairing rank; per prime p in
+    FINGERPRINT_PRIMES, the number of pairs (v1, v2) in V x V over F_p with
+    [v1, v2] = 0 and the multiset of ad-ranks over all v in V(F_p).
+    Zero-pair counts are evaluated as sum_v p^(dim ker ad_v), which agrees
+    with exhaustive enumeration (the test oracle).  The mod-p algebras are
+    reductions of `rational`, the same presentation over Q (by default
+    source itself, which must then be over Q): residues mod another prime
+    do not reduce mod p.
     """
     rational = source if rational is None else rational
     if rational.field != QQ:
         raise FieldError("mod-p reductions need the presentation over Q")
     parts = [source.dim(2), pairing_rank(NilpotentQuotient(source, 2))]
-    for p in primes:
+    for p in FINGERPRINT_PRIMES:
         quo = NilpotentQuotient(change_field(rational, GF(p)), 2)
         fp = quo.field
         d1, d2 = quo.dims[0], quo.dims[1]
@@ -173,15 +175,8 @@ def fingerprint(
             for j in range(d1):
                 row = {}
                 for i in range(d1):
-                    if coeffs[i] == 0 or i == j:
-                        continue
-                    vec = tensor.get((i, j), {})
-                    for k, c in vec.items():
-                        s = fp.add(row.get(k, fp.zero), fp.mul(coeffs[i], c))
-                        if fp.is_zero(s):
-                            row.pop(k, None)
-                        else:
-                            row[k] = s
+                    if i != j:
+                        fp.axpy(row, coeffs[i], tensor.get((i, j), {}))
                 if row:
                     ech.add(row)
             rank = ech.rank

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .fields import Field, FieldError, check_same_field
+from .fields import Field, FieldError
 
 
 @dataclass(frozen=True)

@@ -40,13 +40,8 @@ from typing import Optional
 from .envelope import Envelope, InducedModule
 from .fields import Field, check_same_field
 from .freelie import LieElement, substitution
-from .linalg import ColumnSolver, Echelon, vec_axpy
-from .presented import (
-    GradedSubalgebra,
-    PresentationError,
-    PresentedLieAlgebra,
-    load_presentation,
-)
+from .linalg import ColumnSolver, Echelon
+from .presented import GradedSubalgebra, PresentedLieAlgebra, add_brackets, load_presentation
 from .series import HilbertSeries
 
 
@@ -54,13 +49,25 @@ class GraphError(ValueError):
     pass
 
 
+def _parse(alg: PresentedLieAlgebra, expr, what: str) -> LieElement:
+    """expr parsed in alg when it is text; a bad expression is a GraphError."""
+    if not isinstance(expr, str):
+        return expr
+    try:
+        return alg.parse(expr)
+    except (ValueError, KeyError) as exc:
+        raise GraphError(f"{what}: {exc.args[0]}") from exc
+
+
 class LieHomomorphism:
     """A graded Lie algebra map given by generator images.
 
     Weight preservation is checked at construction; every source relator
     must map to zero in the target (checked exactly at the relator's
-    weight).  Injectivity is a per-weight rank check, truncated: a failure
-    is definitive, a pass certifies weights up to the bound only.
+    weight).  The map sends L_source,n onto the weight-n component of the
+    image subalgebra, so injectivity is a per-weight comparison of that
+    span's dimension with dim L_source,n, truncated: a failure is
+    definitive, a pass certifies weights up to the bound only.
     """
 
     def __init__(self, source: PresentedLieAlgebra, target: PresentedLieAlgebra, images: dict):
@@ -71,9 +78,7 @@ class LieHomomorphism:
         for g in source.generators:
             if g.name not in images:
                 raise GraphError(f"no image for generator {g.name!r}")
-            img = images[g.name]
-            if isinstance(img, str):
-                img = target.parse(img)
+            img = _parse(target, images[g.name], f"image of {g.name!r}")
             if img.is_zero():
                 raise GraphError(f"image of {g.name!r} is zero (not weight-preserving)")
             if img.weight() != g.weight:
@@ -87,7 +92,6 @@ class LieHomomorphism:
         # substitutes the generator images into source free-algebra elements
         self.map_element = substitution(source.free, target.free, self.images)
         self._validated = False
-        self._matrices: dict[int, list] = {}
 
     def validate_relators(self):
         """Each source relator maps to 0 in the target (exact check)."""
@@ -104,41 +108,11 @@ class LieHomomorphism:
                 )
         self._validated = True
 
-    def matrix_columns(self, n: int) -> list[dict]:
-        """Columns of L_source,n -> L_target,n over engine bases."""
-        got = self._matrices.get(n)
-        if got is not None:
-            return got
-        self.validate_relators()
-        eng_s = self.source.engine
-        eng_t = self.target.engine
-        cols = []
-        for i, d in enumerate(eng_s.basis_defs(n)):
-            if d[0] == "gen":
-                g = self.source.generators[d[1]]
-                _, vec = self.target.evaluate(self.images[g.name])
-            else:
-                (m, j), gi = d
-                g = self.source.generators[gi]
-                left = self.matrix_columns(m)[j]
-                _, gvec = self.target.evaluate(self.images[g.name])
-                vec = eng_t.bracket_vec(m, left, g.weight, gvec)
-            cols.append(vec)
-        self._matrices[n] = cols
-        return cols
-
     def injectivity_failure(self, N: int) -> Optional[int]:
         """First weight <= N where the induced map drops rank, else None."""
-        for n in range(1, N + 1):
-            dim_s = self.source.dim(n)
-            if dim_s == 0:
-                continue
-            ech = Echelon(self.source.field)
-            for col in self.matrix_columns(n):
-                ech.add(col)
-            if ech.rank != dim_s:
-                return n
-        return None
+        self.validate_relators()
+        spans = self.image_subalgebra().span_dims(N)
+        return next((n for n in range(1, N + 1) if spans[n - 1] != self.source.dim(n)), None)
 
     def image_subalgebra(self) -> GradedSubalgebra:
         return self.target.subalgebra(list(self.images.values()))
@@ -165,10 +139,7 @@ class LieDerivation:
         if len(domain_gens) != len(values):
             raise GraphError("domain generators and values differ in length")
         for g, v in zip(domain_gens, values):
-            if isinstance(g, str):
-                g = base.parse(g)
-            if isinstance(v, str):
-                v = base.parse(v)
+            g, v = _parse(base, g, "domain generator"), _parse(base, v, "derivation value")
             if g.is_zero() or not g.is_homogeneous():
                 raise GraphError("domain generators must be nonzero homogeneous")
             if not v.is_zero():
@@ -184,58 +155,47 @@ class LieDerivation:
         self.domain = base.subalgebra(self.domain_gens)
 
     def validate_leibniz(self, N: int):
-        """Check the Leibniz law on all spanning brackets of weight <= N.
+        """Check that d extends to a derivation of A, in weights <= N.
 
-        Raises GraphError naming the first violating pair.
+        With eps^2 = 0, the pairs a + eps.d(a) form the graph of d, and d
+        extends to a derivation exactly when the subalgebra of L + eps.L
+        generated by the pairs g + eps.d(g) meets eps.L only in 0.  A
+        weight-m element a + eps.b (a in L_m, b in L_{m+shift}) is stored as
+        one vector: a in columns [0, dim L_m), b shifted by dim L_m.  The
+        subalgebra is built as seeds plus one add_brackets step per weight,
+        with [a + eps.b, g + eps.d_g] = [a,g] + eps.([a,d_g] + [b,g]); a
+        pivot >= dim L_m is a nonzero element of eps.L.  Raises GraphError
+        at the first weight with one.
         """
-        base = self.base
-        field = self.field
-        eng = base.engine
-        shift = self.shift
-        # per weight m, the graph of d on A_m: rows are A-coordinates in L_m
-        # carrying their values in L_{m+shift} as companions
-        graphs: dict[int, Echelon] = {}
-        labels: dict[tuple, str] = {}  # (weight, pivot) -> label
+        base, field, shift = self.base, self.field, self.shift
+        bracket_vec = base.engine.bracket_vec
 
-        def reduce_and_add(m, avec, dvec, label):
-            pivot, rest = graphs.setdefault(m, Echelon(field)).insert(avec, dvec)
-            if pivot is not None:
-                labels[(m, pivot)] = label
-            elif rest:
-                raise GraphError(
-                    f"Leibniz violation at weight {m}: {label} maps to a"
-                    " nonzero value on a zero domain element"
-                )
+        def join(m, a, b):
+            off = base.dim(m)
+            return {**a, **{off + i: c for i, c in b.items()}}
 
-        def rows(m):
-            ech = graphs.get(m, Echelon(field))
-            return [(a, ech.companions[p], labels[(m, p)]) for p, a in ech.rows.items()]
+        def bracket(m, v, w, g_dg):
+            g, dg = g_dg
+            off = base.dim(m)
+            a = {i: c for i, c in v.items() if i < off}
+            b = {i - off: c for i, c in v.items() if i >= off}
+            eps = bracket_vec(m, a, w + shift, dg)
+            field.axpy(eps, field.one, bracket_vec(m + shift, b, w, g))
+            return join(m + w, bracket_vec(m, a, w, g), eps)
 
-        weighted_gens = []
+        gens = []
         for g, v in zip(self.domain_gens, self.values):
             w, gvec = base.evaluate(g)
-            if v.is_zero():
-                dvec = {}
-            else:
-                _, dvec = base.evaluate(v)
-            weighted_gens.append((w, gvec, dvec, repr(g)))
+            gens.append((w, (gvec, {} if v.is_zero() else base.evaluate(v)[1])))
+        graph: dict[int, Echelon] = {}
         for m in range(1, N + 1):
-            for w, gvec, dvec, label in weighted_gens:
-                if w == m:
-                    reduce_and_add(m, gvec, dvec, label)
-            for a in range(1, m):
-                b = m - a
-                if b < a:
-                    break
-                for (a1, d1, l1) in rows(a):
-                    for (a2, d2, l2) in rows(b):
-                        if a == b and l1 == l2:
-                            continue
-                        av = eng.bracket_vec(a, a1, b, a2)
-                        dv = {}
-                        vec_axpy(field, dv, field.one, eng.bracket_vec(a, a1, b + shift, d2))
-                        vec_axpy(field, dv, field.one, eng.bracket_vec(a + shift, d1, b, a2))
-                        reduce_and_add(m, av, dv, f"[{l1},{l2}]")
+            seeds = Echelon.of(field, [join(m, g, dg) for w, (g, dg) in gens if w == m])
+            graph[m] = add_brackets(seeds, lambda k: graph[k].basis(), gens, m, bracket)
+            if max(graph[m].rows, default=-1) >= base.dim(m):
+                raise GraphError(
+                    f"Leibniz violation at weight {m}: the pairs (g, d(g)) generate"
+                    " a pair (0, v) with v != 0, so d is not well defined on A"
+                )
 
 
 # ----------------------------------------------------------------------
@@ -248,14 +208,12 @@ def hnn(
     t_name: str,
     t_weight: int,
     name: str = "hnn",
-    validate_to: Optional[int] = None,
 ) -> PresentedLieAlgebra:
     """HNN extension <L, t | [t, a] = d(a) for a in A>.
 
     The derivation's shift must equal the stable-letter weight; its domain
-    generators (elements of L) index the new relators.  Pass validate_to to
-    check the Leibniz law on the domain's spanning brackets up to that
-    weight first.
+    generators (elements of L) index the new relators.  The Leibniz law is
+    not checked here (see LieDerivation.validate_leibniz).
     """
     if derivation.base is not L:
         raise GraphError("derivation must live on the HNN base algebra")
@@ -265,8 +223,6 @@ def hnn(
         )
     if t_name in L.free.gen_index:
         raise GraphError(f"stable letter {t_name!r} collides with a base generator")
-    if validate_to is not None:
-        derivation.validate_leibniz(validate_to)
     gens = [(g.name, g.weight) for g in L.generators] + [(t_name, t_weight)]
     out = PresentedLieAlgebra(L.field, gens, [], name=name)
     free = out.free
@@ -356,8 +312,12 @@ class GraphOfLieAlgebras:
             else:
                 if e.stable_weight is None:
                     raise GraphError(f"non-forest edge {e.id} needs a stable-letter weight")
-                if e.der_values is None:
-                    e.der_values = {}
+                if e.stable_weight < 1:
+                    raise GraphError(f"edge {e.id}: stable-letter weight {e.stable_weight} < 1")
+                e.der_values = {
+                    g: _parse(self.vertices[e.dst], v, f"edge {e.id}: derivation value of {g!r}")
+                    for g, v in (e.der_values or {}).items()
+                }
                 missing = {g.name for g in e.algebra.generators} - set(e.der_values)
                 if missing:
                     raise GraphError(
@@ -444,8 +404,6 @@ class FundamentalAlgebra:
                 for g in e.algebra.generators:
                     rel = t.bracket(into_src(graph.sigma[e.id].images[g.name]))
                     dval = e.der_values[g.name]
-                    if isinstance(dval, str):
-                        dval = graph.vertices[e.dst].parse(dval)
                     if not dval.is_zero():
                         rel = rel - into_dst(dval)
                     if not rel.is_zero():
@@ -553,13 +511,6 @@ class TheoremAReport:
         if self.euler_ok is False:
             return False
         return self.explicit_ok
-
-    def first_failure(self):
-        for c in self.checks:
-            if not c.ok:
-                pos = "injectivity" if not c.injective else "middle"
-                return (c.n, pos)
-        return None
 
 
 def verify_theorem_a(
@@ -695,11 +646,8 @@ def verify_theorem_a(
                     lifted = lift(tgt, n)
                     col = {k: L.field.neg(c) for k, c in lifted.items()}
                     proj_new = vertex_modules[new_vid].project(u, n)
-                    for i, c in proj_new.items():
-                        key = offs[new_vid] + i
-                        col[key] = L.field.add(col.get(key, L.field.zero), c)
-                        if L.field.is_zero(col[key]):
-                            del col[key]
+                    new = {offs[new_vid] + i: c for i, c in proj_new.items()}
+                    L.field.axpy(col, L.field.one, new)
                     cols.append(col)
                 blocks[n] = cols
             alpha_blocks[e.id] = blocks
@@ -740,10 +688,7 @@ def verify_theorem_a(
             block = alpha_blocks[e.id].get(m, [])
             src_dim += edge_modules[e.id].dim(m)
             columns.extend(block)
-        ech = Echelon(L.field)
-        for col in columns:
-            ech.add(col)
-        rank_alpha = ech.rank
+        rank_alpha = Echelon.of(L.field, columns).rank
         # beta: sum of augmentation coordinates; nonzero only at weight 0
         rank_beta = 1 if n == 0 else 0
         composite_zero = True
@@ -763,6 +708,13 @@ def verify_theorem_a(
 
 # ----------------------------------------------------------------------
 # graph files
+
+
+def _stable_weight(text: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise GraphError(f"line {lineno}: bad stable weight {text.strip()!r}") from None
 
 
 def parse_graph_file(text: str, base_dir: str, field: Optional[Field] = None) -> GraphOfLieAlgebras:
@@ -786,7 +738,7 @@ def parse_graph_file(text: str, base_dir: str, field: Optional[Field] = None) ->
             body = parts[1:]
             sw = None
             if len(body) >= 2 and body[-2] == "stable-weight":
-                sw = int(body[-1])
+                sw = _stable_weight(body[-1], lineno)
                 body = body[:-2]
             if len(body) == 5 and body[3] == "forest":
                 edge_specs.append((body[0], body[1], body[2], True, body[4], sw))
@@ -812,7 +764,7 @@ def parse_graph_file(text: str, base_dir: str, field: Optional[Field] = None) ->
                 )
             gen, tail = rest.split("->", 1)
             expr, sw = tail.rsplit("stable-weight", 1)
-            ders.append((parts[1], gen.strip(), expr.strip(), int(sw)))
+            ders.append((parts[1], gen.strip(), expr.strip(), _stable_weight(sw, lineno)))
         else:
             raise GraphError(f"line {lineno}: unrecognized line {raw!r}")
     if not vertices:

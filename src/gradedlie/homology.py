@@ -13,7 +13,7 @@ homological degree I and weight N.
 
 from __future__ import annotations
 
-from .linalg import Echelon, SparseMatrix, vec_axpy
+from .linalg import SparseMatrix
 from .presented import PresentedLieAlgebra
 
 
@@ -126,7 +126,7 @@ class ChainComplex:
                 for col_vec in d_i.col_vectors():
                     out: dict = {}
                     for r, c in col_vec.items():
-                        vec_axpy(field, out, c, low[r])
+                        field.axpy(out, c, low[r])
                     if out:
                         return False
         return True
@@ -145,9 +145,6 @@ class HomologyTable:
 
     def total(self, i: int) -> int:
         return sum(self.dims[i])
-
-    def weights(self, i: int) -> list[int]:
-        return [n for n, d in enumerate(self.dims[i]) if d]
 
     def as_dict(self) -> dict:
         return {

@@ -40,6 +40,14 @@ class Echelon:
         self.rows: dict[int, dict] = {}  # pivot column -> row vector
         self.companions: dict[int, dict] = {}  # pivot column -> companion
 
+    @classmethod
+    def of(cls, field: Field, vectors) -> "Echelon":
+        """The echelon of the span of vectors, added in order."""
+        ech = cls(field)
+        for vec in vectors:
+            ech.add(vec)
+        return ech
+
     @property
     def rank(self) -> int:
         return len(self.rows)
@@ -166,17 +174,12 @@ class SparseMatrix:
         )
 
     def rank(self) -> int:
-        ech = Echelon(self.field)
-        for vec in self.row_vectors():
-            ech.add(vec)
-        return ech.rank
+        return Echelon.of(self.field, self.row_vectors()).rank
 
     def kernel(self) -> "Subspace":
         """Canonical basis of the right null space (dim = cols - rank)."""
         field = self.field
-        ech = Echelon(field)
-        for vec in self.row_vectors():
-            ech.add(vec)
+        ech = Echelon.of(field, self.row_vectors())
         pivots = ech.pivots()
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
@@ -189,10 +192,6 @@ class SparseMatrix:
                     vec[p] = field.neg(x)
             basis.append(vec)
         return Subspace.from_vectors(field, self.cols, basis)
-
-    def image(self) -> "Subspace":
-        """Canonical column space."""
-        return Subspace.from_vectors(self.field, self.rows, self.col_vectors())
 
     def apply(self, vec: dict) -> dict:
         """Matrix-vector product (vec indexed by columns)."""
@@ -215,10 +214,7 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field: Field, ambient_dim: int, vectors) -> "Subspace":
-        ech = Echelon(field)
-        for v in vectors:
-            ech.add(v)
-        return cls(field, ambient_dim, ech)
+        return cls(field, ambient_dim, Echelon.of(field, vectors))
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":

@@ -99,10 +99,7 @@ def _free_subalgebra_spans(free: FreeLieAlgebra, elements: list[LieElement], N: 
     gens = [(e.weight(), e) for e in elements if e.weight() is not None]
     spans: dict[int, Echelon] = {}
     for m in range(1, N + 1):
-        seeds = Echelon(free.field)
-        for w, e in gens:
-            if w == m:
-                seeds.add(free.coordinates(e, m))
+        seeds = Echelon.of(free.field, [free.coordinates(e, m) for w, e in gens if w == m])
         spans[m] = add_brackets(
             seeds, lambda k: spans[k].basis(), gens, m, free.bracket_coordinates
         )

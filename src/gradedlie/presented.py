@@ -32,8 +32,8 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .fields import Field, check_same_field, parse_field
-from .freelie import FreeLieAlgebra, Generator, LieElement, witt_dims
-from .linalg import Echelon, SparseMatrix, Subspace, vec_axpy
+from .freelie import FreeLieAlgebra, LieElement, witt_dims
+from .linalg import Echelon, SparseMatrix, Subspace
 from .series import HilbertSeries
 
 
@@ -145,7 +145,7 @@ class PresentedLieAlgebra:
     @property
     def _ideal_spans(self) -> "_IdealSpans":
         if self._ideal is None:
-            self._ideal = _IdealSpans(self)
+            self._ideal = _IdealSpans(self.field, self.free, self.relators)
         return self._ideal
 
     def ideal_component(self, n: int) -> Subspace:
@@ -278,10 +278,6 @@ class GradedEngine:
         self.build_to(n)
         return len(self._defs[n])
 
-    def basis_defs(self, n: int) -> list:
-        self.build_to(n)
-        return self._defs[n]
-
     def basis_mdeg(self, n: int) -> list:
         if not self.multigraded:
             raise PresentationError("algebra is not multigraded")
@@ -291,13 +287,6 @@ class GradedEngine:
     def gen_reduction(self, gi: int) -> dict:
         self.build_to(self.gens[gi].weight)
         return self._gen_red[gi]
-
-    def basis_str(self, n: int, i: int) -> str:
-        d = self.basis_defs(n)[i]
-        if d[0] == "gen":
-            return self.gens[d[1]].name
-        (m, j), gi = d
-        return f"[{self.basis_str(m, j)},{self.gens[gi].name}]"
 
     def pair(self, p: tuple, q: tuple) -> dict:
         """Structure constants [b_p, b_q] as a vector over basis[wp+wq]."""
@@ -322,7 +311,7 @@ class GradedEngine:
         field = self.field
         out: dict = {}
         for mid, coef in elem.terms.items():
-            vec_axpy(field, out, coef, self._eval_monomial(mid))
+            field.axpy(out, coef, self._eval_monomial(mid))
         return w, out
 
     def commutator_rank(self, n: int) -> int:
@@ -371,7 +360,7 @@ class GradedEngine:
                     continue
                 pq = ((wa, ia), (wb, ib))
                 vec = memo.get(pq)
-                vec_axpy(field, out, c, self._pair(*pq) if vec is None else vec)
+                field.axpy(out, c, self._pair(*pq) if vec is None else vec)
         return out
 
     def _pair(self, p: tuple, q: tuple) -> dict:
@@ -394,11 +383,11 @@ class GradedEngine:
             u = self._pair(p, bprime)  # over basis[n - wz]
             res: dict = {}
             for i, c in u.items():
-                vec_axpy(field, res, c, red[((n - wz, i), gz)])
+                field.axpy(res, c, red[((n - wz, i), gz)])
             w2 = self._cand_red[p[0] + wz][(p, gz)]
             for j, c in w2.items():
                 sub = self._pair((p[0] + wz, j), bprime)
-                vec_axpy(field, res, field.neg(c), sub)
+                field.axpy(res, field.neg(c), sub)
         memo[(p, q)] = res
         memo[(q, p)] = {k: field.neg(v) for k, v in res.items()}
         return res
@@ -471,17 +460,17 @@ class GradedEngine:
                         row = self._bracket(dp + dq, self._pair(p, q), wx, red_x)
                         u = self._bracket(dq, {iq: one}, wx, red_x)
                         if u:
-                            vec_axpy(field, row, one, self._bracket(dq + wx, u, dp, {ip: one}))
+                            field.axpy(row, one, self._bracket(dq + wx, u, dp, {ip: one}))
                         v = self._bracket(wx, red_x, dp, {ip: one})
                         if v:
-                            vec_axpy(field, row, one, self._bracket(wx + dp, v, dq, {iq: one}))
+                            field.axpy(row, one, self._bracket(wx + dp, v, dq, {iq: one}))
                         if row:
                             rows.append(row)
         # relators of weight n
         for r in self._relators_by_weight.get(n, []):
             row: dict = {}
             for mid, coef in r.terms.items():
-                vec_axpy(field, row, coef, self._eval_monomial(mid))
+                field.axpy(row, coef, self._eval_monomial(mid))
             if row:
                 rows.append(row)
 
@@ -489,9 +478,7 @@ class GradedEngine:
         del self._cand_red[n]
         self._pair_memo[n] = {}
         self._eval_memo[n] = {}
-        ech = Echelon(field)
-        for row in rows:
-            ech.add(row)
+        ech = Echelon.of(field, rows)
         pivots = set(ech.rows)
         basis_pos = {}
         defs = []
@@ -536,8 +523,9 @@ def add_brackets(ech: Echelon, rows, gens, n: int, bracket) -> Echelon:
     """Add sum over (w, g) in gens of [V_{n-w}, g] to ech and return ech.
 
     rows(m) spans V_m and bracket(m, v, w, g) is the weight-(m+w) bracket
-    of a weight-m vector v with g.  Subalgebra spans, [L,L], the relation
-    ideal I and [I,F] are each V_n = seeds_n + sum_g [V_{n-w(g)}, g]:
+    of a weight-m vector v with g.  Subalgebra spans, the relation ideal I
+    and the graph of a derivation are each V_n = seeds_n + sum_g
+    [V_{n-w(g)}, g], and [L,L] and [I,F] are the bracket term alone:
     left-normed brackets of generators span the Lie algebra (or ideal)
     they generate (Reutenauer, Free Lie Algebras, 1993), so no pair of
     lower components needs bracketing.
@@ -550,19 +538,14 @@ def add_brackets(ech: Echelon, rows, gens, n: int, bracket) -> Echelon:
     return ech
 
 
-def _seed(field: Field, vectors) -> Echelon:
-    ech = Echelon(field)
-    for vec in vectors:
-        ech.add(vec)
-    return ech
-
-
 class _IdealSpansForList:
-    """Relation-ideal components inside the free algebra, degree by degree:
-    I_n = span(relators of weight n) + sum_x [I_{n-w(x)}, x].
+    """Relation-ideal components inside the free algebra, degree by degree.
 
-    The relator list may grow (infer_presentation appends to it and calls
-    invalidate_from).
+    The ideal I generated by the relators R is I = R + [I,F], so each
+    weight is built once, from below: [I,F]_n = sum_x [I_{n-w(x)}, x] is
+    bracketed once and I_n = [I,F]_n + span(relators of weight n) reuses
+    it.  The relator list may grow (infer_presentation appends to it and
+    calls invalidate_from).
     """
 
     def __init__(self, field, free, relators: list):
@@ -570,48 +553,37 @@ class _IdealSpansForList:
         self.free = free
         self.relators = relators
         self._gens = [(g.weight, free.gen_element(g.name)) for g in free.gens]
-        self._cache: dict[int, Echelon] = {}
+        self._ideal: dict[int, Echelon] = {}
+        self._bracket: dict[int, Echelon] = {}
 
     def invalidate_from(self, n: int):
-        for k in [k for k in self._cache if k >= n]:
-            del self._cache[k]
-
-    def ideal(self, n: int) -> Echelon:
-        got = self._cache.get(n)
-        if got is None:
-            free = self.free
-            seeds = _seed(
-                self.field, [free.coordinates(r, n) for r in self.relators if r.weight() == n]
-            )
-            got = add_brackets(
-                seeds, lambda m: self.ideal(m).basis(), self._gens, n, free.bracket_coordinates
-            )
-            self._cache[n] = got
-        return got
-
-
-class _IdealSpans(_IdealSpansForList):
-    """The ideal components of a presentation, and [I,F]_n =
-    sum_x ([I_{n-w(x)}, x] + [[I,F]_{n-w(x)}, x])."""
-
-    # an attribute of this class too: bench/tracer.py wraps both by name
-    ideal = _IdealSpansForList.ideal
-
-    def __init__(self, algebra: PresentedLieAlgebra):
-        super().__init__(algebra.field, algebra.free, algebra.relators)
-        self._bracket: dict[int, Echelon] = {}
+        """Forget I at weights >= n; [I,F]_n depends on lower weights only."""
+        self._ideal = {k: v for k, v in self._ideal.items() if k < n}
+        self._bracket = {k: v for k, v in self._bracket.items() if k <= n}
 
     def bracket_ideal(self, n: int) -> Echelon:
         got = self._bracket.get(n)
         if got is None:
-            def rows(m):
-                return self.ideal(m).basis() + self.bracket_ideal(m).basis()
-
-            got = add_brackets(
-                Echelon(self.field), rows, self._gens, n, self.free.bracket_coordinates
+            got = self._bracket[n] = add_brackets(
+                Echelon(self.field), lambda m: self.ideal(m).basis(), self._gens, n,
+                self.free.bracket_coordinates,
             )
-            self._bracket[n] = got
         return got
+
+    def ideal(self, n: int) -> Echelon:
+        got = self._ideal.get(n)
+        if got is None:
+            rels = [self.free.coordinates(r, n) for r in self.relators if r.weight() == n]
+            got = self._ideal[n] = Echelon.of(self.field, self.bracket_ideal(n).basis() + rels)
+        return got
+
+
+class _IdealSpans(_IdealSpansForList):
+    """The ideal components of a presentation."""
+
+    # bound here too only because bench/tracer.py wraps both classes by name
+    ideal = _IdealSpansForList.ideal
+    bracket_ideal = _IdealSpansForList.bracket_ideal
 
 
 class GradedSubalgebra:
@@ -638,9 +610,6 @@ class GradedSubalgebra:
         self._spans: dict[int, Echelon] = {}
         self._built = 0
 
-    def max_generator_weight(self) -> int:
-        return max((w for _, w, _ in self.generators), default=0)
-
     def weighted_generators(self) -> list[tuple]:
         """The generators as (weight, vector) pairs."""
         return [(w, vec) for _, w, vec in self.generators]
@@ -654,7 +623,7 @@ class GradedSubalgebra:
         bracket = self.ambient.engine.bracket_vec
         while self._built < n:
             m = self._built + 1
-            seeds = _seed(self.field, [vec for w, vec in gens if w == m])
+            seeds = Echelon.of(self.field, [vec for w, vec in gens if w == m])
             self._spans[m] = add_brackets(seeds, self.rows, gens, m, bracket)
             self._built = m
 
@@ -774,9 +743,7 @@ def infer_presentation(
         ambient_dim = ambient.dim(n)
         m = SparseMatrix.from_row_vectors(field, ambient_dim, rows).transpose()
         ker = m.kernel()  # right null space over F-hat basis positions
-        ech = Echelon(field)
-        for row in ideal.ideal(n).basis():
-            ech.add(row)
+        ech = Echelon.of(field, ideal.ideal(n).basis())
         for kv in ker.basis:
             p = ech.add(kv)
             if p is not None:
@@ -822,6 +789,10 @@ def parse_presentation(
                 w = int(parts[3])
             except ValueError:
                 raise PresentationError(f"line {lineno}: bad weight {parts[3]!r}")
+            if w < 1:
+                raise PresentationError(f"line {lineno}: generator weight {w} < 1")
+            if any(parts[1] == name for name, _ in gens):
+                raise PresentationError(f"line {lineno}: duplicate generator {parts[1]!r}")
             gens.append((parts[1], w))
         elif line.startswith("rel "):
             rel_texts.append((lineno, line[4:].strip()))

@@ -300,13 +300,7 @@ class RaagResolution:
             sign = field.one if r % 2 == 1 else field.neg(field.one)
             rest = tuple(x for x in w if x != v)
             prod = env.mult_mono((self._gen_keys[v],), mono)
-            for m2, c in prod.items():
-                key = (rest, m2)
-                s = field.add(out.get(key, field.zero), field.mul(sign, c))
-                if field.is_zero(s):
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+            field.axpy(out, sign, {(rest, m2): c for m2, c in prod.items()})
         return out
 
     def verify_exactness(self, N: int) -> "ResolutionReport":
@@ -331,12 +325,11 @@ class RaagResolution:
                     tgt_index = {
                         cell: i for i, cell in enumerate(posmap.get(j - 1, []))
                     }
-                    ech = Echelon(field)
-                    for cell in posmap[j]:
-                        img = self.boundary(*cell)
-                        vec = {tgt_index[c]: x for c, x in img.items()}
-                        ech.add(vec)
-                    ranks[j] = ech.rank
+                    rows = (
+                        {tgt_index[c]: x for c, x in self.boundary(*cell).items()}
+                        for cell in posmap[j]
+                    )
+                    ranks[j] = Echelon.of(field, rows).rank
                 max_j = max(posmap)
                 for j in sorted(posmap):
                     d_j = dims.get(j, 0)
@@ -380,13 +373,12 @@ def minimal_resolution(graph: SimpleGraph, field: Field = QQ) -> RaagResolution:
     return RaagResolution(graph, field)
 
 
-def verify_resolution(graph: SimpleGraph, N: int, field: Field = QQ,
-                      euler_to: Optional[int] = None) -> ResolutionReport:
+def verify_resolution(graph: SimpleGraph, N: int, field: Field = QQ) -> ResolutionReport:
     """Exactness at every position and weight <= N, plus the
-    clique-polynomial/Hilbert identity (to euler_to, default N)."""
+    clique-polynomial/Hilbert identity to weight N."""
     res = RaagResolution(graph, field)
     report = res.verify_exactness(N)
-    report.euler_ok = res.euler_identity(euler_to if euler_to is not None else N)
+    report.euler_ok = res.euler_identity(N)
     return report
 
 

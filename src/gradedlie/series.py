@@ -34,13 +34,6 @@ class HilbertSeries:
         return cls([], truncation)
 
     @classmethod
-    def monomial(cls, k: int, truncation: int, coeff: int = 1) -> "HilbertSeries":
-        c = [0] * (truncation + 1)
-        if 0 <= k <= truncation:
-            c[k] = coeff
-        return cls(c, truncation)
-
-    @classmethod
     def from_graded_dims(cls, dims: list[int], truncation: int) -> "HilbertSeries":
         """PBW product formula: prod_i (1 - t^i)^(-dims[i-1]), truncated.
 
@@ -159,11 +152,6 @@ class HilbertSeries:
                     c[i * k] = comb(k + d - 1, d - 1)
                 partial = partial * HilbertSeries(c, n)
         return dims
-
-    def truncate(self, n: int) -> "HilbertSeries":
-        if n > self.truncation:
-            raise ValueError("cannot extend a truncated series")
-        return HilbertSeries(self.coeffs[: n + 1], n)
 
     def __eq__(self, other):
         if not isinstance(other, HilbertSeries):

@@ -4,7 +4,9 @@ Each one recomputes something the library computes another way (commuting
 pairs by exhaustive enumeration, chordality by induced-cycle search over
 every labeled graph, Mayer-Vietoris exactness from dimensions alone, Hall
 monomial chains, subspace sums and intersections, bracket closures over
-all pairs of lower components), so a test can compare the two.
+all pairs of lower components, the Leibniz check over all pairs, induced
+modules from a basis of the subalgebra, [I,F] with its redundant
+[[I,F],x] term), so a test can compare the two.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from gradedlie.example6 import NilpotentQuotient, change_field
 from gradedlie.fields import GF, check_same_field
 from gradedlie.freelie import FreeLieAlgebra
 from gradedlie.homology import HomologyTable
-from gradedlie.linalg import Echelon, SparseMatrix, Subspace, vec_axpy
+from gradedlie.linalg import Echelon, SparseMatrix, Subspace
 from gradedlie.presented import PresentedLieAlgebra
 from gradedlie.raag import SimpleGraph, find_induced_cycle
 
@@ -189,7 +191,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         vec: dict = {}
         for idx, coef in kv.items():
             if idx < len(abasis):
-                vec_axpy(field, vec, coef, abasis[idx])
+                field.axpy(vec, coef, abasis[idx])
         vectors.append(vec)
     return Subspace.from_vectors(field, n, vectors)
 
@@ -224,3 +226,68 @@ def all_pairs_commutator_rank(L: PresentedLieAlgebra, n: int) -> int:
             for j in range(L.dim(n - a)):
                 ech.add(eng.pair((a, i), (n - a, j)))
     return ech.rank
+
+
+def all_pairs_leibniz_failure(d, N: int):
+    """First weight <= N where the Leibniz law fails, else None.
+
+    Per weight m, the rows of A_m (L_m coordinates) carry their values in
+    L_{m+shift} as companions through the elimination; the candidates are
+    the generators of weight m and the brackets of every pair of lower
+    rows, with d([a,b]) = [a,d(b)] + [d(a),b].  A candidate that reduces to
+    0 in L_m with a nonzero companion residue is a violation.
+    """
+    base, field, eng, shift = d.base, d.field, d.base.engine, d.shift
+    gens = []
+    for g, v in zip(d.domain_gens, d.values):
+        w, gvec = base.evaluate(g)
+        gens.append((w, gvec, {} if v.is_zero() else base.evaluate(v)[1]))
+    graphs: dict[int, Echelon] = {}
+    for m in range(1, N + 1):
+        pairs = [(gvec, dvec) for w, gvec, dvec in gens if w == m]
+        for a in range(1, m):
+            lo, hi = graphs[a], graphs[m - a]
+            for p1, a1 in lo.rows.items():
+                d1 = lo.companions[p1]
+                for p2, a2 in hi.rows.items():
+                    dv = eng.bracket_vec(a, a1, m - a + shift, hi.companions[p2])
+                    field.axpy(dv, field.one, eng.bracket_vec(a + shift, d1, m - a, a2))
+                    pairs.append((eng.bracket_vec(a, a1, m - a, a2), dv))
+        ech = graphs[m] = Echelon(field)
+        for avec, dvec in pairs:
+            pivot, rest = ech.insert(avec, dvec)
+            if pivot is None and rest:
+                return m
+    return None
+
+
+# ----------------------------------------------------------------------
+# induced modules and the relation ideal
+
+
+def basis_product_quotient_basis(env, sub, n: int) -> list:
+    """Non-pivot PBW monomials of weight n modulo the products s.u, with s
+    over a basis of each S_w and u over the PBW monomials of weight n - w."""
+    one = env.field.one
+    ech = Echelon(env.field)
+    for w in range(1, n + 1):
+        for s in sub.span(w).basis:
+            s_u = env.lie_vector_as_u(w, s)
+            for u_mono in env.pbw_basis(n - w):
+                ech.add(env.coords(env.mult(s_u, {u_mono: one}), n))
+    return [m for i, m in enumerate(env.pbw_basis(n)) if i not in ech.rows]
+
+
+def bracket_ideal_with_redundant_term(P: PresentedLieAlgebra, N: int) -> dict:
+    """[I,F]_n = sum_x ([I_{n-w(x)}, x] + [[I,F]_{n-w(x)}, x]) for n <= N."""
+    free = P.free
+    gens = [(g.weight, free.gen_element(g.name)) for g in free.gens]
+    out: dict[int, Echelon] = {}
+    for n in range(1, N + 1):
+        ech = out[n] = Echelon(P.field)
+        for w, x in gens:
+            m = n - w
+            if m >= 1:
+                for v in P.ideal_component(m).basis + out[m].basis():
+                    ech.add(free.bracket_coordinates(m, v, w, x))
+    return out

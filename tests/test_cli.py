@@ -252,3 +252,45 @@ def test_raag_reports_independent_of_hash_seed(tmp_path, command, key):
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["data"][key] == ["a", "b", "c", "d", "e"]
+
+
+HNN_GRAPH = (
+    "vertex v free2.lie\nedge t v v kuv.lie\nmap sigma t u -> {u}\nmap sigma t v -> b\n"
+    "der t u -> {du} stable-weight {sw}\nder t v -> 0*a stable-weight {sw}\n"
+)
+BAD_GRAPH_AND_PRESENTATION_INPUTS = {
+    "der-stable-weight-x": HNN_GRAPH.format(u="a", du="[a,b]", sw="x"),
+    "der-stable-weight-0": HNN_GRAPH.format(u="a", du="[a,b]", sw="0"),
+    "der-stable-weight-negative": HNN_GRAPH.format(u="a", du="[a,b]", sw="-1"),
+    "edge-stable-weight-x": "vertex v free2.lie\nedge t v v zero.lie stable-weight x\n",
+    "edge-stable-weight-0": "vertex v free2.lie\nedge t v v zero.lie stable-weight 0\n",
+    "edge-stable-weight-negative": "vertex v free2.lie\nedge t v v zero.lie stable-weight -1\n",
+    "map-syntax-error": HNN_GRAPH.format(u="[a,", du="[a,b]", sw="1"),
+    "map-unknown-generator": HNN_GRAPH.format(u="q", du="[a,b]", sw="1"),
+    "map-unknown-in-bracket": HNN_GRAPH.format(u="[a,q]", du="[a,b]", sw="1"),
+    "der-syntax-error": HNN_GRAPH.format(u="a", du="[a,", sw="1"),
+    "der-unknown-generator": HNN_GRAPH.format(u="a", du="q", sw="1"),
+    "der-unknown-in-bracket": HNN_GRAPH.format(u="a", du="[a,q]", sw="1"),
+    "generator-weight-0": "field = Q\ngen x weight 0\n",
+    "duplicate-generator": "field = Q\ngen x weight 1\ngen y weight 1\ngen x weight 2\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GRAPH_AND_PRESENTATION_INPUTS))
+def test_bad_graph_and_presentation_input_exits_2(capsys, tmp_path, case):
+    (tmp_path / "free2.lie").write_text("field = Q\ngen a weight 1\ngen b weight 1\n")
+    (tmp_path / "kuv.lie").write_text("field = Q\ngen u weight 1\ngen v weight 1\n")
+    (tmp_path / "zero.lie").write_text("field = Q\n")
+    text = BAD_GRAPH_AND_PRESENTATION_INPUTS[case]
+    if text.startswith("field"):
+        (tmp_path / "bad.lie").write_text(text)
+        argv = ["--max-degree", "3", "dims", str(tmp_path / "bad.lie")]
+    else:
+        (tmp_path / "bad.graph").write_text(text)
+        argv = ["--max-degree", "3", "graph", "verify", str(tmp_path / "bad.graph")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and "internal error" not in captured.err
+    assert captured.out == ""

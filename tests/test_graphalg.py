@@ -58,7 +58,8 @@ def test_hnn_zero_derivation_abelian():
     # base k.a, A = base, d = 0: abelian k^2
     base = k1("a")
     d = LieDerivation(base, ["a"], [base.free.zero()], shift=1)
-    W = hnn(base, d, "t", 1, validate_to=4)
+    d.validate_leibniz(4)
+    W = hnn(base, d, "t", 1)
     assert W.dim_sequence(4) == [2, 0, 0, 0]
 
 
@@ -76,7 +77,8 @@ def test_hnn_heisenberg():
     # result is the Heisenberg algebra
     base = PresentedLieAlgebra(QQ, [("a", 1), ("b", 2)], ["[a,b]"])
     d = LieDerivation(base, ["a", "b"], ["b", base.free.zero()], shift=1)
-    W = hnn(base, d, "t", 1, validate_to=5)
+    d.validate_leibniz(5)
+    W = hnn(base, d, "t", 1)
     assert W.dim_sequence(4) == [2, 1, 0, 0]
 
 
@@ -116,7 +118,8 @@ def test_hnn_ascending_free():
     # ascending HNN over free_2 with d = ad-like values; [W,W] lands in A
     base = PresentedLieAlgebra(QQ, ["a", "b"])
     d = LieDerivation(base, ["a", "b"], ["[a,b]", base.free.zero()], shift=1)
-    W = hnn(base, d, "t", 1, validate_to=6)
+    d.validate_leibniz(6)
+    W = hnn(base, d, "t", 1)
     expected = (
         HilbertSeries([1, -1], 8) * HilbertSeries([1, -2], 8)
     ).inverse()
