@@ -354,13 +354,15 @@ def cmd_selftest(args) -> int:
     rn = True
     for _ in range(100):
         rows, cols = rng.randint(0, 6), rng.randint(1, 6)
-        entries = {}
+        columns = [{} for _ in range(cols)]
         for r in range(rows):
             for c in range(cols):
                 if rng.random() < 0.4:
-                    entries[(r, c)] = field.of(rng.randint(-4, 4))
-        m = SparseMatrix(field, rows, cols, entries)
-        rn = rn and m.rank() + m.kernel().dim == cols
+                    x = field.of(rng.randint(-4, 4))
+                    if not field.is_zero(x):
+                        columns[c][r] = x
+        m = SparseMatrix(field, columns)
+        rn = rn and m.rank() + len(m.kernel()) == cols
     results["rank_nullity"] = rn
 
     # the worked example end to end

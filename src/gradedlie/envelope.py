@@ -147,8 +147,10 @@ class InducedModule:
     The right ideal S.U(L) is generated by any generating set of S, since
     [x,g] = xg - gx; so per weight, (S.U(L))_n is spanned by the products
     g.u with g running over the given generators of S (not a basis of S)
-    and u over PBW monomials of complementary weight.  The quotient basis
-    is the canonical complement (non-pivot PBW monomials).
+    and u over PBW monomials of complementary weight; a generator in the
+    span of the earlier ones of its weight adds no new product and is
+    skipped.  The quotient basis is the canonical complement (non-pivot PBW
+    monomials).
     """
 
     def __init__(self, env: Envelope, sub: Optional[GradedSubalgebra], name: str = ""):
@@ -167,13 +169,14 @@ class InducedModule:
         field = self.field
         ech = Echelon(field)
         if self.sub is not None:
+            earlier: dict[int, Echelon] = {}
             for w, g in self.sub.weighted_generators():
-                if w <= n:
+                if w <= n and earlier.setdefault(w, Echelon(field)).add(g) is not None:
                     g_u = env.lie_vector_as_u(w, g)
                     for u_mono in env.pbw_basis(n - w):
                         ech.add(env.coords(env.mult(g_u, {u_mono: field.one}), n))
         self._ideal[n] = ech
-        pivots = set(ech.rows)
+        pivots = set(ech.pivots())
         basis = [
             m for i, m in enumerate(env.pbw_basis(n)) if i not in pivots
         ]

@@ -64,9 +64,9 @@ def build_s(field: Field = QQ, N: int = 8):
         "h2_total": sum(h2),
         "h1_ce_total": table.total(1),
         "h2_ce_total": table.total(2),
-        "proper": S.span(1).dim < L.dim(1),
-        "not_in_abelian_factor": S.span(2).dim > 0,
-        "not_in_free_factor": S.span(1).dim > 1,
+        "proper": S.span(1).rank < L.dim(1),
+        "not_in_abelian_factor": S.span(2).rank > 0,
+        "not_in_free_factor": S.span(1).rank > 1,
     }
     report["ok"] = (
         report["h1_total"] == 4

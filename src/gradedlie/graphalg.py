@@ -191,7 +191,7 @@ class LieDerivation:
         for m in range(1, N + 1):
             seeds = Echelon.of(field, [join(m, g, dg) for w, (g, dg) in gens if w == m])
             graph[m] = add_brackets(seeds, lambda k: graph[k].basis(), gens, m, bracket)
-            if max(graph[m].rows, default=-1) >= base.dim(m):
+            if max(graph[m].pivots(), default=-1) >= base.dim(m):
                 raise GraphError(
                     f"Leibniz violation at weight {m}: the pairs (g, d(g)) generate"
                     " a pair (0, v) with v != 0, so d is not well defined on A"

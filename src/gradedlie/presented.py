@@ -33,7 +33,7 @@ from typing import Iterable, Optional, Sequence
 
 from .fields import Field, check_same_field, parse_field
 from .freelie import FreeLieAlgebra, LieElement, witt_dims
-from .linalg import Echelon, SparseMatrix, Subspace
+from .linalg import Echelon, SparseMatrix
 from .series import HilbertSeries
 
 
@@ -148,12 +148,9 @@ class PresentedLieAlgebra:
             self._ideal = _IdealSpans(self.field, self.free, self.relators)
         return self._ideal
 
-    def ideal_component(self, n: int) -> Subspace:
+    def ideal_component(self, n: int) -> Echelon:
         """The weight-n component of the relation ideal inside F_n."""
-        ech = self._ideal_spans.ideal(n)
-        dim_f = len(self.free.hall_basis(n))
-        sub = Subspace(self.field, dim_f, ech)
-        return sub
+        return self._ideal_spans.ideal(n)
 
     def dim_via_ideal(self, n: int) -> int:
         """Oracle route: dim F_n - dim I_n."""
@@ -178,7 +175,7 @@ class PresentedLieAlgebra:
             n_gens = sum(1 for g in self.generators if g.weight == n)
             # generators come first in the weight-n Hall order, so rows with
             # pivot >= n_gens form the canonical basis of I_n cap [F,F]_n
-            inter = sum(1 for p in ideal.rows if p >= n_gens)
+            inter = sum(1 for p in ideal.pivots() if p >= n_gens)
             out.append(inter - spans.bracket_ideal(n).rank)
         return out
 
@@ -627,10 +624,10 @@ class GradedSubalgebra:
             self._spans[m] = add_brackets(seeds, self.rows, gens, m, bracket)
             self._built = m
 
-    def span(self, n: int) -> Subspace:
+    def span(self, n: int) -> Echelon:
         """The weight-n component of the subalgebra, inside L_n coordinates."""
         self._build_to(n)
-        return Subspace(self.field, self.ambient.dim(n), self._spans[n])
+        return self._spans[n]
 
     def span_dims(self, N: int) -> list[int]:
         self._build_to(N)
@@ -736,15 +733,11 @@ def infer_presentation(
         basis = fhat.hall_basis(n)
         if not basis:
             continue
-        rows = []
-        for mid in basis:
-            _, vec = eval_monomial(mid)
-            rows.append(vec)
-        ambient_dim = ambient.dim(n)
-        m = SparseMatrix.from_row_vectors(field, ambient_dim, rows).transpose()
-        ker = m.kernel()  # right null space over F-hat basis positions
+        images = [eval_monomial(mid)[1] for mid in basis]
         ech = Echelon.of(field, ideal.ideal(n).basis())
-        for kv in ker.basis:
+        # the columns are the images of the Hall monomials, so kernel
+        # vectors are coordinates over the weight-n Hall basis of F-hat
+        for kv in SparseMatrix(field, images).kernel():
             p = ech.add(kv)
             if p is not None:
                 relators.append(fhat.element_from_coordinates(ech.rows[p], n))

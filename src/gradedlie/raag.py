@@ -369,10 +369,6 @@ class ResolutionReport:
         return f"<ResolutionReport {state} to weight {self.N}>"
 
 
-def minimal_resolution(graph: SimpleGraph, field: Field = QQ) -> RaagResolution:
-    return RaagResolution(graph, field)
-
-
 def verify_resolution(graph: SimpleGraph, N: int, field: Field = QQ) -> ResolutionReport:
     """Exactness at every position and weight <= N, plus the
     clique-polynomial/Hilbert identity to weight N."""

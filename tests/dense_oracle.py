@@ -36,3 +36,21 @@ def combination(field, coeffs: dict, vectors) -> dict:
         for c, x in vectors[k].items():
             out[c] = field.add(out.get(c, field.zero), field.mul(a, x))
     return {c: x for c, x in out.items() if not field.is_zero(x)}
+
+
+def null_space(field, columns: list[dict], nrows: int) -> list[dict]:
+    """The reduced row echelon basis of the right null space of the matrix
+    with the given columns (vectors over nrows row indices)."""
+    rows = [{j: col[r] for j, col in enumerate(columns) if r in col} for r in range(nrows)]
+    reduced = rref(field, rows, len(columns))
+    pivots = {min(row) for row in reduced}
+    free = []
+    for f in range(len(columns)):
+        if f in pivots:
+            continue
+        vec = {f: field.one}
+        for row in reduced:
+            if f in row:
+                vec[min(row)] = field.neg(row[f])
+        free.append(vec)
+    return rref(field, free, len(columns))

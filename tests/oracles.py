@@ -3,10 +3,10 @@
 Each one recomputes something the library computes another way (commuting
 pairs by exhaustive enumeration, chordality by induced-cycle search over
 every labeled graph, Mayer-Vietoris exactness from dimensions alone, Hall
-monomial chains, subspace sums and intersections, bracket closures over
-all pairs of lower components, the Leibniz check over all pairs, induced
-modules from a basis of the subalgebra, [I,F] with its redundant
-[[I,F],x] term), so a test can compare the two.
+monomial chains, subspace sums and intersections, d o d = 0 on the CE
+complex, bracket closures over all pairs of lower components, the Leibniz
+check over all pairs, induced modules from a basis of the subalgebra,
+[I,F] with its redundant [[I,F],x] term), so a test can compare the two.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from gradedlie.example6 import NilpotentQuotient, change_field
 from gradedlie.fields import GF, check_same_field
 from gradedlie.freelie import FreeLieAlgebra
 from gradedlie.homology import HomologyTable
-from gradedlie.linalg import Echelon, SparseMatrix, Subspace
+from gradedlie.linalg import Echelon, SparseMatrix
 from gradedlie.presented import PresentedLieAlgebra
 from gradedlie.raag import SimpleGraph, find_induced_cycle
 
@@ -152,48 +152,51 @@ def canonical_decomposition(alg: FreeLieAlgebra, mid: int) -> tuple[list[int], i
     return us, cur
 
 # ----------------------------------------------------------------------
-# subspaces
+# subspaces (spans are Echelons) and the CE complex
 
 
-def quotient_basis(sub: Subspace) -> list[int]:
+def quotient_basis(sub: Echelon, ambient_dim: int) -> list[int]:
     """Indices of standard basis vectors complementing sub (non-pivot cols)."""
     pivots = set(sub.pivots())
-    return [c for c in range(sub.ambient_dim) if c not in pivots]
+    return [c for c in range(ambient_dim) if c not in pivots]
 
 
-def sum_spaces(a: Subspace, b: Subspace) -> Subspace:
+def sum_spaces(a: Echelon, b: Echelon) -> Echelon:
     check_same_field(a.field, b.field, "subspaces")
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    return Subspace.from_vectors(a.field, a.ambient_dim, a.basis + b.basis)
+    return Echelon.of(a.field, a.basis() + b.basis())
 
 
-def intersect(a: Subspace, b: Subspace) -> Subspace:
+def intersect(a: Echelon, b: Echelon) -> Echelon:
     """Canonical basis of the intersection (Zassenhaus-style)."""
     check_same_field(a.field, b.field, "subspaces")
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
     field = a.field
     # Solve sum x_i a_i + sum y_j b_j = 0; each kernel element yields the
     # intersection vector sum x_i a_i.
-    abasis = a.basis
-    bbasis = b.basis
-    n = a.ambient_dim
-    rows = []
-    for i, v in enumerate(abasis):
-        rows.append(dict(v))
-    for j, v in enumerate(bbasis):
-        rows.append({c: field.neg(x) for c, x in v.items()})
-    m = SparseMatrix.from_row_vectors(field, n, rows).transpose()
-    ker = m.kernel()
+    abasis = a.basis()
+    columns = abasis + [{c: field.neg(x) for c, x in v.items()} for v in b.basis()]
     vectors = []
-    for kv in ker.basis:
+    for kv in SparseMatrix(field, columns).kernel():
         vec: dict = {}
         for idx, coef in kv.items():
             if idx < len(abasis):
                 field.axpy(vec, coef, abasis[idx])
         vectors.append(vec)
-    return Subspace.from_vectors(field, n, vectors)
+    return Echelon.of(field, vectors)
+
+
+def d_squared_vanishes(cx) -> bool:
+    """d o d = 0 exactly at every bidegree of the chain complex cx."""
+    field = cx.field
+    for i in range(2, cx.I + 2):
+        for n in range(0, cx.N + 1):
+            low = cx.differential(i - 1, n).columns
+            for col in cx.differential(i, n).columns:
+                out: dict = {}
+                for r, c in col.items():
+                    field.axpy(out, c, low[r])
+                if out:
+                    return False
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -271,11 +274,12 @@ def basis_product_quotient_basis(env, sub, n: int) -> list:
     one = env.field.one
     ech = Echelon(env.field)
     for w in range(1, n + 1):
-        for s in sub.span(w).basis:
+        for s in sub.span(w).basis():
             s_u = env.lie_vector_as_u(w, s)
             for u_mono in env.pbw_basis(n - w):
                 ech.add(env.coords(env.mult(s_u, {u_mono: one}), n))
-    return [m for i, m in enumerate(env.pbw_basis(n)) if i not in ech.rows]
+    pivots = set(ech.pivots())
+    return [m for i, m in enumerate(env.pbw_basis(n)) if i not in pivots]
 
 
 def bracket_ideal_with_redundant_term(P: PresentedLieAlgebra, N: int) -> dict:
@@ -288,6 +292,6 @@ def bracket_ideal_with_redundant_term(P: PresentedLieAlgebra, N: int) -> dict:
         for w, x in gens:
             m = n - w
             if m >= 1:
-                for v in P.ideal_component(m).basis + out[m].basis():
+                for v in P.ideal_component(m).basis() + out[m].basis():
                     ech.add(free.bracket_coordinates(m, v, w, x))
     return out

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from gradedlie.envelope import (
@@ -7,7 +9,8 @@ from gradedlie.envelope import (
     hilbert_series,
     induced_module_dims,
 )
-from gradedlie.fields import QQ, FieldError
+from gradedlie.fields import GF, QQ, FieldError
+from gradedlie.graphalg import load_graph, verify_theorem_a
 from gradedlie.presented import PresentedLieAlgebra
 from gradedlie.series import HilbertSeries
 
@@ -161,3 +164,32 @@ def test_right_action():
     got1 = module.right_action(module.right_action(one, 0, ux, 1), 1, ux, 1)
     got2 = module.right_action(one, 0, env.mult(ux, ux), 2)
     assert got1 == got2
+
+
+GOLDEN_INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
+
+
+@pytest.mark.parametrize("name, products", [("mix.graph", 2259), ("hnn.graph", 2502)])
+def test_induced_modules_skip_dependent_generators(monkeypatch, name, products):
+    # the fundamental algebra of mix.graph identifies v2.b with v1.a, so
+    # one given generator repeats another; multiplying it too gave 2,595
+    # products on mix.graph.  hnn.graph has no such repeat.
+    graph = load_graph(os.path.join(GOLDEN_INPUTS, name), GF(2147483647))
+    mult, build = Envelope.mult, InducedModule._build
+    count = {"inside": False, "products": 0}
+
+    def counting_mult(env, a, b):
+        count["products"] += count["inside"]
+        return mult(env, a, b)
+
+    def flagged_build(module, n):
+        count["inside"] = True
+        try:
+            return build(module, n)
+        finally:
+            count["inside"] = False
+
+    monkeypatch.setattr(Envelope, "mult", counting_mult)
+    monkeypatch.setattr(InducedModule, "_build", flagged_build)
+    assert verify_theorem_a(graph, 8, explicit_to=8).ok
+    assert count["products"] == products

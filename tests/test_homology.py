@@ -5,7 +5,7 @@ import pytest
 from gradedlie.fields import QQ, GF
 from gradedlie.homology import ChainComplex, homology_table
 from gradedlie.presented import PresentedLieAlgebra
-from oracles import mv_rank_certificate
+from oracles import d_squared_vanishes, mv_rank_certificate
 
 
 def test_complex_shape():
@@ -22,7 +22,7 @@ def test_abelian_differentials_vanish():
     cx = ChainComplex(L, 3, 4)
     for i in range(1, 4):
         for n in range(5):
-            assert not cx.differential(i, n).entries
+            assert not any(cx.differential(i, n).columns)
 
 
 def test_d_squared_zero():
@@ -34,7 +34,7 @@ def test_d_squared_zero():
     ]:
         L = PresentedLieAlgebra(QQ, gens, rels)
         cx = ChainComplex(L, 3, 6)
-        assert cx.verify_d_squared()
+        assert d_squared_vanishes(cx)
 
 
 def test_homology_free():

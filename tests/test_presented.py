@@ -95,13 +95,13 @@ def test_left_normed_spanning_oracle():
 def test_ideal_component_examples():
     P = PresentedLieAlgebra(QQ, ["x", "y"], ["[x,y]"])
     sub2 = P.ideal_component(2)
-    assert sub2.dim == 1 and sub2.ambient_dim == 1
+    assert sub2.rank == 1 and len(P.free.hall_basis(2)) == 1
     sub3 = P.ideal_component(3)
-    assert sub3.dim == 2 and sub3.ambient_dim == 2
+    assert sub3.rank == 2 and len(P.free.hall_basis(3)) == 2
     assert P.dim(3) == 0
 
     F = PresentedLieAlgebra(QQ, ["x", "y"])
-    assert F.ideal_component(4).dim == 0
+    assert F.ideal_component(4).rank == 0
 
 
 def test_h1():
@@ -153,7 +153,7 @@ def test_inhomogeneous_relator_rejected():
 def test_subalgebra_span_and_membership():
     L = PresentedLieAlgebra(QQ, ["a", "b", "x"], ["[a,b]"])
     S = L.subalgebra(["a", "b", "[x,a]", "[x,b]"])
-    assert S.span(1).dim == 2
+    assert S.span(1).rank == 2
     assert S.membership(L.parse("a"))
     assert S.membership(L.parse("[x,a]"))
     assert not S.membership(L.parse("x"))
@@ -168,8 +168,8 @@ def test_subalgebra_bracket_closed():
         for j in range(1, 4):
             si, sj = S.span(i), S.span(j)
             target = S.span(i + j)
-            for va in si.basis:
-                for vb in sj.basis:
+            for va in si.basis():
+                for vb in sj.basis():
                     assert target.contains(eng.bracket_vec(i, va, j, vb))
 
 

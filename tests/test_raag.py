@@ -3,10 +3,10 @@ import pytest
 from gradedlie.fields import QQ
 from gradedlie.presented import PresentedLieAlgebra
 from gradedlie.raag import (
+    RaagResolution,
     SimpleGraph,
     coherence_verdict,
     is_chordal,
-    minimal_resolution,
     parse_graph,
     raag_presentation,
     validate_peo,
@@ -93,7 +93,7 @@ def test_clique_polynomial():
 def test_resolution_differential_formula():
     # d2(c_{a,b}) = c_b . a - c_a . b for a < b
     g = SimpleGraph(["a", "b"], [("a", "b")])
-    res = minimal_resolution(g)
+    res = RaagResolution(g)
     ka = res._gen_keys["a"]
     kb = res._gen_keys["b"]
     img = res.boundary(("a", "b"), ())
@@ -137,7 +137,7 @@ def test_koszul_for_complete_graphs():
     # K_m gives the Koszul complex of a polynomial ring: P_j has rank
     # binomial(m, j)
     g = complete(3)
-    res = minimal_resolution(g)
+    res = RaagResolution(g)
     assert [len(res.by_size.get(j, [])) for j in range(4)] == [1, 3, 3, 1]
     report = res.verify_exactness(5)
     assert not report.failures

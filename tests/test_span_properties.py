@@ -18,7 +18,6 @@ from gradedlie.envelope import Envelope, InducedModule
 from gradedlie.fields import GF
 from gradedlie.freelie import FreeLieAlgebra
 from gradedlie.graphalg import GraphError, LieDerivation
-from gradedlie.linalg import Subspace
 from gradedlie.presented import PresentedLieAlgebra
 from oracles import (
     all_pairs_commutator_rank,
@@ -59,7 +58,7 @@ def test_left_normed_spans_match_all_pairs(case):
     S = L.subalgebra(sub_gens)
     oracle = all_pairs_subalgebra_spans(S, N)
     for n in range(1, N + 1):
-        assert S.span(n) == Subspace(F7, L.dim(n), oracle[n])
+        assert S.span(n).basis() == oracle[n].basis()
 
 
 @given(presentations_with_subalgebra())
