@@ -4,9 +4,13 @@ A field is represented by a small coefficient-protocol object rather than by
 wrapping every scalar.  A rational value is a plain ``int`` when it is
 integral and a ``fractions.Fraction`` (lowest terms, positive denominator)
 otherwise; every operation of :class:`RationalField` returns a value of that
-form, so an integral value is never a ``Fraction`` and never a float.  The
-sparse rows of the elimination kernel are almost all integral, and ``int``
-arithmetic is several times cheaper than ``Fraction`` arithmetic.
+form, so an integral value is never a ``Fraction`` and never a float.
+``int`` arithmetic is several times cheaper than ``Fraction`` arithmetic,
+so the elimination kernel (:class:`gradedlie.linalg.Echelon`) keeps its
+rows over Q as primitive integer vectors, eliminates them fraction-free
+and forms ``Fraction`` values only for the residues and canonical rows it
+returns; the other sparse vectors (Lie brackets, chain differentials,
+companions) are built with :meth:`RationalField.axpy`.
 Prime-field values are plain ints in ``[0, p)``.  All values are immutable,
 so they are safe to share between threads.  Containers (matrices, Lie
 elements, ...) carry the field object and guard against mixing fields at

@@ -1,18 +1,27 @@
 """Sparse exact linear algebra over a field from :mod:`gradedlie.fields`.
 
 Vectors are dicts ``{column index: nonzero scalar}``.  The one elimination
-type is :class:`Echelon`, an incremental reduced-row-echelon builder with
-deterministic pivoting (lowest column index wins, rows inserted in arrival
-order); spans are Echelons, and :class:`SparseMatrix` (rank and kernel of
-a matrix given by its columns) and :class:`ColumnSolver` are thin uses of
-it.
+type is :class:`Echelon`, an incremental echelon builder with deterministic
+pivoting (lowest column index wins, rows inserted in arrival order); spans
+are Echelons, and :class:`SparseMatrix` (rank and kernel of a matrix given
+by its columns) and :class:`ColumnSolver` are thin uses of it.
+
+An Echelon stores its rows in semi-echelon form (each row's lowest column
+is its pivot, no back-substitution on insert) and builds the canonical
+reduced row echelon form only when a caller reads canonical rows.  Over Q
+the stored rows are primitive integer vectors and elimination is
+fraction-free (Bareiss, Math. Comp. 22, 1968): a vector is cleared with
+``out = a*out - b*row``, so a rank, a pivot set or a membership test never
+touches a ``Fraction``.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Optional
 
-from .fields import Field
+from .fields import Field, RationalField
 
 
 def vec_axpy(field: Field, out: dict, a, v: dict):
@@ -21,14 +30,29 @@ def vec_axpy(field: Field, out: dict, a, v: dict):
 
 
 class Echelon:
-    """Incremental reduced row echelon form over an arbitrary exact field.
+    """Incremental row echelon form over an arbitrary exact field.
 
-    Pivot columns are chosen as the lowest index of each reduced row; the
-    stored rows are fully reduced against each other (pivot entries 1, each
-    pivot column cleared from all other rows), so the row set is the unique
-    canonical basis of the span.  Clearing one pivot column of a vector
-    never brings in another, so a vector is reduced in one pass over the
-    pivot columns in its support.
+    The stored rows are in semi-echelon form: each row's pivot is its
+    lowest column, and every row with pivot q has support >= q.  A vector
+    is reduced by clearing the pivot columns it meets in heap order,
+    pushing each pivot column a row operation brings in; a cleared column
+    never comes back, since the rows applied after it have higher pivots.
+    The residue on the non-pivot columns is unique, so :meth:`reduce`,
+    :meth:`contains` and :meth:`express` need no canonical form.
+
+    Over F_p each stored row has pivot entry 1.  Over Q an input is scaled
+    by the lcm of its denominators, eliminated in integers and stored as a
+    primitive integer row with a positive pivot entry; residues are divided
+    back by the accumulated scale, so every returned value is an ``int``
+    or a non-integral ``Fraction``.
+
+    ``rows`` and ``companions`` (``{pivot column: vector}``) and
+    :meth:`basis` are the canonical reduced row echelon form (pivot entries
+    1, each pivot column cleared from the other rows), the unique basis of
+    the span.  It is built on the first read, by clearing the higher pivot
+    columns of the rows in descending pivot order, and cached until the
+    next insert.  Readers that need only the rank, the pivot set or
+    membership never build it.
 
     Rows inserted with a companion vector (:meth:`insert`) carry it along:
     every row operation applied to a row is applied to its companion too.
@@ -37,8 +61,10 @@ class Echelon:
 
     def __init__(self, field: Field):
         self.field = field
-        self.rows: dict[int, dict] = {}  # pivot column -> row vector
-        self.companions: dict[int, dict] = {}  # pivot column -> companion
+        self._integral = isinstance(field, RationalField)
+        self._rows: dict[int, dict] = {}  # pivot column -> semi-echelon row
+        self._comps: dict[int, dict] = {}  # pivot column -> its companion
+        self._canon: Optional[tuple[dict, dict]] = None
 
     @classmethod
     def of(cls, field: Field, vectors) -> "Echelon":
@@ -50,29 +76,79 @@ class Echelon:
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     def pivots(self) -> list[int]:
-        return sorted(self.rows)
+        return sorted(self._rows)
 
-    def _clear(self, out: dict, track: Optional[dict] = None) -> list[int]:
-        """Clear the pivot columns of out in place, lowest first, applying
-        the same operations to track through the companions; return the
-        cleared columns."""
-        field, rows = self.field, self.rows
-        hits = sorted([c for c in out if c in rows])
-        for p in hits:
-            coef = field.neg(out[p])
-            vec_axpy(field, out, coef, rows[p])
-            if track is not None:
-                vec_axpy(field, track, coef, self.companions[p])
-        return hits
+    def _step(self, out: dict, track, row: dict, comp, p: int) -> int:
+        """Clear column p of out with row (pivot p), applying the same
+        operation to track with comp; return the factor out was scaled by
+        (over Q, out = a*out - b*row with a and b the pivot entries divided
+        by their gcd)."""
+        field = self.field
+        if self._integral:
+            g = gcd(row[p], out[p])
+            a, coef = row[p] // g, -(out[p] // g)
+            if a != 1:
+                for c in out:
+                    out[c] *= a
+                if track is not None:
+                    for c in track:
+                        track[c] = field.mul(a, track[c])
+        else:
+            a, coef = 1, field.neg(out[p])
+        vec_axpy(field, out, coef, row)
+        if track is not None:
+            vec_axpy(field, track, coef, comp)
+        return a
+
+    def _clear(self, vec: dict, companion: Optional[dict] = None):
+        """(out, track, scale): scale*vec and scale*companion with the pivot
+        columns of out cleared, lowest first."""
+        field, rows = self.field, self._rows
+        out, scale = dict(vec), 1
+        track = None if companion is None else dict(companion)
+        if self._integral:
+            scale = lcm(*(x.denominator for x in out.values()))
+            if scale != 1:
+                out = {c: x.numerator * (scale // x.denominator) for c, x in out.items()}
+                if track is not None:
+                    track = {c: field.mul(scale, x) for c, x in track.items()}
+        heap = [c for c in out if c in rows]
+        heapify(heap)
+        while heap:
+            p = heappop(heap)
+            if p in out:
+                row = rows[p]
+                for c in row:
+                    if c not in out and c in rows:
+                        heappush(heap, c)
+                scale *= self._step(out, track, row, self._comps.get(p), p)
+        return out, track, scale
+
+    def _unscale(self, vec: dict, scale: int) -> dict:
+        if scale == 1:
+            return vec
+        return {c: self.field.div(x, scale) for c, x in vec.items()}
+
+    def _normalise(self, out: dict, track, p: int):
+        """out and track divided by out[p] (F_p) or by the content of out,
+        signed like out[p] (Q)."""
+        field = self.field
+        if self._integral:
+            d = gcd(*out.values()) if out[p] > 0 else -gcd(*out.values())
+            row = {c: x // d for c, x in out.items()}
+            f = field.inv(d)
+        else:
+            f = field.inv(out[p])
+            row = {c: field.mul(f, x) for c, x in out.items()}
+        return row, (None if track is None else {c: field.mul(f, x) for c, x in track.items()})
 
     def reduce(self, vec: dict) -> dict:
         """Return the residue of vec modulo the current row space."""
-        out = dict(vec)
-        self._clear(out)
-        return out
+        out, _, scale = self._clear(vec)
+        return self._unscale(out, scale)
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
@@ -84,50 +160,68 @@ class Echelon:
     def insert(self, vec: dict, companion: Optional[dict] = None):
         """Insert vec carrying companion; return (pivot, companion residue).
 
-        The companion residue is what the row operations that reduce vec
-        leave of the companion.  If vec is independent it is stored,
-        normalised like vec's row, as that row's companion; if vec is
-        dependent the pivot is None and the residue is the companion minus
-        the combination of stored companions that matches vec.
+        If vec is independent it is stored with its companion and the
+        residue is None.  If vec is dependent the pivot is None and the
+        residue is the companion minus the combination of stored companions
+        that matches vec (None without a companion).
         """
-        field = self.field
-        out = dict(vec)
-        track = None if companion is None else dict(companion)
-        self._clear(out, track)
+        out, track, scale = self._clear(vec, companion)
         if not out:
-            return None, track
+            return None, (None if track is None else self._unscale(track, scale))
         p = min(out)
-        inv, mul = field.inv(out[p]), field.mul
-        row = {c: mul(inv, x) for c, x in out.items()}
-        if track is not None:
-            track = {c: mul(inv, x) for c, x in track.items()}
-        # back-substitute into existing rows to keep the reduced form
-        for q, other in self.rows.items():
-            if p in other:
-                coef = field.neg(other[p])
-                vec_axpy(field, other, coef, row)
-                if track is not None:
-                    vec_axpy(field, self.companions[q], coef, track)
-        self.rows[p] = row
-        if track is not None:
-            self.companions[p] = track
-        return p, track
+        self._rows[p], comp = self._normalise(out, track, p)
+        if comp is not None:
+            self._comps[p] = comp
+        self._canon = None
+        return p, None
+
+    def _canonical(self) -> tuple[dict, dict]:
+        if self._canon is None:
+            rows = self._rows
+            reduced: dict[int, dict] = {}
+            comps: dict[int, dict] = {}
+            for p in sorted(rows, reverse=True):
+                out = dict(rows[p])
+                track = dict(self._comps[p]) if self._comps else None
+                for q in [c for c in out if c != p and c in rows]:
+                    self._step(out, track, reduced[q], comps.get(q), q)
+                reduced[p], comp = self._normalise(out, track, p)
+                if comp is not None:
+                    comps[p] = comp
+            if self._integral:  # pivot entries to 1
+                for p, row in reduced.items():
+                    reduced[p] = self._unscale(row, row[p])
+                    if p in comps:
+                        comps[p] = self._unscale(comps[p], row[p])
+            self._canon = reduced, comps
+        return self._canon
+
+    @property
+    def rows(self) -> dict[int, dict]:
+        """Canonical rows by pivot column."""
+        return self._canonical()[0]
+
+    @property
+    def companions(self) -> dict[int, dict]:
+        """Companions of the canonical rows by pivot column."""
+        return self._canonical()[1]
 
     def basis(self) -> list[dict]:
         """Canonical basis, ordered by pivot column."""
-        return [dict(self.rows[p]) for p in sorted(self.rows)]
+        rows = self.rows
+        return [dict(rows[p]) for p in sorted(rows)]
 
     def express(self, vec: dict):
         """Coefficients of vec over the canonical basis, or None.
 
         Returns ``{pivot column: coefficient}`` such that
-        ``vec == sum(coeff * row)``.
+        ``vec == sum(coeff * row)``: the canonical rows have entry 1 at
+        their own pivot and 0 at the others, so the coefficients are vec's
+        entries at the pivot columns.
         """
-        out = dict(vec)
-        hits = self._clear(out)
-        if out:
+        if self.reduce(vec):
             return None
-        return {p: vec[p] for p in hits}
+        return {p: vec[p] for p in sorted(vec) if p in self._rows}
 
 
 class SparseMatrix:
@@ -138,13 +232,7 @@ class SparseMatrix:
         self.columns = columns
 
     def rank(self) -> int:
-        # eliminate the rows: on the CE differentials of M*N, eliminating
-        # the columns was faster on d_2 but slower on d_3 and in total
-        rows: dict[int, dict] = {}
-        for j, col in enumerate(self.columns):
-            for r, x in col.items():
-                rows.setdefault(r, {})[j] = x
-        return Echelon.of(self.field, [rows[r] for r in sorted(rows)]).rank
+        return Echelon.of(self.field, self.columns).rank
 
     def kernel(self) -> list[dict]:
         """Canonical basis of the right null space (len = columns - rank),
@@ -163,7 +251,8 @@ class ColumnSolver:
     """Solve M x = b for a sparse matrix given by column vectors.
 
     Columns are echelonized with combination tracking; solutions are
-    deterministic (free variables set to zero, lowest-index pivots).
+    deterministic (free variables set to zero, lowest-index pivots).  The
+    canonical companions are built at the first solve and then reused.
     """
 
     def __init__(self, field: Field, columns: list[dict]):
@@ -183,6 +272,7 @@ class ColumnSolver:
         if coeffs is None:
             return None
         sol: dict = {}
+        companions = self._ech.companions
         for p, c in coeffs.items():
-            vec_axpy(self.field, sol, c, self._ech.companions[p])
+            vec_axpy(self.field, sol, c, companions[p])
         return sol

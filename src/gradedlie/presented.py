@@ -476,7 +476,7 @@ class GradedEngine:
         self._pair_memo[n] = {}
         self._eval_memo[n] = {}
         ech = Echelon.of(field, rows)
-        pivots = set(ech.rows)
+        pivots = set(ech.pivots())
         basis_pos = {}
         defs = []
         mdeg = []

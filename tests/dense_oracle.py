@@ -29,6 +29,20 @@ def rank(field, rows: list[dict], ncols: int) -> int:
     return len(rref(field, rows, ncols))
 
 
+def normal_form(field, reduced: list[dict], vec: dict) -> dict:
+    """vec minus its combination of the given reduced row echelon rows
+    that clears their pivot columns."""
+    out = {c: x for c, x in vec.items() if not field.is_zero(x)}
+    for row in reduced:
+        p = min(row)
+        if p in out:
+            f = out[p]
+            for c, x in row.items():
+                out[c] = field.sub(out.get(c, field.zero), field.mul(f, x))
+            out = {c: x for c, x in out.items() if not field.is_zero(x)}
+    return out
+
+
 def combination(field, coeffs: dict, vectors) -> dict:
     """sum of coeffs[k] * vectors[k], without the kernel's axpy."""
     out: dict = {}

@@ -1,10 +1,11 @@
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_oracle import combination, null_space, rank as oracle_rank, rref
+from dense_oracle import combination, normal_form, null_space, rank as oracle_rank, rref
 from gradedlie.fields import QQ, GF
 from gradedlie.linalg import ColumnSolver, Echelon, SparseMatrix
 from oracles import intersect, quotient_basis, sum_spaces
@@ -246,5 +247,97 @@ def test_sparse_matrix_against_oracle(name):
         assert m.rank() + len(kernel) == len(columns)
         if field == QQ:
             assert all(exact_rational(x) for v in kernel for x in v.values())
+
+    check()
+
+
+# -- interleaved inserts and reads against the dense oracle -----------------
+
+VECTOR_OPS = ["insert", "add", "reduce", "contains", "express", "solve"]
+READ_OPS = ["basis", "rows", "companions"]
+
+
+def op_sequences(value):
+    vec = st.dictionaries(st.integers(0, NCOLS - 1), value, max_size=4)
+    op = st.one_of(
+        st.tuples(st.sampled_from(VECTOR_OPS), vec, value),
+        st.tuples(st.sampled_from(READ_OPS), st.just({}), value),
+    )
+    return st.tuples(st.booleans(), st.lists(op, max_size=14))
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_interleaved_echelon_against_oracle(name):
+    """Any mix of inserts and reads gives what the dense oracle gives.
+
+    With tracked=True every insert carries the companion {k: s} for the
+    k-th input and a random nonzero s, so a companion c stands for the
+    combination sum c[k] * inputs[k] / s_k of the inputs."""
+    field = FIELDS[name][0]
+    value = q_value() if field == QQ else st.integers(1, 6)
+
+    def exact(values):
+        assert field != QQ or all(exact_rational(x) for x in values)
+
+    @given(op_sequences(value))
+    @settings(max_examples=150, deadline=None)
+    def check(case):
+        tracked, ops = case
+        ech, inputs, over_s = Echelon(field), [], []
+        for op, vec, s in ops:
+            reduced = rref(field, inputs, NCOLS)
+            by_pivot = {min(row): row for row in reduced}
+            residue = normal_form(field, reduced, vec)
+            if op in ("insert", "add"):
+                k = len(inputs)
+                inputs.append(vec)
+                over_s.append({c: field.div(x, s) for c, x in vec.items()})
+                if tracked:
+                    pivot, rest = ech.insert(vec, {k: s})
+                elif op == "add":
+                    pivot, rest = ech.add(vec), None
+                else:
+                    pivot, rest = ech.insert(vec)
+                assert pivot == (min(residue) if residue else None)
+                if pivot is not None or not tracked:
+                    assert rest is None
+                else:  # the residue of a dependent input is a relation
+                    exact(rest.values())
+                    assert rest and combination(field, rest, over_s) == {}
+            elif op == "reduce":
+                got = ech.reduce(vec)
+                exact(got.values())
+                assert got == residue
+            elif op == "contains":
+                assert ech.contains(vec) == (not residue)
+            elif op == "express":
+                coeffs = ech.express(vec)
+                assert (coeffs is None) == bool(residue)
+                if coeffs is not None:
+                    exact(coeffs.values())
+                    assert combination(field, coeffs, by_pivot) == vec
+            elif op == "solve":
+                solver = ColumnSolver(field, inputs)
+                for _ in range(2):  # the second solve reads the cached form
+                    x = solver.solve(vec)
+                    assert (x is None) == bool(normal_form(field, rref(field, inputs, NCOLS), vec))
+                    if x is not None:
+                        exact(x.values())
+                        assert combination(field, x, inputs) == vec
+            elif op == "basis":
+                assert ech.basis() == reduced
+            elif op == "rows":
+                assert ech.rows == by_pivot
+                exact(x for row in ech.rows.values() for x in row.values())
+            else:
+                comps = ech.companions
+                assert sorted(comps) == (sorted(by_pivot) if tracked else [])
+                for p, comp in comps.items():
+                    exact(comp.values())
+                    assert combination(field, comp, over_s) == by_pivot[p]
+            reduced = rref(field, inputs, NCOLS)
+            assert ech.pivots() == [min(row) for row in reduced]
+            # a copy, so that the check itself leaves the cache state alone
+            assert copy.deepcopy(ech).basis() == reduced
 
     check()

@@ -7,6 +7,11 @@ and the engine dimensions with the free-algebra ideal route.  The steps
 built from generators are also compared with the basis-driven oracles
 they replaced: [I,F] without its [[I,F],x] term, induced modules from the
 subalgebra's generators, and the Leibniz check as a graph subalgebra.
+
+The same presentations, over F_7 and over Q with small integer
+coefficients, check the Chevalley-Eilenberg H_1 and H_2 against the
+presentation's h1 and the Hopf formula h2.  A Q relator that is not
+multihomogeneous gives rows with real fractions in the engine.
 """
 
 import re
@@ -15,9 +20,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedlie.envelope import Envelope, InducedModule
-from gradedlie.fields import GF
+from gradedlie.fields import GF, QQ
 from gradedlie.freelie import FreeLieAlgebra
 from gradedlie.graphalg import GraphError, LieDerivation
+from gradedlie.homology import homology_table
 from gradedlie.presented import PresentedLieAlgebra
 from oracles import (
     all_pairs_commutator_rank,
@@ -33,18 +39,24 @@ N = 5
 
 def homogeneous(draw, free: FreeLieAlgebra, weight: int):
     basis = free.hall_basis(weight)
-    coeffs = draw(st.lists(st.integers(0, 6), min_size=len(basis), max_size=len(basis)))
-    return free.from_terms({m: F7.of(c) for m, c in zip(basis, coeffs) if c})
+    values = st.integers(0, 6) if free.field == F7 else st.integers(-3, 3)
+    coeffs = draw(st.lists(values, min_size=len(basis), max_size=len(basis)))
+    return free.from_terms({m: free.field.of(c) for m, c in zip(basis, coeffs) if c})
+
+
+@st.composite
+def presentations(draw, field=F7):
+    weights = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))
+    gens = [(f"g{i}", w) for i, w in enumerate(weights)]
+    free = FreeLieAlgebra(field, gens)
+    rels = [homogeneous(draw, free, draw(st.integers(1, 3))) for _ in range(draw(st.integers(0, 2)))]
+    return PresentedLieAlgebra(field, gens, [r for r in rels if not r.is_zero()], free=free)
 
 
 @st.composite
 def presentations_with_subalgebra(draw):
-    weights = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))
-    gens = [(f"g{i}", w) for i, w in enumerate(weights)]
-    free = FreeLieAlgebra(F7, gens)
-    rels = [homogeneous(draw, free, draw(st.integers(1, 3))) for _ in range(draw(st.integers(0, 2)))]
-    L = PresentedLieAlgebra(F7, gens, [r for r in rels if not r.is_zero()], free=free)
-    sub = [homogeneous(draw, free, draw(st.integers(1, 3))) for _ in range(draw(st.integers(1, 3)))]
+    L = draw(presentations())
+    sub = [homogeneous(draw, L.free, draw(st.integers(1, 3))) for _ in range(draw(st.integers(1, 3)))]
     return L, [e for e in sub if not e.is_zero()]
 
 
@@ -101,3 +113,22 @@ def test_graph_leibniz_check_matches_all_pairs(inner, case, data):
     assert leibniz_failure(d, 4) == expected
     if inner:
         assert expected is None
+
+
+FIELDS = {"F7": F7, "Q": QQ}
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_ce_h1_matches_presentation_h1(name, data):
+    L = data.draw(presentations(FIELDS[name]))
+    assert homology_table(L, 1, N)[1][1:] == L.h1(N)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_ce_h2_matches_hopf_h2(name, data):
+    L = data.draw(presentations(FIELDS[name]))
+    assert homology_table(L, 2, N)[2][1:] == L.h2_hopf(N)
