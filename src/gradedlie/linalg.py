@@ -257,7 +257,6 @@ class ColumnSolver:
 
     def __init__(self, field: Field, columns: list[dict]):
         self.field = field
-        self.columns = columns
         self._ech = Echelon(field)
         for j, col in enumerate(columns):
             self._ech.insert(col, {j: field.one})

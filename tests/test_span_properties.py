@@ -11,7 +11,7 @@ subalgebra's generators, and the Leibniz check as a graph subalgebra.
 The same presentations, over F_7 and over Q with small integer
 coefficients, check the Chevalley-Eilenberg H_1 and H_2 against the
 presentation's h1 and the Hopf formula h2.  A Q relator that is not
-multihomogeneous gives rows with real fractions in the engine.
+multihomogeneous can give rows with real fractions in the engine.
 """
 
 import re
