@@ -320,7 +320,7 @@ def test_interleaved_echelon_against_oracle(name):
                 solver = ColumnSolver(field, inputs)
                 for _ in range(2):  # the second solve reads the cached form
                     x = solver.solve(vec)
-                    assert (x is None) == bool(normal_form(field, rref(field, inputs, NCOLS), vec))
+                    assert (x is None) == bool(residue)
                     if x is not None:
                         exact(x.values())
                         assert combination(field, x, inputs) == vec
