@@ -10,9 +10,9 @@ An Echelon stores its rows in semi-echelon form (each row's lowest column
 is its pivot, no back-substitution on insert) and builds the canonical
 reduced row echelon form only when a caller reads canonical rows.  Over Q
 the stored rows are primitive integer vectors and elimination is
-fraction-free (Bareiss, Math. Comp. 22, 1968): a vector is cleared with
-``out = a*out - b*row``, so a rank, a pivot set or a membership test never
-touches a ``Fraction``.
+fraction-free (compare Bareiss, Math. Comp. 22, 1968): a vector is cleared
+with ``out = a*out - b*row``, so the elimination behind a rank, a pivot set
+or a membership test does no ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
