@@ -1,12 +1,14 @@
-"""Graded universal enveloping algebras: PBW bases, Hilbert series,
-straightening products, and induced modules k (x)_{U(S)} U(L).
+"""Graded universal enveloping algebras: PBW bases, straightening
+products, and induced modules k (x)_{U(S)} U(L).
 
 PBW monomials are nondecreasing tuples of graded basis keys (weight, index)
 of the underlying presented Lie algebra, ordered by key.  Products are
 straightened by swapping adjacent out-of-order factors, emitting bracket
-lower-order terms from the structure-constant tables; the (monomial,
-factor) table is memoized per algebra.  Only truncated degrees are ever
-materialized, so simplicity wins over asymptotic cleverness here.
+lower-order terms from the structure-constant tables; the straightened
+(monomial, factor) products are memoized per algebra.  Only truncated
+degrees are ever materialized, so simplicity wins over asymptotic
+cleverness here.  The Hilbert series of U(L) is
+`PresentedLieAlgebra.enveloping_series`.
 
 An induced module is realized as the quotient U(L)/(S.U(L)) by the right
 ideal generated by a graded subalgebra S; its graded dimension must equal
@@ -83,22 +85,23 @@ class Envelope:
         """Right multiplication: (PBW monomial) . (basis element key).
 
         Returns a combination of PBW monomials of weight w(mono) + w(key).
+        A product already in PBW order is built fresh; only straightened
+        products are memoised.
         """
+        field = self.field
+        if not mono or mono[-1] <= key:
+            return {mono + (key,): field.one}
         got = self._mult_memo.get((mono, key))
         if got is not None:
             return got
-        field = self.field
-        if not mono or mono[-1] <= key:
-            out = {mono + (key,): field.one}
-        else:
-            prefix, last = mono[:-1], mono[-1]
-            # (p.last).z = (p.z).last + p.[last,z]
-            out = {}
-            for m, c in self.mult_by_key(prefix, key).items():
-                field.axpy(out, c, self.mult_by_key(m, last))
-            bracket = self.algebra.engine.pair(last, key)
-            for i, c in bracket.items():
-                field.axpy(out, c, self.mult_by_key(prefix, (last[0] + key[0], i)))
+        prefix, last = mono[:-1], mono[-1]
+        # (p.last).z = (p.z).last + p.[last,z]
+        out = {}
+        for m, c in self.mult_by_key(prefix, key).items():
+            field.axpy(out, c, self.mult_by_key(m, last))
+        bracket = self.algebra.engine.pair(last, key)
+        for i, c in bracket.items():
+            field.axpy(out, c, self.mult_by_key(prefix, (last[0] + key[0], i)))
         self._mult_memo[(mono, key)] = out
         return out
 
@@ -134,11 +137,6 @@ class Envelope:
             if self.mono_weight(m) == n:
                 out[index[m]] = c
         return out
-
-
-def hilbert_series(P: PresentedLieAlgebra, N: int) -> HilbertSeries:
-    """Hilbert series of U(P) via the PBW product formula."""
-    return HilbertSeries.from_graded_dims(P.dim_sequence(N), N)
 
 
 class InducedModule:
@@ -240,7 +238,7 @@ def induced_module_dims(
             raise ValueError("nonzero source with no image subalgebra")
     module = InducedModule(env, image)
     explicit = module.dims(N)
-    hl = hilbert_series(env.algebra, N)
+    hl = env.algebra.enveloping_series(N)
     hs = HilbertSeries.from_graded_dims(src_dims, N)
     series = hl.divide(hs)
     if series.coeffs != explicit:

@@ -232,7 +232,6 @@ class GradedEngine:
         self.gens = algebra.generators
         self._built = 0
         self._defs: dict[int, list] = {}        # n -> list of candidate keys
-        self._mdeg: dict[int, list] = {}        # n -> list of content tuples
         self._cand_red: dict[int, dict] = {}    # n -> {cand key: vector}
         self._gen_red: list = [None] * len(self.gens)
         self._gen_alive: list = [False] * len(self.gens)
@@ -242,26 +241,6 @@ class GradedEngine:
         self._relators_by_weight: dict[int, list] = {}
         for r in algebra.relators:
             self._relators_by_weight.setdefault(r.weight(), []).append(r)
-        self.multigraded = self._check_multigraded()
-
-    def _check_multigraded(self) -> bool:
-        free = self.algebra.free
-        for r in self.algebra.relators:
-            contents = {self._monomial_content(free, m) for m in r.terms}
-            if len(contents) > 1:
-                return False
-        return True
-
-    def _monomial_content(self, free, mid) -> tuple:
-        counts = [0] * len(self.gens)
-        stack = [mid]
-        while stack:
-            m = stack.pop()
-            if free.is_generator(m):
-                counts[free.gen_index[free.generator_of(m).name]] += 1
-            else:
-                stack.extend(free.factors(m))
-        return tuple(counts)
 
     # -- public queries ----------------------------------------------------
 
@@ -274,12 +253,6 @@ class GradedEngine:
             return 0
         self.build_to(n)
         return len(self._defs[n])
-
-    def basis_mdeg(self, n: int) -> list:
-        if not self.multigraded:
-            raise PresentationError("algebra is not multigraded")
-        self.build_to(n)
-        return self._mdeg[n]
 
     def gen_reduction(self, gi: int) -> dict:
         self.build_to(self.gens[gi].weight)
@@ -479,21 +452,10 @@ class GradedEngine:
         pivots = set(ech.pivots())
         basis_pos = {}
         defs = []
-        mdeg = []
         for i, c in enumerate(cands):
             if i not in pivots:
                 basis_pos[i] = len(defs)
                 defs.append(c)
-                if self.multigraded:
-                    if c[0] == "gen":
-                        t = [0] * len(self.gens)
-                        t[c[1]] = 1
-                        mdeg.append(tuple(t))
-                    else:
-                        (m, bi), gi = c
-                        t = list(self._mdeg[m][bi])
-                        t[gi] += 1
-                        mdeg.append(tuple(t))
         red = {}
         for i, c in enumerate(cands):
             if i in pivots:
@@ -507,7 +469,6 @@ class GradedEngine:
             else:
                 red[c] = {basis_pos[i]: one}
         self._defs[n] = defs
-        self._mdeg[n] = mdeg
         self._cand_red[n] = red
         for gi, g in enumerate(self.gens):
             if g.weight == n:

@@ -6,7 +6,6 @@ from gradedlie.envelope import (
     EmbeddingError,
     Envelope,
     InducedModule,
-    hilbert_series,
     induced_module_dims,
 )
 from gradedlie.fields import GF, QQ, FieldError
@@ -17,18 +16,18 @@ from gradedlie.series import HilbertSeries
 
 def test_hilbert_abelian():
     L = PresentedLieAlgebra(QQ, ["x", "y"], ["[x,y]"])
-    assert hilbert_series(L, 6).coeffs == [1, 2, 3, 4, 5, 6, 7]
+    assert L.enveloping_series(6).coeffs == [1, 2, 3, 4, 5, 6, 7]
 
 
 def test_hilbert_free2():
     L = PresentedLieAlgebra(QQ, ["x", "y"])
-    assert hilbert_series(L, 8).coeffs == [2**n for n in range(9)]
+    assert L.enveloping_series(8).coeffs == [2**n for n in range(9)]
 
 
 def test_hilbert_m_star_n():
     L = PresentedLieAlgebra(QQ, ["a", "b", "x"], ["[a,b]"])
     expected = HilbertSeries([1, -3, 1], 8).inverse()
-    assert hilbert_series(L, 8) == expected
+    assert L.enveloping_series(8) == expected
     assert expected.coeffs[:5] == [1, 3, 8, 21, 55]
 
 
@@ -45,7 +44,7 @@ def test_hilbert_m_star_n():
 def test_pbw_count_matches_series(gens, rels):
     L = PresentedLieAlgebra(QQ, gens, rels)
     env = Envelope(L)
-    series = hilbert_series(L, 8)
+    series = L.enveloping_series(8)
     for n in range(9):
         assert env.pbw_dim(n) == series[n]
 
@@ -101,7 +100,7 @@ def test_induced_module_trivial_cases():
     assert dims == [1, 0, 0, 0, 0, 0, 0]
     # S = 0: the module is U(L) itself
     dims0, _ = induced_module_dims(env, None, None, 6)
-    assert dims0 == hilbert_series(L, 6).coeffs
+    assert dims0 == L.enveloping_series(6).coeffs
 
 
 def test_induced_module_amalgam_generator():

@@ -240,13 +240,3 @@ def test_zero_generator_presentation():
     Z = PresentedLieAlgebra(QQ, [], [])
     assert Z.dim_sequence(4) == [0, 0, 0, 0]
 
-
-def test_multigraded_flag():
-    raag = PresentedLieAlgebra(QQ, ["a", "b", "c"], ["[a,b]", "[b,c]"])
-    assert raag.engine.multigraded
-    raag.engine.build_to(4)
-    for n in range(1, 5):
-        for t in raag.engine.basis_mdeg(n):
-            assert sum(t) == n
-    mixed = PresentedLieAlgebra(QQ, ["a", "b", "x"], ["[x,a]-[x,b]"])
-    assert not mixed.engine.multigraded
