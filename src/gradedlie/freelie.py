@@ -303,12 +303,7 @@ class LieElement:
         self._check(other)
         field = self.algebra.field
         out = dict(self.terms)
-        for m, v in other.terms.items():
-            s = field.add(out.get(m, field.zero), v)
-            if field.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
+        field.axpy(out, field.one, other.terms)
         return LieElement(self.algebra, out)
 
     def __sub__(self, other: "LieElement") -> "LieElement":
@@ -331,15 +326,10 @@ class LieElement:
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                c = field.mul(c1, c2)
-                if field.is_zero(c):
-                    continue
-                for m, icoef in alg._ibracket(m1, m2).items():
-                    v = field.add(out.get(m, field.zero), field.mul(c, field.of(icoef)))
-                    if field.is_zero(v):
-                        out.pop(m, None)
-                    else:
-                        out[m] = v
+                # the integer rewriting coefficients can vanish in F_p, and
+                # axpy takes nonzero field entries only
+                images = ((m, field.of(i)) for m, i in alg._ibracket(m1, m2).items())
+                field.axpy(out, field.mul(c1, c2), {m: x for m, x in images if x})
         return LieElement(alg, out)
 
     def __eq__(self, other):

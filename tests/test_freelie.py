@@ -216,3 +216,20 @@ def test_substitution_composes_and_coerces():
     f5 = FreeLieAlgebra(GF(5), ["a", "b"])
     reduce = substitution(tgt, f5, {"a": f5.parse("a"), "b": f5.parse("b")})
     assert reduce(tgt.parse("1/2*[a,[a,b]]")) == f5.parse("3*[a,[a,b]]")
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_bracket_drops_rewriting_coefficients_that_vanish_mod_p(p):
+    # Hall rewriting of [x,[y,[y,[x,[x,y]]]]] has an integer coefficient 2,
+    # which is zero in F_2: no stored zeros, and the F_p result is the Q
+    # result reduced mod p
+    def nested(field):
+        A = FreeLieAlgebra(field, ["x", "y"])
+        x, y = A.gen_element("x"), A.gen_element("y")
+        return x.bracket(y.bracket(y.bracket(x.bracket(x.bracket(y)))))
+
+    over_q = nested(QQ)
+    over_p = nested(GF(p))
+    assert 2 in over_q.terms.values()
+    assert all(over_p.terms.values())
+    assert over_p.terms == {m: c % p for m, c in over_q.terms.items() if c % p}
