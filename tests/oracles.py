@@ -2,11 +2,12 @@
 
 Each one recomputes something the library computes another way (commuting
 pairs by exhaustive enumeration, chordality by induced-cycle search over
-every labeled graph, Mayer-Vietoris exactness from dimensions alone, Hall
-monomial chains, subspace sums and intersections, d o d = 0 on the CE
-complex, bracket closures over all pairs of lower components, the Leibniz
-check over all pairs, induced modules from a basis of the subalgebra,
-[I,F] with its redundant [[I,F],x] term), so a test can compare the two.
+every labeled graph, d o d = 0 on the RAAG resolution, Mayer-Vietoris
+exactness from dimensions alone, Hall monomial chains, subspace sums and
+intersections, d o d = 0 on the CE complex, bracket closures over all
+pairs of lower components, the Leibniz check over all pairs, induced
+modules from a basis of the subalgebra, [I,F] with its redundant [[I,F],x]
+term), so a test can compare the two.
 """
 
 from __future__ import annotations
@@ -70,6 +71,21 @@ def all_labeled_graphs(n: int) -> list[SimpleGraph]:
 
 def brute_force_chordal(graph: SimpleGraph) -> bool:
     return find_induced_cycle(graph) is None
+
+
+def resolution_d_squared_failure(res, N: int):
+    """First (weight, position, cell) with d(d(cell)) != 0 in the RAAG
+    resolution `res`, over every cell of weight <= N; None if d o d = 0."""
+    field = res.field
+    for m in range(N + 1):
+        for j in range(2, min(res.max_position(), m) + 1):
+            for cell in res.module_basis(j, m):
+                out: dict = {}
+                for low, c in res.boundary(*cell).items():
+                    field.axpy(out, c, res.boundary(*low))
+                if out:
+                    return m, j, cell
+    return None
 
 # ----------------------------------------------------------------------
 # Mayer-Vietoris

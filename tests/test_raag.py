@@ -13,7 +13,7 @@ from gradedlie.raag import (
     verify_resolution,
 )
 from gradedlie.series import HilbertSeries
-from oracles import all_labeled_graphs, brute_force_chordal
+from oracles import all_labeled_graphs, brute_force_chordal, resolution_d_squared_failure
 
 
 def path(n):
@@ -131,6 +131,46 @@ def test_resolution_exactness_corpus_small():
     ]:
         report = verify_resolution(g, 5)
         assert report.ok, (g, report.failures[:3])
+
+
+def diamond():
+    # K4 minus the edge v1-v4: two triangles sharing the edge v2-v3
+    g = complete(4)
+    return SimpleGraph(g.vertices, [tuple(e) for e in g.edges if e != frozenset(("v1", "v4"))])
+
+
+def unsigned_boundary(self, w, mono):
+    """RaagResolution.boundary without the sign (-1)^(r-1)."""
+    out: dict = {}
+    for v in w:
+        rest = tuple(x for x in w if x != v)
+        prod = self.env.mult_mono((self._gen_keys[v],), mono)
+        self.field.axpy(out, self.field.one, {(rest, m2): c for m2, c in prod.items()})
+    return out
+
+
+@pytest.mark.parametrize(
+    "graph,top",
+    [(cycle(4), 2), (cycle(5), 2), (path(4), 2), (diamond(), 3), (complete(3), 3)],
+    ids=["C4", "C5", "P4", "diamond", "K3"],
+)
+def test_resolution_d_squared_vanishes(graph, top):
+    res = RaagResolution(graph)
+    assert res.max_position() == top
+    assert resolution_d_squared_failure(res, 5) is None
+
+
+def test_exactness_check_detects_a_dropped_sign(monkeypatch):
+    res = RaagResolution(complete(3))
+    assert not res.verify_exactness(4).failures
+    monkeypatch.setattr(RaagResolution, "boundary", unsigned_boundary)
+    res = RaagResolution(complete(3))
+    assert resolution_d_squared_failure(res, 4)[:2] == (2, 2)
+    report = res.verify_exactness(4)
+    # in weight 3, d_2 gains rank: r_1 + r_2 = 10 + 9 exceeds dim P_1 = 18
+    assert report.failures[0] == (3, 1, 18, 10, 9)
+    assert [f[:2] for f in report.failures] == [(3, 1), (3, 2), (4, 1), (4, 2)]
+    assert not report.ok
 
 
 def test_koszul_for_complete_graphs():

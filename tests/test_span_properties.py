@@ -10,8 +10,11 @@ subalgebra's generators, and the Leibniz check as a graph subalgebra.
 
 The same presentations, over F_7 and over Q with small integer
 coefficients, check the Chevalley-Eilenberg H_1 and H_2 against the
-presentation's h1 and the Hopf formula h2.  A Q relator that is not
-multihomogeneous can give rows with real fractions in the engine.
+presentation's h1 and the Hopf formula h2, and the PBW monomial counts
+against the enveloping series.  A Q relator that is not multihomogeneous
+can give rows with real fractions in the engine.  Over F_7 the explicit
+induced module k (x)_{U(S)} U(L) of a random subalgebra S, presented by
+`infer_presentation`, has the dimensions of the series quotient.
 """
 
 import re
@@ -19,12 +22,12 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedlie.envelope import Envelope, InducedModule
+from gradedlie.envelope import Envelope, InducedModule, induced_module_dims
 from gradedlie.fields import GF, QQ
 from gradedlie.freelie import FreeLieAlgebra
 from gradedlie.graphalg import GraphError, LieDerivation
 from gradedlie.homology import homology_table
-from gradedlie.presented import PresentedLieAlgebra
+from gradedlie.presented import PresentedLieAlgebra, infer_presentation
 from oracles import (
     all_pairs_commutator_rank,
     all_pairs_leibniz_failure,
@@ -86,6 +89,17 @@ def test_generator_steps_match_basis_oracles(case):
         assert module.quotient_basis(n) == basis_product_quotient_basis(module.env, S, n)
 
 
+@given(presentations_with_subalgebra())
+@settings(max_examples=20, deadline=None)
+def test_induced_module_dims_match_series_quotient(case):
+    L, sub_gens = case
+    S = L.subalgebra(sub_gens)
+    source = infer_presentation(S, 4, strict_boundary=False).presentation
+    explicit, _ = induced_module_dims(Envelope(L), source, S, 4)
+    quotient = L.enveloping_series(4).divide(source.enveloping_series(4))
+    assert explicit == quotient.coeffs
+
+
 def leibniz_failure(d: LieDerivation, n: int):
     """The weight named by validate_leibniz's error, or None if it passes."""
     try:
@@ -132,3 +146,13 @@ def test_ce_h1_matches_presentation_h1(name, data):
 def test_ce_h2_matches_hopf_h2(name, data):
     L = data.draw(presentations(FIELDS[name]))
     assert homology_table(L, 2, N)[2][1:] == L.h2_hopf(N)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_pbw_counts_match_enveloping_series(name, data):
+    L = data.draw(presentations(FIELDS[name]))
+    series = L.enveloping_series(N)
+    env = Envelope(L)
+    assert [env.pbw_dim(n) for n in range(N + 1)] == series.coeffs
