@@ -23,6 +23,7 @@ command line; see :func:`parse_field`.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class FieldError(ValueError):
@@ -105,6 +106,16 @@ class Field:
 
     def __repr__(self):
         return self.name
+
+
+def integral(vec: dict) -> tuple:
+    """(numerators, den) with vec = numerators/den, den the lcm of the
+    denominators of vec's values; vec itself and 1 if vec is integral
+    (always so over F_p)."""
+    den = lcm(*(x.denominator for x in vec.values()))
+    if den == 1:
+        return vec, 1
+    return {c: x.numerator * (den // x.denominator) for c, x in vec.items()}, den
 
 
 def _q(x):

@@ -18,10 +18,10 @@ or a membership test does no ``Fraction`` arithmetic.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 from typing import Optional
 
-from .fields import Field, RationalField
+from .fields import Field, RationalField, integral
 
 
 def vec_axpy(field: Field, out: dict, a, v: dict):
@@ -107,14 +107,11 @@ class Echelon:
         """(out, track, scale): scale*vec and scale*companion with the pivot
         columns of out cleared, lowest first."""
         field, rows = self.field, self._rows
-        out, scale = dict(vec), 1
+        out, scale = integral(vec) if self._integral else (vec, 1)
+        out = dict(out) if scale == 1 else out
         track = None if companion is None else dict(companion)
-        if self._integral:
-            scale = lcm(*(x.denominator for x in out.values()))
-            if scale != 1:
-                out = {c: x.numerator * (scale // x.denominator) for c, x in out.items()}
-                if track is not None:
-                    track = {c: field.mul(scale, x) for c, x in track.items()}
+        if scale != 1 and track is not None:
+            track = {c: field.mul(scale, x) for c, x in track.items()}
         heap = [c for c in out if c in rows]
         heapify(heap)
         while heap:

@@ -29,9 +29,10 @@ Presentation file format::
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .fields import Field, check_same_field, parse_field
+from .fields import Field, check_same_field, integral, parse_field
 from .freelie import FreeLieAlgebra, LieElement, witt_dims
 from .linalg import Echelon, SparseMatrix
 from .series import HilbertSeries
@@ -224,6 +225,22 @@ class GradedEngine:
     the rows are written the weight-n memos, which hold candidate
     coordinates, are reset, and after elimination the real reduction
     replaces the identity map.
+
+    Every internal vector (reductions, memo entries, bracket results) is a
+    pair ``(numerators, den)`` with value numerators/den: over Q the
+    numerators are ``int`` and :func:`_addto` brings two vectors to a common
+    denominator, so the bracket recursion does no ``Fraction`` arithmetic;
+    over F_p den is 1 or -1.  The constraint rows go to the echelon as
+    numerators, and a reduction is read off a canonical row once, as
+    ``(-row*L, L)`` with L the lcm of the row's denominators.  The public
+    queries return canonical ``int``/``Fraction`` (or residue) dicts.
+
+    ``_pair_memo[n]`` keeps one orientation, (p, q) with p < q, and
+    [b_q, b_p] is read as the same numerators over -den, so the sign costs
+    no second dict.  While weight n is built a value in candidate
+    coordinates depends on the orientation its recursion expanded, so a
+    miss computes the orientation asked for, and that first value defines
+    both orientations for the rest of the build.
     """
 
     def __init__(self, algebra: PresentedLieAlgebra):
@@ -256,17 +273,17 @@ class GradedEngine:
 
     def gen_reduction(self, gi: int) -> dict:
         self.build_to(self.gens[gi].weight)
-        return self._gen_red[gi]
+        return self._value(*self._gen_red[gi])
 
     def pair(self, p: tuple, q: tuple) -> dict:
         """Structure constants [b_p, b_q] as a vector over basis[wp+wq]."""
         self.build_to(p[0] + q[0])
-        return self._pair(p, q)
+        return self._value(*self._pair(p, q))
 
     def bracket_vec(self, wa: int, va: dict, wb: int, vb: dict) -> dict:
         """Bracket of two coordinate vectors; result over basis[wa+wb]."""
         self.build_to(wa + wb)
-        return self._bracket(wa, va, wb, vb)
+        return self._value(*self._bracket(wa, integral(va), wb, integral(vb)))
 
     def evaluate(self, elem: LieElement) -> tuple[int, dict]:
         """Image of a homogeneous free-algebra element in engine coordinates."""
@@ -278,11 +295,7 @@ class GradedEngine:
         if w is None:
             raise PresentationError("inhomogeneous element")
         self.build_to(w)
-        field = self.field
-        out: dict = {}
-        for mid, coef in elem.terms.items():
-            field.axpy(out, coef, self._eval_monomial(mid))
-        return w, out
+        return w, self._value(*self._eval_terms(elem.terms))
 
     def commutator_rank(self, n: int) -> int:
         """dim of ([L,L])_n = sum over generators x of [L_{n-w(x)}, x]."""
@@ -290,19 +303,37 @@ class GradedEngine:
         if got is not None:
             return got
         self.build_to(n)
-        one = self.field.one
 
         def units(m):
-            return [{i: one} for i in range(len(self._defs[m]))]
+            return [({i: 1}, 1) for i in range(len(self._defs[m]))]
 
-        gens = [(g.weight, red) for g, red in zip(self.gens, self._gen_red) if red]
-        rank = add_brackets(Echelon(self.field), units, gens, n, self._bracket).rank
+        def bracket(m, v, w, g):
+            return self._bracket(m, v, w, g)[0]
+
+        gens = [(g.weight, red) for g, red in zip(self.gens, self._gen_red) if red and red[0]]
+        rank = add_brackets(Echelon(self.field), units, gens, n, bracket).rank
         self._commutator_rank[n] = rank
         return rank
 
     # -- internals ----------------------------------------------------------
 
-    def _eval_monomial(self, mid: int) -> dict:
+    def _value(self, vec: dict, den: int) -> dict:
+        """The canonical dict of vec/den; vec itself when den is 1."""
+        if den == 1:
+            return vec
+        div = self.field.div
+        return {c: div(x, den) for c, x in vec.items()}
+
+    def _eval_terms(self, terms: dict) -> tuple:
+        """(numerators, den) of a homogeneous combination of monomials."""
+        field = self.field
+        out, den = {}, 1
+        for mid, coef in terms.items():
+            vec, dv = self._eval_monomial(mid)
+            den = _addto(field, out, den, coef.numerator, vec, dv * coef.denominator)
+        return out, den
+
+    def _eval_monomial(self, mid: int) -> tuple:
         free = self.algebra.free
         memo = self._eval_memo[free.weight(mid)]
         got = memo.get(mid)
@@ -313,54 +344,74 @@ class GradedEngine:
             vec = self._cand_red[g.weight][("gen", free.gen_index[g.name])]
         else:
             l, r = free.factors(mid)
-            vl = self._eval_monomial(l)
-            vr = self._eval_monomial(r)
-            vec = self._bracket(free.weight(l), vl, free.weight(r), vr)
+            vec = _reduced(*self._bracket(
+                free.weight(l), self._eval_monomial(l), free.weight(r), self._eval_monomial(r)
+            ))
         memo[mid] = vec
         return vec
 
-    def _bracket(self, wa: int, va: dict, wb: int, vb: dict) -> dict:
+    def _bracket(self, wa: int, a: tuple, wb: int, b: tuple) -> tuple:
+        (va, da), (vb, db) = a, b
         field = self.field
+        axpy = field.axpy
         memo = self._pair_memo[wa + wb]  # memo hits skip the _pair call
-        out: dict = {}
+        out, den = {}, 1
         for ia, ca in va.items():
+            p = (wa, ia)
             for ib, cb in vb.items():
-                c = field.mul(ca, cb)
-                if field.is_zero(c):
-                    continue
-                pq = ((wa, ia), (wb, ib))
-                vec = memo.get(pq)
-                field.axpy(out, c, self._pair(*pq) if vec is None else vec)
-        return out
+                q = (wb, ib)
+                if p < q:
+                    vec, dv = memo.get((p, q)) or self._pair(p, q)
+                else:
+                    got = memo.get((q, p))
+                    vec, dv = self._pair(p, q) if got is None else (got[0], -got[1])
+                if den == dv == 1:
+                    axpy(out, ca * cb, vec)
+                else:
+                    den = _addto(field, out, den, ca * cb, vec, dv)
+        return out, den * da * db
 
-    def _pair(self, p: tuple, q: tuple) -> dict:
+    def _pair(self, p: tuple, q: tuple) -> tuple:
         if p == q:
-            return {}
+            return {}, 1
         n = p[0] + q[0]
         memo = self._pair_memo[n]
-        got = memo.get((p, q))
-        if got is not None:
-            return got
+        if p < q:
+            got = memo.get((p, q))
+            if got is not None:
+                return got
+        else:
+            got = memo.get((q, p))
+            if got is not None:
+                return got[0], -got[1]
         field = self.field
         red = self._cand_red[n]
         defs_q = self._defs[q[0]][q[1]]
         if defs_q[0] == "gen":
-            res = dict(red[(p, defs_q[1])])
+            res, den = red[(p, defs_q[1])]
         else:
             # q = [b', x_z]: [p,q] = [[p,b'],z] - [[p,z],b']
             bprime, gz = defs_q
             wz = self.gens[gz].weight
-            u = self._pair(p, bprime)  # over basis[n - wz]
-            res: dict = {}
+            u, du = self._pair(p, bprime)  # over basis[n - wz]
+            res, den = {}, 1
             for i, c in u.items():
-                field.axpy(res, c, red[((n - wz, i), gz)])
-            w2 = self._cand_red[p[0] + wz][(p, gz)]
+                vec, dv = red[((n - wz, i), gz)]
+                if den == dv == 1:
+                    field.axpy(res, c, vec)
+                else:
+                    den = _addto(field, res, den, c, vec, dv)
+            den *= du
+            w2, d2 = self._cand_red[p[0] + wz][(p, gz)]
             for j, c in w2.items():
-                sub = self._pair((p[0] + wz, j), bprime)
-                field.axpy(res, field.neg(c), sub)
-        memo[(p, q)] = res
-        memo[(q, p)] = {k: field.neg(v) for k, v in res.items()}
-        return res
+                sub, ds = self._pair((p[0] + wz, j), bprime)
+                den = _addto(field, res, den, -c, sub, ds * d2)
+            res, den = _reduced(res, den)
+        if p < q:
+            memo[(p, q)] = res, den
+        else:
+            memo[(q, p)] = res, -den
+        return res, den
 
     def _candidates(self, n: int) -> list:
         # bracket candidates only pair with surviving generators; a dead
@@ -383,7 +434,7 @@ class GradedEngine:
         cands = self._candidates(n)
         pos = {c: i for i, c in enumerate(cands)}
         # candidate coordinates for weight n until the rows are written
-        self._cand_red[n] = {c: {i: one} for i, c in enumerate(cands)}
+        self._cand_red[n] = {c: ({i: 1}, 1) for i, c in enumerate(cands)}
         self._pair_memo[n] = {}
         self._eval_memo[n] = {}
 
@@ -397,12 +448,12 @@ class GradedEngine:
         ]
         for a in range(len(live)):
             gi, g = live[a]
-            idx_i = next(iter(self._gen_red[gi]))
+            idx_i = next(iter(self._gen_red[gi][0]))
             for b in range(a, len(live)):
                 gj, h = live[b]
                 if g.weight + h.weight != n:
                     continue
-                idx_j = next(iter(self._gen_red[gj]))
+                idx_j = next(iter(self._gen_red[gj][0]))
                 if gi == gj:
                     row = {pos[((g.weight, idx_i), gi)]: one}
                 else:
@@ -427,20 +478,19 @@ class GradedEngine:
                     jq_start = ip + 1 if dq == dp else 0
                     for iq in range(jq_start, len(self._defs[dq])):
                         q = (dq, iq)
-                        row = self._bracket(dp + dq, self._pair(p, q), wx, red_x)
-                        u = self._bracket(dq, {iq: one}, wx, red_x)
-                        if u:
-                            field.axpy(row, one, self._bracket(dq + wx, u, dp, {ip: one}))
-                        v = self._bracket(wx, red_x, dp, {ip: one})
-                        if v:
-                            field.axpy(row, one, self._bracket(wx + dp, v, dq, {iq: one}))
+                        unit_p, unit_q = ({ip: 1}, 1), ({iq: 1}, 1)
+                        row, den = self._bracket(dp + dq, self._pair(p, q), wx, red_x)
+                        u = self._bracket(dq, unit_q, wx, red_x)
+                        if u[0]:
+                            den = _addto(field, row, den, 1, *self._bracket(dq + wx, u, dp, unit_p))
+                        v = self._bracket(wx, red_x, dp, unit_p)
+                        if v[0]:
+                            den = _addto(field, row, den, 1, *self._bracket(wx + dp, v, dq, unit_q))
                         if row:
                             rows.append(row)
         # relators of weight n
         for r in self._relators_by_weight.get(n, []):
-            row: dict = {}
-            for mid, coef in r.terms.items():
-                field.axpy(row, coef, self._eval_monomial(mid))
+            row = self._eval_terms(r.terms)[0]
             if row:
                 rows.append(row)
 
@@ -460,14 +510,13 @@ class GradedEngine:
         for i, c in enumerate(cands):
             if i in pivots:
                 row = ech.rows[i]
-                vec = {}
-                for j, coef in row.items():
-                    if j == i:
-                        continue
-                    vec[basis_pos[j]] = field.neg(coef)
-                red[c] = vec
+                den = lcm(*(x.denominator for x in row.values()))
+                red[c] = {
+                    basis_pos[j]: field.neg(x.numerator * (den // x.denominator))
+                    for j, x in row.items() if j != i
+                }, den
             else:
-                red[c] = {basis_pos[i]: one}
+                red[c] = {basis_pos[i]: 1}, 1
         self._defs[n] = defs
         self._cand_red[n] = red
         for gi, g in enumerate(self.gens):
@@ -475,6 +524,30 @@ class GradedEngine:
                 self._gen_red[gi] = red[("gen", gi)]
                 self._gen_alive[gi] = pos[("gen", gi)] not in pivots
         self._built = n
+
+
+def _addto(field: Field, out: dict, den: int, a, v: dict, dv: int) -> int:
+    """In place out/den += a*v/dv for numerators (ints over Q); return the
+    new den.  out is rescaled to lcm(den, dv) only when dv does not divide
+    den, which never happens over F_p (every den there is 1 or -1)."""
+    if den % dv:
+        m = lcm(den, dv)
+        s = m // den
+        for c in out:
+            out[c] *= s
+        den = m
+    field.axpy(out, a * (den // dv), v)
+    return den
+
+
+def _reduced(vec: dict, den: int) -> tuple:
+    """(vec, den) divided by gcd(den, content), to be stored."""
+    if den == 1 or den == -1:
+        return vec, den
+    g = gcd(den, *vec.values())
+    if g == 1:
+        return vec, den
+    return {c: x // g for c, x in vec.items()}, den // g
 
 
 def add_brackets(ech: Echelon, rows, gens, n: int, bracket) -> Echelon:

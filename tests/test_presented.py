@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from gradedlie.fields import QQ, GF
@@ -8,6 +10,7 @@ from gradedlie.presented import (
     PresentationError,
     PresentedLieAlgebra,
     infer_presentation,
+    load_presentation,
     parse_presentation,
 )
 from gradedlie.series import HilbertSeries
@@ -240,3 +243,26 @@ def test_zero_generator_presentation():
     Z = PresentedLieAlgebra(QQ, [], [])
     assert Z.dim_sequence(4) == [0, 0, 0, 0]
 
+
+
+def test_engine_stores_integer_numerators_and_one_orientation():
+    # M*N after a change of generators whose reduction map has denominators
+    # up to 64: the engine keeps int numerators over one den per vector and
+    # one orientation of each pair
+    path = os.path.join(os.path.dirname(__file__), "golden", "inputs", "mn-denom.lie")
+    eng = load_presentation(path).engine
+    eng.build_to(7)
+    for a in range(1, 7):
+        for i in range(eng.dim(a)):
+            for j in range(eng.dim(7 - a)):
+                eng.pair((a, i), (7 - a, j))
+    dens = set()
+    for n in range(1, 8):
+        stored = list(eng._cand_red[n].values()) + list(eng._pair_memo[n].values())
+        for vec, den in stored:
+            assert type(den) is int and all(type(x) is int for x in vec.values())
+            dens.add(abs(den))
+        memo = eng._pair_memo[n]
+        assert all((q, p) not in memo for p, q in memo)
+        assert memo or n == 1
+    assert max(dens) == 64
