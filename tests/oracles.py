@@ -7,15 +7,17 @@ exactness from dimensions alone, Hall monomial chains, subspace sums and
 intersections, d o d = 0 on the CE complex, bracket closures over all
 pairs of lower components, the Leibniz check over all pairs, induced
 modules from a basis of the subalgebra, [I,F] with its redundant [[I,F],x]
-term), so a test can compare the two.
+term, the Lie algebra laws on the engine's structure constants), so a
+test can compare the two.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, product
 
 from gradedlie.example6 import NilpotentQuotient, change_field
-from gradedlie.fields import GF, check_same_field
+from gradedlie.fields import GF, RationalField, check_same_field
 from gradedlie.freelie import FreeLieAlgebra
 from gradedlie.homology import HomologyTable
 from gradedlie.linalg import Echelon, SparseMatrix
@@ -311,3 +313,56 @@ def bracket_ideal_with_redundant_term(P: PresentedLieAlgebra, N: int) -> dict:
                 for v in P.ideal_component(m).basis() + out[m].basis():
                     ech.add(free.bracket_coordinates(m, v, w, x))
     return out
+
+
+# ----------------------------------------------------------------------
+# structure constants of the graded engine
+
+
+def structure_constant_failure(P: PresentedLieAlgebra, N: int):
+    """First violated law of P's structure constants up to weight N, or None.
+
+    Checks [b_p, b_q] = -[b_q, b_p] on every basis pair, the Jacobi identity
+    on every basis triple, that every relator evaluates to 0, and that every
+    value the engine returns is canonical: over Q an ``int`` or a
+    non-integral ``Fraction``, over F_p a residue in (0, p).
+    """
+    field, eng = P.field, P.engine
+    if isinstance(field, RationalField):
+        def canonical(x):
+            return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+    else:
+        def canonical(x):
+            return type(x) is int and 0 < x < field.p
+
+    def bad(vec):
+        return not all(canonical(x) for x in vec.values())
+
+    for r in P.relators:
+        if r.weight() <= N and eng.evaluate(r)[1]:
+            return "relator", r
+    basis = [(w, i) for w in range(1, N + 1) for i in range(P.dim(w))]
+    for gi in range(len(P.generators)):
+        if P.generators[gi].weight <= N and bad(eng.gen_reduction(gi)):
+            return "value", gi
+    for p in basis:
+        for q in basis:
+            if p[0] + q[0] > N:
+                continue
+            pq = eng.pair(p, q)
+            if bad(pq):
+                return "value", p, q
+            if pq != {c: field.neg(x) for c, x in eng.pair(q, p).items()}:
+                return "antisymmetry", p, q
+    for p, q, r in combinations(basis, 3):
+        if p[0] + q[0] + r[0] > N:
+            continue
+        total: dict = {}
+        for a, b, c in ((p, q, r), (q, r, p), (r, p, q)):
+            ab = eng.bracket_vec(a[0] + b[0], eng.pair(a, b), c[0], {c[1]: field.one})
+            if bad(ab):
+                return "value", a, b, c
+            field.axpy(total, field.one, ab)
+        if total:
+            return "jacobi", p, q, r
+    return None

@@ -9,23 +9,27 @@ they replaced: [I,F] without its [[I,F],x] term, induced modules from the
 subalgebra's generators, and the Leibniz check as a graph subalgebra.
 
 The same presentations, over F_7 and over Q with small integer
-coefficients, check the Chevalley-Eilenberg H_1 and H_2 against the
-presentation's h1 and the Hopf formula h2, and the PBW monomial counts
-against the enveloping series.  A Q relator that is not multihomogeneous
-can give rows with real fractions in the engine.  Over F_7 the explicit
-induced module k (x)_{U(S)} U(L) of a random subalgebra S, presented by
-`infer_presentation`, has the dimensions of the series quotient.
+coefficients, check the engine's structure constants (antisymmetry,
+Jacobi, relators, canonical values) and its dimensions against the ideal
+route, the Chevalley-Eilenberg H_1 and H_2 against the presentation's h1
+and the Hopf formula h2, and the PBW monomial counts against the
+enveloping series.  A Q relator that is not multihomogeneous can give
+rows with real fractions in the engine.  Over F_7 the explicit induced
+module k (x)_{U(S)} U(L) of a random subalgebra S, presented by
+`infer_presentation`, has the dimensions of the series quotient, and on
+random one-edge graphs (amalgams and HNN extensions along a rank-one edge
+algebra) the Theorem A Euler identity gives the explicit ranks.
 """
 
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gradedlie.envelope import Envelope, InducedModule, induced_module_dims
 from gradedlie.fields import GF, QQ
 from gradedlie.freelie import FreeLieAlgebra
-from gradedlie.graphalg import GraphError, LieDerivation
+from gradedlie.graphalg import Edge, GraphError, GraphOfLieAlgebras, LieDerivation, verify_theorem_a
 from gradedlie.homology import homology_table
 from gradedlie.presented import PresentedLieAlgebra, infer_presentation
 from oracles import (
@@ -34,6 +38,7 @@ from oracles import (
     all_pairs_subalgebra_spans,
     basis_product_quotient_basis,
     bracket_ideal_with_redundant_term,
+    structure_constant_failure,
 )
 
 F7 = GF(7)
@@ -134,6 +139,17 @@ FIELDS = {"F7": F7, "Q": QQ}
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
 @given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_structure_constants_are_a_lie_algebra(name, data):
+    L = data.draw(presentations(FIELDS[name]))
+    assert structure_constant_failure(L, N) is None
+    for n in range(1, N + 1):
+        assert L.engine.dim(n) == L.dim_via_ideal(n)
+        assert L.engine.commutator_rank(n) == all_pairs_commutator_rank(L, n)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_ce_h1_matches_presentation_h1(name, data):
     L = data.draw(presentations(FIELDS[name]))
@@ -156,3 +172,47 @@ def test_pbw_counts_match_enveloping_series(name, data):
     series = L.enveloping_series(N)
     env = Envelope(L)
     assert [env.pbw_dim(n) for n in range(N + 1)] == series.coeffs
+
+
+def rank_one_image(draw, L: PresentedLieAlgebra):
+    """A homogeneous element of L's free algebra that is nonzero in L, so
+    the free algebra on one generator embeds into L through it."""
+    e = homogeneous(draw, L.free, draw(st.integers(1, 3)))
+    assume(not e.is_zero() and L.evaluate(e)[1])
+    return e
+
+
+@st.composite
+def one_edge_graphs(draw):
+    """An amalgam of two random presentations along a rank-one edge
+    algebra, or an HNN extension of one along a rank-one edge algebra with
+    an arbitrary derivation value (every linear map on it is one)."""
+    L1 = draw(presentations())
+    sigma = rank_one_image(draw, L1)
+    K = PresentedLieAlgebra(F7, [("z", sigma.weight())])
+    if draw(st.booleans()):
+        L2 = draw(presentations())
+        tau = rank_one_image(draw, L2)
+        assume(tau.weight() == sigma.weight())
+        edge = Edge("e", "v1", "v2", K, {"z": sigma}, in_forest=True, tau_images={"z": tau})
+        return GraphOfLieAlgebras(F7, {"v1": L1, "v2": L2}, [edge])
+    shift = draw(st.integers(1, 2))
+    value = homogeneous(draw, L1.free, sigma.weight() + shift)
+    edge = Edge("t", "v", "v", K, {"z": sigma}, in_forest=False,
+                der_values={"z": value}, stable_weight=shift)
+    return GraphOfLieAlgebras(F7, {"v": L1}, [edge])
+
+
+@given(one_edge_graphs())
+@settings(max_examples=20, deadline=None)
+def test_euler_identity_gives_explicit_theorem_a_ranks(graph):
+    report = verify_theorem_a(graph, 4, explicit_to=4)
+    assert not report.embedding_failures
+    for check in report.checks:
+        n = check.n
+        # sum_e t^shift H_L/H_{L_e} + 1 and sum_v H_L/H_{L_v} at weight n
+        assert report.euler_lhs[n] == check.src_dim + (n == 0)
+        assert report.euler_rhs[n] == check.mid_dim
+        assert check.rank_alpha == check.src_dim
+        assert check.rank_alpha + check.rank_beta == check.mid_dim
+        assert check.composite_zero
