@@ -9,8 +9,11 @@ form, so an integral value is never a ``Fraction`` and never a float.
 so the elimination kernel (:class:`gradedlie.linalg.Echelon`) keeps its
 rows over Q as primitive integer vectors, eliminates them fraction-free
 and forms ``Fraction`` values only for the residues and canonical rows it
-returns; the other sparse vectors (Lie brackets, chain differentials,
-companions) are built with :meth:`RationalField.axpy`.
+returns.  The graded engine's structure constants are likewise integer
+numerators over one denominator per vector (:func:`integral` splits a
+vector that way), so its :meth:`RationalField.axpy` calls see only ints;
+chain differentials, companions and free Lie elements are built with
+:meth:`RationalField.axpy` on canonical values.
 Prime-field values are plain ints in ``[0, p)``.  All values are immutable,
 so they are safe to share between threads.  Containers (matrices, Lie
 elements, ...) carry the field object and guard against mixing fields at

@@ -29,6 +29,7 @@ Presentation file format::
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -226,21 +227,16 @@ class GradedEngine:
     coordinates, are reset, and after elimination the real reduction
     replaces the identity map.
 
-    Every internal vector (reductions, memo entries, bracket results) is a
-    pair ``(numerators, den)`` with value numerators/den: over Q the
-    numerators are ``int`` and :func:`_addto` brings two vectors to a common
-    denominator, so the bracket recursion does no ``Fraction`` arithmetic;
-    over F_p den is 1 or -1.  The constraint rows go to the echelon as
-    numerators, and a reduction is read off a canonical row once, as
-    ``(-row*L, L)`` with L the lcm of the row's denominators.  The public
-    queries return canonical ``int``/``Fraction`` (or residue) dicts.
-
-    ``_pair_memo[n]`` keeps one orientation, (p, q) with p < q, and
-    [b_q, b_p] is read as the same numerators over -den, so the sign costs
-    no second dict.  While weight n is built a value in candidate
-    coordinates depends on the orientation its recursion expanded, so a
-    miss computes the orientation asked for, and that first value defines
-    both orientations for the rest of the build.
+    Every internal vector is a pair ``(numerators, den)`` worth
+    numerators/den, with int numerators over Q (:func:`_addto` adds two at
+    a common denominator, so brackets need no ``Fraction``) and den = +-1
+    over F_p.  Constraint rows go to the echelon as numerators; a reduction
+    is read off its canonical row as ``(-row*L, L)``, L the lcm of the
+    row's denominators.  Public queries return canonical dicts.
+    ``_pair_memo[n]`` stores only (p, q) with p < q; [b_q, b_p] is the same
+    numerators over -den.  In candidate coordinates the two orientations
+    may differ, so a miss computes the one asked for, and that first value
+    defines both for the rest of the build.
     """
 
     def __init__(self, algebra: PresentedLieAlgebra):
@@ -249,11 +245,11 @@ class GradedEngine:
         self.gens = algebra.generators
         self._built = 0
         self._defs: dict[int, list] = {}        # n -> list of candidate keys
-        self._cand_red: dict[int, dict] = {}    # n -> {cand key: vector}
+        self._cand_red: dict[int, dict] = {}    # n -> {cand key: (numerators, den)}
         self._gen_red: list = [None] * len(self.gens)
         self._gen_alive: list = [False] * len(self.gens)
-        self._pair_memo: dict[int, dict] = {}   # n -> {(p, q): vector}
-        self._eval_memo: dict[int, dict] = {}   # n -> {monomial id: vector}
+        self._pair_memo: dict[int, dict] = {}   # n -> {(p, q) with p < q: (numerators, den)}
+        self._eval_memo: dict[int, dict] = {}   # n -> {monomial id: (numerators, den)}
         self._commutator_rank: dict[int, int] = {}
         self._relators_by_weight: dict[int, list] = {}
         for r in algebra.relators:
@@ -307,11 +303,10 @@ class GradedEngine:
         def units(m):
             return [({i: 1}, 1) for i in range(len(self._defs[m]))]
 
-        def bracket(m, v, w, g):
-            return self._bracket(m, v, w, g)[0]
-
         gens = [(g.weight, red) for g, red in zip(self.gens, self._gen_red) if red and red[0]]
-        rank = add_brackets(Echelon(self.field), units, gens, n, bracket).rank
+        rank = add_brackets(
+            Echelon(self.field), units, gens, n, lambda *args: self._bracket(*args)[0]
+        ).rank
         self._commutator_rank[n] = rank
         return rank
 
@@ -319,10 +314,8 @@ class GradedEngine:
 
     def _value(self, vec: dict, den: int) -> dict:
         """The canonical dict of vec/den; vec itself when den is 1."""
-        if den == 1:
-            return vec
         div = self.field.div
-        return {c: div(x, den) for c, x in vec.items()}
+        return vec if den == 1 else {c: div(x, den) for c, x in vec.items()}
 
     def _eval_terms(self, terms: dict) -> tuple:
         """(numerators, den) of a homogeneous combination of monomials."""
@@ -376,14 +369,10 @@ class GradedEngine:
             return {}, 1
         n = p[0] + q[0]
         memo = self._pair_memo[n]
-        if p < q:
-            got = memo.get((p, q))
-            if got is not None:
-                return got
-        else:
-            got = memo.get((q, p))
-            if got is not None:
-                return got[0], -got[1]
+        key, sign = ((p, q), 1) if p < q else ((q, p), -1)
+        got = memo.get(key)
+        if got is not None:
+            return got[0], sign * got[1]
         field = self.field
         red = self._cand_red[n]
         defs_q = self._defs[q[0]][q[1]]
@@ -407,30 +396,22 @@ class GradedEngine:
                 sub, ds = self._pair((p[0] + wz, j), bprime)
                 den = _addto(field, res, den, -c, sub, ds * d2)
             res, den = _reduced(res, den)
-        if p < q:
-            memo[(p, q)] = res, den
-        else:
-            memo[(q, p)] = res, -den
+        memo[key] = res, sign * den
         return res, den
 
     def _candidates(self, n: int) -> list:
         # bracket candidates only pair with surviving generators; a dead
         # generator's image is a combination of basis elements, and brackets
         # against it reduce through the pair tables
-        cands = []
-        for gi, g in enumerate(self.gens):
-            if g.weight == n:
-                cands.append(("gen", gi))
+        cands = [("gen", gi) for gi, g in enumerate(self.gens) if g.weight == n]
         for gi, g in enumerate(self.gens):
             m = n - g.weight
             if m >= 1 and self._gen_alive[gi]:
-                for i in range(len(self._defs[m])):
-                    cands.append(((m, i), gi))
+                cands.extend(((m, i), gi) for i in range(len(self._defs[m])))
         return cands
 
     def _build(self, n: int):
         field = self.field
-        one = field.one
         cands = self._candidates(n)
         pos = {c: i for i, c in enumerate(cands)}
         # candidate coordinates for weight n until the rows are written
@@ -446,22 +427,11 @@ class GradedEngine:
             (gi, g) for gi, g in enumerate(self.gens)
             if g.weight < n and self._gen_alive[gi]
         ]
-        for a in range(len(live)):
-            gi, g = live[a]
-            idx_i = next(iter(self._gen_red[gi][0]))
-            for b in range(a, len(live)):
-                gj, h = live[b]
-                if g.weight + h.weight != n:
-                    continue
-                idx_j = next(iter(self._gen_red[gj][0]))
-                if gi == gj:
-                    row = {pos[((g.weight, idx_i), gi)]: one}
-                else:
-                    row = {
-                        pos[((h.weight, idx_j), gi)]: one,
-                        pos[((g.weight, idx_i), gj)]: one,
-                    }
-                rows.append(row)
+        for (gi, g), (gj, h) in combinations_with_replacement(live, 2):
+            if g.weight + h.weight == n:
+                # [x_i, x_j] + [x_j, x_i], one entry when i == j
+                idx_i, idx_j = (next(iter(self._gen_red[k][0])) for k in (gi, gj))
+                rows.append({pos[((h.weight, idx_j), gi)]: 1, pos[((g.weight, idx_i), gj)]: 1})
         # Jacobi consistency [[p,q],x] + [[q,x],p] + [[x,p],q] over all basis
         # pairs p, q and surviving generators x (triples with a composite or
         # reduced third slot follow from these through the definition
@@ -509,12 +479,8 @@ class GradedEngine:
         red = {}
         for i, c in enumerate(cands):
             if i in pivots:
-                row = ech.rows[i]
-                den = lcm(*(x.denominator for x in row.values()))
-                red[c] = {
-                    basis_pos[j]: field.neg(x.numerator * (den // x.denominator))
-                    for j, x in row.items() if j != i
-                }, den
+                num, den = integral(ech.rows[i])
+                red[c] = {basis_pos[j]: field.neg(x) for j, x in num.items() if j != i}, den
             else:
                 red[c] = {basis_pos[i]: 1}, 1
         self._defs[n] = defs
@@ -531,23 +497,18 @@ def _addto(field: Field, out: dict, den: int, a, v: dict, dv: int) -> int:
     new den.  out is rescaled to lcm(den, dv) only when dv does not divide
     den, which never happens over F_p (every den there is 1 or -1)."""
     if den % dv:
-        m = lcm(den, dv)
-        s = m // den
+        s = lcm(den, dv) // den
         for c in out:
             out[c] *= s
-        den = m
+        den *= s
     field.axpy(out, a * (den // dv), v)
     return den
 
 
 def _reduced(vec: dict, den: int) -> tuple:
     """(vec, den) divided by gcd(den, content), to be stored."""
-    if den == 1 or den == -1:
-        return vec, den
-    g = gcd(den, *vec.values())
-    if g == 1:
-        return vec, den
-    return {c: x // g for c, x in vec.items()}, den // g
+    g = 1 if den in (1, -1) else gcd(den, *vec.values())
+    return (vec, den) if g == 1 else ({c: x // g for c, x in vec.items()}, den // g)
 
 
 def add_brackets(ech: Echelon, rows, gens, n: int, bracket) -> Echelon:
