@@ -97,6 +97,10 @@ class Field:
         """In place out += a*v for sparse vectors {index: nonzero value}."""
         raise NotImplementedError
 
+    def div_vec(self, vec: dict, d) -> dict:
+        """vec/d with canonical values; vec itself when d is 1."""
+        return vec if d == 1 else {c: self.div(x, d) for c, x in vec.items()}
+
     def parse(self, text: str):
         raise NotImplementedError
 

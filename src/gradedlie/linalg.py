@@ -124,11 +124,6 @@ class Echelon:
                 scale *= self._step(out, track, row, self._comps.get(p), p)
         return out, track, scale
 
-    def _unscale(self, vec: dict, scale: int) -> dict:
-        if scale == 1:
-            return vec
-        return {c: self.field.div(x, scale) for c, x in vec.items()}
-
     def _normalise(self, out: dict, track, p: int):
         """out and track divided by out[p] (F_p) or by the content of out,
         signed like out[p] (Q)."""
@@ -145,7 +140,7 @@ class Echelon:
     def reduce(self, vec: dict) -> dict:
         """Return the residue of vec modulo the current row space."""
         out, _, scale = self._clear(vec)
-        return self._unscale(out, scale)
+        return self.field.div_vec(out, scale)
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
@@ -164,7 +159,7 @@ class Echelon:
         """
         out, track, scale = self._clear(vec, companion)
         if not out:
-            return None, (None if track is None else self._unscale(track, scale))
+            return None, (None if track is None else self.field.div_vec(track, scale))
         p = min(out)
         self._rows[p], comp = self._normalise(out, track, p)
         if comp is not None:
@@ -187,9 +182,9 @@ class Echelon:
                     comps[p] = comp
             if self._integral:  # pivot entries to 1
                 for p, row in reduced.items():
-                    reduced[p] = self._unscale(row, row[p])
+                    reduced[p] = self.field.div_vec(row, row[p])
                     if p in comps:
-                        comps[p] = self._unscale(comps[p], row[p])
+                        comps[p] = self.field.div_vec(comps[p], row[p])
             self._canon = reduced, comps
         return self._canon
 

@@ -269,17 +269,17 @@ class GradedEngine:
 
     def gen_reduction(self, gi: int) -> dict:
         self.build_to(self.gens[gi].weight)
-        return self._value(*self._gen_red[gi])
+        return self.field.div_vec(*self._gen_red[gi])
 
     def pair(self, p: tuple, q: tuple) -> dict:
         """Structure constants [b_p, b_q] as a vector over basis[wp+wq]."""
         self.build_to(p[0] + q[0])
-        return self._value(*self._pair(p, q))
+        return self.field.div_vec(*self._pair(p, q))
 
     def bracket_vec(self, wa: int, va: dict, wb: int, vb: dict) -> dict:
         """Bracket of two coordinate vectors; result over basis[wa+wb]."""
         self.build_to(wa + wb)
-        return self._value(*self._bracket(wa, integral(va), wb, integral(vb)))
+        return self.field.div_vec(*self._bracket(wa, integral(va), wb, integral(vb)))
 
     def evaluate(self, elem: LieElement) -> tuple[int, dict]:
         """Image of a homogeneous free-algebra element in engine coordinates."""
@@ -291,7 +291,7 @@ class GradedEngine:
         if w is None:
             raise PresentationError("inhomogeneous element")
         self.build_to(w)
-        return w, self._value(*self._eval_terms(elem.terms))
+        return w, self.field.div_vec(*self._eval_terms(elem.terms))
 
     def commutator_rank(self, n: int) -> int:
         """dim of ([L,L])_n = sum over generators x of [L_{n-w(x)}, x]."""
@@ -311,11 +311,6 @@ class GradedEngine:
         return rank
 
     # -- internals ----------------------------------------------------------
-
-    def _value(self, vec: dict, den: int) -> dict:
-        """The canonical dict of vec/den; vec itself when den is 1."""
-        div = self.field.div
-        return vec if den == 1 else {c: div(x, den) for c, x in vec.items()}
 
     def _eval_terms(self, terms: dict) -> tuple:
         """(numerators, den) of a homogeneous combination of monomials."""
@@ -403,11 +398,15 @@ class GradedEngine:
         # bracket candidates only pair with surviving generators; a dead
         # generator's image is a combination of basis elements, and brackets
         # against it reduce through the pair tables
-        cands = [("gen", gi) for gi, g in enumerate(self.gens) if g.weight == n]
+        cands = []
+        for gi, g in enumerate(self.gens):
+            if g.weight == n:
+                cands.append(("gen", gi))
         for gi, g in enumerate(self.gens):
             m = n - g.weight
             if m >= 1 and self._gen_alive[gi]:
-                cands.extend(((m, i), gi) for i in range(len(self._defs[m])))
+                for i in range(len(self._defs[m])):
+                    cands.append(((m, i), gi))
         return cands
 
     def _build(self, n: int):
