@@ -99,7 +99,11 @@ class Field:
 
     def div_vec(self, vec: dict, d) -> dict:
         """vec/d with canonical values; vec itself when d is 1."""
-        return vec if d == 1 else {c: self.div(x, d) for c, x in vec.items()}
+        if d == 1:
+            return vec
+        if d == -1:  # the engine's other orientation of a stored pair
+            return {c: self.neg(x) for c, x in vec.items()}
+        return {c: self.div(x, d) for c, x in vec.items()}
 
     def parse(self, text: str):
         raise NotImplementedError
