@@ -121,11 +121,11 @@ class Field:
 
 def integral(vec: dict) -> tuple:
     """(numerators, den) with vec = numerators/den, den the lcm of the
-    denominators of vec's values; vec itself and 1 if vec is integral
-    (always so over F_p)."""
-    den = lcm(*(x.denominator for x in vec.values()))
-    if den == 1:
+    denominators of vec's canonical values; vec itself and 1 if no value is
+    a ``Fraction`` (always so over F_p), found without the lcm pass."""
+    if Fraction not in set(map(type, vec.values())):
         return vec, 1
+    den = lcm(*(x.denominator for x in vec.values()))
     return {c: x.numerator * (den // x.denominator) for c, x in vec.items()}, den
 
 
