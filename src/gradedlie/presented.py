@@ -233,10 +233,11 @@ class GradedEngine:
     over F_p.  Constraint rows go to the echelon as numerators; a reduction
     is read off its canonical row as ``(-row*L, L)``, L the lcm of the
     row's denominators.  Public queries return canonical dicts.
-    ``_pair_memo[n]`` stores only (p, q) with p < q; [b_q, b_p] is the same
-    numerators over -den.  In candidate coordinates the two orientations
-    may differ, so a miss computes the one asked for, and that first value
-    defines both for the rest of the build.
+    ``_pair_memo[n]`` stores only (p, q) with p < q, and [b_q, b_p] is the
+    same numerators over -den, so a pair costs one dict, not a negated
+    copy.  In candidate coordinates the two orientations may differ, so a
+    miss computes the one asked for, and that first value defines both for
+    the rest of the build.
     """
 
     def __init__(self, algebra: PresentedLieAlgebra):

@@ -323,8 +323,9 @@ def structure_constant_failure(P: PresentedLieAlgebra, N: int):
     """First violated law of P's structure constants up to weight N, or None.
 
     Checks [b_p, b_q] = -[b_q, b_p] on every basis pair, the Jacobi identity
-    on every basis triple, that every relator evaluates to 0, and that every
-    value the engine returns is canonical: over Q an ``int`` or a
+    on every triple of distinct basis elements (a repeated one makes it an
+    antisymmetry instance), that every relator evaluates to 0, and that
+    every value the engine returns is canonical: over Q an ``int`` or a
     non-integral ``Fraction``, over F_p a residue in (0, p).
     """
     field, eng = P.field, P.engine
