@@ -1,9 +1,12 @@
+import hashlib
 import os
 
 import pytest
 
+from gradedlie import presented
 from gradedlie.fields import QQ, GF
 from gradedlie.freelie import witt_dims
+from gradedlie.linalg import Echelon
 from gradedlie.presented import (
     GradedSubalgebra,
     InconclusiveAtDegree,
@@ -266,3 +269,84 @@ def test_engine_stores_integer_numerators_and_one_orientation():
         assert all((q, p) not in memo for p, q in memo)
         assert memo or n == 1
     assert max(dens) == 64
+
+
+class _RecordingEchelon(Echelon):
+    """An Echelon that records every vector added to it."""
+
+    made: list = []
+
+    def __init__(self, field):
+        super().__init__(field)
+        self.added = []
+        _RecordingEchelon.made.append(self)
+
+    def add(self, vec):
+        self.added.append(dict(vec))
+        return super().add(vec)
+
+
+def _engine_digests(path, field, N, monkeypatch):
+    """SHA-256 of the constraint rows each engine build hands to Echelon
+    (per weight, in order, each row scaled to leading coefficient 1) and of
+    the canonical pair(p, q) table up to weight N."""
+    monkeypatch.setattr(_RecordingEchelon, "made", [])
+    monkeypatch.setattr(presented, "Echelon", _RecordingEchelon)
+    eng = load_presentation(path, field=field).engine
+    eng.build_to(N)
+    builds = _RecordingEchelon.made
+    monkeypatch.undo()
+    assert len(builds) == N  # one echelon per weight, none elsewhere
+    rows = hashlib.sha256()
+    for n, ech in enumerate(builds, start=1):
+        for row in ech.added:
+            lead = row[min(row)]
+            items = sorted((c, field.div(x, lead)) for c, x in row.items())
+            rows.update(f"{n}:{items}\n".encode())
+    table = hashlib.sha256()
+    for wp in range(1, N):
+        for wq in range(1, N - wp + 1):
+            for i in range(eng.dim(wp)):
+                for j in range(eng.dim(wq)):
+                    vec = eng.pair((wp, i), (wq, j))
+                    table.update(f"{wp},{i},{wq},{j}:{sorted(vec.items())}\n".encode())
+    return rows.hexdigest(), table.hexdigest()
+
+
+ENGINE_DIGESTS = {
+    ("mn.lie", "Q"): (
+        "817eae42e4fae7240d4973d59dfeb04cae07665a1ca0b6e47af8523465fba504",
+        "ab18445e03293a4efbdba8c0c21c94ad108ff00082d25478315c2944e2f52bf4",
+    ),
+    ("mn.lie", "Fp:7"): (
+        "9ae381ba7c6ce448ed78dd877c0a4b5b9d7ee61dcdb08d9910a7714deb8875fc",
+        "b06313525898f7a43b9011d88cfaaf6b48f90e78dab72f51d752eb574c6f4b72",
+    ),
+    ("mn-twisted.lie", "Q"): (
+        "ab3650ad077e927d1fa42bd2b082a3b8de83fa52c8e87f32a31a1e34d8d79ed2",
+        "f027791632ce13c40b3cf9e5da05d951bfa99e0eaceb0dd06ff2bfc3c28119e5",
+    ),
+    ("mn-twisted.lie", "Fp:7"): (
+        "63d0002a7b1c11fcdf60f7992af88338207604f99d4bbc428054f2e0dbf74165",
+        "f72a3162d6f3f3d77358265dd3d486e1d9c9635c978fca6b60da8fea30c7685b",
+    ),
+    ("mn-denom.lie", "Q"): (
+        "cd6eb5b78cd9e4f074b3765f60aa6c0fd5801af980e376470b5736fd60083be5",
+        "f469936ccb716b45f2e37ae11849c194653a07f367f4a01aa179d16201cfb05c",
+    ),
+    ("mn-denom.lie", "Fp:7"): (
+        "28dec4167400e26a95416abf09f62b55477e75ec6303877d4bd16df158abea80",
+        "897fe16a9cb4b6f8299340a6bedc9fcf955bbe2133df11dd82e8b7d9e2794c4a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name,field", sorted(ENGINE_DIGESTS), ids=lambda v: str(v))
+def test_engine_rows_and_table_pinned(name, field, monkeypatch):
+    # the graded engine's output itself, not only the ranks the golden
+    # reports print: the rows of every build up to scalar, and the bracket
+    # table
+    path = os.path.join(os.path.dirname(__file__), "golden", "inputs", name)
+    fld = QQ if field == "Q" else GF(int(field[3:]))
+    got = _engine_digests(path, fld, 7, monkeypatch)
+    assert got == ENGINE_DIGESTS[name, field]
