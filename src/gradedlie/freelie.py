@@ -20,20 +20,21 @@ operations are safe to run concurrently afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .fields import Field, FieldError
 
 
-@dataclass(frozen=True)
 class Generator:
-    name: str
-    weight: int
+    """A named free generator of weight >= 1."""
 
-    def __post_init__(self):
-        if self.weight < 1:
-            raise ValueError(f"generator {self.name!r} has weight {self.weight} < 1")
+    __slots__ = ("name", "weight")
+
+    def __init__(self, name: str, weight: int):
+        if weight < 1:
+            raise ValueError(f"generator {name!r} has weight {weight} < 1")
+        self.name = name
+        self.weight = weight
 
 
 class FreeLieAlgebra:

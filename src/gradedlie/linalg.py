@@ -52,7 +52,8 @@ class Echelon:
     the span.  It is built on the first read, by clearing the higher pivot
     columns of the rows in descending pivot order, and cached until the
     next insert.  Readers that need only the rank, the pivot set or
-    membership never build it.
+    membership never build it; :attr:`primitive_rows` reads it before the
+    division by the pivot entries, as integer rows over Q.
 
     Rows inserted with a companion vector (:meth:`insert`) carry it along:
     every row operation applied to a row is applied to its companion too.
@@ -64,6 +65,7 @@ class Echelon:
         self._integral = isinstance(field, RationalField)
         self._rows: dict[int, dict] = {}  # pivot column -> semi-echelon row
         self._comps: dict[int, dict] = {}  # pivot column -> its companion
+        self._prim: Optional[tuple[dict, dict]] = None
         self._canon: Optional[tuple[dict, dict]] = None
 
     @classmethod
@@ -164,11 +166,14 @@ class Echelon:
         self._rows[p], comp = self._normalise(out, track, p)
         if comp is not None:
             self._comps[p] = comp
-        self._canon = None
+        self._prim = self._canon = None
         return p, None
 
-    def _canonical(self) -> tuple[dict, dict]:
-        if self._canon is None:
+    @property
+    def primitive_rows(self) -> dict[int, dict]:
+        """Canonical rows by pivot column before their pivot entries are
+        made 1: over Q, primitive integer rows with a positive pivot entry."""
+        if self._prim is None:
             rows = self._rows
             reduced: dict[int, dict] = {}
             comps: dict[int, dict] = {}
@@ -180,12 +185,17 @@ class Echelon:
                 reduced[p], comp = self._normalise(out, track, p)
                 if comp is not None:
                     comps[p] = comp
+            self._prim = reduced, comps
+        return self._prim[0]
+
+    def _canonical(self) -> tuple[dict, dict]:
+        if self._canon is None:
+            rows, comps = self.primitive_rows, self._prim[1]
             if self._integral:  # pivot entries to 1
-                for p, row in reduced.items():
-                    reduced[p] = self.field.div_vec(row, row[p])
-                    if p in comps:
-                        comps[p] = self.field.div_vec(comps[p], row[p])
-            self._canon = reduced, comps
+                div = self.field.div_vec
+                comps = {p: div(comp, rows[p][p]) for p, comp in comps.items()}
+                rows = {p: div(row, row[p]) for p, row in rows.items()}
+            self._canon = rows, comps
         return self._canon
 
     @property

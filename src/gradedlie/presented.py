@@ -213,10 +213,10 @@ class GradedEngine:
     Weight-n basis elements are surviving candidates, each carrying a
     definition: either a generator or a pair (lower basis element, right
     generator).  Constraint rows are antisymmetry instances on generator
-    pairs, Jacobi instances [[x,y],b] + [[y,b],x] + [[b,x],y] for generator
-    pairs x < y and lower basis elements b, and the relators of weight n.
-    Deterministic echelon (lowest candidate index pivots) makes bases and
-    tables reproducible.
+    pairs, Jacobi instances [[p,q],x] + [[q,x],p] + [[x,p],q] for lower
+    basis elements p <= q and surviving generators x, and the relators of
+    weight n.  Deterministic echelon (lowest candidate index pivots) makes
+    bases and tables reproducible.
 
     ``_cand_red[n]`` maps each weight-n candidate to its reduction over the
     weight-n basis.  While weight n is being built it maps each candidate to
@@ -225,14 +225,15 @@ class GradedEngine:
     writes the constraint rows of weight n in candidate coordinates.  Once
     the rows are written the weight-n memos, which hold candidate
     coordinates, are reset, and after elimination the real reduction
-    replaces the identity map.
+    replaces the identity map.  :meth:`_add_bracket` (out += c*[v, b_q])
+    is the one inner bracket loop; Jacobi rows are written through it.
 
     Every internal vector is a pair ``(numerators, den)`` worth
     numerators/den, with int numerators over Q (:func:`_addto` adds two at
     a common denominator, so brackets need no ``Fraction``) and den = +-1
-    over F_p.  Constraint rows go to the echelon as numerators; a reduction
-    is read off its canonical row as ``(-row*L, L)``, L the lcm of the
-    row's denominators.  Public queries return canonical dicts.
+    over F_p.  Constraint rows go to the echelon as numerators, which are
+    fixed only up to a nonzero scalar (in practice the sign of the den).
+    Public queries return canonical dicts.
     ``_pair_memo[n]`` stores only (p, q) with p < q, and [b_q, b_p] is the
     same numerators over -den, so a pair costs one dict, not a negated
     copy.  In candidate coordinates the two orientations may differ, so a
@@ -340,25 +341,31 @@ class GradedEngine:
         return vec
 
     def _bracket(self, wa: int, a: tuple, wb: int, b: tuple) -> tuple:
-        (va, da), (vb, db) = a, b
-        field = self.field
-        axpy = field.axpy
-        memo = self._pair_memo[wa + wb]  # memo hits skip the _pair call
         out, den = {}, 1
-        for ia, ca in va.items():
-            p = (wa, ia)
-            for ib, cb in vb.items():
-                q = (wb, ib)
-                if p < q:
-                    vec, dv = memo.get((p, q)) or self._pair(p, q)
-                else:
-                    got = memo.get((q, p))
-                    vec, dv = self._pair(p, q) if got is None else (got[0], -got[1])
-                if den == dv == 1:
-                    axpy(out, ca * cb, vec)
-                else:
-                    den = _addto(field, out, den, ca * cb, vec, dv)
-        return out, den * da * db
+        for ib, cb in b[0].items():
+            den = self._add_bracket(out, den, cb, wa, a, (wb, ib))
+        return out, den * b[1]
+
+    def _add_bracket(self, out: dict, den: int, c, wv: int, v: tuple, q: tuple) -> int:
+        """In place out/den += c*[v, b_q] for a (numerators, den) vector v
+        of weight wv and one basis key q; return the new den.  This is the
+        engine's one inner bracket loop."""
+        field = self.field
+        memo = self._pair_memo[wv + q[0]]  # memo hits skip the _pair call
+        vv, dv = v
+        for i, ci in vv.items():
+            p = (wv, i)
+            if p < q:
+                vec, d = memo.get((p, q)) or self._pair(p, q)
+            else:
+                got = memo.get((q, p))
+                vec, d = self._pair(p, q) if got is None else (got[0], -got[1])
+            d *= dv
+            if den == d == 1:
+                field.axpy(out, c * ci, vec)
+            else:
+                den = _addto(field, out, den, c * ci, vec, d)
+        return den
 
     def _pair(self, p: tuple, q: tuple) -> tuple:
         if p == q:
@@ -386,11 +393,8 @@ class GradedEngine:
                     field.axpy(res, c, vec)
                 else:
                     den = _addto(field, res, den, c, vec, dv)
-            den *= du
-            w2, d2 = self._cand_red[p[0] + wz][(p, gz)]
-            for j, c in w2.items():
-                sub, ds = self._pair((p[0] + wz, j), bprime)
-                den = _addto(field, res, den, -c, sub, ds * d2)
+            w2 = self._cand_red[p[0] + wz][(p, gz)]
+            den = self._add_bracket(res, den * du, -1, p[0] + wz, w2, bprime)
             res, den = _reduced(res, den)
         memo[key] = res, sign * den
         return res, den
@@ -435,27 +439,30 @@ class GradedEngine:
         # Jacobi consistency [[p,q],x] + [[q,x],p] + [[x,p],q] over all basis
         # pairs p, q and surviving generators x (triples with a composite or
         # reduced third slot follow from these through the definition
-        # recursion and linearity)
+        # recursion and linearity).  [q,x] and [x,p] lie in final weights
+        # below n, so they are taken once per (x, q) and per (x, p).  The
+        # weight-n pairs keep their order (terms in turn, each in the order
+        # of its left vector): in candidate coordinates the first orientation
+        # asked for defines the memo entry.
         for gi, g in live:
             wx = g.weight
-            red_x = self._gen_red[gi]
+            x = (wx, next(iter(self._gen_red[gi][0])))
             for dp in range(1, n - wx):
                 dq = n - wx - dp
                 if dq < dp:
                     break
+                qx = [self._pair((dq, iq), x) for iq in range(len(self._defs[dq]))]
                 for ip in range(len(self._defs[dp])):
                     p = (dp, ip)
-                    jq_start = ip + 1 if dq == dp else 0
-                    for iq in range(jq_start, len(self._defs[dq])):
+                    xp = self._pair(x, p)
+                    for iq in range(ip + 1 if dq == dp else 0, len(self._defs[dq])):
                         q = (dq, iq)
-                        unit_p, unit_q = ({ip: 1}, 1), ({iq: 1}, 1)
-                        row, den = self._bracket(dp + dq, self._pair(p, q), wx, red_x)
-                        u = self._bracket(dq, unit_q, wx, red_x)
-                        if u[0]:
-                            den = _addto(field, row, den, 1, *self._bracket(dq + wx, u, dp, unit_p))
-                        v = self._bracket(wx, red_x, dp, unit_p)
-                        if v[0]:
-                            den = _addto(field, row, den, 1, *self._bracket(wx + dp, v, dq, unit_q))
+                        row = {}
+                        den = self._add_bracket(row, 1, 1, dp + dq, self._pair(p, q), x)
+                        if qx[iq][0]:
+                            den = self._add_bracket(row, den, 1, dq + wx, qx[iq], p)
+                        if xp[0]:  # the row's den is not needed
+                            self._add_bracket(row, den, 1, wx + dp, xp, q)
                         if row:
                             rows.append(row)
         # relators of weight n
@@ -468,19 +475,19 @@ class GradedEngine:
         del self._cand_red[n]
         self._pair_memo[n] = {}
         self._eval_memo[n] = {}
-        ech = Echelon.of(field, rows)
-        pivots = set(ech.pivots())
+        # candidate i reduces to (-r_j, r_i) over the basis, r its primitive row
+        prim = Echelon.of(field, rows).primitive_rows
         basis_pos = {}
         defs = []
         for i, c in enumerate(cands):
-            if i not in pivots:
+            if i not in prim:
                 basis_pos[i] = len(defs)
                 defs.append(c)
         red = {}
         for i, c in enumerate(cands):
-            if i in pivots:
-                num, den = integral(ech.rows[i])
-                red[c] = {basis_pos[j]: field.neg(x) for j, x in num.items() if j != i}, den
+            if i in prim:
+                row = prim[i]
+                red[c] = {basis_pos[j]: field.neg(x) for j, x in row.items() if j != i}, row[i]
             else:
                 red[c] = {basis_pos[i]: 1}, 1
         self._defs[n] = defs
@@ -488,7 +495,7 @@ class GradedEngine:
         for gi, g in enumerate(self.gens):
             if g.weight == n:
                 self._gen_red[gi] = red[("gen", gi)]
-                self._gen_alive[gi] = pos[("gen", gi)] not in pivots
+                self._gen_alive[gi] = pos[("gen", gi)] not in prim
         self._built = n
 
 

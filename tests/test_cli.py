@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -294,3 +297,17 @@ def test_bad_graph_and_presentation_input_exits_2(capsys, tmp_path, case):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err and "internal error" not in captured.err
     assert captured.out == ""
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # every CLI run pays its import chain; dataclasses would pull in
+    # inspect, ast, dis and tokenize
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")])
+    )
+    code = "import sys, gradedlie.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True).stdout
+    assert out == "False\n"

@@ -233,3 +233,8 @@ def test_bracket_drops_rewriting_coefficients_that_vanish_mod_p(p):
     assert 2 in over_q.terms.values()
     assert all(over_p.terms.values())
     assert over_p.terms == {m: c % p for m, c in over_q.terms.items() if c % p}
+
+
+def test_generator_weight_below_one_rejected():
+    with pytest.raises(ValueError, match="weight 0 < 1"):
+        FreeLieAlgebra(QQ, [("x", 0)])

@@ -1,4 +1,5 @@
 import copy
+import math
 import random
 from fractions import Fraction
 
@@ -254,7 +255,7 @@ def test_sparse_matrix_against_oracle(name):
 # -- interleaved inserts and reads against the dense oracle -----------------
 
 VECTOR_OPS = ["insert", "add", "reduce", "contains", "express", "solve"]
-READ_OPS = ["basis", "rows", "companions"]
+READ_OPS = ["basis", "rows", "primitive_rows", "companions"]
 
 
 def op_sequences(value):
@@ -329,6 +330,13 @@ def test_interleaved_echelon_against_oracle(name):
             elif op == "rows":
                 assert ech.rows == by_pivot
                 exact(x for row in ech.rows.values() for x in row.values())
+            elif op == "primitive_rows":
+                prim = ech.primitive_rows
+                assert {p: field.div_vec(row, row[p]) for p, row in prim.items()} == by_pivot
+                if field == QQ:  # primitive integer rows, positive pivot entry
+                    for p, row in prim.items():
+                        assert all(type(x) is int for x in row.values())
+                        assert row[p] > 0 and math.gcd(*row.values()) == 1
             else:
                 comps = ech.companions
                 assert sorted(comps) == (sorted(by_pivot) if tracked else [])
