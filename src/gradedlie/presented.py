@@ -341,6 +341,7 @@ class GradedEngine:
         return vec
 
     def _bracket(self, wa: int, a: tuple, wb: int, b: tuple) -> tuple:
+        """[a, b] of two (numerators, den) vectors, b's keys outermost."""
         out, den = {}, 1
         for ib, cb in b[0].items():
             den = self._add_bracket(out, den, cb, wa, a, (wb, ib))
