@@ -193,10 +193,11 @@ def cmd_graph_verify(args) -> int:
         )
     except (GraphError, PresentationError, FileNotFoundError) as exc:
         raise InputError(str(exc))
+    euler = report.euler_lhs is not None  # not reached after a failed embedding
     data = {
         "euler_ok": report.euler_ok,
-        "euler_lhs": _strs(report.euler_lhs),
-        "euler_rhs": _strs(report.euler_rhs),
+        "euler_lhs": _strs(report.euler_lhs) if euler else None,
+        "euler_rhs": _strs(report.euler_rhs) if euler else None,
         "embedding_failures": [list(map(str, f)) for f in report.embedding_failures],
         "fundamental_dims": _strs(report.fundamental.algebra.dim_sequence(args.max_degree)),
     }

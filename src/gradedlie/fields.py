@@ -12,7 +12,7 @@ and forms ``Fraction`` values only for the residues and canonical rows it
 returns.  The graded engine's structure constants are likewise integer
 numerators over one denominator per vector (:func:`integral` splits a
 vector that way), so its :meth:`RationalField.axpy` calls see only ints;
-chain differentials, companions and free Lie elements are built with
+chain differentials and free Lie elements are built with
 :meth:`RationalField.axpy` on canonical values.
 Prime-field values are plain ints in ``[0, p)``.  All values are immutable,
 so they are safe to share between threads.  Containers (matrices, Lie
@@ -285,7 +285,11 @@ def parse_field(text: str) -> Field:
     if text == "Q":
         return QQ
     if text.startswith("Fp:"):
-        return PrimeField(int(text[3:]))
+        try:
+            p = int(text[3:])
+        except ValueError:
+            raise FieldError(f"bad modulus in {text!r} (expected 'Fp:<prime>')") from None
+        return PrimeField(p)
     raise FieldError(f"unknown field spec {text!r} (expected 'Q' or 'Fp:<prime>')")
 
 

@@ -525,7 +525,8 @@ def verify_theorem_a(
         weights <= explicit_to.
 
     All vertex and edge algebras must embed injectively (rank-checked up to
-    N); failures abort with diagnostics in the report.
+    max(N, explicit_to), as the explicit checks rely on it); failures abort
+    with diagnostics in the report.
     """
     if not graph.connected:
         raise GraphError("theorem A verification requires a connected graph")
@@ -536,16 +537,17 @@ def verify_theorem_a(
     report.fundamental = fund
 
     # embeddings, checked first
+    embed_to = N if explicit_to is None else max(N, explicit_to)
     embeddings = {}
     for vid in graph.vertices:
         hom = fund.vertex_embedding(vid)
-        bad = hom.injectivity_failure(N)
+        bad = hom.injectivity_failure(embed_to)
         if bad is not None:
             report.embedding_failures.append(("vertex", vid, bad))
         embeddings[("v", vid)] = hom
     for e in graph.edges:
         hom = fund.edge_embedding(e.id)
-        bad = hom.injectivity_failure(N)
+        bad = hom.injectivity_failure(embed_to)
         if bad is not None:
             report.embedding_failures.append(("edge", e.id, bad))
         embeddings[("e", e.id)] = hom
@@ -585,8 +587,17 @@ def verify_theorem_a(
     partial_gens: list[LieElement] = []
     alpha_blocks: dict[str, dict] = {}  # edge id -> {n: list of columns}
 
-    def partial_module() -> InducedModule:
-        return InducedModule(env, L.subalgebra(list(partial_gens)))
+    def extend(gens: list[LieElement]):
+        """Add gens to the partial subalgebra (stale solvers are dropped)."""
+        nonlocal current
+        partial_gens.extend(gens)
+        current = InducedModule(env, L.subalgebra(list(partial_gens)))
+        solvers.clear()
+
+    def place_vertex(vid: str):
+        placed_vertices.append(vid)
+        names = fund.vertex_gen_map[vid]
+        extend([L.free.gen_element(names[g.name]) for g in graph.vertices[vid].generators])
 
     offsets: dict[int, tuple] = {}  # n -> ({vertex: offset}, total)
 
@@ -624,14 +635,7 @@ def verify_theorem_a(
 
     for step in fund.trace:
         if step[0] == "vertex":
-            placed_vertices.append(step[1])
-            alg = graph.vertices[step[1]]
-            for g in alg.generators:
-                partial_gens.append(
-                    L.free.gen_element(fund.vertex_gen_map[step[1]][g.name])
-                )
-            current = partial_module()
-            solvers = {}
+            place_vertex(step[1])
             continue
         if step[0] == "amalgam":
             e, new_vid = step[1], step[2]
@@ -651,14 +655,7 @@ def verify_theorem_a(
                     cols.append(col)
                 blocks[n] = cols
             alpha_blocks[e.id] = blocks
-            placed_vertices.append(new_vid)
-            alg = graph.vertices[new_vid]
-            for g in alg.generators:
-                partial_gens.append(
-                    L.free.gen_element(fund.vertex_gen_map[new_vid][g.name])
-                )
-            current = partial_module()
-            solvers = {}
+            place_vertex(new_vid)
             continue
         # HNN step
         e = step[1]
@@ -672,9 +669,7 @@ def verify_theorem_a(
                 cols.append(lift(tgt, n + e.stable_weight))
             blocks[n] = cols
         alpha_blocks[e.id] = blocks
-        partial_gens.append(L.free.gen_element(e.id))
-        current = partial_module()
-        solvers = {}
+        extend([L.free.gen_element(e.id)])
 
     # assemble and check each weight
     for n in range(0, M + 1):

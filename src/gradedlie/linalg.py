@@ -2,12 +2,15 @@
 
 Vectors are dicts ``{column index: nonzero scalar}``.  The one elimination
 type is :class:`Echelon`, an incremental echelon builder with deterministic
-pivoting (lowest column index wins, rows inserted in arrival order); spans
+pivoting (lowest column index wins, rows added in arrival order); spans
 are Echelons, and :class:`SparseMatrix` (rank and kernel of a matrix given
-by its columns) and :class:`ColumnSolver` are thin uses of it.
+by its columns) and :class:`ColumnSolver` are thin uses of it.  A
+combination of columns that has to be tracked rides along as extra columns
+of the same vector (:func:`_tracked`), so every row operation acts on one
+vector, and over Q the tracked part is eliminated fraction-free too.
 
 An Echelon stores its rows in semi-echelon form (each row's lowest column
-is its pivot, no back-substitution on insert) and builds the canonical
+is its pivot, no back-substitution on add) and builds the canonical
 reduced row echelon form only when a caller reads canonical rows.  Over Q
 the stored rows are primitive integer vectors and elimination is
 fraction-free (compare Bareiss, Math. Comp. 22, 1968): a vector is cleared
@@ -46,27 +49,22 @@ class Echelon:
     back by the accumulated scale, so every returned value is an ``int``
     or a non-integral ``Fraction``.
 
-    ``rows`` and ``companions`` (``{pivot column: vector}``) and
-    :meth:`basis` are the canonical reduced row echelon form (pivot entries
-    1, each pivot column cleared from the other rows), the unique basis of
-    the span.  It is built on the first read, by clearing the higher pivot
-    columns of the rows in descending pivot order, and cached until the
-    next insert.  Readers that need only the rank, the pivot set or
-    membership never build it; :attr:`primitive_rows` reads it before the
-    division by the pivot entries, as integer rows over Q.
-
-    Rows inserted with a companion vector (:meth:`insert`) carry it along:
-    every row operation applied to a row is applied to its companion too.
-    Either every row of an echelon has a companion or none has.
+    ``rows`` (``{pivot column: row}``) and :meth:`basis` are the canonical
+    reduced row echelon form (pivot entries 1, each pivot column cleared
+    from the other rows), the unique basis of the span.  It is built on the
+    first read, by clearing the higher pivot columns of the rows in
+    descending pivot order, and cached until the next add.  Readers that
+    need only the rank, the pivot set or membership never build it;
+    :attr:`primitive_rows` reads it before the division by the pivot
+    entries, as integer rows over Q.
     """
 
     def __init__(self, field: Field):
         self.field = field
         self._integral = isinstance(field, RationalField)
         self._rows: dict[int, dict] = {}  # pivot column -> semi-echelon row
-        self._comps: dict[int, dict] = {}  # pivot column -> its companion
-        self._prim: Optional[tuple[dict, dict]] = None
-        self._canon: Optional[tuple[dict, dict]] = None
+        self._prim: Optional[dict] = None
+        self._canon: Optional[dict] = None
 
     @classmethod
     def of(cls, field: Field, vectors) -> "Echelon":
@@ -83,37 +81,27 @@ class Echelon:
     def pivots(self) -> list[int]:
         return sorted(self._rows)
 
-    def _step(self, out: dict, track, row: dict, comp, p: int) -> int:
-        """Clear column p of out with row (pivot p), applying the same
-        operation to track with comp; return the factor out was scaled by
-        (over Q, out = a*out - b*row with a and b the pivot entries divided
-        by their gcd)."""
-        field = self.field
+    def _step(self, out: dict, row: dict, p: int) -> int:
+        """Clear column p of out with row (pivot p); return the factor out
+        was scaled by (over Q, out = a*out - b*row with a and b the pivot
+        entries divided by their gcd)."""
         if self._integral:
             g = gcd(row[p], out[p])
             a, coef = row[p] // g, -(out[p] // g)
             if a != 1:
                 for c in out:
                     out[c] *= a
-                if track is not None:
-                    for c in track:
-                        track[c] = field.mul(a, track[c])
         else:
-            a, coef = 1, field.neg(out[p])
-        vec_axpy(field, out, coef, row)
-        if track is not None:
-            vec_axpy(field, track, coef, comp)
+            a, coef = 1, self.field.neg(out[p])
+        vec_axpy(self.field, out, coef, row)
         return a
 
-    def _clear(self, vec: dict, companion: Optional[dict] = None):
-        """(out, track, scale): scale*vec and scale*companion with the pivot
-        columns of out cleared, lowest first."""
-        field, rows = self.field, self._rows
+    def _clear(self, vec: dict):
+        """(out, scale): scale*vec with the pivot columns of out cleared,
+        lowest first."""
+        rows = self._rows
         out, scale = integral(vec) if self._integral else (vec, 1)
         out = dict(out) if scale == 1 else out
-        track = None if companion is None else dict(companion)
-        if scale != 1 and track is not None:
-            track = {c: field.mul(scale, x) for c, x in track.items()}
         heap = [c for c in out if c in rows]
         heapify(heap)
         while heap:
@@ -123,25 +111,21 @@ class Echelon:
                 for c in row:
                     if c not in out and c in rows:
                         heappush(heap, c)
-                scale *= self._step(out, track, row, self._comps.get(p), p)
-        return out, track, scale
+                scale *= self._step(out, row, p)
+        return out, scale
 
-    def _normalise(self, out: dict, track, p: int):
-        """out and track divided by out[p] (F_p) or by the content of out,
-        signed like out[p] (Q)."""
-        field = self.field
+    def _normalise(self, out: dict, p: int) -> dict:
+        """out divided by out[p] (F_p) or by the content of out, signed like
+        out[p] (Q)."""
         if self._integral:
             d = gcd(*out.values()) if out[p] > 0 else -gcd(*out.values())
-            row = {c: x // d for c, x in out.items()}
-            f = field.inv(d)
-        else:
-            f = field.inv(out[p])
-            row = {c: field.mul(f, x) for c, x in out.items()}
-        return row, (None if track is None else {c: field.mul(f, x) for c, x in track.items()})
+            return {c: x // d for c, x in out.items()}
+        f = self.field.inv(out[p])
+        return {c: self.field.mul(f, x) for c, x in out.items()}
 
     def reduce(self, vec: dict) -> dict:
         """Return the residue of vec modulo the current row space."""
-        out, _, scale = self._clear(vec)
+        out, scale = self._clear(vec)
         return self.field.div_vec(out, scale)
 
     def contains(self, vec: dict) -> bool:
@@ -149,25 +133,13 @@ class Echelon:
 
     def add(self, vec: dict) -> Optional[int]:
         """Insert vec; return its new pivot column, or None if dependent."""
-        return self.insert(vec)[0]
-
-    def insert(self, vec: dict, companion: Optional[dict] = None):
-        """Insert vec carrying companion; return (pivot, companion residue).
-
-        If vec is independent it is stored with its companion and the
-        residue is None.  If vec is dependent the pivot is None and the
-        residue is the companion minus the combination of stored companions
-        that matches vec (None without a companion).
-        """
-        out, track, scale = self._clear(vec, companion)
+        out, _ = self._clear(vec)
         if not out:
-            return None, (None if track is None else self.field.div_vec(track, scale))
+            return None
         p = min(out)
-        self._rows[p], comp = self._normalise(out, track, p)
-        if comp is not None:
-            self._comps[p] = comp
+        self._rows[p] = self._normalise(out, p)
         self._prim = self._canon = None
-        return p, None
+        return p
 
     @property
     def primitive_rows(self) -> dict[int, dict]:
@@ -176,37 +148,23 @@ class Echelon:
         if self._prim is None:
             rows = self._rows
             reduced: dict[int, dict] = {}
-            comps: dict[int, dict] = {}
             for p in sorted(rows, reverse=True):
                 out = dict(rows[p])
-                track = dict(self._comps[p]) if self._comps else None
                 for q in [c for c in out if c != p and c in rows]:
-                    self._step(out, track, reduced[q], comps.get(q), q)
-                reduced[p], comp = self._normalise(out, track, p)
-                if comp is not None:
-                    comps[p] = comp
-            self._prim = reduced, comps
-        return self._prim[0]
-
-    def _canonical(self) -> tuple[dict, dict]:
-        if self._canon is None:
-            rows, comps = self.primitive_rows, self._prim[1]
-            if self._integral:  # pivot entries to 1
-                div = self.field.div_vec
-                comps = {p: div(comp, rows[p][p]) for p, comp in comps.items()}
-                rows = {p: div(row, row[p]) for p, row in rows.items()}
-            self._canon = rows, comps
-        return self._canon
+                    self._step(out, reduced[q], q)
+                reduced[p] = self._normalise(out, p)
+            self._prim = reduced
+        return self._prim
 
     @property
     def rows(self) -> dict[int, dict]:
         """Canonical rows by pivot column."""
-        return self._canonical()[0]
-
-    @property
-    def companions(self) -> dict[int, dict]:
-        """Companions of the canonical rows by pivot column."""
-        return self._canonical()[1]
+        if self._canon is None:
+            rows = self.primitive_rows
+            if self._integral:  # pivot entries to 1
+                rows = {p: self.field.div_vec(row, row[p]) for p, row in rows.items()}
+            self._canon = rows
+        return self._canon
 
     def basis(self) -> list[dict]:
         """Canonical basis, ordered by pivot column."""
@@ -226,6 +184,20 @@ class Echelon:
         return {p: vec[p] for p in sorted(vec) if p in self._rows}
 
 
+def _tracked(columns: list[dict]) -> tuple[int, list[dict]]:
+    """(top, tracked columns): column j with a 1 added at column top - j,
+    top = max row index + len(columns).
+
+    Echelonizing the tracked columns in order tracks every combination in
+    the columns above the row indices.  The newest column has the lowest
+    tracking column, so a column that depends on the earlier ones leaves a
+    relation row whose pivot is its own tracking column, and the tracking
+    part of every independent row involves only independent columns.
+    """
+    top = max((r for col in columns for r in col), default=-1) + len(columns)
+    return top, [{**col, top - j: 1} for j, col in enumerate(columns)]
+
+
 class SparseMatrix:
     """A matrix given by its column vectors (row index -> nonzero scalar)."""
 
@@ -239,41 +211,37 @@ class SparseMatrix:
     def kernel(self) -> list[dict]:
         """Canonical basis of the right null space (len = columns - rank),
         as vectors over the column indices."""
-        field = self.field
-        ech = Echelon(field)
-        relations = []
-        for j, col in enumerate(self.columns):
-            pivot, residue = ech.insert(col, {j: field.one})
-            if pivot is None:
-                relations.append(residue)
-        return Echelon.of(field, relations).basis()
+        top, tracked = _tracked(self.columns)
+        last_row = top - len(self.columns)
+        stored = Echelon.of(self.field, tracked)._rows
+        relations = [
+            {top - c: x for c, x in row.items()} for p, row in stored.items() if p > last_row
+        ]
+        return Echelon.of(self.field, relations).basis()
 
 
 class ColumnSolver:
     """Solve M x = b for a sparse matrix given by column vectors.
 
-    Columns are echelonized with combination tracking; solutions are
-    deterministic (free variables set to zero, lowest-index pivots).  The
-    canonical companions are built at the first solve and then reused.
+    The columns are echelonized with their combinations tracked as extra
+    columns (:func:`_tracked`).  A solution is the basic one: zero on every
+    column that lies in the span of the earlier columns, which makes it
+    unique.
     """
 
     def __init__(self, field: Field, columns: list[dict]):
         self.field = field
-        self._ech = Echelon(field)
-        for j, col in enumerate(columns):
-            self._ech.insert(col, {j: field.one})
-
-    @property
-    def rank(self) -> int:
-        return self._ech.rank
+        self._top, tracked = _tracked(columns)
+        self._last_row = self._top - len(columns)
+        self._ech = Echelon.of(field, tracked)
+        self.rank = sum(p <= self._last_row for p in self._ech.pivots())
 
     def solve(self, b: dict) -> Optional[dict]:
-        """A particular solution x (dict col->coeff), or None if unsolvable."""
-        coeffs = self._ech.express(b)
-        if coeffs is None:
+        """The basic solution x (dict col->coeff), or None if unsolvable."""
+        if max(b, default=-1) > self._last_row:  # a row no column has
             return None
-        sol: dict = {}
-        companions = self._ech.companions
-        for p, c in coeffs.items():
-            vec_axpy(self.field, sol, c, companions[p])
-        return sol
+        residue = self._ech.reduce(b)
+        if any(c <= self._last_row for c in residue):
+            return None
+        neg, top = self.field.neg, self._top
+        return {top - c: neg(x) for c, x in residue.items()}

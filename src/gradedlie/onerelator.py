@@ -297,7 +297,8 @@ def verify_tower(tower: HNNTower, P: PresentedLieAlgebra, N: int) -> TowerReport
     report.rebuilt_dims = rebuilt.dim_sequence(N)
     report.original_dims = P.dim_sequence(N)
     report.dims_match = report.rebuilt_dims == report.original_dims
-    report.base_free = base.is_free_up_to(N) == "free-witnessed"
+    # checked past the relator weight, so the verdict is never inconclusive
+    report.base_free = base.is_free_up_to(max(N, w)) == "free-witnessed"
 
     for layer, der in steps:
         leibniz_ok = True

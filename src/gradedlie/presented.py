@@ -33,7 +33,7 @@ from itertools import combinations_with_replacement
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .fields import Field, check_same_field, integral, parse_field
+from .fields import Field, FieldError, check_same_field, integral, parse_field
 from .freelie import FreeLieAlgebra, LieElement, witt_dims
 from .linalg import Echelon, SparseMatrix
 from .series import HilbertSeries
@@ -362,10 +362,10 @@ class GradedEngine:
                 got = memo.get((q, p))
                 vec, d = self._pair(p, q) if got is None else (got[0], -got[1])
             d *= dv
-            if den == d == 1:
-                field.axpy(out, c * ci, vec)
-            else:
+            if den % d:
                 den = _addto(field, out, den, c * ci, vec, d)
+            else:  # no rescale, as for every pair read flipped (d = -1)
+                field.axpy(out, c * ci * (den // d), vec)
         return den
 
     def _pair(self, p: tuple, q: tuple) -> tuple:
@@ -390,10 +390,10 @@ class GradedEngine:
             res, den = {}, 1
             for i, c in u.items():
                 vec, dv = red[((n - wz, i), gz)]
-                if den == dv == 1:
-                    field.axpy(res, c, vec)
-                else:
+                if den % dv:
                     den = _addto(field, res, den, c, vec, dv)
+                else:
+                    field.axpy(res, c * (den // dv), vec)
             w2 = self._cand_red[p[0] + wz][(p, gz)]
             den = self._add_bracket(res, den * du, -1, p[0] + wz, w2, bprime)
             res, den = _reduced(res, den)
@@ -774,7 +774,10 @@ def parse_presentation(
             _, _, rhs = line.partition("=")
             if not rhs.strip():
                 raise PresentationError(f"line {lineno}: malformed field line")
-            file_field = parse_field(rhs.strip())
+            try:
+                file_field = parse_field(rhs)
+            except FieldError as exc:
+                raise PresentationError(f"line {lineno}: {exc}") from None
         elif line.startswith("gen "):
             parts = line.split()
             if len(parts) != 4 or parts[2] != "weight":

@@ -252,33 +252,37 @@ def all_pairs_commutator_rank(L: PresentedLieAlgebra, n: int) -> int:
 def all_pairs_leibniz_failure(d, N: int):
     """First weight <= N where the Leibniz law fails, else None.
 
-    Per weight m, the rows of A_m (L_m coordinates) carry their values in
-    L_{m+shift} as companions through the elimination; the candidates are
+    Per weight m, a pair (a, d(a)) is one vector: a in the L_m columns and
+    d(a) in the L_{m+shift} columns, offset by dim L_m.  The candidates are
     the generators of weight m and the brackets of every pair of lower
-    rows, with d([a,b]) = [a,d(b)] + [d(a),b].  A candidate that reduces to
-    0 in L_m with a nonzero companion residue is a violation.
+    rows, with d([a,b]) = [a,d(b)] + [d(a),b].  A candidate whose pivot
+    lies in the offset columns is a pair (0, v) with v != 0: a violation.
     """
     base, field, eng, shift = d.base, d.field, d.base.engine, d.shift
+
     gens = []
     for g, v in zip(d.domain_gens, d.values):
         w, gvec = base.evaluate(g)
         gens.append((w, gvec, {} if v.is_zero() else base.evaluate(v)[1]))
-    graphs: dict[int, Echelon] = {}
+    graphs: dict[int, list] = {}
     for m in range(1, N + 1):
         pairs = [(gvec, dvec) for w, gvec, dvec in gens if w == m]
         for a in range(1, m):
-            lo, hi = graphs[a], graphs[m - a]
-            for p1, a1 in lo.rows.items():
-                d1 = lo.companions[p1]
-                for p2, a2 in hi.rows.items():
-                    dv = eng.bracket_vec(a, a1, m - a + shift, hi.companions[p2])
+            for a1, d1 in graphs[a]:
+                for a2, d2 in graphs[m - a]:
+                    dv = eng.bracket_vec(a, a1, m - a + shift, d2)
                     field.axpy(dv, field.one, eng.bracket_vec(a + shift, d1, m - a, a2))
                     pairs.append((eng.bracket_vec(a, a1, m - a, a2), dv))
-        ech = graphs[m] = Echelon(field)
+        off = base.dim(m)
+        ech = Echelon(field)
         for avec, dvec in pairs:
-            pivot, rest = ech.insert(avec, dvec)
-            if pivot is None and rest:
+            pivot = ech.add({**avec, **{off + c: x for c, x in dvec.items()}})
+            if pivot is not None and pivot >= off:
                 return m
+        graphs[m] = [
+            ({c: x for c, x in row.items() if c < off}, {c - off: x for c, x in row.items() if c >= off})
+            for row in ech.basis()
+        ]
     return None
 
 

@@ -276,6 +276,9 @@ BAD_GRAPH_AND_PRESENTATION_INPUTS = {
     "der-unknown-in-bracket": HNN_GRAPH.format(u="a", du="[a,q]", sw="1"),
     "generator-weight-0": "field = Q\ngen x weight 0\n",
     "duplicate-generator": "field = Q\ngen x weight 1\ngen y weight 1\ngen x weight 2\n",
+    "field-line-unknown": "field = xQ\ngen x weight 1\n",
+    "field-line-bad-modulus": "field = Fp:7.0\ngen x weight 1\n",
+    "vertex-field-line": "vertex v badfield.lie\n",
 }
 
 
@@ -284,6 +287,7 @@ def test_bad_graph_and_presentation_input_exits_2(capsys, tmp_path, case):
     (tmp_path / "free2.lie").write_text("field = Q\ngen a weight 1\ngen b weight 1\n")
     (tmp_path / "kuv.lie").write_text("field = Q\ngen u weight 1\ngen v weight 1\n")
     (tmp_path / "zero.lie").write_text("field = Q\n")
+    (tmp_path / "badfield.lie").write_text("gen a weight 1\nfield = Fp:x\n")
     text = BAD_GRAPH_AND_PRESENTATION_INPUTS[case]
     if text.startswith("field"):
         (tmp_path / "bad.lie").write_text(text)
@@ -297,6 +301,51 @@ def test_bad_graph_and_presentation_input_exits_2(capsys, tmp_path, case):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err and "internal error" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("spec", ["Fp:x", "Fp:", "Fp:7.0"])
+def test_malformed_field_flag_exits_2(capsys, spec):
+    code = main(["--field", spec, "--max-degree", "3", "hall", "--gens", "x,y"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and "internal error" not in captured.err
+    assert captured.out == ""
+
+
+def test_onerelator_base_checked_past_max_degree(capsys):
+    # the relator has weight 3: a check of the base to weight 2 alone
+    # would be inconclusive, not a proof that the base is not free
+    path = os.path.join(os.path.dirname(__file__), "golden", "inputs", "onerel3.lie")
+    code, out = run(capsys, "--max-degree", "2", "onerelator", "decompose", path)
+    assert code == 0
+    assert json.loads(out)["data"]["base_free"] is True
+
+
+def test_graph_verify_checks_embeddings_to_explicit_weight(capsys, tmp_path):
+    # u, v -> a, b is injective up to weight 4 only: the vertex relator has
+    # weight 5
+    (tmp_path / "v5.lie").write_text(
+        "field = Q\ngen a weight 1\ngen b weight 1\nrel [a,[a,[a,[a,b]]]]\n"
+    )
+    (tmp_path / "f2.lie").write_text("field = Q\ngen x weight 1\ngen y weight 1\n")
+    (tmp_path / "kuv.lie").write_text("field = Q\ngen u weight 1\ngen v weight 1\n")
+    g = tmp_path / "g.graph"
+    g.write_text(
+        "vertex vA v5.lie\nvertex vB f2.lie\nedge e vA vB forest kuv.lie\n"
+        "map sigma e u -> a\nmap sigma e v -> b\nmap tau e u -> x\nmap tau e v -> y\n"
+    )
+    code, out = run(
+        capsys, "--max-degree", "4", "graph", "verify", str(g), "--explicit-to", "4"
+    )
+    assert code == 0
+    code, out = run(
+        capsys, "--max-degree", "4", "graph", "verify", str(g), "--explicit-to", "6"
+    )
+    assert code == 1
+    data = json.loads(out)["data"]
+    assert ["edge", "e", "5"] in data["embedding_failures"]
+    assert data["euler_ok"] is None and data["explicit_checks"] == []
 
 
 def test_cli_import_leaves_dataclasses_unloaded():

@@ -202,35 +202,43 @@ def test_column_solver_against_oracle(name):
     def check(columns, targets):
         solver = ColumnSolver(field, columns)
         assert solver.rank == oracle_rank(field, columns, NCOLS)
+        # the columns lying in the span of the earlier columns
+        dependent = {
+            j for j in range(len(columns))
+            if oracle_rank(field, columns[: j + 1], NCOLS) == oracle_rank(field, columns[:j], NCOLS)
+        }
         for b in targets + [dict(c) for c in columns]:
             x = solver.solve(b)
             in_span = oracle_rank(field, columns + [b], NCOLS) == solver.rank
             assert (x is not None) == in_span
             if x is not None:
                 assert combination(field, x, columns) == b
+                assert not dependent & set(x)  # the basic solution
                 if field == QQ:
                     assert all(exact_rational(c) for c in x.values())
 
     check()
 
 
-def test_tracked_insert_rank_over_f7():
+def test_tracked_columns_rank_over_f7():
     # a row sequence on which reducing at the first coordinate equal to 1
     # (rather than at each row's pivot) leaves a dependent row nonzero
     seq = [
         {1: 3, 2: 1, 0: 4}, {1: 3, 0: 5, 2: 2}, {1: 2, 2: 5},
         {2: 5, 1: 3, 0: 1}, {2: 5}, {2: 6, 0: 3, 1: 6},
     ]
-    ech = Echelon(F7)
-    results = [ech.insert(v, {k: 1}) for k, v in enumerate(seq)]
-    assert ech.rank == 3
-    # each row's companion is the combination of inputs that gives the row
-    for p, row in ech.rows.items():
-        assert combination(F7, ech.companions[p], seq) == row
-    # each dependent input's companion residue is a relation among inputs
-    for pivot, relation in results:
-        if pivot is None:
-            assert relation and combination(F7, relation, seq) == {}
+    m = SparseMatrix(F7, seq)
+    solver = ColumnSolver(F7, seq)
+    assert m.rank() == solver.rank == 3
+    # each relation combines the inputs to 0
+    kernel = m.kernel()
+    assert len(kernel) == 3
+    for relation in kernel:
+        assert relation and combination(F7, relation, seq) == {}
+    # each canonical row is a combination of the inputs
+    for row in Echelon.of(F7, seq).basis():
+        x = solver.solve(row)
+        assert x is not None and combination(F7, x, seq) == row
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
@@ -252,28 +260,24 @@ def test_sparse_matrix_against_oracle(name):
     check()
 
 
-# -- interleaved inserts and reads against the dense oracle -----------------
+# -- interleaved adds and reads against the dense oracle --------------------
 
-VECTOR_OPS = ["insert", "add", "reduce", "contains", "express", "solve"]
-READ_OPS = ["basis", "rows", "primitive_rows", "companions"]
+VECTOR_OPS = ["add", "reduce", "contains", "express", "solve"]
+READ_OPS = ["basis", "rows", "primitive_rows", "kernel"]
 
 
 def op_sequences(value):
     vec = st.dictionaries(st.integers(0, NCOLS - 1), value, max_size=4)
     op = st.one_of(
-        st.tuples(st.sampled_from(VECTOR_OPS), vec, value),
-        st.tuples(st.sampled_from(READ_OPS), st.just({}), value),
+        st.tuples(st.sampled_from(VECTOR_OPS), vec),
+        st.tuples(st.sampled_from(READ_OPS), st.just({})),
     )
-    return st.tuples(st.booleans(), st.lists(op, max_size=14))
+    return st.lists(op, max_size=14)
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_interleaved_echelon_against_oracle(name):
-    """Any mix of inserts and reads gives what the dense oracle gives.
-
-    With tracked=True every insert carries the companion {k: s} for the
-    k-th input and a random nonzero s, so a companion c stands for the
-    combination sum c[k] * inputs[k] / s_k of the inputs."""
+    """Any mix of adds and reads gives what the dense oracle gives."""
     field = FIELDS[name][0]
     value = q_value() if field == QQ else st.integers(1, 6)
 
@@ -282,29 +286,15 @@ def test_interleaved_echelon_against_oracle(name):
 
     @given(op_sequences(value))
     @settings(max_examples=150, deadline=None)
-    def check(case):
-        tracked, ops = case
-        ech, inputs, over_s = Echelon(field), [], []
-        for op, vec, s in ops:
+    def check(ops):
+        ech, inputs = Echelon(field), []
+        for op, vec in ops:
             reduced = rref(field, inputs, NCOLS)
             by_pivot = {min(row): row for row in reduced}
             residue = normal_form(field, reduced, vec)
-            if op in ("insert", "add"):
-                k = len(inputs)
+            if op == "add":
                 inputs.append(vec)
-                over_s.append({c: field.div(x, s) for c, x in vec.items()})
-                if tracked:
-                    pivot, rest = ech.insert(vec, {k: s})
-                elif op == "add":
-                    pivot, rest = ech.add(vec), None
-                else:
-                    pivot, rest = ech.insert(vec)
-                assert pivot == (min(residue) if residue else None)
-                if pivot is not None or not tracked:
-                    assert rest is None
-                else:  # the residue of a dependent input is a relation
-                    exact(rest.values())
-                    assert rest and combination(field, rest, over_s) == {}
+                assert ech.add(vec) == (min(residue) if residue else None)
             elif op == "reduce":
                 got = ech.reduce(vec)
                 exact(got.values())
@@ -319,7 +309,7 @@ def test_interleaved_echelon_against_oracle(name):
                     assert combination(field, coeffs, by_pivot) == vec
             elif op == "solve":
                 solver = ColumnSolver(field, inputs)
-                for _ in range(2):  # the second solve reads the cached form
+                for _ in range(2):  # the second solve reuses the echelon
                     x = solver.solve(vec)
                     assert (x is None) == bool(residue)
                     if x is not None:
@@ -338,11 +328,9 @@ def test_interleaved_echelon_against_oracle(name):
                         assert all(type(x) is int for x in row.values())
                         assert row[p] > 0 and math.gcd(*row.values()) == 1
             else:
-                comps = ech.companions
-                assert sorted(comps) == (sorted(by_pivot) if tracked else [])
-                for p, comp in comps.items():
-                    exact(comp.values())
-                    assert combination(field, comp, over_s) == by_pivot[p]
+                kernel = SparseMatrix(field, inputs).kernel()
+                exact(x for v in kernel for x in v.values())
+                assert kernel == null_space(field, inputs, NCOLS)
             reduced = rref(field, inputs, NCOLS)
             assert ech.pivots() == [min(row) for row in reduced]
             # a copy, so that the check itself leaves the cache state alone
