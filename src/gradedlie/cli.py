@@ -17,7 +17,7 @@ import random
 import sys
 
 from . import example6
-from .fields import FieldError, parse_field
+from .fields import QQ, FieldError, parse_field
 from .freelie import FreeLieAlgebra, witt_dims
 from .homology import homology_table
 from .onerelator import DecompositionError, decompose, verify_tower
@@ -39,7 +39,7 @@ def _report(args, command: str, ok: bool, data: dict) -> dict:
     return {
         "schema": SCHEMA,
         "command": command,
-        "field": args.field,
+        "field": "Q" if args.field is None else args.field,
         "max_degree": getattr(args, "max_degree", None),
         "hom_bound": getattr(args, "hom_bound", None),
         "seed": getattr(args, "seed", 0),
@@ -68,7 +68,10 @@ def _emit(args, report: dict) -> int:
     return 0 if report["ok"] else 1
 
 
-def _field(args):
+def _field(args, default=QQ):
+    """The field of --field, or `default` when the flag is absent."""
+    if args.field is None:
+        return default
     try:
         return parse_field(args.field)
     except FieldError as exc:
@@ -76,12 +79,16 @@ def _field(args):
 
 
 def _load_presentation(args, path):
+    """Load over --field, or else over the file's own field line; the
+    report states the field used."""
     try:
-        return load_presentation(path, field=_field(args))
+        P = load_presentation(path, field=_field(args, None))
     except FileNotFoundError as exc:
         raise InputError(str(exc))
     except PresentationError as exc:
         raise InputError(f"{path}: {exc}")
+    args.field = P.field.name
+    return P
 
 
 # -- subcommand handlers -------------------------------------------------
@@ -187,12 +194,13 @@ def cmd_graph_verify(args) -> int:
     from .graphalg import GraphError, load_graph, verify_theorem_a
 
     try:
-        graph = load_graph(args.file, field=_field(args))
+        graph = load_graph(args.file, field=_field(args, None))
         report = verify_theorem_a(
             graph, args.max_degree, explicit_to=args.explicit_to
         )
-    except (GraphError, PresentationError, FileNotFoundError) as exc:
+    except (GraphError, PresentationError, FieldError, FileNotFoundError) as exc:
         raise InputError(str(exc))
+    args.field = graph.field.name
     euler = report.euler_lhs is not None  # not reached after a failed embedding
     data = {
         "euler_ok": report.euler_ok,
@@ -392,7 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gradedlie",
         description="computations with finitely presented graded Lie algebras",
     )
-    parser.add_argument("--field", default="Q", help="ground field: Q or Fp:<prime>")
+    parser.add_argument(
+        "--field", default=None,
+        help="ground field: Q or Fp:<prime> (default: a file's field line, Q elsewhere)",
+    )
     parser.add_argument("--max-degree", type=_count, default=8, dest="max_degree")
     parser.add_argument("--hom-bound", type=_count, default=4, dest="hom_bound")
     parser.add_argument("--format", choices=("json", "table"), default="json")

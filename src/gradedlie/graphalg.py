@@ -502,15 +502,12 @@ class TheoremAReport:
 
     @property
     def explicit_ok(self) -> bool:
-        return all(c.ok for c in self.checks)
+        """False after an embedding failure, which stops the checks early."""
+        return not self.embedding_failures and all(c.ok for c in self.checks)
 
     @property
     def ok(self) -> bool:
-        if self.embedding_failures:
-            return False
-        if self.euler_ok is False:
-            return False
-        return self.explicit_ok
+        return self.euler_ok is not False and self.explicit_ok
 
 
 def verify_theorem_a(

@@ -12,16 +12,27 @@ the graph (including the empty clique), with differential
 
     d(c_w) = sum_r (-1)^(r-1) c_{w \\ {v_r}} . v_r      (w sorted, r 1-based)
 
-and augmentation in degree 0.  Exactness is verified by ranks: one
-elimination of d_j per weight m and position j, over the whole weight-m
-part of P_j.  The relators are multihomogeneous, so d preserves the
-multidegree (content in each vertex) and each weight of the complex is a
-direct sum of multidegree blocks whose ranks add up.  As d o d = 0, every
-block has r_j + r_{j+1} <= dim P_j, so the equality in total holds exactly
-when it holds in every block: the unsplit check says what a per-block one
-would.  Rows of different multidegree have disjoint supports, so sparse
-elimination never mixes blocks and splitting them would not make it
-cheaper.
+and augmentation in degree 0.  U(L) = T(V)/(uv - vu : {u,v} an edge) is
+the monoid algebra of the trace monoid M(Gamma), whose traces are a basis
+(Cartier & Foata, LNM 85, 1969; Duchamp & Krob, Adv. Math. 95, 1992).  So
+chains are indexed by (clique, trace), and d(c_w (x) t) = sum_r (-1)^(r-1)
+c_{w \\ {v_r}} (x) v_r t has entries +-1 and no bracket to straighten; its
+ranks are those of the same maps written in a PBW basis.  A trace is stored
+as its lexicographically least word of vertex indices (Anisimov & Knuth,
+Int. J. Comput. Inform. Sci. 8, 1979).  The normal form of a word takes
+the least letter whose first occurrence commutes with every letter before
+it, then normalises the word with that occurrence removed (which need not
+be a normal form itself).
+
+Exactness is verified by ranks: one elimination of d_j per weight m and
+position j, over the whole weight-m part of P_j.  The relators are
+multihomogeneous, so d preserves the multidegree (content in each vertex)
+and each weight of the complex is a direct sum of multidegree blocks whose
+ranks add up.  As d o d = 0, every block has r_j + r_{j+1} <= dim P_j, so
+the equality in total holds exactly when it holds in every block: the
+unsplit check says what a per-block one would.  Rows of different
+multidegree have disjoint supports, so sparse elimination never mixes
+blocks and splitting them would not make it cheaper.
 
 Graph file format::
 
@@ -35,7 +46,6 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional
 
-from .envelope import Envelope
 from .fields import QQ, Field
 from .linalg import Echelon
 from .presented import PresentedLieAlgebra
@@ -246,55 +256,66 @@ def is_chordal(graph: SimpleGraph) -> ChordalityResult:
 
 
 class RaagResolution:
-    """The complex P_j = (+)_{|w| = j} c_w U(L_Gamma), per weight.
-
-    Chains are indexed (clique, PBW monomial).  Exactness is checked by one
-    rank of d_j per weight and position; see the module docstring for why
-    this is equivalent to checking every multidegree block.
-    """
+    """The complex P_j = (+)_{|w| = j} c_w U(L_Gamma), per weight, with
+    chains indexed (clique, trace).  Exactness is checked by one rank of d_j
+    per weight and position (see the module docstring)."""
 
     def __init__(self, graph: SimpleGraph, field: Field = QQ):
         self.graph = graph
         self.field = field
         self.algebra = raag_presentation(graph, field)
-        self.env = Envelope(self.algebra)
         self.cliques = graph.cliques()
         self.by_size: dict[int, list] = {}
         for w in self.cliques:
             self.by_size.setdefault(len(w), []).append(w)
-        self._gen_keys = {}
-        eng = self.algebra.engine
-        eng.build_to(1)
-        for i, v in enumerate(graph.vertices):
-            red = eng.gen_reduction(i)
-            (idx, one), = red.items()
-            self._gen_keys[v] = (1, idx)
+        vs = graph.vertices
+        self.letters = {v: a for a, v in enumerate(vs)}
+        # _blocks[a]: a and its non-neighbours, which no a moves left past
+        self._blocks = [
+            sum(1 << b for b, u in enumerate(vs) if u == v or not graph.has_edge(u, v))
+            for v in vs
+        ]
+        self._nf: dict = {(): ()}
+        self._traces: dict[int, list] = {0: [()]}
 
     def max_position(self) -> int:
         return max(self.by_size)
 
+    def normal_form(self, word: tuple) -> tuple:
+        """The lexicographically least word equivalent to `word`."""
+        got = self._nf.get(word)
+        if got is None:
+            seen, first, at = 0, None, 0
+            for i, a in enumerate(word):
+                if not self._blocks[a] & seen and (first is None or a < first):
+                    first, at = a, i
+                seen |= 1 << a
+            got = self._nf[word] = (first,) + self.normal_form(word[:at] + word[at + 1:])
+        return got
+
+    def traces(self, k: int) -> list:
+        """The traces of weight k, sorted."""
+        got = self._traces.get(k)
+        if got is None:
+            n = len(self.graph.vertices)
+            words = {self.normal_form((a,) + t) for t in self.traces(k - 1) for a in range(n)}
+            got = self._traces[k] = sorted(words)
+        return got
+
     def module_basis(self, j: int, m: int) -> list:
-        """Basis of P_j in weight m: pairs (clique of size j, PBW monomial
-        of weight m - j)."""
+        """Basis of P_j in weight m: (clique of size j, trace of weight m - j)."""
         if j < 0 or m - j < 0:
             return []
-        out = []
-        for w in self.by_size.get(j, []):
-            for mono in self.env.pbw_basis(m - j):
-                out.append((w, mono))
-        return out
+        return [(w, t) for w in self.by_size.get(j, []) for t in self.traces(m - j)]
 
-    def boundary(self, w: tuple, mono: tuple) -> dict:
-        """d(c_w (x) u) = sum_r (-1)^(r-1) c_{w minus v_r} (x) v_r . u."""
-        field = self.field
-        env = self.env
-        out: dict = {}
-        for r, v in enumerate(w, start=1):
-            sign = field.one if r % 2 == 1 else field.neg(field.one)
-            rest = tuple(x for x in w if x != v)
-            prod = env.mult_mono((self._gen_keys[v],), mono)
-            field.axpy(out, sign, {(rest, m2): c for m2, c in prod.items()})
-        return out
+    def boundary(self, w: tuple, t: tuple) -> dict:
+        """d(c_w (x) t) = sum_r (-1)^(r-1) c_{w minus v_r} (x) NF(v_r t)."""
+        one = self.field.one
+        signs = (one, self.field.neg(one))
+        return {
+            (w[:r] + w[r + 1:], self.normal_form((self.letters[v],) + t)): signs[r % 2]
+            for r, v in enumerate(w)
+        }
 
     def verify_exactness(self, N: int) -> "ResolutionReport":
         """Rank-check exactness at every position, weights <= N.

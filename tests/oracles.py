@@ -2,7 +2,9 @@
 
 Each one recomputes something the library computes another way (commuting
 pairs by exhaustive enumeration, chordality by induced-cycle search over
-every labeled graph, d o d = 0 on the RAAG resolution, Mayer-Vietoris
+every labeled graph, d o d = 0 on the RAAG resolution, the resolution's
+ranks with chains indexed by PBW monomials and a straightened boundary,
+Mayer-Vietoris
 exactness from dimensions alone, Hall monomial chains, subspace sums and
 intersections, d o d = 0 on the CE complex, bracket closures over all
 pairs of lower components, the Leibniz check over all pairs, induced
@@ -16,13 +18,14 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
+from gradedlie.envelope import Envelope
 from gradedlie.example6 import NilpotentQuotient, change_field
 from gradedlie.fields import GF, RationalField, check_same_field
 from gradedlie.freelie import FreeLieAlgebra
 from gradedlie.homology import HomologyTable
 from gradedlie.linalg import Echelon, SparseMatrix
 from gradedlie.presented import PresentedLieAlgebra
-from gradedlie.raag import SimpleGraph, find_induced_cycle
+from gradedlie.raag import RaagResolution, SimpleGraph, find_induced_cycle
 
 
 # ----------------------------------------------------------------------
@@ -88,6 +91,53 @@ def resolution_d_squared_failure(res, N: int):
                 if out:
                     return m, j, cell
     return None
+
+
+class PbwResolution(RaagResolution):
+    """The RAAG resolution with chains indexed (clique, PBW monomial) and
+    d(c_w (x) u) = sum_r (-1)^(r-1) c_{w minus v_r} (x) v_r . u straightened
+    in the envelope: the same maps as `RaagResolution`, in the PBW basis."""
+
+    def __init__(self, graph, field):
+        super().__init__(graph, field)
+        self.env = Envelope(self.algebra)
+        eng = self.algebra.engine
+        eng.build_to(1)
+        self.gen_keys = {}
+        for i, v in enumerate(graph.vertices):
+            (idx, _), = eng.gen_reduction(i).items()
+            self.gen_keys[v] = (1, idx)
+
+    def module_basis(self, j: int, m: int) -> list:
+        if j < 0 or m - j < 0:
+            return []
+        return [(w, mono) for w in self.by_size.get(j, []) for mono in self.env.pbw_basis(m - j)]
+
+    def boundary(self, w: tuple, mono: tuple) -> dict:
+        field = self.field
+        out: dict = {}
+        for r, v in enumerate(w, start=1):
+            sign = field.one if r % 2 == 1 else field.neg(field.one)
+            rest = tuple(x for x in w if x != v)
+            prod = self.env.mult_mono((self.gen_keys[v],), mono)
+            field.axpy(out, sign, {(rest, m2): c for m2, c in prod.items()})
+        return out
+
+
+def resolution_ranks(res, N: int) -> dict:
+    """{(weight, position): (dim P_j, rank d_j)} of a RAAG resolution, for
+    weights <= N, with d_j eliminated over the whole weight."""
+    out = {}
+    for m in range(N + 1):
+        for j in range(min(res.max_position(), m) + 1):
+            cells = res.module_basis(j, m)
+            rank = 0
+            if j:
+                index = {c: i for i, c in enumerate(res.module_basis(j - 1, m))}
+                rows = [{index[c]: x for c, x in res.boundary(*cell).items()} for cell in cells]
+                rank = Echelon.of(res.field, rows).rank
+            out[m, j] = (len(cells), rank)
+    return out
 
 # ----------------------------------------------------------------------
 # Mayer-Vietoris

@@ -346,6 +346,57 @@ def test_graph_verify_checks_embeddings_to_explicit_weight(capsys, tmp_path):
     data = json.loads(out)["data"]
     assert ["edge", "e", "5"] in data["embedding_failures"]
     assert data["euler_ok"] is None and data["explicit_checks"] == []
+    assert data["explicit_ok"] is False
+
+
+def test_file_field_line_used_without_field_flag(capsys, tmp_path):
+    # over F_2 the relator 2*[a,b] is zero; --field overrides the file
+    f = tmp_path / "f2.lie"
+    f.write_text("field = Fp:2\ngen a weight 1\ngen b weight 1\nrel 2*[a,b]\n")
+    code = main(["--max-degree", "3", "dims", str(f)])
+    captured = capsys.readouterr()
+    assert code == 2 and "zero relator" in captured.err and captured.out == ""
+    code, out = run(capsys, "--field", "Q", "--max-degree", "3", "dims", str(f))
+    assert code == 0
+    report = json.loads(out)
+    assert report["field"] == "Q" and report["data"]["dims"] == ["2", "0", "0"]
+    f.write_text("field = Fp:2\ngen a weight 1\ngen b weight 1\nrel [a,b]\n")
+    code, out = run(capsys, "--max-degree", "3", "hopf", str(f))
+    assert code == 0 and json.loads(out)["field"] == "Fp:2"
+    # with neither a flag nor a field line there is no field to use
+    f.write_text("gen a weight 1\n")
+    code = main(["--max-degree", "3", "dims", str(f)])
+    captured = capsys.readouterr()
+    assert code == 2 and "no field given" in captured.err and captured.out == ""
+
+
+def _amalgam_files(tmp_path, fields):
+    for (name, text), field in zip(
+        [("k2.lie", "gen a weight 1\ngen b weight 1\nrel [a,b]\n"),
+         ("k1.lie", "gen x weight 1\n"), ("zero.lie", "")], fields
+    ):
+        (tmp_path / name).write_text(f"field = {field}\n{text}")
+    g = tmp_path / "mn.graph"
+    g.write_text("vertex vM k2.lie\nvertex vN k1.lie\nedge e1 vM vN forest zero.lie\n")
+    return str(g)
+
+
+def test_graph_verify_uses_the_vertex_files_field(capsys, tmp_path):
+    g = _amalgam_files(tmp_path, ["Fp:7"] * 3)
+    code, out = run(capsys, "--max-degree", "4", "graph", "verify", g, "--explicit-to", "3")
+    assert code == 0 and json.loads(out)["field"] == "Fp:7"
+    code, out = run(capsys, "--field", "Q", "--max-degree", "4", "graph", "verify", g)
+    assert code == 0 and json.loads(out)["field"] == "Q"
+
+
+@pytest.mark.parametrize("fields", [["Q", "Fp:7", "Q"], ["Q", "Q", "Fp:7"]],
+                         ids=["vertices", "edge"])
+def test_graph_files_over_different_fields_exit_2(capsys, tmp_path, fields):
+    g = _amalgam_files(tmp_path, fields)
+    code = main(["--max-degree", "4", "graph", "verify", g])
+    captured = capsys.readouterr()
+    assert code == 2 and "field mismatch" in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 def test_cli_import_leaves_dataclasses_unloaded():

@@ -1,6 +1,9 @@
-import pytest
+from itertools import combinations
 
-from gradedlie.fields import QQ
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gradedlie.fields import GF, QQ
 from gradedlie.presented import PresentedLieAlgebra
 from gradedlie.raag import (
     RaagResolution,
@@ -13,7 +16,13 @@ from gradedlie.raag import (
     verify_resolution,
 )
 from gradedlie.series import HilbertSeries
-from oracles import all_labeled_graphs, brute_force_chordal, resolution_d_squared_failure
+from oracles import (
+    PbwResolution,
+    all_labeled_graphs,
+    brute_force_chordal,
+    resolution_d_squared_failure,
+    resolution_ranks,
+)
 
 
 def path(n):
@@ -91,19 +100,32 @@ def test_clique_polynomial():
 
 
 def test_resolution_differential_formula():
-    # d2(c_{a,b}) = c_b . a - c_a . b for a < b
+    # d2(c_{a,b}) = c_b (x) a - c_a (x) b for a < b, traces as words of
+    # vertex indices
     g = SimpleGraph(["a", "b"], [("a", "b")])
     res = RaagResolution(g)
-    ka = res._gen_keys["a"]
-    kb = res._gen_keys["b"]
-    img = res.boundary(("a", "b"), ())
-    assert img == {
-        (("b",), (ka,)): QQ.one,
-        (("a",), (kb,)): QQ.neg(QQ.one),
+    a, b = res.letters["a"], res.letters["b"]
+    assert res.boundary(("a", "b"), ()) == {
+        (("b",), (a,)): QQ.one,
+        (("a",), (b,)): QQ.neg(QQ.one),
     }
     # d1(c_v) = v, and the augmentation kills it
-    img1 = res.boundary(("a",), ())
-    assert img1 == {((), (ka,)): QQ.one}
+    assert res.boundary(("a",), ()) == {((), (a,)): QQ.one}
+    # b commutes with a, so b.ab = ab.b is the trace abb
+    assert res.boundary(("b",), (a, b)) == {((), (a, b, b)): QQ.one}
+
+
+def test_normal_form_is_the_least_equivalent_word():
+    # a and c commute; b commutes with neither
+    res = RaagResolution(SimpleGraph(["a", "b", "c"], [("a", "c")]))
+    a, b, c = range(3)
+    assert res.normal_form((c, a)) == (a, c)
+    assert res.normal_form((b, a)) == (b, a)
+    # the first a commutes past c c but not past b
+    assert res.normal_form((c, c, a, b)) == (a, c, c, b)
+    assert res.normal_form((c, b, a, c)) == (c, b, a, c)
+    # after c is taken, the rest b c a is not a normal form: b a c is
+    assert res.normal_form((c, b, c, a)) == (c, b, a, c)
 
 
 def test_resolution_exactness_k2():
@@ -139,14 +161,12 @@ def diamond():
     return SimpleGraph(g.vertices, [tuple(e) for e in g.edges if e != frozenset(("v1", "v4"))])
 
 
-def unsigned_boundary(self, w, mono):
+signed_boundary = RaagResolution.boundary
+
+
+def unsigned_boundary(self, w, t):
     """RaagResolution.boundary without the sign (-1)^(r-1)."""
-    out: dict = {}
-    for v in w:
-        rest = tuple(x for x in w if x != v)
-        prod = self.env.mult_mono((self._gen_keys[v],), mono)
-        self.field.axpy(out, self.field.one, {(rest, m2): c for m2, c in prod.items()})
-    return out
+    return dict.fromkeys(signed_boundary(self, w, t), self.field.one)
 
 
 @pytest.mark.parametrize(
@@ -171,6 +191,26 @@ def test_exactness_check_detects_a_dropped_sign(monkeypatch):
     assert report.failures[0] == (3, 1, 18, 10, 9)
     assert [f[:2] for f in report.failures] == [(3, 1), (3, 2), (4, 1), (4, 2)]
     assert not report.ok
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(2, 6))
+    vs = [f"v{i}" for i in range(1, n + 1)]
+    pairs = list(combinations(vs, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return SimpleGraph(vs, [p for p, k in zip(pairs, keep) if k])
+
+
+@given(graph=small_graphs(), field=st.sampled_from([QQ, GF(7)]))
+@settings(max_examples=50, deadline=None)
+def test_trace_basis_ranks_match_pbw_oracle(graph, field):
+    # the same maps in two bases of U(L_Gamma): equal dims and ranks per
+    # (weight, position), and as many traces as PBW monomials
+    res = RaagResolution(graph, field)
+    series = res.algebra.enveloping_series(5)
+    assert [len(res.traces(k)) for k in range(6)] == series.coeffs
+    assert resolution_ranks(res, 5) == resolution_ranks(PbwResolution(graph, field), 5)
 
 
 def test_koszul_for_complete_graphs():
