@@ -124,7 +124,9 @@ def test_normal_form_is_the_least_equivalent_word():
     # the first a commutes past c c but not past b
     assert res.normal_form((c, c, a, b)) == (a, c, c, b)
     assert res.normal_form((c, b, a, c)) == (c, b, a, c)
-    # after c is taken, the rest b c a is not a normal form: b a c is
+    # what is left once a letter is taken need not be a normal form: it is
+    # normalised again (c a after the first a of c a a, b c a after c)
+    assert res.normal_form((c, a, a)) == (a, a, c)
     assert res.normal_form((c, b, c, a)) == (c, b, a, c)
 
 
@@ -203,7 +205,7 @@ def small_graphs(draw):
 
 
 @given(graph=small_graphs(), field=st.sampled_from([QQ, GF(7)]))
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=20, deadline=None)
 def test_trace_basis_ranks_match_pbw_oracle(graph, field):
     # the same maps in two bases of U(L_Gamma): equal dims and ranks per
     # (weight, position), and as many traces as PBW monomials
