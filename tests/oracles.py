@@ -4,13 +4,12 @@ Each one recomputes something the library computes another way (commuting
 pairs by exhaustive enumeration, chordality by induced-cycle search over
 every labeled graph, d o d = 0 on the RAAG resolution, the resolution's
 ranks with chains indexed by PBW monomials and a straightened boundary,
-Mayer-Vietoris
-exactness from dimensions alone, Hall monomial chains, subspace sums and
-intersections, d o d = 0 on the CE complex, bracket closures over all
-pairs of lower components, the Leibniz check over all pairs, induced
-modules from a basis of the subalgebra, [I,F] with its redundant [[I,F],x]
-term, the Lie algebra laws on the engine's structure constants), so a
-test can compare the two.
+Mayer-Vietoris exactness from dimensions alone, Hall monomial chains,
+subspace sums and intersections, d o d = 0 on the CE complex, bracket
+closures over all pairs of lower components, the Leibniz check over all
+pairs, induced modules from a basis of the subalgebra, [I,F] with its
+redundant [[I,F],x] term, the Lie algebra laws on the engine's structure
+constants), so a test can compare the two.
 """
 
 from __future__ import annotations
