@@ -218,6 +218,9 @@ def cmd_graph_verify(args) -> int:
             }
             for c in report.checks
         ]
+        data["explicit_ranks"] = [
+            _strs((c.src_dim, c.mid_dim, c.rank_alpha)) for c in report.checks
+        ]
         data["explicit_ok"] = report.explicit_ok
     return _emit(args, _report(args, "graph verify", report.ok, data))
 
@@ -271,6 +274,7 @@ def cmd_raag_resolve(args) -> int:
         "exact": not report.failures,
         "euler_ok": report.euler_ok,
         "failures": [str(f[:3]) for f in report.failures[:10]],
+        "ranks": [[_strs(pair) for pair in weight] for weight in report.ranks],
     }
     return _emit(args, _report(args, "raag resolve", report.ok, data))
 

@@ -328,7 +328,8 @@ class RaagResolution:
         are sums of block ranks, and since d o d = 0 bounds every block by
         r_j + r_{j+1} <= dim P_j, the totals are equal exactly when every
         block's are.  A failure is recorded as (weight, position, dim P_j,
-        r_j, r_{j+1}).
+        r_j, r_{j+1}), and every weight's (dim P_j, r_j) pairs, j = 0, ...,
+        in ``report.ranks`` (d_0 = 0: the augmentation is not one of the d_j).
         """
         report = ResolutionReport(self.graph, N)
         field = self.field
@@ -348,6 +349,7 @@ class RaagResolution:
                     )
                     ranks[j] = Echelon.of(field, rows).rank
                 index = {cell: i for i, cell in enumerate(cells)}
+            report.ranks.append([(dims[j], ranks[j]) for j in range(top_m + 1)])
             for j in range(top_m + 1):
                 d_j, r_j, r_j1 = dims[j], ranks[j], ranks[j + 1]
                 if j == 0 and m == 0:
@@ -372,6 +374,7 @@ class ResolutionReport:
         self.graph = graph
         self.N = N
         self.failures: list = []
+        self.ranks: list = []  # weight -> [(dim P_j, rank d_j) for j = 0, ...]
         self.euler_ok: Optional[bool] = None
 
     @property

@@ -85,6 +85,10 @@ def test_raag_resolve_and_verdict(capsys, c4_file):
     assert code == 0  # resolution is exact even for non-chordal graphs
     report = json.loads(out)
     assert report["data"]["exact"] and report["data"]["euler_ok"]
+    # per weight, [dim P_j, rank d_j]; C4 has cliques of size <= 2
+    ranks = report["data"]["ranks"]
+    assert ranks[:3] == [[["1", "0"]], [["4", "0"], ["4", "4"]], [["12", "0"], ["16", "12"], ["4", "4"]]]
+    assert len(ranks) == 5
 
     code, out = run(capsys, "raag", "verdict", c4_file)
     assert code == 1
@@ -384,7 +388,13 @@ def _amalgam_files(tmp_path, fields):
 def test_graph_verify_uses_the_vertex_files_field(capsys, tmp_path):
     g = _amalgam_files(tmp_path, ["Fp:7"] * 3)
     code, out = run(capsys, "--max-degree", "4", "graph", "verify", g, "--explicit-to", "3")
-    assert code == 0 and json.loads(out)["field"] == "Fp:7"
+    report = json.loads(out)
+    assert report["field"] == "Fp:7"
+    # M * N over the zero edge algebra: per weight [src_dim, mid_dim,
+    # rank_alpha], with src = U(L), mid = U(L)/U(M) + U(L)/U(N)
+    assert report["data"]["explicit_ranks"] == [
+        ["1", "2", "1"], ["3", "3", "3"], ["8", "8", "8"], ["21", "21", "21"]
+    ]
     code, out = run(capsys, "--field", "Q", "--max-degree", "4", "graph", "verify", g)
     assert code == 0 and json.loads(out)["field"] == "Q"
 

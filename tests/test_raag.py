@@ -213,6 +213,10 @@ def test_trace_basis_ranks_match_pbw_oracle(graph, field):
     series = res.algebra.enveloping_series(5)
     assert [len(res.traces(k)) for k in range(6)] == series.coeffs
     assert resolution_ranks(res, 5) == resolution_ranks(PbwResolution(graph, field), 5)
+    reported = res.verify_exactness(5).ranks
+    assert {(m, j): pair for m, row in enumerate(reported) for j, pair in enumerate(row)} == (
+        resolution_ranks(res, 5)
+    )
 
 
 def test_koszul_for_complete_graphs():
