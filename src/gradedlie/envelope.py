@@ -30,7 +30,12 @@ class EmbeddingError(ValueError):
 
 
 class Envelope:
-    """PBW machinery for U(L) of a presented graded Lie algebra."""
+    """PBW machinery for U(L) of a presented graded Lie algebra.
+
+    It also holds the per-weight state of the induced modules built on it,
+    one state per subalgebra span (see :class:`InducedModule`), so modules
+    of equal subalgebras share their right ideals.
+    """
 
     def __init__(self, algebra: PresentedLieAlgebra):
         self.algebra = algebra
@@ -38,6 +43,7 @@ class Envelope:
         self._pbw: dict[tuple[int, tuple], list] = {}  # (n, min_key) -> monomials
         self._index: dict[int, dict] = {}              # n -> {monomial: position}
         self._mult_memo: dict = {}                     # (mono, key) -> dict
+        self._induced: dict[tuple, dict] = {}          # InducedModule state by span key
 
     # -- PBW bases ---------------------------------------------------------
 
@@ -144,71 +150,81 @@ class InducedModule:
 
     The right ideal S.U(L) is generated by any generating set of S, since
     [x,g] = xg - gx; so per weight, (S.U(L))_n is spanned by the products
-    g.u with g running over the given generators of S (not a basis of S)
-    and u over PBW monomials of complementary weight; a generator in the
-    span of the earlier ones of its weight adds no new product and is
-    skipped.  The quotient basis is the canonical complement (non-pivot PBW
+    g.u with g over a basis of the span of S's given generators of each
+    weight w (not a basis of S) and u over the PBW monomials of weight
+    n - w.  The quotient basis is the canonical complement (non-pivot PBW
     monomials).
+
+    Modules on one Envelope share their per-weight state (the ideal's
+    Echelon and the quotient basis) when the given generators span the
+    same space in every weight.  The key is the canonical basis of those
+    spans, so the order of the generators, repeats and changes of basis
+    within a weight give the same key, and the state is built from the key
+    alone.  Equal spans generate the same S, and by PBW, U(L) is free over
+    U(S) and k (x)_{U(S)} U(L) = U(L)/(S.U(L)) depends only on S; the
+    pivots, the quotient basis and the residue :meth:`project` returns
+    depend only on the span of S.U(L).
     """
 
-    def __init__(self, env: Envelope, sub: Optional[GradedSubalgebra], name: str = ""):
+    def __init__(self, env: Envelope, sub: Optional[GradedSubalgebra]):
         self.env = env
         self.field = env.field
-        self.sub = sub
-        self.name = name
-        self._ideal: dict[int, Echelon] = {}
-        self._qbasis: dict[int, list] = {}   # n -> list of PBW monomials
-        self._qindex: dict[int, dict] = {}
+        self._gens = _span_key(env.field, sub)
+        # n -> (Echelon of (S.U(L))_n, quotient basis, {PBW position: quotient position})
+        self._state: dict[int, tuple] = env._induced.setdefault(self._gens, {})
 
-    def _build(self, n: int):
-        if n in self._qbasis:
-            return
-        env = self.env
-        field = self.field
-        ech = Echelon(field)
-        if self.sub is not None:
-            earlier: dict[int, Echelon] = {}
-            for w, g in self.sub.weighted_generators():
-                if w <= n and earlier.setdefault(w, Echelon(field)).add(g) is not None:
-                    g_u = env.lie_vector_as_u(w, g)
+    def _build(self, n: int) -> tuple:
+        got = self._state.get(n)
+        if got is None:
+            env = self.env
+            one = self.field.one
+            ech = Echelon(self.field)
+            for w, g in self._gens:
+                if w <= n:
+                    g_u = env.lie_vector_as_u(w, dict(g))
                     for u_mono in env.pbw_basis(n - w):
-                        ech.add(env.coords(env.mult(g_u, {u_mono: field.one}), n))
-        self._ideal[n] = ech
-        pivots = set(ech.pivots())
-        basis = [
-            m for i, m in enumerate(env.pbw_basis(n)) if i not in pivots
-        ]
-        self._qbasis[n] = basis
-        self._qindex[n] = {m: i for i, m in enumerate(basis)}
+                        ech.add(env.coords(env.mult(g_u, {u_mono: one}), n))
+            pivots = set(ech.pivots())
+            pbw = env.pbw_basis(n)
+            nonpivot = [i for i in range(len(pbw)) if i not in pivots]
+            got = (ech, [pbw[i] for i in nonpivot], {i: j for j, i in enumerate(nonpivot)})
+            self._state[n] = got
+        return got
 
     def dim(self, n: int) -> int:
         if n < 0:
             return 0
-        self._build(n)
-        return len(self._qbasis[n])
+        return len(self._build(n)[1])
 
     def dims(self, N: int) -> list[int]:
         return [self.dim(n) for n in range(N + 1)]
 
     def quotient_basis(self, n: int) -> list[tuple]:
-        self._build(n)
-        return self._qbasis[n]
+        return self._build(n)[1]
 
     def project(self, u: dict, n: int) -> dict:
         """Class of a weight-n U(L) element, in quotient coordinates."""
-        self._build(n)
-        env = self.env
-        res = self._ideal[n].reduce(env.coords(u, n))
+        ech, _, qindex = self._build(n)
         # residues live on non-pivot columns; re-index to the quotient basis
-        pbw = env.pbw_basis(n)
-        qindex = self._qindex[n]
-        return {qindex[pbw[i]]: c for i, c in res.items()}
+        return {qindex[i]: c for i, c in ech.reduce(self.env.coords(u, n)).items()}
 
     def right_action(self, coords: dict, n: int, u: dict, j: int) -> dict:
         """Act on a weight-n class by a weight-j element of U(L)."""
-        self._build(n)
-        lift = {self._qbasis[n][i]: c for i, c in coords.items()}
+        basis = self._build(n)[1]
+        lift = {basis[i]: c for i, c in coords.items()}
         return self.project(self.env.mult(lift, u), n + j)
+
+
+def _span_key(field, sub: Optional[GradedSubalgebra]) -> tuple:
+    """((weight, canonical row as sorted items), ...): the canonical basis
+    of the span of sub's given generators in each weight, weights
+    ascending; () for S = 0."""
+    spans: dict[int, Echelon] = {}
+    for w, g in sub.weighted_generators() if sub is not None else ():
+        spans.setdefault(w, Echelon(field)).add(g)
+    return tuple(
+        (w, tuple(sorted(row.items()))) for w in sorted(spans) for row in spans[w].basis()
+    )
 
 
 def induced_module_dims(

@@ -523,7 +523,11 @@ def verify_theorem_a(
 
     All vertex and edge algebras must embed injectively (rank-checked up to
     max(N, explicit_to), as the explicit checks rely on it); failures abort
-    with diagnostics in the report.
+    with diagnostics in the report.  The vertex, edge and partial modules
+    live on one Envelope, so those of equal subalgebras (a partial
+    subalgebra equal to a vertex's image, an edge whose image is a
+    vertex's) share one module state and each right ideal is built once
+    per weight.
     """
     if not graph.connected:
         raise GraphError("theorem A verification requires a connected graph")
@@ -571,11 +575,11 @@ def verify_theorem_a(
 
     env = Envelope(L)
     vertex_modules = {
-        vid: InducedModule(env, embeddings[("v", vid)].image_subalgebra(), name=vid)
+        vid: InducedModule(env, embeddings[("v", vid)].image_subalgebra())
         for vid in graph.vertices
     }
     edge_modules = {
-        e.id: InducedModule(env, embeddings[("e", e.id)].image_subalgebra(), name=e.id)
+        e.id: InducedModule(env, embeddings[("e", e.id)].image_subalgebra())
         for e in graph.edges
     }
 

@@ -116,12 +116,19 @@ class Echelon:
 
     def _normalise(self, out: dict, p: int) -> dict:
         """out divided by out[p] (F_p) or by the content of out, signed like
-        out[p] (Q)."""
+        out[p] (Q); out itself when that changes nothing, as for the +-1
+        rows of a RAAG boundary."""
+        x = out[p]
         if self._integral:
-            d = gcd(*out.values()) if out[p] > 0 else -gcd(*out.values())
-            return {c: x // d for c, x in out.items()}
-        f = self.field.inv(out[p])
-        return {c: self.field.mul(f, x) for c, x in out.items()}
+            d = gcd(*out.values()) if x > 0 else -gcd(*out.values())
+            return out if d == 1 else {c: y // d for c, y in out.items()}
+        if x == 1:
+            return out
+        field = self.field
+        if x == field.neg(field.one):
+            return {c: field.neg(y) for c, y in out.items()}
+        f = field.inv(x)
+        return {c: field.mul(f, y) for c, y in out.items()}
 
     def reduce(self, vec: dict) -> dict:
         """Return the residue of vec modulo the current row space."""

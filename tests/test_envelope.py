@@ -168,20 +168,30 @@ def test_right_action():
 GOLDEN_INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
 
 
-@pytest.mark.parametrize("name, products", [("mix.graph", 2259), ("hnn.graph", 2502)])
-def test_induced_modules_skip_dependent_generators(monkeypatch, name, products):
-    # the fundamental algebra of mix.graph identifies v2.b with v1.a, so
-    # one given generator repeats another; multiplying it too gave 2,595
-    # products on mix.graph.  hnn.graph has no such repeat.
+@pytest.mark.parametrize(
+    "name, products, modules, states", [("mix.graph", 919, 6, 3), ("hnn.graph", 1004, 3, 1)]
+)
+def test_induced_modules_skip_dependent_generators(monkeypatch, name, products, modules, states):
+    # by PBW the module depends only on the subalgebra, so the vertex, edge
+    # and partial modules of equal subalgebras share one right ideal per
+    # weight: on hnn.graph the edge t, the vertex v and the first partial
+    # subalgebra all generate <a,b>; mix.graph's fundamental algebra
+    # identifies v2.b with v1.a, so a given generator repeats another.
+    # Building each module on its own from its independent generators gave
+    # 2,259 products on mix.graph and 2,502 on hnn.graph.
     graph = load_graph(os.path.join(GOLDEN_INPUTS, name), GF(2147483647))
     mult, build = Envelope.mult, InducedModule._build
     count = {"inside": False, "products": 0}
+    built, users = [], {}  # users keeps each module alive, so ids stay distinct
 
     def counting_mult(env, a, b):
         count["products"] += count["inside"]
         return mult(env, a, b)
 
     def flagged_build(module, n):
+        users[id(module)] = module
+        if n not in module._state:
+            built.append((module._gens, n))
         count["inside"] = True
         try:
             return build(module, n)
@@ -192,3 +202,6 @@ def test_induced_modules_skip_dependent_generators(monkeypatch, name, products):
     monkeypatch.setattr(InducedModule, "_build", flagged_build)
     assert verify_theorem_a(graph, 8, explicit_to=8).ok
     assert count["products"] == products
+    # each distinct subalgebra's right ideal is built once per weight
+    assert len(built) == len(set(built))
+    assert (len(users), len({key for key, _ in built})) == (modules, states)

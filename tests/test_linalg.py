@@ -194,6 +194,39 @@ def test_echelon_matches_dense_oracle(name):
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
+def test_echelon_keeps_no_caller_dict(name):
+    """A row that is already normalised is stored as it is, so mutating a
+    vector after add, or a row that basis() returned, must leave the
+    echelon unchanged."""
+    field, rows_strategy = FIELDS[name]
+    unit_rows = st.lists(
+        st.dictionaries(st.integers(0, NCOLS - 1), st.sampled_from([1, field.neg(1)]), max_size=4),
+        max_size=6,
+    )
+
+    @given(unit_rows, rows_strategy)
+    @settings(max_examples=80, deadline=None)
+    def check(units, rows):
+        vectors = units + rows
+        kept = copy.deepcopy(vectors)
+        ech = Echelon(field)
+        for vec in vectors:
+            ech.add(vec)
+            for c in vec:
+                vec[c] = field.of(3)
+            vec[NCOLS] = field.one
+        reduced = rref(field, kept, NCOLS)
+        assert ech.basis() == reduced
+        for row in ech.basis():
+            row.clear()
+            row[0] = field.of(2)
+        assert ech.basis() == reduced
+        assert all(ech.reduce(vec) == {} for vec in kept)
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
 def test_column_solver_against_oracle(name):
     field, rows_strategy = FIELDS[name]
 

@@ -174,6 +174,58 @@ def test_pbw_counts_match_enveloping_series(name, data):
     assert [env.pbw_dim(n) for n in range(N + 1)] == series.coeffs
 
 
+def same_span_variants(draw, field, gens: list) -> list:
+    """Generator lists, as (weight, vector) pairs, that span the same space
+    as gens in every weight: permuted, with a repeat, and with one
+    generator g_j replaced by a*g_i + b*g_j (b != 0) for a g_i of its
+    weight."""
+    variants = [draw(st.permutations(gens))]
+    if gens:
+        variants.append(gens + [draw(st.sampled_from(gens))])
+    pairs = [(i, j) for i, (w, _) in enumerate(gens) for j, (v, _) in enumerate(gens)
+             if i != j and w == v]
+    if pairs:
+        i, j = draw(st.sampled_from(pairs))
+        a, b = field.of(draw(st.integers(-3, 3))), field.of(draw(st.integers(1, 3)))
+        combo = field.div_vec(gens[j][1], field.inv(b))
+        field.axpy(combo, a, gens[i][1])
+        variants.append(gens[:j] + [(gens[j][0], combo)] + gens[j + 1:])
+    return variants
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_shared_induced_modules_match_fresh_envelopes(name, data):
+    # modules of equal subalgebras share one state on an Envelope; each must
+    # still equal a module built alone on a fresh Envelope
+    field = FIELDS[name]
+    L = data.draw(presentations(field))
+    weights = [data.draw(st.integers(1, 2))] * 2 + data.draw(st.lists(st.integers(1, 3), max_size=1))
+    values = st.integers(0, 6) if field == F7 else st.integers(-3, 3)
+    gens = []  # in L's coordinates; a zero vector is a valid generator
+    for w in weights[: data.draw(st.integers(0, len(weights)))]:
+        coeffs = data.draw(st.lists(values, min_size=L.dim(w), max_size=L.dim(w)))
+        gens.append((w, {i: field.of(c) for i, c in enumerate(coeffs) if c}))
+    env = Envelope(L)
+    # a module of a possibly smaller subalgebra builds its state first
+    smaller = InducedModule(env, L.subalgebra(gens[:-1]))
+    assert smaller.dims(4) == InducedModule(Envelope(L), L.subalgebra(gens[:-1])).dims(4)
+    shared = [InducedModule(env, L.subalgebra(v)) for v in [gens] + same_span_variants(data.draw, field, gens)]
+    if not gens:
+        shared.append(InducedModule(env, None))
+    assert len({id(m._state) for m in shared}) == 1
+    for module in reversed(shared):
+        fresh = InducedModule(Envelope(L), L.subalgebra(gens))
+        assert module.dims(4) == fresh.dims(4)
+        for n in range(4):
+            assert module.quotient_basis(n) == fresh.quotient_basis(n)
+            pbw = env.pbw_basis(n)
+            picks = data.draw(st.lists(st.integers(0, len(pbw) - 1), max_size=3)) if pbw else []
+            u = {pbw[i]: field.of(data.draw(st.integers(1, 6))) for i in picks}
+            assert module.project(u, n) == fresh.project(u, n)
+
+
 def rank_one_image(draw, L: PresentedLieAlgebra):
     """A homogeneous element of L's free algebra that is nonzero in L, so
     the free algebra on one generator embeds into L through it."""
