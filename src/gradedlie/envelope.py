@@ -169,7 +169,7 @@ class InducedModule:
     def __init__(self, env: Envelope, sub: Optional[GradedSubalgebra]):
         self.env = env
         self.field = env.field
-        self._gens = _span_key(env.field, sub)
+        self._gens = _span_key(sub)
         # n -> (Echelon of (S.U(L))_n, quotient basis, {PBW position: quotient position})
         self._state: dict[int, tuple] = env._induced.setdefault(self._gens, {})
 
@@ -215,13 +215,13 @@ class InducedModule:
         return self.project(self.env.mult(lift, u), n + j)
 
 
-def _span_key(field, sub: Optional[GradedSubalgebra]) -> tuple:
+def _span_key(sub: Optional[GradedSubalgebra]) -> tuple:
     """((weight, canonical row as sorted items), ...): the canonical basis
     of the span of sub's given generators in each weight, weights
     ascending; () for S = 0."""
     spans: dict[int, Echelon] = {}
     for w, g in sub.weighted_generators() if sub is not None else ():
-        spans.setdefault(w, Echelon(field)).add(g)
+        spans.setdefault(w, Echelon(sub.field)).add(g)
     return tuple(
         (w, tuple(sorted(row.items()))) for w in sorted(spans) for row in spans[w].basis()
     )
