@@ -228,7 +228,7 @@ def cmd_graph_verify(args) -> int:
 def cmd_onerelator_decompose(args) -> int:
     P = _load_presentation(args, args.file)
     try:
-        tower = decompose(P, N=args.max_degree, cap=args.cap)
+        tower = decompose(P, cap=args.cap)
     except DecompositionError as exc:
         raise InputError(str(exc))
     report = verify_tower(tower, P, args.max_degree)

@@ -14,9 +14,11 @@ step.
 
 an Euler/Hilbert-series identity on graded dimensions, and an explicit
 degree-wise exactness check where the middle map is built by recursive
-gluing: amalgam steps contribute (1 (x) u, -1 (x) u), HNN steps contribute
-1 (x) t.u, and components landing in an already-glued partial algebra are
-lifted through the previous step's surjection by solving linear systems.
+gluing in one replay of the trace: amalgam steps contribute
+(1 (x) u, -1 (x) u), HNN steps contribute 1 (x) t.u, and components landing
+in an already-glued partial algebra are lifted through the previous step's
+surjection by solving linear systems.  Each step's columns are built once
+and filed under their target weight, ready for that weight's rank.
 Amalgams and HNN extensions are the one-edge graphs: an amalgam is built
 and verified as the fundamental algebra of a one-edge graph, and `hnn`
 builds a single HNN extension directly for the one-relator towers.
@@ -410,32 +412,24 @@ class FundamentalAlgebra:
                         rels.append(rel)
         self.algebra = PresentedLieAlgebra(field, gens, rels, name="fundamental", free=free)
 
-        # construction trace: BFS over forest edges, then non-forest edges
+        # construction trace: forest edges by passes from each root, then
+        # non-forest edges.  A forest edge is taken when exactly one end is
+        # placed (both placed means taken); a pass that does not finish the
+        # tree places a vertex, so len(forest) passes reach all of it.
         self.trace = []
         placed = set()
-        used_edges = set()
         forest = [e for e in graph.edges if e.in_forest]
         for root in graph.vertices:
             if root in placed:
                 continue
             self.trace.append(("vertex", root))
             placed.add(root)
-            frontier = True
-            while frontier:
-                frontier = False
+            for _ in forest:
                 for e in forest:
-                    if e.id in used_edges:
-                        continue
-                    if e.src in placed and e.dst not in placed:
-                        self.trace.append(("amalgam", e, e.dst))
-                        placed.add(e.dst)
-                        used_edges.add(e.id)
-                        frontier = True
-                    elif e.dst in placed and e.src not in placed:
-                        self.trace.append(("amalgam", e, e.src))
-                        placed.add(e.src)
-                        used_edges.add(e.id)
-                        frontier = True
+                    if (e.src in placed) != (e.dst in placed):
+                        new = e.src if e.dst in placed else e.dst
+                        self.trace.append(("amalgam", e, new))
+                        placed.add(new)
         for e in graph.edges:
             if not e.in_forest:
                 self.trace.append(("hnn", e))
@@ -517,9 +511,10 @@ def verify_theorem_a(
 
     (1) Euler identity on Hilbert series to degree N:
         sum_e t^shift(e) H_L/H_{L_e} + 1 = sum_v H_L/H_{L_v};
-    (2) if explicit_to is given, construct the maps degreewise by the
-        recursive gluing and check injectivity/exactness by ranks for all
-        weights <= explicit_to.
+    (2) if explicit_to is given, build alpha's columns in one replay of
+        the trace, each step's once, filed by target weight (an HNN
+        column 1 (x) t.u sits w(t) above u), and check injectivity and
+        exactness by ranks for all weights <= explicit_to.
 
     All vertex and edge algebras must embed injectively (rank-checked up to
     max(N, explicit_to), as the explicit checks rely on it); failures abort
@@ -583,119 +578,74 @@ def verify_theorem_a(
         for e in graph.edges
     }
 
-    # replay the trace, building alpha column blocks edge by edge
-    placed_vertices: list[str] = []
+    field, one = L.field, L.field.one
+    offsets = {}  # n -> {vertex id: its first coordinate in (+)_v Q_v at weight n}
+    for n in range(M + 1):
+        offsets[n], total = {}, 0
+        for vid in graph.vertices:
+            offsets[n][vid] = total
+            total += vertex_modules[vid].dim(n)
+
+    # replay the trace once, putting alpha's columns under their target weight
+    columns: dict[int, list] = {n: [] for n in range(M + 1)}
+    placed: list[str] = []
     partial_gens: list[LieElement] = []
-    alpha_blocks: dict[str, dict] = {}  # edge id -> {n: list of columns}
-
-    def extend(gens: list[LieElement]):
-        """Add gens to the partial subalgebra (stale solvers are dropped)."""
-        nonlocal current
-        partial_gens.extend(gens)
-        current = InducedModule(env, L.subalgebra(list(partial_gens)))
-        solvers.clear()
-
-    def place_vertex(vid: str):
-        placed_vertices.append(vid)
-        names = fund.vertex_gen_map[vid]
-        extend([L.free.gen_element(names[g.name]) for g in graph.vertices[vid].generators])
-
-    offsets: dict[int, tuple] = {}  # n -> ({vertex: offset}, total)
-
-    def vertex_offsets(n: int) -> tuple[dict, int]:
-        got = offsets.get(n)
-        if got is None:
-            offs = {}
-            total = 0
-            for vid in graph.vertices:
-                offs[vid] = total
-                total += vertex_modules[vid].dim(n)
-            got = offsets[n] = (offs, total)
-        return got
-
     current = None  # InducedModule of the partial subalgebra
-    # n -> (solver over the placed vertices' columns, column -> vertex offset)
-    solvers: dict[int, tuple] = {}
+    solvers: dict[int, tuple] = {}  # n -> (solver over placed vertices' columns, remap)
 
-    def lift(target_coords: dict, n: int) -> dict:
-        """Solve g(xi) = target through the current partial module."""
+    def lift(u: dict, n: int) -> dict:
+        """Solve g(xi) = the class of u in the current partial module."""
         got = solvers.get(n)
         if got is None:
-            offs, _ = vertex_offsets(n)
             cols, remap = [], []
-            for vid in placed_vertices:
+            for vid in placed:
                 for i, mono in enumerate(vertex_modules[vid].quotient_basis(n)):
-                    cols.append(current.project({mono: L.field.one}, n))
-                    remap.append(offs[vid] + i)
-            got = solvers[n] = (ColumnSolver(L.field, cols), remap)
+                    cols.append(current.project({mono: one}, n))
+                    remap.append(offsets[n][vid] + i)
+            got = solvers[n] = (ColumnSolver(field, cols), remap)
         solver, remap = got
-        sol = solver.solve(target_coords)
+        sol = solver.solve(current.project(u, n))
         if sol is None:
             raise GraphError(f"gluing lift failed at weight {n} (not exact?)")
         return {remap[j]: c for j, c in sol.items()}
 
     for step in fund.trace:
-        if step[0] == "vertex":
-            place_vertex(step[1])
-            continue
         if step[0] == "amalgam":
-            e, new_vid = step[1], step[2]
-            # columns: +1(x)u at the new vertex, -lift(1(x)u) over old ones
-            blocks = {}
-            for n in range(0, M + 1):
-                cols = []
-                offs, _ = vertex_offsets(n)
+            # +1(x)u at the new vertex, -lift(1(x)u) over the placed ones
+            e, vid = step[1], step[2]
+            for n in range(M + 1):
                 for mono in edge_modules[e.id].quotient_basis(n):
-                    u = {mono: L.field.one}
-                    tgt = current.project(u, n)
-                    lifted = lift(tgt, n)
-                    col = {k: L.field.neg(c) for k, c in lifted.items()}
-                    proj_new = vertex_modules[new_vid].project(u, n)
-                    new = {offs[new_vid] + i: c for i, c in proj_new.items()}
-                    L.field.axpy(col, L.field.one, new)
-                    cols.append(col)
-                blocks[n] = cols
-            alpha_blocks[e.id] = blocks
-            place_vertex(new_vid)
-            continue
-        # HNN step
-        e = step[1]
-        t_u = fund.stable_letter_u(env, e.id)
-        blocks = {}
-        for n in range(0, M - e.stable_weight + 1):
-            cols = []
-            for mono in edge_modules[e.id].quotient_basis(n):
-                tu = env.mult(t_u, {mono: L.field.one})
-                tgt = current.project(tu, n + e.stable_weight)
-                cols.append(lift(tgt, n + e.stable_weight))
-            blocks[n] = cols
-        alpha_blocks[e.id] = blocks
-        extend([L.free.gen_element(e.id)])
+                    u = {mono: one}
+                    col = {k: field.neg(c) for k, c in lift(u, n).items()}
+                    new = vertex_modules[vid].project(u, n)
+                    field.axpy(col, one, {offsets[n][vid] + i: c for i, c in new.items()})
+                    columns[n].append(col)
+        elif step[0] == "hnn":
+            # lift(1(x)t.u), in weight n = w(u) + w(t)
+            e = step[1]
+            t_u = fund.stable_letter_u(env, e.id)
+            for n in range(e.stable_weight, M + 1):
+                for mono in edge_modules[e.id].quotient_basis(n - e.stable_weight):
+                    columns[n].append(lift(env.mult(t_u, {mono: one}), n))
+        # place the step's generators; the partial module changes, so do the solvers
+        if step[0] == "hnn":
+            partial_gens.append(L.free.gen_element(e.id))
+        else:
+            placed.append(step[-1])
+            partial_gens.extend(map(L.free.gen_element, fund.vertex_gen_map[step[-1]].values()))
+        current = InducedModule(env, L.subalgebra(list(partial_gens)))
+        solvers.clear()
 
-    # assemble and check each weight
-    for n in range(0, M + 1):
-        offs, mid_dim = vertex_offsets(n)
-        src_dim = 0
-        columns = []
-        for e in graph.edges:
-            m = n - e.shift
-            if m < 0:
-                continue
-            block = alpha_blocks[e.id].get(m, [])
-            src_dim += edge_modules[e.id].dim(m)
-            columns.extend(block)
-        rank_alpha = Echelon.of(L.field, columns).rank
-        # beta: sum of augmentation coordinates; nonzero only at weight 0
+    for n in range(M + 1):
+        src_dim = sum(edge_modules[e.id].dim(n - e.shift) for e in graph.edges if n >= e.shift)
+        mid_dim = sum(vertex_modules[vid].dim(n) for vid in graph.vertices)
+        rank_alpha = Echelon.of(field, columns[n]).rank
+        # beta: sum of augmentation coordinates; nonzero only at weight 0,
+        # where each quotient basis is the class of 1 and beta sums them
         rank_beta = 1 if n == 0 else 0
-        composite_zero = True
-        if n == 0:
-            # each weight-0 quotient basis is the class of 1; beta sums them
-            for col in columns:
-                s = L.field.zero
-                for _, c in col.items():
-                    s = L.field.add(s, c)
-                if not L.field.is_zero(s):
-                    composite_zero = False
+        composite_zero = n > 0 or all(
+            field.is_zero(field.of(sum(col.values()))) for col in columns[0]
+        )
         report.checks.append(
             SequenceCheck(n, src_dim, mid_dim, rank_alpha, rank_beta, composite_zero)
         )

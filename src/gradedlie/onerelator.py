@@ -4,12 +4,20 @@
 L = <X | r>: at each step the smallest Hall element h of the current
 finite generating family Y becomes the stable letter, the family is
 rebased to Y' = {[h,...,h,z] : z in Y \\ {h}, 0 <= j <= j} with the
-exponent j chosen minimal so that r still lies in the free subalgebra
+exponent j chosen minimal so that r still lies in the subalgebra of F
 generated by Y', and the associated family Z keeps the exponents below j.
 The process stops when r, re-expressed over the current family, has a
 generator symbol as its leading Hall monomial; the resulting base and all
 associated subalgebras are free, certified a posteriori by H_2 = 0
 witnesses and by r not lying in F(Z) at any layer.
+
+Every membership question (the search for j, its minimality, and the
+Freiheitssatz r not in F(Z)) is one call of `_express_over`: one solve of
+r against the images in F of the weight-w(r) Hall basis of the free Lie
+algebra on the family.  The subalgebra a family generates is the image of
+the free Lie algebra on it (Reutenauer, Free Lie Algebras, 1993), so those
+images span its weight-w(r) part and the solve decides membership whether
+or not the family is free.
 
 `rebuild` reconstructs the algebra layer by layer through HNN extensions.
 `verify_tower` takes the base, the layer derivations and the rebuilt
@@ -24,13 +32,8 @@ from typing import Optional
 
 from .freelie import FreeLieAlgebra, LieElement, substitution
 from .graphalg import GraphError, LieDerivation, hnn
-from .linalg import ColumnSolver, Echelon
-from .presented import (
-    PresentationError,
-    PresentedLieAlgebra,
-    add_brackets,
-    infer_presentation,
-)
+from .linalg import ColumnSolver
+from .presented import PresentationError, PresentedLieAlgebra, infer_presentation
 
 
 class DecompositionError(ValueError):
@@ -91,41 +94,25 @@ class HNNTower:
 
 
 # ----------------------------------------------------------------------
-# spans of free subalgebras generated by Hall monomials
+# membership in subalgebras generated by Hall monomials
 
 
-def _free_subalgebra_spans(free: FreeLieAlgebra, elements: list[LieElement], N: int) -> dict:
-    """Per-weight echelons of the subalgebra of F generated by elements."""
-    gens = [(e.weight(), e) for e in elements if e.weight() is not None]
-    spans: dict[int, Echelon] = {}
-    for m in range(1, N + 1):
-        seeds = Echelon.of(free.field, [free.coordinates(e, m) for w, e in gens if w == m])
-        spans[m] = add_brackets(
-            seeds, lambda k: spans[k].basis(), gens, m, free.bracket_coordinates
-        )
-    return spans
-
-
-def freiheitssatz_check(P: PresentedLieAlgebra, r: LieElement, Z: list) -> bool:
-    """True iff r is outside the subalgebra of F generated by Z (truncated
-    at r's weight).  Z entries are monomial ids or free-algebra elements."""
-    free = P.free
-    w = r.weight()
-    if w is None:
+def freiheitssatz_check(P: PresentedLieAlgebra, r: LieElement, Z: list[int]) -> bool:
+    """True iff r is outside the subalgebra of F generated by the Hall
+    monomials Z (checked in r's weight)."""
+    if r.weight() is None:
         raise PresentationError("relator must be homogeneous")
-    elems = [
-        free.monomial_element(z) if isinstance(z, int) else z for z in Z
-    ]
-    spans = _free_subalgebra_spans(free, elems, w)
-    return not spans[w].contains(free.coordinates(r, w))
+    return _express_over(P.free, Z, r) is None
 
 
 def _express_over(free: FreeLieAlgebra, family: list[int], r: LieElement):
-    """Re-express r over the free subalgebra generated by the Hall monomials
+    """Re-express r over the subalgebra of F generated by the Hall monomials
     in `family`; returns (abstract algebra, abstract element) or None.
 
     The abstract free algebra has one symbol w<id> per family monomial,
-    with the monomial's weight.
+    with the monomial's weight.  The solver's columns, the images of its
+    weight-w Hall basis, span the weight-w part of that subalgebra whether
+    or not the family is free, so None means r is not in it.
     """
     w = r.weight()
     gens = [(f"w{m}", free.weight(m)) for m in family]
@@ -151,7 +138,7 @@ def _iterate_bracket(free: FreeLieAlgebra, h: int, z: int, j: int) -> int:
     return out
 
 
-def decompose(P: PresentedLieAlgebra, N: int = 10, cap: int = 200) -> HNNTower:
+def decompose(P: PresentedLieAlgebra, cap: int = 200) -> HNNTower:
     """Theorem-B decomposition of a one-relator graded presentation.
 
     Peels stable letters until the re-expressed relator's leading Hall
@@ -181,33 +168,23 @@ def decompose(P: PresentedLieAlgebra, N: int = 10, cap: int = 200) -> HNNTower:
             return HNNTower(P, layers, family, r)
         h = min(family, key=free.key)
         rest = [z for z in family if z != h]
-        j = None
         jmax = w // free.weight(h) + 1
-        for try_j in range(jmax + 1):
-            new_family = []
-            for z in rest:
-                for jj in range(try_j + 1):
-                    new_family.append(_iterate_bracket(free, h, z, jj))
-            spans = _free_subalgebra_spans(
-                free,
-                [free.monomial_element(m) for m in new_family if free.weight(m) <= w],
-                w,
+        for j in range(jmax + 1):
+            new_family = sorted(
+                (_iterate_bracket(free, h, z, jj) for z in rest for jj in range(j + 1)),
+                key=free.key,
             )
-            if spans[w].contains(free.coordinates(r, w)):
-                j = try_j
-                family = sorted(new_family, key=free.key)
+            if _express_over(free, new_family, r) is not None:
                 break
-        if j is None:
+        else:
             raise DecompositionError(
                 f"relator not expressible over the rebased family "
                 f"(weight cap {jmax})",
                 state=(family, layers),
             )
-        Z = []
-        for z in rest:
-            for jj in range(j):
-                Z.append(_iterate_bracket(free, h, z, jj))
-        layers.append(TowerLayer(h, free.weight(h), list(family), sorted(Z, key=free.key), j))
+        family = new_family
+        Z = sorted((_iterate_bracket(free, h, z, jj) for z in rest for jj in range(j)), key=free.key)
+        layers.append(TowerLayer(h, free.weight(h), list(family), Z, j))
     raise DecompositionError(f"cap {cap} exceeded before stabilization", state=(family, layers))
 
 
@@ -315,19 +292,9 @@ def verify_tower(tower: HNNTower, P: PresentedLieAlgebra, N: int) -> TowerReport
             inf = infer_presentation(der.domain, checked_to, strict_boundary=False)
             associated_free = not inf.presentation.relators
         frei = freiheitssatz_check(tower.original, r, layer.Z)
-        j_minimal = True
-        if layer.j > 0:
-            h = layer.h
-            # shrink the family by one exponent and retest expressibility
-            shrunk = [
-                y for y in layer.Y if _h_exponent(free, h, y) <= layer.j - 1
-            ]
-            spans = _free_subalgebra_spans(
-                free,
-                [free.monomial_element(m) for m in shrunk if free.weight(m) <= w],
-                w,
-            )
-            j_minimal = not spans[w].contains(free.coordinates(r, w))
+        # one exponent less must lose r: shrink the family and retest
+        shrunk = [y for y in layer.Y if _h_exponent(free, layer.h, y) < layer.j]
+        j_minimal = layer.j == 0 or _express_over(free, shrunk, r) is None
         report.layer_reports.append(
             {
                 "stable_letter": free.monomial_str(layer.h),

@@ -1,0 +1,176 @@
+"""Mutation gate: each entry breaks the library on purpose, and the tests it
+names must catch the break.
+
+Run from anywhere with ``python3 tests/mutants.py``.  It uses only the
+standard library and pytest is not asked to collect it.  Each entry of
+MUTANTS is (file under the repository root, exact old text, replacement,
+node ids of the tests that must fail).  For each entry ``src/`` and
+``tests/`` are copied to a temporary directory, the old text is replaced
+there, and only the named tests run.  An entry is
+
+- caught when every named test fails (or the run times out),
+- survived when a named test passes,
+- stale when the old text does not occur exactly once, or pytest cannot
+  run the named tests.
+
+The exit status is nonzero unless every entry is caught.  Each run is
+limited to 1 GiB of address space, so a mutant that loops while
+allocating fails with MemoryError instead of exhausting the machine.
+
+A new check should come with an entry here.  References: DeMillo, Lipton
+& Sayward, "Hints on test data selection", IEEE Computer 11(4) (1978);
+Jia & Harman, IEEE TSE 37(5) (2011).
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import resource
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIMEOUT_S = 120
+MEMORY_BYTES = 1 << 30
+
+GRAPHALG = "src/gradedlie/graphalg.py"
+ONERELATOR = "src/gradedlie/onerelator.py"
+PRESENTED = "src/gradedlie/presented.py"
+
+MUTANTS = [
+    # Theorem A: the amalgam column's lift not negated
+    (GRAPHALG,
+     "col = {k: field.neg(c) for k, c in lift(u, n).items()}",
+     "col = dict(lift(u, n))",
+     ["tests/test_graphalg.py::test_theorem_a_amalgam_path",
+      "tests/test_graphalg.py::test_theorem_a_one_edge[m-n]"]),
+    # Theorem A: the HNN columns start one weight too high
+    (GRAPHALG,
+     "range(e.stable_weight, M + 1)",
+     "range(e.stable_weight + 1, M + 1)",
+     ["tests/test_graphalg.py::test_theorem_a_hnn_loop",
+      "tests/test_graphalg.py::test_theorem_a_one_edge[free2-loop]"]),
+    # Theorem A: u.t in place of t.u in the HNN columns
+    (GRAPHALG,
+     "env.mult(t_u, {mono: one})",
+     "env.mult({mono: one}, t_u)",
+     ["tests/test_graphalg.py::test_theorem_a_loop_tree_mix",
+      "tests/test_span_properties.py::test_euler_identity_gives_explicit_theorem_a_ranks"]),
+    # Theorem A: the Euler sum's edge shift dropped
+    (GRAPHALG,
+     "lhs = lhs + q.shift(e.shift)",
+     "lhs = lhs + q",
+     ["tests/test_graphalg.py::test_theorem_a_hnn_loop",
+      "tests/test_graphalg.py::test_theorem_a_one_edge[heisenberg-loop]"]),
+    # trace search: an edge taken when both ends or neither end are placed
+    (GRAPHALG,
+     "if (e.src in placed) != (e.dst in placed):",
+     "if (e.src in placed) == (e.dst in placed):",
+     ["tests/test_graphalg.py::test_theorem_a_one_edge[m-n]",
+      "tests/test_graphalg.py::test_theorem_a_amalgam_path"]),
+    # Leibniz check: the eps term [b,g] dropped
+    (GRAPHALG,
+     "            field.axpy(eps, field.one, bracket_vec(m + shift, b, w, g))\n",
+     "",
+     ["tests/test_graphalg.py::test_leibniz_violation_on_dependent_generators",
+      "tests/test_span_properties.py::test_graph_leibniz_check_matches_all_pairs[random-values]"]),
+    # Leibniz check: the pivot test off by one
+    (GRAPHALG,
+     "default=-1) >= base.dim(m):",
+     "default=-1) > base.dim(m):",
+     ["tests/test_graphalg.py::test_leibniz_violation_on_dependent_generators"]),
+    # Freiheitssatz: the membership verdict flipped
+    (ONERELATOR,
+     "return _express_over(P.free, Z, r) is None",
+     "return _express_over(P.free, Z, r) is not None",
+     ["tests/test_onerelator.py::test_freiheitssatz_examples",
+      "tests/test_onerelator.py::test_freiheitssatz_check_matches_span_oracle"]),
+    # j-minimality: the verdict flipped
+    (ONERELATOR,
+     "j_minimal = layer.j == 0 or _express_over(free, shrunk, r) is None",
+     "j_minimal = layer.j == 0 or _express_over(free, shrunk, r) is not None",
+     ["tests/test_onerelator.py::test_tower_base_and_associated_free",
+      "tests/test_onerelator.py::test_decompose_one_relator_weight3"]),
+    # add_brackets skips the last generator
+    (PRESENTED,
+     "    for w, g in gens:\n",
+     "    for w, g in gens[:-1]:\n",
+     ["tests/test_presented.py::test_engine_matches_ideal_route",
+      "tests/test_span_properties.py::test_left_normed_spans_match_all_pairs"]),
+    # the engine's lcm rescale dropped from _addto
+    (PRESENTED,
+     "    if den % dv:\n        s = lcm(den, dv) // den",
+     "    if False:\n        s = lcm(den, dv) // den",
+     ["tests/test_presented.py::test_engine_rows_and_table_pinned[mn-denom.lie-Q]",
+      "tests/test_presented.py::test_engine_stores_integer_numerators_and_one_orientation"]),
+    # Echelon.add keeps a stale primitive-row cache
+    ("src/gradedlie/linalg.py",
+     "        self._prim = self._canon = None\n        return p",
+     "        self._canon = None\n        return p",
+     ["tests/test_linalg.py::test_interleaved_echelon_against_oracle[Q]",
+      "tests/test_linalg.py::test_interleaved_echelon_against_oracle[F7]"]),
+    # RAAG exactness: r_j <= d_j in place of the rank equality
+    ("src/gradedlie/raag.py",
+     "ok = r_j + r_j1 == d_j",
+     "ok = r_j <= d_j",
+     ["tests/test_raag.py::test_exactness_check_detects_a_dropped_sign"]),
+    # RAAG exactness: only the complex inequality, not exactness
+    ("src/gradedlie/raag.py",
+     "ok = r_j + r_j1 == d_j",
+     "ok = r_j + r_j1 <= d_j",
+     ["tests/test_raag.py::test_exactness_check_detects_a_complex_that_is_not_exact"]),
+]
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
+
+
+def run(entry) -> tuple[str, str]:
+    """(verdict, detail) of one entry: caught, survived or stale."""
+    path, old, new, tests = entry
+    with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+        text = fh.read()
+    if text.count(old) != 1:
+        return "stale", f"old text occurs {text.count(old)} times"
+    with tempfile.TemporaryDirectory() as tmp:
+        for top in ("src", "tests"):
+            shutil.copytree(os.path.join(ROOT, top), os.path.join(tmp, top),
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        with open(os.path.join(tmp, path), "w", encoding="utf-8") as fh:
+            fh.write(text.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=os.path.join(tmp, "src"))
+        cmd = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests]
+        try:
+            proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True,
+                                  timeout=TIMEOUT_S, preexec_fn=_limit_memory)
+        except subprocess.TimeoutExpired:
+            return "caught", f"timed out after {TIMEOUT_S} s"
+    failed = set(re.findall(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.M))
+    if proc.returncode not in (0, 1):
+        tail = (proc.stdout + proc.stderr).strip().splitlines()[-3:]
+        return "stale", f"pytest exit {proc.returncode}: " + " | ".join(tail)
+    passed = [t for t in tests if t not in failed]
+    if passed:
+        return "survived", "passed: " + ", ".join(passed)
+    return "caught", f"{len(tests)} failed"
+
+
+def main() -> int:
+    start = time.perf_counter()
+    bad = 0
+    for entry in MUTANTS:
+        verdict, detail = run(entry)
+        bad += verdict != "caught"
+        print(f"{verdict:8} {entry[0]}: {entry[1].strip()!r} -> {entry[2].strip()!r} ({detail})",
+              flush=True)
+    print(f"{len(MUTANTS) - bad}/{len(MUTANTS)} caught in {time.perf_counter() - start:.0f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

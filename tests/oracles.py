@@ -6,8 +6,9 @@ every labeled graph, d o d = 0 on the RAAG resolution, the resolution's
 ranks with chains indexed by PBW monomials and a straightened boundary,
 Mayer-Vietoris exactness from dimensions alone, Hall monomial chains,
 subspace sums and intersections, d o d = 0 on the CE complex, bracket
-closures over all pairs of lower components, the Leibniz check over all
-pairs, induced modules from a basis of the subalgebra, [I,F] with its
+closures over all pairs of lower components, membership in a subalgebra
+of a free algebra from its spans, the Leibniz check over all pairs,
+induced modules from a basis of the subalgebra, [I,F] with its
 redundant [[I,F],x] term, the Lie algebra laws on the engine's structure
 constants), so a test can compare the two.
 """
@@ -23,7 +24,7 @@ from gradedlie.fields import GF, RationalField, check_same_field
 from gradedlie.freelie import FreeLieAlgebra
 from gradedlie.homology import HomologyTable
 from gradedlie.linalg import Echelon, SparseMatrix
-from gradedlie.presented import PresentedLieAlgebra
+from gradedlie.presented import PresentedLieAlgebra, add_brackets
 from gradedlie.raag import RaagResolution, SimpleGraph, find_induced_cycle
 
 
@@ -285,6 +286,20 @@ def all_pairs_subalgebra_spans(S, N: int) -> dict:
                     ech.add(eng.bracket_vec(a, va, n - a, vb))
         spans[n] = ech
     return spans
+
+
+def free_subalgebra_contains(free: FreeLieAlgebra, family: list[int], r) -> bool:
+    """r in the subalgebra of F generated by the Hall monomials `family`,
+    from spans S_m = span(members of weight m) + sum_g [S_{m-w(g)}, g]."""
+    w = r.weight()
+    gens = [(free.weight(m), free.monomial_element(m)) for m in family]
+    spans: dict = {}
+    for m in range(1, w + 1):
+        seeds = Echelon.of(free.field, [free.coordinates(e, m) for wg, e in gens if wg == m])
+        spans[m] = add_brackets(
+            seeds, lambda k: spans[k].basis(), gens, m, free.bracket_coordinates
+        )
+    return spans[w].contains(free.coordinates(r, w))
 
 
 def all_pairs_commutator_rank(L: PresentedLieAlgebra, n: int) -> int:

@@ -7,7 +7,9 @@ a name in the code or inside a string annotation.  Every function, method
 and class defined there, dunder methods aside, must be referred to by name
 or attribute somewhere in ``src/``, ``tests/`` or ``bench/``; the
 ``"Class.method"`` strings of ``bench/tracer.py``'s ``WRAPS`` table count,
-since the tracer looks those up by name.
+since the tracer looks those up by name.  The mutation table of
+``tests/mutants.py`` must stay runnable: each old text occurs exactly once
+in its file and each named test exists.
 """
 
 import ast
@@ -15,6 +17,8 @@ import functools
 from pathlib import Path
 
 import pytest
+
+import mutants
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gradedlie"
@@ -128,3 +132,18 @@ def test_scan_sees_an_unreferenced_definition():
     )
     refs = referenced_names(tree) | wrapped_names(tree)
     assert {name for name, _ in defined_names(tree)} - refs == {"orphan"}
+
+
+def test_mutant_table_is_well_formed():
+    seen = set()
+    for path, old, new, tests in mutants.MUTANTS:
+        assert path.startswith("src/gradedlie/") and old and old != new and tests
+        assert (path, old, new) not in seen
+        seen.add((path, old, new))
+        count = (ROOT / path).read_text(encoding="utf-8").count(old)
+        assert count == 1, f"{path}: {old!r} occurs {count} times"
+        for node in tests:
+            file, _, name = node.partition("::")
+            tree = ast.parse((ROOT / file).read_text(encoding="utf-8"))
+            functions = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+            assert name.split("[")[0] in functions, node

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import assume, example, given, seed, settings, strategies as st
 
-from gradedlie.fields import QQ
+from gradedlie.fields import GF, QQ
 from gradedlie.onerelator import (
     DecompositionError,
     decompose,
@@ -10,6 +11,7 @@ from gradedlie.onerelator import (
 )
 from gradedlie.presented import PresentedLieAlgebra
 from gradedlie.series import HilbertSeries
+from oracles import free_subalgebra_contains
 
 
 def test_freiheitssatz_examples():
@@ -24,9 +26,58 @@ def test_freiheitssatz_examples():
         freiheitssatz_check(P, r, [x], 8)
 
 
+def _case(field, gens, family, r):
+    """(P, family as Hall monomial ids, r) from bracket texts."""
+    P = PresentedLieAlgebra(field, gens, [])
+    elems = [P.free.parse(text) for text in family]
+    assert all(len(e.terms) == 1 for e in elems)
+    return P, [next(iter(e.terms)) for e in elems], P.free.parse(r)
+
+
+@st.composite
+def hall_families(draw):
+    """Q or F_7, a family of 1-4 Hall monomials of weight <= 5 on 2-3
+    generators, and r of weight <= 5: a left-normed bracket of members (in
+    the subalgebra) plus a combination of Hall monomials of r's weight."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    P = PresentedLieAlgebra(field, ["x", "y", "z"][: draw(st.integers(2, 3))], [])
+    free = P.free
+    monos = [m for n in range(1, 6) for m in free.hall_basis(n)]
+    family = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+    inside = free.monomial_element(family[0])
+    for m in draw(st.lists(st.sampled_from(family), max_size=3)):
+        if inside.weight() + free.weight(m) <= 5:
+            inside = inside.bracket(free.monomial_element(m))
+        if inside.is_zero():
+            break
+    w = draw(st.integers(1, 5)) if inside.is_zero() else inside.weight()
+    coeff = st.integers(0, 6).map(field.of)
+    r = inside.scale(draw(coeff))
+    for m in draw(st.lists(st.sampled_from(free.hall_basis(w)), max_size=2, unique=True)):
+        r = r + free.monomial_element(m).scale(draw(coeff))
+    return P, family, r
+
+
+@seed(2101)
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=hall_families())
+# families that are not free: [x,y] and [x,[x,y]] are brackets of members
+@example(case=_case(QQ, ["x", "y"], ["x", "y", "[x,y]"], "[x,[x,y]]"))
+@example(case=_case(GF(7), ["x", "y"], ["x", "[x,y]", "[x,[x,y]]"], "[y,[x,y]]"))
+# members heavier than r
+@example(case=_case(QQ, ["x", "y", "z"], ["x", "y", "[z,[x,[x,y]]]"], "[x,z]"))
+@example(case=_case(GF(7), ["x", "y", "z"], ["z", "[x,y]", "[x,[x,[x,y]]]"], "[z,[x,y]]"))
+def test_freiheitssatz_check_matches_span_oracle(case):
+    # one solve over the free algebra on the family decides membership,
+    # free family or not; the oracle builds the subalgebra's spans
+    P, family, r = case
+    assume(not r.is_zero())
+    assert freiheitssatz_check(P, r, family) == (not free_subalgebra_contains(P.free, family, r))
+
+
 def test_layer_reports_state_associated_weight():
     P = PresentedLieAlgebra(QQ, ["x", "y", "z"], ["[x,[x,y]]+[z,[z,y]]"])
-    tower = decompose(P, N=6)
+    tower = decompose(P)
     report = verify_tower(tower, P, 6)
     assert report.ok
     # layer reports run base outward, the reverse of extraction order

@@ -195,6 +195,23 @@ def test_exactness_check_detects_a_dropped_sign(monkeypatch):
     assert not report.ok
 
 
+def boundary_without_top(self, w, t):
+    """RaagResolution.boundary with d = 0 on the top position: still a
+    complex (d o d = 0), but not exact."""
+    return {} if len(w) == self.max_position() else signed_boundary(self, w, t)
+
+
+def test_exactness_check_detects_a_complex_that_is_not_exact(monkeypatch):
+    # rank d_j + rank d_{j+1} <= dim P_j holds for any complex; exactness
+    # needs the equality, which a zero top differential breaks
+    monkeypatch.setattr(RaagResolution, "boundary", boundary_without_top)
+    res = RaagResolution(complete(3))
+    assert resolution_d_squared_failure(res, 4) is None
+    report = res.verify_exactness(4)
+    assert [f[:2] for f in report.failures] == [(3, 2), (3, 3), (4, 2), (4, 3)]
+    assert not report.ok
+
+
 @st.composite
 def small_graphs(draw):
     n = draw(st.integers(2, 6))
