@@ -81,10 +81,6 @@ class Envelope:
     def pbw_dim(self, n: int) -> int:
         return len(self.pbw_basis(n))
 
-    @staticmethod
-    def mono_weight(mono: tuple) -> int:
-        return sum(k[0] for k in mono)
-
     # -- straightening -----------------------------------------------------
 
     def mult_by_key(self, mono: tuple, key: tuple) -> dict:
@@ -136,13 +132,10 @@ class Envelope:
         return {((w, i),): c for i, c in vec.items()}
 
     def coords(self, u: dict, n: int) -> dict:
-        """Weight-n coordinates of a U element over pbw_basis(n) positions."""
+        """Coordinates of a weight-n U element over pbw_basis(n) positions;
+        a monomial of another weight raises KeyError."""
         index = self.pbw_index(n)
-        out = {}
-        for m, c in u.items():
-            if self.mono_weight(m) == n:
-                out[index[m]] = c
-        return out
+        return {index[m]: c for m, c in u.items()}
 
 
 class InducedModule:

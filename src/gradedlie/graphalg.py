@@ -192,7 +192,9 @@ class LieDerivation:
         graph: dict[int, Echelon] = {}
         for m in range(1, N + 1):
             seeds = Echelon.of(field, [join(m, g, dg) for w, (g, dg) in gens if w == m])
-            graph[m] = add_brackets(seeds, lambda k: graph[k].basis(), gens, m, bracket)
+            graph[m] = add_brackets(
+                seeds, lambda k: graph[k].primitive_basis(), gens, m, bracket
+            )
             if max(graph[m].pivots(), default=-1) >= base.dim(m):
                 raise GraphError(
                     f"Leibniz violation at weight {m}: the pairs (g, d(g)) generate"

@@ -74,6 +74,14 @@ class Echelon:
             ech.add(vec)
         return ech
 
+    def copy(self) -> "Echelon":
+        """An independent Echelon of the same span, to extend without
+        changing this one (stored rows are never changed in place)."""
+        ech = Echelon(self.field)
+        ech._rows = dict(self._rows)
+        ech._prim, ech._canon = self._prim, self._canon
+        return ech
+
     @property
     def rank(self) -> int:
         return len(self._rows)
@@ -177,6 +185,14 @@ class Echelon:
         """Canonical basis, ordered by pivot column."""
         rows = self.rows
         return [dict(rows[p]) for p in sorted(rows)]
+
+    def primitive_basis(self) -> list[dict]:
+        """:attr:`primitive_rows` ordered by pivot column: the canonical
+        basis up to a nonzero scalar per row, with no ``Fraction`` over Q.
+        For spans that are only bracketed further; the rows are shared, so
+        callers must not change them."""
+        rows = self.primitive_rows
+        return [rows[p] for p in sorted(rows)]
 
     def express(self, vec: dict):
         """Coefficients of vec over the canonical basis, or None.

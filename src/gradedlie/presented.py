@@ -565,7 +565,7 @@ class _IdealSpansForList:
         got = self._bracket.get(n)
         if got is None:
             got = self._bracket[n] = add_brackets(
-                Echelon(self.field), lambda m: self.ideal(m).basis(), self._gens, n,
+                Echelon(self.field), lambda m: self.ideal(m).primitive_basis(), self._gens, n,
                 self.free.bracket_coordinates,
             )
         return got
@@ -574,7 +574,9 @@ class _IdealSpansForList:
         got = self._ideal.get(n)
         if got is None:
             rels = [self.free.coordinates(r, n) for r in self.relators if r.weight() == n]
-            got = self._ideal[n] = Echelon.of(self.field, self.bracket_ideal(n).basis() + rels)
+            got = self._ideal[n] = self.bracket_ideal(n).copy()
+            for r in rels:
+                got.add(r)
         return got
 
 
@@ -624,7 +626,9 @@ class GradedSubalgebra:
         while self._built < n:
             m = self._built + 1
             seeds = Echelon.of(self.field, [vec for w, vec in gens if w == m])
-            self._spans[m] = add_brackets(seeds, self.rows, gens, m, bracket)
+            self._spans[m] = add_brackets(
+                seeds, lambda k: self._spans[k].primitive_basis(), gens, m, bracket
+            )
             self._built = m
 
     def span(self, n: int) -> Echelon:
@@ -687,7 +691,9 @@ def infer_presentation(
     gen_specs = []  # (weight, vector)
     s_gens = S.weighted_generators()
     for n in range(1, N + 1):
-        comm = add_brackets(Echelon(field), S.rows, s_gens, n, eng.bracket_vec)
+        comm = add_brackets(
+            Echelon(field), lambda m: S.span(m).primitive_basis(), s_gens, n, eng.bracket_vec
+        )
         for row in S.rows(n):
             if not comm.contains(row):
                 gen_specs.append((n, row))
@@ -737,7 +743,7 @@ def infer_presentation(
         if not basis:
             continue
         images = [eval_monomial(mid)[1] for mid in basis]
-        ech = Echelon.of(field, ideal.ideal(n).basis())
+        ech = ideal.ideal(n).copy()
         # the columns are the images of the Hall monomials, so kernel
         # vectors are coordinates over the weight-n Hall basis of F-hat
         for kv in SparseMatrix(field, images).kernel():

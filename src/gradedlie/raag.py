@@ -17,12 +17,31 @@ the monoid algebra of the trace monoid M(Gamma), whose traces are a basis
 (Cartier & Foata, LNM 85, 1969; Duchamp & Krob, Adv. Math. 95, 1992).  So
 chains are indexed by (clique, trace), and d(c_w (x) t) = sum_r (-1)^(r-1)
 c_{w \\ {v_r}} (x) v_r t has entries +-1 and no bracket to straighten; its
-ranks are those of the same maps written in a PBW basis.  A trace is stored
-as its lexicographically least word of vertex indices (Anisimov & Knuth,
-Int. J. Comput. Inform. Sci. 8, 1979).  The normal form of a word takes
-the least letter whose first occurrence commutes with every letter before
-it, then normalises the word with that occurrence removed (which need not
-be a normal form itself).
+ranks are those of the same maps written in a PBW basis.  A trace is
+its lexicographically least word of vertex indices (Anisimov & Knuth, Int.
+J. Comput. Inform. Sci. 8, 1979), which starts with the least letter of
+Min(t), the letters of t that can be moved to the front; so normal forms
+are decided one letter at a time (Cartier & Foata 1969), and the traces
+are integer tables, with no word ever normalised.  With C(a) the
+neighbours of a and T_k the sorted traces of weight k:
+
+- (a,) + t, t in T_{k-1}, is a normal form iff Min(t) & C(a) has no letter
+  below a, and then Min((a,) + t) = {a} | (Min(t) & C(a)).  Running over
+  a, then over T_{k-1} in order, lists T_k already sorted.
+- left_k[a][i], the position of NF(a t_i) in T_k, is that of (a,) + t_i
+  when it is a normal form.  Otherwise NF(a t) = (m,) + NF(a (t minus m)),
+  m the least letter of Min(t) & C(a) below a, where t minus m is t with
+  its first m removed.
+- drop_k[m][i], the position of t_i minus m in T_{k-1} for m in Min(t_i),
+  is j when t_i = (m,) + s_j, and left_{k-1}[w_1][drop_{k-1}[m][j]] when
+  t_i = (w_1,) + s_j with w_1 != m.
+
+The chains of P_j in weight m are (clique w, trace t) in that order, so
+the row of d_j at (w, t_i) has entry (-1)^r (r 0-based) at column
+pos(w minus v_r) |T_{m-j+1}| + left[v_r][i].  Entry for entry and in the
+same order, these are the rows that normalising each word v_r t gives
+(the word-level normal form is the test oracle), so the ranks do not
+depend on how the normal forms are found.
 
 Exactness is verified by ranks: one elimination of d_j per weight m and
 position j, over the whole weight-m part of P_j.  The relators are
@@ -257,8 +276,9 @@ def is_chordal(graph: SimpleGraph) -> ChordalityResult:
 
 class RaagResolution:
     """The complex P_j = (+)_{|w| = j} c_w U(L_Gamma), per weight, with
-    chains indexed (clique, trace).  Exactness is checked by one rank of d_j
-    per weight and position (see the module docstring)."""
+    chains indexed (clique, trace) and the traces of each weight held as
+    integer tables (see the module docstring).  Exactness is checked by
+    one rank of d_j per weight and position."""
 
     def __init__(self, graph: SimpleGraph, field: Field = QQ):
         self.graph = graph
@@ -270,52 +290,109 @@ class RaagResolution:
             self.by_size.setdefault(len(w), []).append(w)
         vs = graph.vertices
         self.letters = {v: a for a, v in enumerate(vs)}
-        # _blocks[a]: a and its non-neighbours, which no a moves left past
-        self._blocks = [
-            sum(1 << b for b, u in enumerate(vs) if u == v or not graph.has_edge(u, v))
-            for v in vs
-        ]
-        self._nf: dict = {(): ()}
-        self._traces: dict[int, list] = {0: [()]}
+        # C(a), the neighbours of a, and the part of C(a) below a, as bitmasks
+        self._commute = [sum(1 << b for b, u in enumerate(vs) if graph.has_edge(u, v)) for v in vs]
+        self._before = [c & ((1 << a) - 1) for a, c in enumerate(self._commute)]
+        # per weight k, from T_0 = [()]: T_k as its first letters, the
+        # positions of its tails in T_{k-1} and its Min masks; _left[k][a]
+        # maps T_{k-1} into T_k, _drop[k][m] maps T_k into T_{k-1} (built
+        # with weight k + 1)
+        self._heads: list = [[None]]
+        self._tails: list = [[None]]
+        self._mins: list = [[0]]
+        self._left: list = [None]
+        self._drop: list = [None]
 
     def max_position(self) -> int:
         return max(self.by_size)
 
-    def normal_form(self, word: tuple) -> tuple:
-        """The lexicographically least word equivalent to `word`."""
-        got = self._nf.get(word)
-        if got is None:
-            seen, first, at = 0, None, 0
-            for i, a in enumerate(word):
-                if not self._blocks[a] & seen and (first is None or a < first):
-                    first, at = a, i
-                seen |= 1 << a
-            got = self._nf[word] = (first,) + self.normal_form(word[:at] + word[at + 1:])
-        return got
+    def _drops(self, k: int) -> list:
+        """drop_k[m][i]: the position in T_{k-1} of t_i with its first m
+        removed, for each m in Min(t_i).  With t_i = (a,) + s_j that is j
+        for m = a, and the position of NF(a . (s_j minus m)) otherwise."""
+        up, down = self._left[k - 1], self._drop[k - 1]
+        drop = [[None] * len(self._mins[k]) for _ in self._commute]
+        for i, (a, j, mask) in enumerate(zip(self._heads[k], self._tails[k], self._mins[k])):
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                m = low.bit_length() - 1
+                drop[m][i] = j if m == a else up[a][down[m][j]]
+        return drop
+
+    def _extend_to(self, k: int):
+        """Build the tables of every weight up to k."""
+        commute, before = self._commute, self._before
+        while len(self._mins) <= k:
+            w = len(self._mins)
+            if w >= 2:
+                self._drop.append(self._drops(w - 1))
+            prev, up, drop = self._mins[w - 1], self._left[w - 1], self._drop[w - 1]
+            heads, tails, mins, left = [], [], [], []
+            for a, (c, b) in enumerate(zip(commute, before)):
+                row = []
+                for i, mask in enumerate(prev):
+                    low = mask & b
+                    if low:  # NF(a t_i) = (m,) + NF(a (t_i minus m)), m the least of low
+                        m = (low & -low).bit_length() - 1
+                        row.append(left[m][up[a][drop[m][i]]])
+                    else:  # (a,) + t_i is a normal form
+                        row.append(len(heads))
+                        heads.append(a)
+                        tails.append(i)
+                        mins.append(1 << a | mask & c)
+                left.append(row)
+            self._heads.append(heads)
+            self._tails.append(tails)
+            self._mins.append(mins)
+            self._left.append(left)
+
+    def trace_count(self, k: int) -> int:
+        """|T_k|, the number of traces of weight k."""
+        self._extend_to(k)
+        return len(self._mins[k])
 
     def traces(self, k: int) -> list:
-        """The traces of weight k, sorted."""
-        got = self._traces.get(k)
-        if got is None:
-            n = len(self.graph.vertices)
-            words = {self.normal_form((a,) + t) for t in self.traces(k - 1) for a in range(n)}
-            got = self._traces[k] = sorted(words)
-        return got
+        """The traces of weight k as words of vertex indices, sorted: the
+        tables read back."""
+        self._extend_to(k)
+        out = [()]
+        for w in range(1, k + 1):
+            out = [(a,) + out[j] for a, j in zip(self._heads[w], self._tails[w])]
+        return out
+
+    def left(self, k: int) -> list:
+        """left_k: left[a][i] is the position in T_k of NF(a . t_i), t_i in T_{k-1}."""
+        self._extend_to(k)
+        return self._left[k]
 
     def module_basis(self, j: int, m: int) -> list:
-        """Basis of P_j in weight m: (clique of size j, trace of weight m - j)."""
+        """Basis of P_j in weight m: (clique of size j, trace of weight m - j),
+        in the order that indexes the rows and columns of the d_j."""
         if j < 0 or m - j < 0:
             return []
         return [(w, t) for w in self.by_size.get(j, []) for t in self.traces(m - j)]
 
-    def boundary(self, w: tuple, t: tuple) -> dict:
-        """d(c_w (x) t) = sum_r (-1)^(r-1) c_{w minus v_r} (x) NF(v_r t)."""
+    def boundary_rows(self, j: int, m: int):
+        """The rows of d_j from the weight-m part of P_j, over
+        module_basis(j - 1, m), in module_basis(j, m) order (an iterator).
+
+        d(c_w (x) t_i) = sum_r (-1)^r c_{w minus v_r} (x) NF(v_r t_i), r
+        0-based: the row of cell (w, t_i) has entry (-1)^r at column
+        pos(w minus v_r) |T_{k+1}| + left_{k+1}[v_r][i], k = m - j.
+        """
+        k = m - j
+        left, width = self.left(k + 1), self.trace_count(k + 1)
+        pos = {w: p for p, w in enumerate(self.by_size[j - 1])}
         one = self.field.one
         signs = (one, self.field.neg(one))
-        return {
-            (w[:r] + w[r + 1:], self.normal_form((self.letters[v],) + t)): signs[r % 2]
-            for r, v in enumerate(w)
-        }
+        for w in self.by_size[j]:
+            terms = [
+                (pos[w[:r] + w[r + 1:]] * width, left[self.letters[v]], signs[r % 2])
+                for r, v in enumerate(w)
+            ]
+            for i in range(len(terms[0][1])):
+                yield {off + to[i]: s for off, to, s in terms}
 
     def verify_exactness(self, N: int) -> "ResolutionReport":
         """Rank-check exactness at every position, weights <= N.
@@ -336,19 +413,10 @@ class RaagResolution:
         top = self.max_position()
         for m in range(N + 1):
             top_m = min(top, m)
-            dims = {}
-            ranks = {0: 0, top_m + 1: 0}
-            index: dict = {}
-            for j in range(top_m + 1):
-                cells = self.module_basis(j, m)
-                dims[j] = len(cells)
-                if j:
-                    rows = (
-                        {index[c]: x for c, x in self.boundary(*cell).items()}
-                        for cell in cells
-                    )
-                    ranks[j] = Echelon.of(field, rows).rank
-                index = {cell: i for i, cell in enumerate(cells)}
+            dims = [len(self.by_size[j]) * self.trace_count(m - j) for j in range(top_m + 1)]
+            ranks = [0] + [
+                Echelon.of(field, self.boundary_rows(j, m)).rank for j in range(1, top_m + 1)
+            ] + [0]
             report.ranks.append([(dims[j], ranks[j]) for j in range(top_m + 1)])
             for j in range(top_m + 1):
                 d_j, r_j, r_j1 = dims[j], ranks[j], ranks[j + 1]

@@ -40,6 +40,7 @@ MEMORY_BYTES = 1 << 30
 GRAPHALG = "src/gradedlie/graphalg.py"
 ONERELATOR = "src/gradedlie/onerelator.py"
 PRESENTED = "src/gradedlie/presented.py"
+RAAG = "src/gradedlie/raag.py"
 
 MUTANTS = [
     # Theorem A: the amalgam column's lift not negated
@@ -113,16 +114,42 @@ MUTANTS = [
      "        self._canon = None\n        return p",
      ["tests/test_linalg.py::test_interleaved_echelon_against_oracle[Q]",
       "tests/test_linalg.py::test_interleaved_echelon_against_oracle[F7]"]),
+    # Echelon.copy shares the stored rows with the original
+    ("src/gradedlie/linalg.py",
+     "ech._rows = dict(self._rows)",
+     "ech._rows = self._rows",
+     ["tests/test_linalg.py::test_adding_to_a_copy_leaves_the_original_unchanged[Q]",
+      "tests/test_linalg.py::test_adding_to_a_copy_leaves_the_original_unchanged[F7]"]),
     # RAAG exactness: r_j <= d_j in place of the rank equality
-    ("src/gradedlie/raag.py",
+    (RAAG,
      "ok = r_j + r_j1 == d_j",
      "ok = r_j <= d_j",
      ["tests/test_raag.py::test_exactness_check_detects_a_dropped_sign"]),
     # RAAG exactness: only the complex inequality, not exactness
-    ("src/gradedlie/raag.py",
+    (RAAG,
      "ok = r_j + r_j1 == d_j",
      "ok = r_j + r_j1 <= d_j",
      ["tests/test_raag.py::test_exactness_check_detects_a_complex_that_is_not_exact"]),
+    # trace tables: (a,) + t taken as a normal form whenever Min(t) & C(a)
+    # is empty, not only its part below a
+    (RAAG,
+     "self._before = [c & ((1 << a) - 1) for",
+     "self._before = [c for",
+     ["tests/test_raag.py::test_trace_tables_match_normal_forms",
+      "tests/test_raag.py::test_trace_tables_match_normal_forms_to_weight_7[C5]"]),
+    # trace tables: a letter of Min(t) below a moved out of a t even when
+    # it does not commute with a
+    (RAAG,
+     "low = mask & b\n",
+     "low = mask & ((1 << a) - 1)\n",
+     ["tests/test_raag.py::test_trace_tables_match_normal_forms",
+      "tests/test_raag.py::test_trace_tables_match_normal_forms_to_weight_7[diamond]"]),
+    # trace tables: t[1:] taken for every dropped minimal letter
+    (RAAG,
+     "drop[m][i] = j if m == a else up[a][down[m][j]]",
+     "drop[m][i] = j",
+     ["tests/test_raag.py::test_trace_tables_match_normal_forms",
+      "tests/test_raag.py::test_trace_tables_match_normal_forms_to_weight_7[C4]"]),
 ]
 
 

@@ -2,15 +2,15 @@
 
 Each one recomputes something the library computes another way (commuting
 pairs by exhaustive enumeration, chordality by induced-cycle search over
-every labeled graph, d o d = 0 on the RAAG resolution, the resolution's
-ranks with chains indexed by PBW monomials and a straightened boundary,
-Mayer-Vietoris exactness from dimensions alone, Hall monomial chains,
-subspace sums and intersections, d o d = 0 on the CE complex, bracket
-closures over all pairs of lower components, membership in a subalgebra
-of a free algebra from its spans, the Leibniz check over all pairs,
-induced modules from a basis of the subalgebra, [I,F] with its
-redundant [[I,F],x] term, the Lie algebra laws on the engine's structure
-constants), so a test can compare the two.
+every labeled graph, normal forms of traces one word at a time, d o d = 0
+on the RAAG resolution, the resolution's ranks with chains indexed by PBW
+monomials and a straightened boundary, Mayer-Vietoris exactness from
+dimensions alone, Hall monomial chains, subspace sums and intersections,
+d o d = 0 on the CE complex, bracket closures over all pairs of lower
+components, membership in a subalgebra of a free algebra from its spans,
+the Leibniz check over all pairs, induced modules from a basis of the
+subalgebra, [I,F] with its redundant [[I,F],x] term, the Lie algebra laws
+on the engine's structure constants), so a test can compare the two.
 """
 
 from __future__ import annotations
@@ -78,18 +78,56 @@ def brute_force_chordal(graph: SimpleGraph) -> bool:
     return find_induced_cycle(graph) is None
 
 
+class TraceNormalForm:
+    """The lexicographically least word equivalent to a word of vertex
+    indices in the trace monoid of a graph, one word at a time: take the
+    least letter whose first occurrence commutes with every letter before
+    it, then normalise the word with that occurrence removed (which need not
+    be a normal form itself)."""
+
+    def __init__(self, graph: SimpleGraph):
+        vs = graph.vertices
+        # blocks[a]: a and its non-neighbours, which no a moves left past
+        self.blocks = [
+            sum(1 << b for b, u in enumerate(vs) if u == v or not graph.has_edge(u, v))
+            for v in vs
+        ]
+        self.memo: dict = {(): ()}
+
+    def __call__(self, word: tuple) -> tuple:
+        got = self.memo.get(word)
+        if got is None:
+            seen, first, at = 0, None, 0
+            for i, a in enumerate(word):
+                if not self.blocks[a] & seen and (first is None or a < first):
+                    first, at = a, i
+                seen |= 1 << a
+            got = self.memo[word] = (first,) + self(word[:at] + word[at + 1:])
+        return got
+
+
+def cell_boundary(res, w: tuple, t: tuple) -> dict:
+    """d(c_w (x) t) as {(clique, trace): coefficient}, read off the row of
+    (w, t) in ``res.boundary_rows``."""
+    j, m = len(w), len(w) + len(t)
+    low = res.module_basis(j - 1, m)
+    row = list(res.boundary_rows(j, m))[res.module_basis(j, m).index((w, t))]
+    return {low[c]: x for c, x in row.items()}
+
+
 def resolution_d_squared_failure(res, N: int):
     """First (weight, position, cell) with d(d(cell)) != 0 in the RAAG
     resolution `res`, over every cell of weight <= N; None if d o d = 0."""
     field = res.field
     for m in range(N + 1):
         for j in range(2, min(res.max_position(), m) + 1):
-            for cell in res.module_basis(j, m):
+            lower = list(res.boundary_rows(j - 1, m))
+            for i, row in enumerate(res.boundary_rows(j, m)):
                 out: dict = {}
-                for low, c in res.boundary(*cell).items():
-                    field.axpy(out, c, res.boundary(*low))
+                for c, x in row.items():
+                    field.axpy(out, x, lower[c])
                 if out:
-                    return m, j, cell
+                    return m, j, res.module_basis(j, m)[i]
     return None
 
 
@@ -113,15 +151,19 @@ class PbwResolution(RaagResolution):
             return []
         return [(w, mono) for w in self.by_size.get(j, []) for mono in self.env.pbw_basis(m - j)]
 
-    def boundary(self, w: tuple, mono: tuple) -> dict:
+    def boundary_rows(self, j: int, m: int) -> list:
         field = self.field
-        out: dict = {}
-        for r, v in enumerate(w, start=1):
-            sign = field.one if r % 2 == 1 else field.neg(field.one)
-            rest = tuple(x for x in w if x != v)
-            prod = self.env.mult_mono((self.gen_keys[v],), mono)
-            field.axpy(out, sign, {(rest, m2): c for m2, c in prod.items()})
-        return out
+        index = {c: i for i, c in enumerate(self.module_basis(j - 1, m))}
+        rows = []
+        for w, mono in self.module_basis(j, m):
+            out: dict = {}
+            for r, v in enumerate(w, start=1):
+                sign = field.one if r % 2 == 1 else field.neg(field.one)
+                rest = tuple(x for x in w if x != v)
+                prod = self.env.mult_mono((self.gen_keys[v],), mono)
+                field.axpy(out, sign, {index[rest, m2]: c for m2, c in prod.items()})
+            rows.append(out)
+        return rows
 
 
 def resolution_ranks(res, N: int) -> dict:
@@ -130,13 +172,8 @@ def resolution_ranks(res, N: int) -> dict:
     out = {}
     for m in range(N + 1):
         for j in range(min(res.max_position(), m) + 1):
-            cells = res.module_basis(j, m)
-            rank = 0
-            if j:
-                index = {c: i for i, c in enumerate(res.module_basis(j - 1, m))}
-                rows = [{index[c]: x for c, x in res.boundary(*cell).items()} for cell in cells]
-                rank = Echelon.of(res.field, rows).rank
-            out[m, j] = (len(cells), rank)
+            rank = Echelon.of(res.field, res.boundary_rows(j, m)).rank if j else 0
+            out[m, j] = (len(res.module_basis(j, m)), rank)
     return out
 
 # ----------------------------------------------------------------------

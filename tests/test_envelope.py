@@ -165,6 +165,17 @@ def test_right_action():
     assert got1 == got2
 
 
+def test_coords_reject_a_monomial_of_another_weight():
+    L = PresentedLieAlgebra(QQ, ["a", "b", "x"], ["[a,b]"])
+    env = Envelope(L)
+    u = env.mult({env.pbw_basis(1)[0]: QQ.one}, {env.pbw_basis(1)[2]: QQ.one})
+    assert env.coords(u, 2) == {env.pbw_index(2)[m]: c for m, c in u.items()}
+    with pytest.raises(KeyError):
+        env.coords({**u, env.pbw_basis(1)[0]: QQ.one}, 2)
+    with pytest.raises(KeyError):
+        env.coords(u, 3)
+
+
 GOLDEN_INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
 
 

@@ -227,6 +227,31 @@ def test_echelon_keeps_no_caller_dict(name):
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
+def test_adding_to_a_copy_leaves_the_original_unchanged(name):
+    """A copy of an Echelon, with or without its canonical rows already
+    built, extends to the span of more rows while the original keeps its
+    own; primitive_basis is the canonical basis up to the pivot entries."""
+    field, rows_strategy = FIELDS[name]
+
+    @given(rows_strategy, rows_strategy, st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def check(first, more, read_first):
+        ech = Echelon.of(field, first)
+        if read_first:
+            ech.basis()
+        dup = ech.copy()
+        for row in more:
+            dup.add(row)
+        assert ech.basis() == rref(field, first, NCOLS)
+        assert ech.pivots() == [min(row) for row in rref(field, first, NCOLS)]
+        assert dup.basis() == rref(field, first + more, NCOLS)
+        prim = dup.primitive_basis()
+        assert [field.div_vec(row, row[min(row)]) for row in prim] == dup.basis()
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
 def test_column_solver_against_oracle(name):
     field, rows_strategy = FIELDS[name]
 

@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from gradedlie.fields import GF, QQ
 from gradedlie.presented import PresentedLieAlgebra
@@ -18,8 +18,10 @@ from gradedlie.raag import (
 from gradedlie.series import HilbertSeries
 from oracles import (
     PbwResolution,
+    TraceNormalForm,
     all_labeled_graphs,
     brute_force_chordal,
+    cell_boundary,
     resolution_d_squared_failure,
     resolution_ranks,
 )
@@ -105,29 +107,29 @@ def test_resolution_differential_formula():
     g = SimpleGraph(["a", "b"], [("a", "b")])
     res = RaagResolution(g)
     a, b = res.letters["a"], res.letters["b"]
-    assert res.boundary(("a", "b"), ()) == {
+    assert cell_boundary(res, ("a", "b"), ()) == {
         (("b",), (a,)): QQ.one,
         (("a",), (b,)): QQ.neg(QQ.one),
     }
     # d1(c_v) = v, and the augmentation kills it
-    assert res.boundary(("a",), ()) == {((), (a,)): QQ.one}
+    assert cell_boundary(res, ("a",), ()) == {((), (a,)): QQ.one}
     # b commutes with a, so b.ab = ab.b is the trace abb
-    assert res.boundary(("b",), (a, b)) == {((), (a, b, b)): QQ.one}
+    assert cell_boundary(res, ("b",), (a, b)) == {((), (a, b, b)): QQ.one}
 
 
 def test_normal_form_is_the_least_equivalent_word():
     # a and c commute; b commutes with neither
-    res = RaagResolution(SimpleGraph(["a", "b", "c"], [("a", "c")]))
+    nf = TraceNormalForm(SimpleGraph(["a", "b", "c"], [("a", "c")]))
     a, b, c = range(3)
-    assert res.normal_form((c, a)) == (a, c)
-    assert res.normal_form((b, a)) == (b, a)
+    assert nf((c, a)) == (a, c)
+    assert nf((b, a)) == (b, a)
     # the first a commutes past c c but not past b
-    assert res.normal_form((c, c, a, b)) == (a, c, c, b)
-    assert res.normal_form((c, b, a, c)) == (c, b, a, c)
+    assert nf((c, c, a, b)) == (a, c, c, b)
+    assert nf((c, b, a, c)) == (c, b, a, c)
     # what is left once a letter is taken need not be a normal form: it is
     # normalised again (c a after the first a of c a a, b c a after c)
-    assert res.normal_form((c, a, a)) == (a, a, c)
-    assert res.normal_form((c, b, c, a)) == (c, b, a, c)
+    assert nf((c, a, a)) == (a, a, c)
+    assert nf((c, b, c, a)) == (c, b, a, c)
 
 
 def test_resolution_exactness_k2():
@@ -163,12 +165,12 @@ def diamond():
     return SimpleGraph(g.vertices, [tuple(e) for e in g.edges if e != frozenset(("v1", "v4"))])
 
 
-signed_boundary = RaagResolution.boundary
+signed_rows = RaagResolution.boundary_rows
 
 
-def unsigned_boundary(self, w, t):
-    """RaagResolution.boundary without the sign (-1)^(r-1)."""
-    return dict.fromkeys(signed_boundary(self, w, t), self.field.one)
+def unsigned_rows(self, j, m):
+    """RaagResolution.boundary_rows without the sign (-1)^r."""
+    return (dict.fromkeys(row, self.field.one) for row in signed_rows(self, j, m))
 
 
 @pytest.mark.parametrize(
@@ -185,7 +187,7 @@ def test_resolution_d_squared_vanishes(graph, top):
 def test_exactness_check_detects_a_dropped_sign(monkeypatch):
     res = RaagResolution(complete(3))
     assert not res.verify_exactness(4).failures
-    monkeypatch.setattr(RaagResolution, "boundary", unsigned_boundary)
+    monkeypatch.setattr(RaagResolution, "boundary_rows", unsigned_rows)
     res = RaagResolution(complete(3))
     assert resolution_d_squared_failure(res, 4)[:2] == (2, 2)
     report = res.verify_exactness(4)
@@ -195,16 +197,17 @@ def test_exactness_check_detects_a_dropped_sign(monkeypatch):
     assert not report.ok
 
 
-def boundary_without_top(self, w, t):
-    """RaagResolution.boundary with d = 0 on the top position: still a
+def rows_without_top(self, j, m):
+    """RaagResolution.boundary_rows with d = 0 on the top position: still a
     complex (d o d = 0), but not exact."""
-    return {} if len(w) == self.max_position() else signed_boundary(self, w, t)
+    rows = signed_rows(self, j, m)
+    return ({} for _ in rows) if j == self.max_position() else rows
 
 
 def test_exactness_check_detects_a_complex_that_is_not_exact(monkeypatch):
     # rank d_j + rank d_{j+1} <= dim P_j holds for any complex; exactness
     # needs the equality, which a zero top differential breaks
-    monkeypatch.setattr(RaagResolution, "boundary", boundary_without_top)
+    monkeypatch.setattr(RaagResolution, "boundary_rows", rows_without_top)
     res = RaagResolution(complete(3))
     assert resolution_d_squared_failure(res, 4) is None
     report = res.verify_exactness(4)
@@ -219,6 +222,40 @@ def small_graphs(draw):
     pairs = list(combinations(vs, 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return SimpleGraph(vs, [p for p, k in zip(pairs, keep) if k])
+
+
+def assert_tables_match_normal_forms(graph, N):
+    """T_k and left_k of the resolution's tables equal what the word-level
+    normal form gives, for k <= N: T_k is the sorted set of NF(a t), t in
+    T_{k-1}, and left_k[a][i] the position of NF(a t_i) in it."""
+    res = RaagResolution(graph)
+    nf = TraceNormalForm(graph)
+    words = [()]
+    for k in range(1, N + 1):
+        images = [[nf((a,) + t) for t in words] for a in range(len(graph.vertices))]
+        expected = sorted(set().union(*images))
+        assert res.traces(k) == expected, k
+        index = {t: i for i, t in enumerate(expected)}
+        assert res.left(k) == [[index[t] for t in row] for row in images], k
+        words = expected
+
+
+@seed(20210105)
+@given(graph=small_graphs())
+@settings(max_examples=30, deadline=None)
+def test_trace_tables_match_normal_forms(graph):
+    assert_tables_match_normal_forms(graph, 6)
+
+
+def p3_lone():
+    return SimpleGraph(["a", "b", "c", "d"], [("a", "b"), ("b", "c")])
+
+
+@pytest.mark.parametrize(
+    "graph", [cycle(4), cycle(5), diamond(), p3_lone()], ids=["C4", "C5", "diamond", "p3-lone"]
+)
+def test_trace_tables_match_normal_forms_to_weight_7(graph):
+    assert_tables_match_normal_forms(graph, 7)
 
 
 @given(graph=small_graphs(), field=st.sampled_from([QQ, GF(7)]))
