@@ -131,14 +131,9 @@ class NilpotentQuotient:
 def pairing_rank(q: NilpotentQuotient) -> int:
     """Rank of the bracket pairing Lambda^2 V -> L_2."""
     tensor = q.bracket_tensor()
-    ech = Echelon(q.field)
     d1 = q.dims[0]
-    for i in range(d1):
-        for j in range(i + 1, d1):
-            vec = tensor.get((i, j))
-            if vec:
-                ech.add(vec)
-    return ech.rank
+    vecs = (tensor.get((i, j)) for i in range(d1) for j in range(i + 1, d1))
+    return Echelon.of(q.field, [vec for vec in vecs if vec]).rank
 
 
 FINGERPRINT_PRIMES = (2, 3)
@@ -171,15 +166,15 @@ def fingerprint(
         ad_rank_profile = {}
         for coeffs in product(range(p), repeat=d1):
             # ad_v as a d1 x d2 matrix; kernel size counts zero pairs
-            ech = Echelon(fp)
+            rows = []
             for j in range(d1):
                 row = {}
                 for i in range(d1):
                     if i != j:
                         fp.axpy(row, coeffs[i], tensor.get((i, j), {}))
                 if row:
-                    ech.add(row)
-            rank = ech.rank
+                    rows.append(row)
+            rank = Echelon.of(fp, rows).rank
             zero_pairs += p ** (d1 - rank)
             ad_rank_profile[rank] = ad_rank_profile.get(rank, 0) + 1
         parts.append((p, zero_pairs, tuple(sorted(ad_rank_profile.items()))))

@@ -2,12 +2,28 @@
 
 Vectors are dicts ``{column index: nonzero scalar}``.  The one elimination
 type is :class:`Echelon`, an incremental echelon builder with deterministic
-pivoting (lowest column index wins, rows added in arrival order); spans
-are Echelons, and :class:`SparseMatrix` (rank and kernel of a matrix given
-by its columns) and :class:`ColumnSolver` are thin uses of it.  A
-combination of columns that has to be tracked rides along as extra columns
-of the same vector (:func:`_tracked`), so every row operation acts on one
-vector, and over Q the tracked part is eliminated fraction-free too.
+pivoting (lowest column index wins); spans are Echelons, and
+:class:`SparseMatrix` (rank and kernel of a matrix given by its columns)
+and :class:`ColumnSolver` are thin uses of it.  A combination of columns
+that has to be tracked rides along as extra columns of the same vector
+(:func:`_tracked`), so every row operation acts on one vector, and over Q
+the tracked part is eliminated fraction-free too.
+
+A batch of vectors (:meth:`Echelon.of`, :meth:`Echelon.extend`) is added
+shortest support first, by a stable sort on the support size, so ties keep
+their arrival order.  Short rows make short pivot rows, and every later
+vector is cleared with those, which avoids most of the fill-in the arrival
+order causes (the fill-reducing idea of Markowitz, Management Sci. 3,
+1957; compare Bouillaguet & Delaplace, "Sparse Gaussian elimination modulo
+p: an update", CASC 2016).  The order moves only the stored semi-echelon
+rows: the rank, the pivot set (the leading columns of the span), the
+residue of :meth:`Echelon.reduce` and the canonical rows depend only on
+the span.  That holds for tracked columns too: the tracking indices fix
+which columns count as earlier, not the order of insertion, and the
+stored rows with a pivot among the tracking columns are a basis of the
+span's vectors supported there.  The RAAG resolution's boundary rows are
+the one stream added in arrival order
+(:meth:`gradedlie.raag.RaagResolution.verify_exactness`).
 
 An Echelon stores its rows in semi-echelon form (each row's lowest column
 is its pivot, no back-substitution on add) and builds the canonical
@@ -68,11 +84,21 @@ class Echelon:
 
     @classmethod
     def of(cls, field: Field, vectors) -> "Echelon":
-        """The echelon of the span of vectors, added in order."""
-        ech = cls(field)
-        for vec in vectors:
-            ech.add(vec)
-        return ech
+        """The echelon of the span of vectors, added by :meth:`extend`
+        (shortest support first)."""
+        return cls(field).extend(vectors)
+
+    def extend(self, vectors) -> "Echelon":
+        """Add a batch of vectors shortest support first and return self.
+
+        The sort is stable, so vectors of equal support size keep their
+        arrival order and the stored rows do not depend on hashing.  Only
+        the stored rows depend on the order; everything read from the
+        span does not (see the module docstring).
+        """
+        for vec in sorted(vectors, key=len):
+            self.add(vec)
+        return self
 
     def copy(self) -> "Echelon":
         """An independent Echelon of the same span, to extend without
@@ -211,11 +237,12 @@ def _tracked(columns: list[dict]) -> tuple[int, list[dict]]:
     """(top, tracked columns): column j with a 1 added at column top - j,
     top = max row index + len(columns).
 
-    Echelonizing the tracked columns in order tracks every combination in
-    the columns above the row indices.  The newest column has the lowest
-    tracking column, so a column that depends on the earlier ones leaves a
-    relation row whose pivot is its own tracking column, and the tracking
-    part of every independent row involves only independent columns.
+    Echelonizing the tracked columns, in any order, tracks every
+    combination in the columns above the row indices.  The newest column
+    has the lowest tracking column, so for a column that depends on the
+    earlier ones the span holds a relation whose pivot is its own tracking
+    column, and the tracking part of every canonical row with a pivot at a
+    row index involves only independent columns.
     """
     top = max((r for col in columns for r in col), default=-1) + len(columns)
     return top, [{**col, top - j: 1} for j, col in enumerate(columns)]

@@ -154,10 +154,6 @@ class PresentedLieAlgebra:
         """The weight-n component of the relation ideal inside F_n."""
         return self._ideal_spans.ideal(n)
 
-    def dim_via_ideal(self, n: int) -> int:
-        """Oracle route: dim F_n - dim I_n."""
-        return len(self.free.hall_basis(n)) - self._ideal_spans.ideal(n).rank
-
     # -- homological invariants -------------------------------------------
 
     def h1(self, N: int) -> list[int]:
@@ -268,10 +264,6 @@ class GradedEngine:
             return 0
         self.build_to(n)
         return len(self._defs[n])
-
-    def gen_reduction(self, gi: int) -> dict:
-        self.build_to(self.gens[gi].weight)
-        return self.field.div_vec(*self._gen_red[gi])
 
     def pair(self, p: tuple, q: tuple) -> dict:
         """Structure constants [b_p, b_q] as a vector over basis[wp+wq]."""
@@ -520,7 +512,8 @@ def _reduced(vec: dict, den: int) -> tuple:
 
 
 def add_brackets(ech: Echelon, rows, gens, n: int, bracket) -> Echelon:
-    """Add sum over (w, g) in gens of [V_{n-w}, g] to ech and return ech.
+    """Add sum over (w, g) in gens of [V_{n-w}, g] to ech, as one batch
+    (:meth:`Echelon.extend`), and return ech.
 
     rows(m) spans V_m and bracket(m, v, w, g) is the weight-(m+w) bracket
     of a weight-m vector v with g.  Subalgebra spans, the relation ideal I
@@ -530,12 +523,9 @@ def add_brackets(ech: Echelon, rows, gens, n: int, bracket) -> Echelon:
     they generate (Reutenauer, Free Lie Algebras, 1993), so no pair of
     lower components needs bracketing.
     """
-    for w, g in gens:
-        m = n - w
-        if m >= 1:
-            for v in rows(m):
-                ech.add(bracket(m, v, w, g))
-    return ech
+    return ech.extend(
+        [bracket(n - w, v, w, g) for w, g in gens if w < n for v in rows(n - w)]
+    )
 
 
 class _IdealSpansForList:
@@ -574,9 +564,7 @@ class _IdealSpansForList:
         got = self._ideal.get(n)
         if got is None:
             rels = [self.free.coordinates(r, n) for r in self.relators if r.weight() == n]
-            got = self._ideal[n] = self.bracket_ideal(n).copy()
-            for r in rels:
-                got.add(r)
+            got = self._ideal[n] = self.bracket_ideal(n).copy().extend(rels)
         return got
 
 
@@ -698,7 +686,8 @@ def infer_presentation(
             if not comm.contains(row):
                 gen_specs.append((n, row))
                 comm.add(row)
-    conclusive = not (gen_specs and max(w for w, _ in gen_specs) == N)
+    # at N = 0 nothing is checked, so nothing is certified
+    conclusive = N >= 1 and not (gen_specs and max(w for w, _ in gen_specs) == N)
     if not conclusive and strict_boundary:
         raise InconclusiveAtDegree(
             N,

@@ -411,12 +411,20 @@ class RaagResolution:
         report = ResolutionReport(self.graph, N)
         field = self.field
         top = self.max_position()
+
+        def rank(rows) -> int:
+            # rows added as they stream in, not as one shortest-first batch
+            # (Echelon.extend): a sort would hold all of d_j in memory at
+            # once, and on these +-1 rows it saves no row operation
+            ech = Echelon(field)
+            for row in rows:
+                ech.add(row)
+            return ech.rank
+
         for m in range(N + 1):
             top_m = min(top, m)
             dims = [len(self.by_size[j]) * self.trace_count(m - j) for j in range(top_m + 1)]
-            ranks = [0] + [
-                Echelon.of(field, self.boundary_rows(j, m)).rank for j in range(1, top_m + 1)
-            ] + [0]
+            ranks = [0] + [rank(self.boundary_rows(j, m)) for j in range(1, top_m + 1)] + [0]
             report.ranks.append([(dims[j], ranks[j]) for j in range(top_m + 1)])
             for j in range(top_m + 1):
                 d_j, r_j, r_j1 = dims[j], ranks[j], ranks[j + 1]

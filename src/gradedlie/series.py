@@ -133,26 +133,6 @@ class HilbertSeries:
             out[k] = q
         return HilbertSeries(out, n)
 
-    def pbw_graded_dims(self) -> list[int]:
-        """Invert the PBW product formula: recover dims with
-        prod (1-t^i)^(-dims[i-1]) == self.  Requires constant term 1."""
-        if self.coeffs[0] != 1:
-            raise ValueError("PBW inversion requires constant term 1")
-        n = self.truncation
-        dims = []
-        partial = HilbertSeries.one(n)
-        for i in range(1, n + 1):
-            d = self.coeffs[i] - partial.coeffs[i]
-            if d < 0:
-                raise ValueError(f"series is not a PBW series at degree {i}")
-            dims.append(d)
-            if d:
-                c = [0] * (n + 1)
-                for k in range(0, n // i + 1):
-                    c[i * k] = comb(k + d - 1, d - 1)
-                partial = partial * HilbertSeries(c, n)
-        return dims
-
     def __eq__(self, other):
         if not isinstance(other, HilbertSeries):
             return NotImplemented

@@ -98,10 +98,16 @@ MUTANTS = [
       "tests/test_onerelator.py::test_decompose_one_relator_weight3"]),
     # add_brackets skips the last generator
     (PRESENTED,
-     "    for w, g in gens:\n",
-     "    for w, g in gens[:-1]:\n",
+     "for w, g in gens if w < n for",
+     "for w, g in gens[:-1] if w < n for",
      ["tests/test_presented.py::test_engine_matches_ideal_route",
       "tests/test_span_properties.py::test_left_normed_spans_match_all_pairs"]),
+    # infer: weight 0 taken as conclusive
+    (PRESENTED,
+     "conclusive = N >= 1 and not (",
+     "conclusive = not (",
+     ["tests/test_presented.py::test_infer_at_weight_0_is_inconclusive",
+      "tests/test_cli.py::test_infer_at_max_degree_0_is_not_conclusive"]),
     # the engine's lcm rescale dropped from _addto
     (PRESENTED,
      "    if den % dv:\n        s = lcm(den, dv) // den",
@@ -114,6 +120,12 @@ MUTANTS = [
      "        self._canon = None\n        return p",
      ["tests/test_linalg.py::test_interleaved_echelon_against_oracle[Q]",
       "tests/test_linalg.py::test_interleaved_echelon_against_oracle[F7]"]),
+    # Echelon.of adds longest first
+    ("src/gradedlie/linalg.py",
+     "sorted(vectors, key=len)",
+     "sorted(vectors, key=len, reverse=True)",
+     ["tests/test_presented.py::test_engine_rows_and_table_pinned[mn.lie-Q]",
+      "tests/test_presented.py::test_engine_rows_and_table_pinned[mn-twisted.lie-Fp:7]"]),
     # Echelon.copy shares the stored rows with the original
     ("src/gradedlie/linalg.py",
      "ech._rows = dict(self._rows)",

@@ -6,10 +6,11 @@ every labeled graph, normal forms of traces one word at a time, d o d = 0
 on the RAAG resolution, the resolution's ranks with chains indexed by PBW
 monomials and a straightened boundary, Mayer-Vietoris exactness from
 dimensions alone, Hall monomial chains, subspace sums and intersections,
-d o d = 0 on the CE complex, bracket closures over all pairs of lower
-components, membership in a subalgebra of a free algebra from its spans,
-the Leibniz check over all pairs, induced modules from a basis of the
-subalgebra, [I,F] with its redundant [[I,F],x] term, the Lie algebra laws
+d o d = 0 on the CE complex, graded dims by PBW inversion of a Hilbert
+series and by the relation-ideal route, bracket closures over all pairs
+of lower components, membership in a subalgebra of a free algebra from
+its spans, the Leibniz check over all pairs, induced modules from a basis
+of the subalgebra, [I,F] with its redundant [[I,F],x] term, the Lie algebra laws
 on the engine's structure constants), so a test can compare the two.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 from gradedlie.envelope import Envelope
 from gradedlie.example6 import NilpotentQuotient, change_field
@@ -26,6 +28,7 @@ from gradedlie.homology import HomologyTable
 from gradedlie.linalg import Echelon, SparseMatrix
 from gradedlie.presented import PresentedLieAlgebra, add_brackets
 from gradedlie.raag import RaagResolution, SimpleGraph, find_induced_cycle
+from gradedlie.series import HilbertSeries
 
 
 # ----------------------------------------------------------------------
@@ -139,11 +142,9 @@ class PbwResolution(RaagResolution):
     def __init__(self, graph, field):
         super().__init__(graph, field)
         self.env = Envelope(self.algebra)
-        eng = self.algebra.engine
-        eng.build_to(1)
         self.gen_keys = {}
         for i, v in enumerate(graph.vertices):
-            (idx, _), = eng.gen_reduction(i).items()
+            (idx, _), = gen_reduction(self.algebra, i).items()
             self.gen_keys[v] = (1, idx)
 
     def module_basis(self, j: int, m: int) -> list:
@@ -305,6 +306,36 @@ def d_squared_vanishes(cx) -> bool:
 
 
 # ----------------------------------------------------------------------
+# graded dimensions by a second route
+
+
+def pbw_graded_dims(series: HilbertSeries) -> list[int]:
+    """Invert the PBW product formula: the dims with
+    prod (1-t^i)^(-dims[i-1]) == series.  Requires constant term 1."""
+    if series.coeffs[0] != 1:
+        raise ValueError("PBW inversion requires constant term 1")
+    n = series.truncation
+    dims = []
+    partial = HilbertSeries.one(n)
+    for i in range(1, n + 1):
+        d = series.coeffs[i] - partial.coeffs[i]
+        if d < 0:
+            raise ValueError(f"series is not a PBW series at degree {i}")
+        dims.append(d)
+        if d:
+            c = [0] * (n + 1)
+            for k in range(0, n // i + 1):
+                c[i * k] = comb(k + d - 1, d - 1)
+            partial = partial * HilbertSeries(c, n)
+    return dims
+
+
+def dim_via_ideal(P: PresentedLieAlgebra, n: int) -> int:
+    """dim L_n by the relation-ideal route: dim F_n - dim I_n."""
+    return len(P.free.hall_basis(n)) - P.ideal_component(n).rank
+
+
+# ----------------------------------------------------------------------
 # all-pairs bracket closures
 
 
@@ -424,6 +455,11 @@ def bracket_ideal_with_redundant_term(P: PresentedLieAlgebra, N: int) -> dict:
 # structure constants of the graded engine
 
 
+def gen_reduction(P: PresentedLieAlgebra, gi: int) -> dict:
+    """The engine's image of generator gi, in engine coordinates."""
+    return P.evaluate(P.free.gen_element(P.generators[gi].name))[1]
+
+
 def structure_constant_failure(P: PresentedLieAlgebra, N: int):
     """First violated law of P's structure constants up to weight N, or None.
 
@@ -449,7 +485,7 @@ def structure_constant_failure(P: PresentedLieAlgebra, N: int):
             return "relator", r
     basis = [(w, i) for w in range(1, N + 1) for i in range(P.dim(w))]
     for gi in range(len(P.generators)):
-        if P.generators[gi].weight <= N and bad(eng.gen_reduction(gi)):
+        if P.generators[gi].weight <= N and bad(gen_reduction(P, gi)):
             return "value", gi
     for p in basis:
         for q in basis:

@@ -136,6 +136,14 @@ def test_infer(capsys, tmp_path):
     assert report["data"]["relator_weights"] == ["2", "3"]
 
 
+def test_infer_at_max_degree_0_is_not_conclusive(capsys):
+    path = os.path.join(os.path.dirname(__file__), "golden", "inputs", "mn.lie")
+    code, out = run(capsys, "--max-degree", "0", "infer", path, "--gen", "a")
+    report = json.loads(out)
+    assert report["data"]["conclusive"] is False
+    assert report["ok"] is False and code == 1
+
+
 def test_example_sec6(capsys):
     code, out = run(capsys, "example", "sec6")
     assert code == 0

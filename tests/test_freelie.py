@@ -11,7 +11,7 @@ from gradedlie.freelie import (
     substitution,
     witt_dims,
 )
-from oracles import canonical_decomposition
+from oracles import canonical_decomposition, pbw_graded_dims
 
 
 def necklace_rank2(n):
@@ -63,7 +63,7 @@ def test_hall_counts_weighted():
     from gradedlie.series import HilbertSeries
 
     h = HilbertSeries([1, -1, -1], 8).inverse()
-    assert h.pbw_graded_dims() == w
+    assert pbw_graded_dims(h) == w
 
 
 def test_witt_matches_enumeration_rank3():

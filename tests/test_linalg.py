@@ -1,14 +1,16 @@
 import copy
 import math
+import os
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from dense_oracle import combination, normal_form, null_space, rank as oracle_rank, rref
 from gradedlie.fields import QQ, GF
 from gradedlie.linalg import ColumnSolver, Echelon, SparseMatrix
+from gradedlie.presented import add_brackets, load_presentation
 from oracles import intersect, quotient_basis, sum_spaces
 
 
@@ -395,3 +397,119 @@ def test_interleaved_echelon_against_oracle(name):
             assert copy.deepcopy(ech).basis() == reduced
 
     check()
+
+
+# -- batch order: shortest support first, outputs independent of the order --
+
+
+def batches(field, rows_strategy):
+    """Random batches with repeated and dependent vectors mixed in:
+    rows[i] + c*rows[j] for drawn i, j and c (c = 0 repeats rows[i])."""
+
+    @st.composite
+    def draw(draw):
+        rows = draw(rows_strategy)
+        if rows:
+            index = st.integers(0, len(rows) - 1)
+            for i, j, c in draw(st.lists(st.tuples(index, index, st.integers(0, 3)), max_size=4)):
+                vec = dict(rows[i])
+                field.axpy(vec, field.of(c), rows[j])
+                rows.append(vec)
+        return rows
+
+    return draw()
+
+
+def _span_outputs(ech, probes):
+    return ech.rank, ech.pivots(), ech.rows, ech.primitive_rows, [ech.reduce(v) for v in probes]
+
+
+def _extend_in_arrival_order(ech, vectors):
+    for vec in vectors:
+        ech.add(vec)
+    return ech
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_echelon_outputs_do_not_depend_on_the_batch_order(name):
+    field, rows_strategy = FIELDS[name]
+
+    @seed(20210106)
+    @given(st.data(), rows_strategy)
+    @settings(max_examples=100, deadline=None)
+    def check(data, probes):
+        batch = data.draw(batches(field, rows_strategy))
+        shuffled = data.draw(st.permutations(batch))
+        expected = _span_outputs(_extend_in_arrival_order(Echelon(field), batch), probes)
+        assert _span_outputs(Echelon.of(field, batch), probes) == expected
+        assert _span_outputs(Echelon.of(field, shuffled), probes) == expected
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_tracked_columns_do_not_depend_on_the_batch_order(name):
+    """The kernel and the basic solutions are the same whether the tracked
+    columns go in shortest first or in arrival order: the tracking
+    indices, not the insertion order, say which columns come earlier."""
+    field, rows_strategy = FIELDS[name]
+
+    def results(columns, targets):
+        solver = ColumnSolver(field, columns)
+        solutions = [solver.solve(b) for b in targets + columns]
+        return SparseMatrix(field, columns).kernel(), solver.rank, solutions
+
+    @seed(20210107)
+    @given(batches(field, rows_strategy), rows_strategy)
+    @settings(max_examples=100, deadline=None)
+    def check(columns, targets):
+        shortest_first = results(columns, targets)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Echelon, "extend", _extend_in_arrival_order)
+            assert results(columns, targets) == shortest_first
+
+    check()
+
+
+class _RecordingEchelon(Echelon):
+    """An Echelon that records every vector added to it."""
+
+    def __init__(self, field):
+        super().__init__(field)
+        self.added = []
+
+    def add(self, vec):
+        self.added.append(vec)
+        return super().add(vec)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_echelon_of_adds_shortest_first(name):
+    field, rows_strategy = FIELDS[name]
+
+    @seed(20210108)
+    @given(batches(field, rows_strategy))
+    @settings(max_examples=60, deadline=None)
+    def check(batch):
+        # a stable sort: equal sizes keep their arrival order
+        assert _RecordingEchelon.of(field, batch).added == sorted(batch, key=len)
+
+    check()
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
+def test_add_brackets_adds_shortest_first(field):
+    # twisted coordinates, so the brackets have supports of many sizes
+    path = os.path.join(os.path.dirname(__file__), "golden", "inputs", "mn-twisted.lie")
+    eng = load_presentation(path, field=field).engine
+    n = 5
+    gens = [(1, {i: field.one}) for i in range(eng.dim(1))]
+
+    def units(m):
+        return [{i: field.one} for i in range(eng.dim(m))]
+
+    arrival = [eng.bracket_vec(n - w, v, w, g) for w, g in gens for v in units(n - w)]
+    sizes = [len(v) for v in arrival]
+    assert sizes != sorted(sizes)
+    added = add_brackets(_RecordingEchelon(field), units, gens, n, eng.bracket_vec).added
+    assert added == sorted(arrival, key=len)
