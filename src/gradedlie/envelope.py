@@ -11,9 +11,8 @@ cleverness here.  The Hilbert series of U(L) is
 `PresentedLieAlgebra.enveloping_series`.
 
 An induced module is realized as the quotient U(L)/(S.U(L)) by the right
-ideal generated by a graded subalgebra S; its graded dimension must equal
-the coefficient of Hilb(U(L))/Hilb(U(S)) (freeness of U(L) over U(S) via
-PBW), and `induced_module_dims` checks the two routes against each other.
+ideal generated by a graded subalgebra S; its graded dimension equals the
+coefficient of Hilb(U(L))/Hilb(U(S)) (freeness of U(L) over U(S) via PBW).
 """
 
 from __future__ import annotations
@@ -22,11 +21,6 @@ from typing import Optional
 
 from .linalg import Echelon
 from .presented import GradedSubalgebra, PresentedLieAlgebra
-from .series import HilbertSeries
-
-
-class EmbeddingError(ValueError):
-    """A claimed embedding of graded Lie algebras is not injective."""
 
 
 class Envelope:
@@ -171,12 +165,13 @@ class InducedModule:
         if got is None:
             env = self.env
             one = self.field.one
-            ech = Echelon(self.field)
+            rows = []
             for w, g in self._gens:
                 if w <= n:
                     g_u = env.lie_vector_as_u(w, dict(g))
                     for u_mono in env.pbw_basis(n - w):
-                        ech.add(env.coords(env.mult(g_u, {u_mono: one}), n))
+                        rows.append(env.coords(env.mult(g_u, {u_mono: one}), n))
+            ech = Echelon.of(self.field, rows)
             pivots = set(ech.pivots())
             pbw = env.pbw_basis(n)
             nonpivot = [i for i in range(len(pbw)) if i not in pivots]
@@ -218,41 +213,3 @@ def _span_key(sub: Optional[GradedSubalgebra]) -> tuple:
     return tuple(
         (w, tuple(sorted(row.items()))) for w in sorted(spans) for row in spans[w].basis()
     )
-
-
-def induced_module_dims(
-    env: Envelope,
-    source: PresentedLieAlgebra,
-    image: Optional[GradedSubalgebra],
-    N: int,
-) -> tuple[list[int], InducedModule]:
-    """Graded dims of k (x)_{U(S)} U(L), computed two independent ways.
-
-    `source` is the abstract presentation of S, `image` its embedded copy
-    inside L (None for S = 0).  The embedding is verified injective per
-    weight (span dims match the abstract dims); the explicit quotient dims
-    must then equal the series quotient Hilb(U(L))/Hilb(U(S)).
-    """
-    src_dims = source.dim_sequence(N) if source is not None else [0] * N
-    if image is not None:
-        span_dims = image.span_dims(N)
-        for n in range(1, N + 1):
-            if span_dims[n - 1] != src_dims[n - 1]:
-                raise EmbeddingError(
-                    f"embedding not injective at weight {n}: "
-                    f"span dim {span_dims[n - 1]} != source dim {src_dims[n - 1]}"
-                )
-    else:
-        if any(src_dims):
-            raise ValueError("nonzero source with no image subalgebra")
-    module = InducedModule(env, image)
-    explicit = module.dims(N)
-    hl = env.algebra.enveloping_series(N)
-    hs = HilbertSeries.from_graded_dims(src_dims, N)
-    series = hl.divide(hs)
-    if series.coeffs != explicit:
-        raise AssertionError(
-            f"induced module dims disagree: series {series.coeffs} vs "
-            f"explicit {explicit}"
-        )
-    return explicit, module

@@ -3,22 +3,24 @@
 A graph of Lie algebras carries vertex and edge algebras, edge
 monomorphisms, a fixed maximal forest, and a derivation plus stable-letter
 weight for every non-forest edge (loops are always non-forest).  The
-fundamental algebra is assembled by iterated amalgams along forest edges
-followed by one HNN layer per remaining edge; the construction trace is
-kept because the short-exact-sequence verification mirrors it step by
-step.
+fundamental algebra is presented by the vertex generators and one stable
+letter t per non-forest edge, with the vertex relators, sigma(g) = tau(g)
+along forest edges and [t, sigma(g)] = d(g) along the others.
 
-`verify_theorem_a` runs two independent checks on the sequence
+`verify_theorem_a` runs two independent checks on the Mayer-Vietoris
+sequence
 
     0 -> (+)_e k (x)_{U(L_e)} U(L) -> (+)_v k (x)_{U(L_v)} U(L) -> k -> 0:
 
 an Euler/Hilbert-series identity on graded dimensions, and an explicit
-degree-wise exactness check where the middle map is built by recursive
-gluing in one replay of the trace: amalgam steps contribute
-(1 (x) u, -1 (x) u), HNN steps contribute 1 (x) t.u, and components landing
-in an already-glued partial algebra are lifted through the previous step's
-surjection by solving linear systems.  Each step's columns are built once
-and filed under their target weight, ready for that weight's rank.
+degree-wise exactness check by ranks.  The edge-to-vertex map alpha is
+given by a formula per edge, as for graphs of groups (Chiswell, "Exact
+sequences associated with a graph of groups", J. Pure Appl. Algebra 8,
+1976): writing Q_x for k (x)_{U(L_x)} U(L), for 1 (x) u in Q_e,
+
+    forest edge:      1 (x) u  |->  1 (x) u in Q_dst  -  1 (x) u in Q_src,
+    non-forest edge:  1 (x) u  |->  1 (x) t.u in Q_src, w(t) higher.
+
 Amalgams and HNN extensions are the one-edge graphs: an amalgam is built
 and verified as the fundamental algebra of a one-edge graph, and `hnn`
 builds a single HNN extension directly for the one-relator towers.
@@ -42,7 +44,7 @@ from typing import Optional
 from .envelope import Envelope, InducedModule
 from .fields import Field, check_same_field
 from .freelie import LieElement, substitution
-from .linalg import ColumnSolver, Echelon
+from .linalg import Echelon
 from .presented import GradedSubalgebra, PresentedLieAlgebra, add_brackets, load_presentation
 from .series import HilbertSeries
 
@@ -364,8 +366,9 @@ class FundamentalAlgebra:
     Generators of the presentation are vertex generators, qualified as
     '<vertex>.<name>', plus one stable letter per non-forest edge (named by
     the edge id).  Relators: vertex relators, sigma(g) - tau(g) per forest
-    edge, and [e, sigma(g)] - d(g) per non-forest edge.  The construction
-    trace records the gluing order used by the exactness verifier.
+    edge, and [e, sigma(g)] - d(g) per non-forest edge.  It is the iterated
+    amalgam of the vertex algebras along the forest edges, followed by one
+    HNN extension per non-forest edge, in any order.
     """
 
     def __init__(self, graph: GraphOfLieAlgebras):
@@ -413,28 +416,6 @@ class FundamentalAlgebra:
                     if not rel.is_zero():
                         rels.append(rel)
         self.algebra = PresentedLieAlgebra(field, gens, rels, name="fundamental", free=free)
-
-        # construction trace: forest edges by passes from each root, then
-        # non-forest edges.  A forest edge is taken when exactly one end is
-        # placed (both placed means taken); a pass that does not finish the
-        # tree places a vertex, so len(forest) passes reach all of it.
-        self.trace = []
-        placed = set()
-        forest = [e for e in graph.edges if e.in_forest]
-        for root in graph.vertices:
-            if root in placed:
-                continue
-            self.trace.append(("vertex", root))
-            placed.add(root)
-            for _ in forest:
-                for e in forest:
-                    if (e.src in placed) != (e.dst in placed):
-                        new = e.src if e.dst in placed else e.dst
-                        self.trace.append(("amalgam", e, new))
-                        placed.add(new)
-        for e in graph.edges:
-            if not e.in_forest:
-                self.trace.append(("hnn", e))
 
     def vertex_embedding(self, vid: str) -> LieHomomorphism:
         alg = self.graph.vertices[vid]
@@ -513,16 +494,32 @@ def verify_theorem_a(
 
     (1) Euler identity on Hilbert series to degree N:
         sum_e t^shift(e) H_L/H_{L_e} + 1 = sum_v H_L/H_{L_v};
-    (2) if explicit_to is given, build alpha's columns in one replay of
-        the trace, each step's once, filed by target weight (an HNN
-        column 1 (x) t.u sits w(t) above u), and check injectivity and
-        exactness by ranks for all weights <= explicit_to.
+    (2) if explicit_to is given, build alpha's columns from the per-edge
+        formula (see the module docstring), with u over the quotient basis
+        of Q_e and each column filed at weight w(u) + shift(e), and check
+        injectivity and exactness by ranks for all weights <= explicit_to.
+
+    The formula gives the ranks of the sequence by the gluing lemma: if
+    0 -> A -> B -> Y -> 0 and 0 -> X -> Y -> Z -> 0 are exact and s: X -> B
+    is any linear lift of X -> Y, then 0 -> A (+) X -> B -> Z -> 0 is
+    exact.  Build L from one vertex by amalgams along the forest edges,
+    then one HNN step per other edge; let P be the algebra built so far,
+    A the edge modules used and B the sum of the Q_w of the vertices
+    placed, so that 0 -> A -> B -> Q_P -> 0 is exact.  Each step is exact,
+
+        amalgam adding v:  0 -> Q_e -> Q_P (+) Q_v -> Q_{P*v} -> 0,
+        HNN step:          0 -> Q_e -> Q_P -> Q_{P'} -> 0,  u |-> t.u,
+
+    so the lemma applies with X = Q_e and Y its middle term (for an
+    amalgam, Q_v is added to B and Y alike).  Every placed vertex algebra
+    L_w lies in P, so 1 (x) u in Q_w maps to 1 (x) u in Q_P: the per-edge
+    formula, read at the edge's endpoints, is a lift s, and the columns of
+    all steps together are alpha.
 
     All vertex and edge algebras must embed injectively (rank-checked up to
     max(N, explicit_to), as the explicit checks rely on it); failures abort
-    with diagnostics in the report.  The vertex, edge and partial modules
-    live on one Envelope, so those of equal subalgebras (a partial
-    subalgebra equal to a vertex's image, an edge whose image is a
+    with diagnostics in the report.  The vertex and edge modules live on
+    one Envelope, so those of equal subalgebras (an edge whose image is a
     vertex's) share one module state and each right ideal is built once
     per weight.
     """
@@ -588,55 +585,23 @@ def verify_theorem_a(
             offsets[n][vid] = total
             total += vertex_modules[vid].dim(n)
 
-    # replay the trace once, putting alpha's columns under their target weight
+    def at(vid: str, u: dict, n: int) -> dict:
+        """The class of the weight-n element u in Q_vid, in (+)_v Q_v."""
+        return {offsets[n][vid] + i: c for i, c in vertex_modules[vid].project(u, n).items()}
+
+    # alpha's columns, each filed at the weight of its image
     columns: dict[int, list] = {n: [] for n in range(M + 1)}
-    placed: list[str] = []
-    partial_gens: list[LieElement] = []
-    current = None  # InducedModule of the partial subalgebra
-    solvers: dict[int, tuple] = {}  # n -> (solver over placed vertices' columns, remap)
-
-    def lift(u: dict, n: int) -> dict:
-        """Solve g(xi) = the class of u in the current partial module."""
-        got = solvers.get(n)
-        if got is None:
-            cols, remap = [], []
-            for vid in placed:
-                for i, mono in enumerate(vertex_modules[vid].quotient_basis(n)):
-                    cols.append(current.project({mono: one}, n))
-                    remap.append(offsets[n][vid] + i)
-            got = solvers[n] = (ColumnSolver(field, cols), remap)
-        solver, remap = got
-        sol = solver.solve(current.project(u, n))
-        if sol is None:
-            raise GraphError(f"gluing lift failed at weight {n} (not exact?)")
-        return {remap[j]: c for j, c in sol.items()}
-
-    for step in fund.trace:
-        if step[0] == "amalgam":
-            # +1(x)u at the new vertex, -lift(1(x)u) over the placed ones
-            e, vid = step[1], step[2]
-            for n in range(M + 1):
-                for mono in edge_modules[e.id].quotient_basis(n):
-                    u = {mono: one}
-                    col = {k: field.neg(c) for k, c in lift(u, n).items()}
-                    new = vertex_modules[vid].project(u, n)
-                    field.axpy(col, one, {offsets[n][vid] + i: c for i, c in new.items()})
-                    columns[n].append(col)
-        elif step[0] == "hnn":
-            # lift(1(x)t.u), in weight n = w(u) + w(t)
-            e = step[1]
-            t_u = fund.stable_letter_u(env, e.id)
-            for n in range(e.stable_weight, M + 1):
-                for mono in edge_modules[e.id].quotient_basis(n - e.stable_weight):
-                    columns[n].append(lift(env.mult(t_u, {mono: one}), n))
-        # place the step's generators; the partial module changes, so do the solvers
-        if step[0] == "hnn":
-            partial_gens.append(L.free.gen_element(e.id))
-        else:
-            placed.append(step[-1])
-            partial_gens.extend(map(L.free.gen_element, fund.vertex_gen_map[step[-1]].values()))
-        current = InducedModule(env, L.subalgebra(list(partial_gens)))
-        solvers.clear()
+    for e in graph.edges:
+        t_u = None if e.in_forest else fund.stable_letter_u(env, e.id)
+        for n in range(e.shift, M + 1):
+            for mono in edge_modules[e.id].quotient_basis(n - e.shift):
+                u = {mono: one}
+                if e.in_forest:
+                    col = at(e.dst, u, n)
+                    field.axpy(col, field.neg(one), at(e.src, u, n))
+                else:
+                    col = at(e.src, env.mult(t_u, u), n)
+                columns[n].append(col)
 
     for n in range(M + 1):
         src_dim = sum(edge_modules[e.id].dim(n - e.shift) for e in graph.edges if n >= e.shift)

@@ -10,8 +10,9 @@ d o d = 0 on the CE complex, graded dims by PBW inversion of a Hilbert
 series and by the relation-ideal route, bracket closures over all pairs
 of lower components, membership in a subalgebra of a free algebra from
 its spans, the Leibniz check over all pairs, induced modules from a basis
-of the subalgebra, [I,F] with its redundant [[I,F],x] term, the Lie algebra laws
-on the engine's structure constants), so a test can compare the two.
+of the subalgebra, induced module dims against the series quotient, [I,F]
+with its redundant [[I,F],x] term, the Lie algebra laws on the engine's
+structure constants), so a test can compare the two.
 """
 
 from __future__ import annotations
@@ -19,14 +20,15 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
+from typing import Optional
 
-from gradedlie.envelope import Envelope
+from gradedlie.envelope import Envelope, InducedModule
 from gradedlie.example6 import NilpotentQuotient, change_field
 from gradedlie.fields import GF, RationalField, check_same_field
 from gradedlie.freelie import FreeLieAlgebra
 from gradedlie.homology import HomologyTable
 from gradedlie.linalg import Echelon, SparseMatrix
-from gradedlie.presented import PresentedLieAlgebra, add_brackets
+from gradedlie.presented import GradedSubalgebra, PresentedLieAlgebra, add_brackets
 from gradedlie.raag import RaagResolution, SimpleGraph, find_induced_cycle
 from gradedlie.series import HilbertSeries
 
@@ -421,6 +423,47 @@ def all_pairs_leibniz_failure(d, N: int):
 # ----------------------------------------------------------------------
 # induced modules and the relation ideal
 
+
+class EmbeddingError(ValueError):
+    """A claimed embedding of graded Lie algebras is not injective."""
+
+
+def induced_module_dims(
+    env: Envelope,
+    source: Optional[PresentedLieAlgebra],
+    image: Optional[GradedSubalgebra],
+    N: int,
+) -> tuple[list[int], InducedModule]:
+    """Graded dims of k (x)_{U(S)} U(L), computed two independent ways.
+
+    `source` is the abstract presentation of S, `image` its embedded copy
+    inside L (None for S = 0).  The embedding is verified injective per
+    weight (span dims match the abstract dims); the explicit quotient dims
+    must then equal the series quotient Hilb(U(L))/Hilb(U(S)).
+    """
+    src_dims = source.dim_sequence(N) if source is not None else [0] * N
+    if image is not None:
+        span_dims = image.span_dims(N)
+        for n in range(1, N + 1):
+            if span_dims[n - 1] != src_dims[n - 1]:
+                raise EmbeddingError(
+                    f"embedding not injective at weight {n}: "
+                    f"span dim {span_dims[n - 1]} != source dim {src_dims[n - 1]}"
+                )
+    else:
+        if any(src_dims):
+            raise ValueError("nonzero source with no image subalgebra")
+    module = InducedModule(env, image)
+    explicit = module.dims(N)
+    hl = env.algebra.enveloping_series(N)
+    hs = HilbertSeries.from_graded_dims(src_dims, N)
+    series = hl.divide(hs)
+    if series.coeffs != explicit:
+        raise AssertionError(
+            f"induced module dims disagree: series {series.coeffs} vs "
+            f"explicit {explicit}"
+        )
+    return explicit, module
 
 def basis_product_quotient_basis(env, sub, n: int) -> list:
     """Non-pivot PBW monomials of weight n modulo the products s.u, with s

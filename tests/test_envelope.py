@@ -2,16 +2,12 @@ import os
 
 import pytest
 
-from gradedlie.envelope import (
-    EmbeddingError,
-    Envelope,
-    InducedModule,
-    induced_module_dims,
-)
+from gradedlie.envelope import Envelope, InducedModule
 from gradedlie.fields import GF, QQ, FieldError
 from gradedlie.graphalg import load_graph, verify_theorem_a
 from gradedlie.presented import PresentedLieAlgebra
 from gradedlie.series import HilbertSeries
+from oracles import EmbeddingError, induced_module_dims
 
 
 def test_hilbert_abelian():
@@ -180,14 +176,14 @@ GOLDEN_INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden
 
 
 @pytest.mark.parametrize(
-    "name, products, modules, states", [("mix.graph", 919, 6, 3), ("hnn.graph", 1004, 3, 1)]
+    "name, products, modules, states", [("mix.graph", 919, 4, 3), ("hnn.graph", 1004, 2, 1)]
 )
 def test_induced_modules_skip_dependent_generators(monkeypatch, name, products, modules, states):
-    # by PBW the module depends only on the subalgebra, so the vertex, edge
-    # and partial modules of equal subalgebras share one right ideal per
-    # weight: on hnn.graph the edge t, the vertex v and the first partial
-    # subalgebra all generate <a,b>; mix.graph's fundamental algebra
-    # identifies v2.b with v1.a, so a given generator repeats another.
+    # by PBW the module depends only on the subalgebra, so the vertex and
+    # edge modules of equal subalgebras share one right ideal per weight:
+    # on hnn.graph the edge t and the vertex v both generate <a,b>;
+    # mix.graph's fundamental algebra identifies v2.b with v1.a, so the
+    # vertex v2 and the edge e1 both generate <v1.a>.
     # Building each module on its own from its independent generators gave
     # 2,259 products on mix.graph and 2,502 on hnn.graph.
     graph = load_graph(os.path.join(GOLDEN_INPUTS, name), GF(2147483647))

@@ -294,6 +294,29 @@ def test_theorem_a_loop_tree_mix():
     assert report.ok
 
 
+
+def test_theorem_a_non_loop_non_forest_edge():
+    # a non-forest edge joining two distinct vertices: its column 1 (x) t.u
+    # lands in Q_src = Q_v2, while d(z) lives in v1
+    F7 = GF(7)
+    V1 = PresentedLieAlgebra(F7, ["a", "c"], ["[a,c]"])
+    V2 = PresentedLieAlgebra(F7, ["b", "d"])
+    K = PresentedLieAlgebra(F7, ["z"])
+    edges = [
+        Edge("e1", "v1", "v2", K, {"z": "c"}, in_forest=True, tau_images={"z": "d"}),
+        Edge(
+            "t", "v2", "v1", K, {"z": "b"}, in_forest=False,
+            der_values={"z": "[[a,c],a]"}, stable_weight=2,
+        ),
+    ]
+    g = GraphOfLieAlgebras(F7, {"v1": V1, "v2": V2}, edges)
+    report = verify_theorem_a(g, 6, explicit_to=6)
+    assert report.ok
+    assert [(c.src_dim, c.mid_dim, c.rank_alpha) for c in report.checks] == [
+        (1, 2, 1), (2, 2, 2), (7, 7, 7), (19, 19, 19), (55, 55, 55), (158, 158, 158),
+        (455, 455, 455),
+    ]
+
 def one_edge_amalgam(L1, L2, L0, sigma, tau):
     e = Edge("e1", "v1", "v2", L0, sigma, in_forest=True, tau_images=tau)
     return GraphOfLieAlgebras(QQ, {"v1": L1, "v2": L2}, [e])

@@ -17,8 +17,9 @@ enveloping series.  A Q relator that is not multihomogeneous can give
 rows with real fractions in the engine.  Over F_7 the explicit induced
 module k (x)_{U(S)} U(L) of a random subalgebra S, presented by
 `infer_presentation`, has the dimensions of the series quotient, and on
-random one-edge graphs (amalgams and HNN extensions along a rank-one edge
-algebra) the Theorem A Euler identity gives the explicit ranks.  Induced
+random small graphs (amalgams and HNN extensions along a rank-one edge
+algebra, and amalgams with a non-forest edge between their two vertices)
+the Theorem A Euler identity gives the explicit ranks.  Induced
 modules of one subalgebra given by permuted, repeated or recombined
 generators share one state on an Envelope and equal modules built on
 fresh Envelopes, over F_7 and Q.
@@ -29,7 +30,7 @@ import re
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gradedlie.envelope import Envelope, InducedModule, induced_module_dims
+from gradedlie.envelope import Envelope, InducedModule
 from gradedlie.fields import GF, QQ
 from gradedlie.freelie import FreeLieAlgebra
 from gradedlie.graphalg import Edge, GraphError, GraphOfLieAlgebras, LieDerivation, verify_theorem_a
@@ -42,6 +43,7 @@ from oracles import (
     basis_product_quotient_basis,
     bracket_ideal_with_redundant_term,
     dim_via_ideal,
+    induced_module_dims,
     structure_constant_failure,
 )
 
@@ -241,27 +243,37 @@ def rank_one_image(draw, L: PresentedLieAlgebra):
 
 
 @st.composite
-def one_edge_graphs(draw):
+def small_graphs(draw):
     """An amalgam of two random presentations along a rank-one edge
-    algebra, or an HNN extension of one along a rank-one edge algebra with
-    an arbitrary derivation value (every linear map on it is one)."""
+    algebra; an HNN extension of one along a rank-one edge algebra with an
+    arbitrary derivation value (every linear map on it is one); or that
+    amalgam with a second, non-forest rank-one edge from v2 to v1, whose
+    derivation takes values in v1."""
+    shape = draw(st.sampled_from(["amalgam", "loop", "amalgam-and-edge"]))
     L1 = draw(presentations())
     sigma = rank_one_image(draw, L1)
     K = PresentedLieAlgebra(F7, [("z", sigma.weight())])
-    if draw(st.booleans()):
-        L2 = draw(presentations())
-        tau = rank_one_image(draw, L2)
-        assume(tau.weight() == sigma.weight())
-        edge = Edge("e", "v1", "v2", K, {"z": sigma}, in_forest=True, tau_images={"z": tau})
-        return GraphOfLieAlgebras(F7, {"v1": L1, "v2": L2}, [edge])
-    shift = draw(st.integers(1, 2))
-    value = homogeneous(draw, L1.free, sigma.weight() + shift)
-    edge = Edge("t", "v", "v", K, {"z": sigma}, in_forest=False,
-                der_values={"z": value}, stable_weight=shift)
-    return GraphOfLieAlgebras(F7, {"v": L1}, [edge])
+    if shape == "loop":
+        shift = draw(st.integers(1, 2))
+        value = homogeneous(draw, L1.free, sigma.weight() + shift)
+        edge = Edge("t", "v", "v", K, {"z": sigma}, in_forest=False,
+                    der_values={"z": value}, stable_weight=shift)
+        return GraphOfLieAlgebras(F7, {"v": L1}, [edge])
+    L2 = draw(presentations())
+    tau = rank_one_image(draw, L2)
+    assume(tau.weight() == sigma.weight())
+    edges = [Edge("e", "v1", "v2", K, {"z": sigma}, in_forest=True, tau_images={"z": tau})]
+    if shape == "amalgam-and-edge":
+        image = rank_one_image(draw, L2)
+        shift = draw(st.integers(1, 2))
+        value = homogeneous(draw, L1.free, image.weight() + shift)
+        Kt = PresentedLieAlgebra(F7, [("y", image.weight())])
+        edges.append(Edge("t", "v2", "v1", Kt, {"y": image}, in_forest=False,
+                          der_values={"y": value}, stable_weight=shift))
+    return GraphOfLieAlgebras(F7, {"v1": L1, "v2": L2}, edges)
 
 
-@given(one_edge_graphs())
+@given(small_graphs())
 @settings(max_examples=20, deadline=None)
 def test_euler_identity_gives_explicit_theorem_a_ranks(graph):
     report = verify_theorem_a(graph, 4, explicit_to=4)
