@@ -2,10 +2,12 @@
 products, and induced modules k (x)_{U(S)} U(L).
 
 PBW monomials are nondecreasing tuples of graded basis keys (weight, index)
-of the underlying presented Lie algebra, ordered by key.  Products are
-straightened by swapping adjacent out-of-order factors, emitting bracket
-lower-order terms from the structure-constant tables; the straightened
-(monomial, factor) products are memoized per algebra.  Only truncated
+of the underlying presented Lie algebra, ordered by key.  An ordered
+product, whose first factor ends at or below where the second starts, is
+the concatenation of the two monomials, already a PBW monomial.  Other
+products are straightened by swapping adjacent out-of-order factors,
+emitting bracket lower-order terms from the structure-constant tables; the
+straightened (monomial, factor) products are memoized per algebra.  Only truncated
 degrees are ever materialized, so simplicity wins over asymptotic
 cleverness here.  The Hilbert series of U(L) is
 `PresentedLieAlgebra.enveloping_series`.
@@ -104,6 +106,8 @@ class Envelope:
     def mult_mono(self, m1: tuple, m2: tuple) -> dict:
         """Product of two PBW monomials as a combination of PBW monomials."""
         field = self.field
+        if not m1 or not m2 or m1[-1] <= m2[0]:  # already in PBW order
+            return {m1 + m2: field.one}
         acc = {m1: field.one}
         for key in m2:
             nxt: dict = {}

@@ -14,6 +14,8 @@ homological degree I and weight N.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .linalg import SparseMatrix
 from .presented import PresentedLieAlgebra
 
@@ -29,6 +31,7 @@ class ChainComplex:
         self._chains: dict[tuple[int, int], list] = {}
         self._index: dict[tuple[int, int], dict] = {}
         self._diff: dict[tuple[int, int], SparseMatrix] = {}
+        self._pairs: dict[tuple, list] = {}  # (k_s, k_t) -> [(target key, coefficient)]
         algebra.engine.build_to(N)
 
     def chains(self, i: int, n: int) -> list:
@@ -77,12 +80,20 @@ class ChainComplex:
         return len(self.chains(i, n))
 
     def differential(self, i: int, n: int) -> SparseMatrix:
-        """d_{i,n}: C_{i,n} -> C_{i-1,n}, one column per source chain."""
+        """d_{i,n}: C_{i,n} -> C_{i-1,n}, one column per source chain.
+
+        The column of k_1 ^ ... ^ k_i is the sum over s < t of
+        (-1)^{s+t} [k_s, k_t] ^ (the chain without k_s and k_t), each
+        bracket key placed into the rest by its sorted position, with the
+        sign of the transpositions that move it there.  Each bracket
+        [k_s, k_t] is read from the engine once per complex, as a list of
+        (target key, coefficient) in ``_pairs``."""
         got = self._diff.get((i, n))
         if got is not None:
             return got
         field = self.field
         eng = self.algebra.engine
+        pairs = self._pairs
         signs = (field.one, field.neg(field.one))
         tgt_index = self.chain_index(i - 1, n)
         columns = []
@@ -91,16 +102,17 @@ class ChainComplex:
             for s in range(len(chain)):
                 for t in range(s + 1, len(chain)):
                     ks, kt = chain[s], chain[t]
+                    bracket = pairs.get((ks, kt))
+                    if bracket is None:
+                        w = ks[0] + kt[0]
+                        bracket = [((w, bi), c) for bi, c in eng.pair(ks, kt).items()]
+                        pairs[ks, kt] = bracket
                     rest = chain[:s] + chain[s + 1 : t] + chain[t + 1 :]
-                    w = ks[0] + kt[0]
                     term = {}  # each key d gives its own target chain
-                    for bi, c in eng.pair(ks, kt).items():
-                        d = (w, bi)
-                        if d in rest:
+                    for d, c in bracket:
+                        pos = bisect_left(rest, d)
+                        if pos < len(rest) and rest[pos] == d:
                             continue
-                        pos = 0
-                        while pos < len(rest) and rest[pos] < d:
-                            pos += 1
                         new_chain = rest[:pos] + (d,) + rest[pos:]
                         term[tgt_index[new_chain]] = field.neg(c) if pos % 2 else c
                     field.axpy(col, signs[(s + t) % 2], term)  # (-1)^{s+t}, 0-indexed

@@ -29,11 +29,12 @@ Presentation file format::
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .fields import Field, FieldError, check_same_field, integral, parse_field
+from .fields import Field, FieldError, PrimeField, check_same_field, integral, parse_field
 from .freelie import FreeLieAlgebra, LieElement, witt_dims
 from .linalg import Echelon, SparseMatrix
 from .series import HilbertSeries
@@ -214,39 +215,47 @@ class GradedEngine:
     weight n.  Deterministic echelon (lowest candidate index pivots) makes
     bases and tables reproducible.
 
-    ``_cand_red[n]`` maps each weight-n candidate to its reduction over the
-    weight-n basis.  While weight n is being built it maps each candidate to
-    its own unit vector instead (candidate coordinates), so the one bracket
-    recursion (:meth:`_pair`, :meth:`_bracket`, :meth:`_eval_monomial`)
-    writes the constraint rows of weight n in candidate coordinates.  Once
-    the rows are written the weight-n memos, which hold candidate
-    coordinates, are reset, and after elimination the real reduction
-    replaces the identity map.  :meth:`_add_bracket` (out += c*[v, b_q])
-    is the one inner bracket loop; Jacobi rows are written through it.
+    The weight-n candidates are the generators of weight n, then one block
+    [b_(n-w(z), i), z] (all i) per surviving generator z.
+    ``_cand_red[n][z]`` lists the reductions of z's block over the weight-n
+    basis, and ``_gen_red`` those of the generators.  While weight n is
+    being built every candidate reduces to its own unit vector instead
+    (candidate coordinates), so [[p,b'],z] is [p,b'] re-indexed into z's
+    block, whose positions are ``_cand_blocks[z]``, and the one bracket recursion
+    (:meth:`_pair`, :meth:`_bracket`, :meth:`_eval_monomial`) writes the
+    constraint rows of weight n in candidate coordinates.  Once the rows
+    are written the weight-n memos are reset, and after elimination the
+    real reductions replace the unit vectors.  :meth:`_add_bracket`
+    (out += c*[v, b_q]) is the one inner bracket loop; Jacobi rows are
+    written through it, and it adds a one-term bracket, such as a
+    candidate's, in place rather than through ``Field.axpy``.
 
     Every internal vector is a pair ``(numerators, den)`` worth
     numerators/den, with int numerators over Q (:func:`_addto` adds two at
-    a common denominator, so brackets need no ``Fraction``) and den = +-1
-    over F_p.  Constraint rows go to the echelon as numerators, which are
-    fixed only up to a nonzero scalar (in practice the sign of the den).
-    Public queries return canonical dicts.
-    ``_pair_memo[n]`` stores only (p, q) with p < q, and [b_q, b_p] is the
-    same numerators over -den, so a pair costs one dict, not a negated
-    copy.  In candidate coordinates the two orientations may differ, so a
-    miss computes the one asked for, and that first value defines both for
-    the rest of the build.
+    a common denominator, so brackets need no ``Fraction``), and residues
+    in [1, p) over den = +-1 over F_p.  Constraint rows go to the echelon
+    as numerators, which are fixed only up to a nonzero scalar (in practice
+    the sign of the den).  Public queries return canonical dicts.
+    ``_pair_memo[n][q]`` maps i to [b_p, b_q], p = (n - w(q), i), so the
+    inner loop reads a bracket with one int-keyed lookup.  A miss stores
+    both orientations, whose two entries share one numerators dict under
+    opposite dens.  In candidate coordinates the two orientations may
+    differ, so a miss computes the one asked for, and that first value
+    defines both for the rest of the build.
     """
 
     def __init__(self, algebra: PresentedLieAlgebra):
         self.algebra = algebra
         self.field = algebra.field
+        self._mod = algebra.field.p if isinstance(algebra.field, PrimeField) else 0
         self.gens = algebra.generators
         self._built = 0
         self._defs: dict[int, list] = {}        # n -> list of candidate keys
-        self._cand_red: dict[int, dict] = {}    # n -> {cand key: (numerators, den)}
+        self._cand_red: dict[int, dict] = {}    # n -> {z: [(numerators, den) per candidate of z]}
+        self._cand_blocks: dict[int, range] = {}  # z -> positions of its candidates, while building
         self._gen_red: list = [None] * len(self.gens)
         self._gen_alive: list = [False] * len(self.gens)
-        self._pair_memo: dict[int, dict] = {}   # n -> {(p, q) with p < q: (numerators, den)}
+        self._pair_memo: dict[int, dict] = {}   # n -> {q: {i: (numerators, den)}}
         self._eval_memo: dict[int, dict] = {}   # n -> {monomial id: (numerators, den)}
         self._commutator_rank: dict[int, int] = {}
         self._relators_by_weight: dict[int, list] = {}
@@ -322,8 +331,7 @@ class GradedEngine:
         if got is not None:
             return got
         if free.is_generator(mid):
-            g = free.generator_of(mid)
-            vec = self._cand_red[g.weight][("gen", free.gen_index[g.name])]
+            vec = self._gen_red[free.gen_index[free.generator_of(mid).name]]
         else:
             l, r = free.factors(mid)
             vec = _reduced(*self._bracket(
@@ -343,21 +351,28 @@ class GradedEngine:
         """In place out/den += c*[v, b_q] for a (numerators, den) vector v
         of weight wv and one basis key q; return the new den.  This is the
         engine's one inner bracket loop."""
-        field = self.field
-        memo = self._pair_memo[wv + q[0]]  # memo hits skip the _pair call
+        field, mod = self.field, self._mod
+        col = self._pair_memo[wv + q[0]][q]  # memo hits skip the _pair call
         vv, dv = v
         for i, ci in vv.items():
-            p = (wv, i)
-            if p < q:
-                vec, d = memo.get((p, q)) or self._pair(p, q)
-            else:
-                got = memo.get((q, p))
-                vec, d = self._pair(p, q) if got is None else (got[0], -got[1])
+            got = col.get(i)
+            vec, d = self._pair((wv, i), q) if got is None else got
             d *= dv
             if den % d:
                 den = _addto(field, out, den, c * ci, vec, d)
-            else:  # no rescale, as for every pair read flipped (d = -1)
-                field.axpy(out, c * ci * (den // d), vec)
+                continue
+            a = c * ci * (den // d)  # no rescale, as for every pair read flipped (d = -1)
+            if len(vec) == 1:  # one term, as every candidate's bracket is
+                [k] = vec
+                s = out.get(k, 0) + a * vec[k]
+                if mod:
+                    s %= mod
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+            else:
+                field.axpy(out, a, vec)
         return den
 
     def _pair(self, p: tuple, q: tuple) -> tuple:
@@ -365,55 +380,64 @@ class GradedEngine:
             return {}, 1
         n = p[0] + q[0]
         memo = self._pair_memo[n]
-        key, sign = ((p, q), 1) if p < q else ((q, p), -1)
-        got = memo.get(key)
+        got = memo[q].get(p[1])
         if got is not None:
-            return got[0], sign * got[1]
+            return got
         field = self.field
-        red = self._cand_red[n]
+        building = n > self._built  # candidate coordinates
         defs_q = self._defs[q[0]][q[1]]
         if defs_q[0] == "gen":
-            res, den = red[(p, defs_q[1])]
+            gq = defs_q[1]
+            if building:
+                res, den = {self._cand_blocks[gq][p[1]]: 1}, 1
+            else:
+                res, den = self._cand_red[n][gq][p[1]]
         else:
             # q = [b', x_z]: [p,q] = [[p,b'],z] - [[p,z],b']
             bprime, gz = defs_q
             wz = self.gens[gz].weight
             u, du = self._pair(p, bprime)  # over basis[n - wz]
             res, den = {}, 1
-            for i, c in u.items():
-                vec, dv = red[((n - wz, i), gz)]
-                if den % dv:
-                    den = _addto(field, res, den, c, vec, dv)
-                else:
-                    field.axpy(res, c * (den // dv), vec)
-            w2 = self._cand_red[p[0] + wz][(p, gz)]
+            if u and building:  # z's candidates are unit vectors
+                block = self._cand_blocks[gz]
+                res = {block[i]: c for i, c in u.items()}
+            elif u:
+                red = self._cand_red[n][gz]
+                for i, c in u.items():
+                    vec, dv = red[i]
+                    if den % dv:
+                        den = _addto(field, res, den, c, vec, dv)
+                    else:
+                        field.axpy(res, c * (den // dv), vec)
+            w2 = self._cand_red[p[0] + wz][gz][p[1]]
             den = self._add_bracket(res, den * du, -1, p[0] + wz, w2, bprime)
             res, den = _reduced(res, den)
-        memo[key] = res, sign * den
+        memo[q][p[1]] = res, den
+        memo[p][q[1]] = res, -den
         return res, den
 
-    def _candidates(self, n: int) -> list:
+    def _candidates(self, n: int) -> tuple[list, dict]:
         # bracket candidates only pair with surviving generators; a dead
         # generator's image is a combination of basis elements, and brackets
         # against it reduce through the pair tables
-        cands = []
-        for gi, g in enumerate(self.gens):
-            if g.weight == n:
-                cands.append(("gen", gi))
+        cands = [("gen", gi) for gi, g in enumerate(self.gens) if g.weight == n]
+        blocks = {}
         for gi, g in enumerate(self.gens):
             m = n - g.weight
             if m >= 1 and self._gen_alive[gi]:
-                for i in range(len(self._defs[m])):
-                    cands.append(((m, i), gi))
-        return cands
+                blocks[gi] = range(len(cands), len(cands) + len(self._defs[m]))
+                cands.extend(((m, i), gi) for i in range(len(self._defs[m])))
+        return cands, blocks
 
     def _build(self, n: int):
         field = self.field
-        cands = self._candidates(n)
-        pos = {c: i for i, c in enumerate(cands)}
+        cands, blocks = self._candidates(n)
         # candidate coordinates for weight n until the rows are written
-        self._cand_red[n] = {c: ({i: 1}, 1) for i, c in enumerate(cands)}
-        self._pair_memo[n] = {}
+        self._cand_blocks = blocks
+        for i, c in enumerate(cands):
+            if c[0] == "gen":
+                self._gen_red[c[1]] = {i: 1}, 1
+        self._pair_memo[n] = defaultdict(dict)
         self._eval_memo[n] = {}
 
         rows = []
@@ -428,7 +452,7 @@ class GradedEngine:
             if g.weight + h.weight == n:
                 # [x_i, x_j] + [x_j, x_i], one entry when i == j
                 idx_i, idx_j = (next(iter(self._gen_red[k][0])) for k in (gi, gj))
-                rows.append({pos[((h.weight, idx_j), gi)]: 1, pos[((g.weight, idx_i), gj)]: 1})
+                rows.append({blocks[gi][idx_j]: 1, blocks[gj][idx_i]: 1})
         # Jacobi consistency [[p,q],x] + [[q,x],p] + [[x,p],q] over all basis
         # pairs p, q and surviving generators x (triples with a composite or
         # reduced third slot follow from these through the definition
@@ -465,8 +489,7 @@ class GradedEngine:
                 rows.append(row)
 
         # the rows are written: drop the candidate-coordinate state
-        del self._cand_red[n]
-        self._pair_memo[n] = {}
+        self._pair_memo[n] = defaultdict(dict)
         self._eval_memo[n] = {}
         # candidate i reduces to (-r_j, r_i) over the basis, r its primitive row
         prim = Echelon.of(field, rows).primitive_rows
@@ -476,19 +499,19 @@ class GradedEngine:
             if i not in prim:
                 basis_pos[i] = len(defs)
                 defs.append(c)
-        red = {}
-        for i, c in enumerate(cands):
+        red = []
+        for i in range(len(cands)):
             if i in prim:
                 row = prim[i]
-                red[c] = {basis_pos[j]: field.neg(x) for j, x in row.items() if j != i}, row[i]
+                red.append(({basis_pos[j]: field.neg(x) for j, x in row.items() if j != i}, row[i]))
             else:
-                red[c] = {basis_pos[i]: 1}, 1
+                red.append(({basis_pos[i]: 1}, 1))
         self._defs[n] = defs
-        self._cand_red[n] = red
-        for gi, g in enumerate(self.gens):
-            if g.weight == n:
-                self._gen_red[gi] = red[("gen", gi)]
-                self._gen_alive[gi] = pos[("gen", gi)] not in prim
+        self._cand_red[n] = {gz: red[b.start : b.stop] for gz, b in blocks.items()}
+        for i, c in enumerate(cands):
+            if c[0] == "gen":
+                self._gen_red[c[1]] = red[i]
+                self._gen_alive[c[1]] = i not in prim
         self._built = n
 
 

@@ -37,7 +37,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIMEOUT_S = 120
 MEMORY_BYTES = 1 << 30
 
+ENVELOPE = "src/gradedlie/envelope.py"
 GRAPHALG = "src/gradedlie/graphalg.py"
+HOMOLOGY = "src/gradedlie/homology.py"
 ONERELATOR = "src/gradedlie/onerelator.py"
 PRESENTED = "src/gradedlie/presented.py"
 RAAG = "src/gradedlie/raag.py"
@@ -113,7 +115,30 @@ MUTANTS = [
      "    if den % dv:\n        s = lcm(den, dv) // den",
      "    if False:\n        s = lcm(den, dv) // den",
      ["tests/test_presented.py::test_engine_rows_and_table_pinned[mn-denom.lie-Q]",
-      "tests/test_presented.py::test_engine_stores_integer_numerators_and_one_orientation"]),
+      "tests/test_presented.py::test_engine_stores_integer_numerators_and_both_orientations"]),
+    # the engine's flipped pair entry stored under the same den
+    (PRESENTED,
+     "memo[p][q[1]] = res, -den",
+     "memo[p][q[1]] = res, den",
+     ["tests/test_presented.py::test_engine_stores_integer_numerators_and_both_orientations",
+      "tests/test_span_properties.py::test_engine_pairs_are_antisymmetric[F7]"]),
+    # the engine's one-term bracket added without its reduction mod p
+    (PRESENTED,
+     "                if mod:\n                    s %= mod\n",
+     "",
+     ["tests/test_presented.py::test_engine_stores_integer_numerators_and_both_orientations"]),
+    # CE differential: the (-1)^{s+t} sign dropped
+    (HOMOLOGY,
+     "signs[(s + t) % 2]",
+     "signs[0]",
+     ["tests/test_homology.py::test_d_squared_zero",
+      "tests/test_span_properties.py::test_ce_differential_matches_oracle[Q]"]),
+    # PBW: a product taken as ordered when m1 ends below m2's last key
+    (ENVELOPE,
+     "m1[-1] <= m2[0]",
+     "m1[-1] <= m2[-1]",
+     ["tests/test_envelope.py::test_mult_mono_matches_key_by_key_products[Q-mn.lie]",
+      "tests/test_envelope.py::test_mult_mono_matches_key_by_key_products[F7-mix.graph]"]),
     # Echelon.add keeps a stale primitive-row cache
     ("src/gradedlie/linalg.py",
      "        self._prim = self._canon = None\n        return p",

@@ -6,13 +6,15 @@ every labeled graph, normal forms of traces one word at a time, d o d = 0
 on the RAAG resolution, the resolution's ranks with chains indexed by PBW
 monomials and a straightened boundary, Mayer-Vietoris exactness from
 dimensions alone, Hall monomial chains, subspace sums and intersections,
-d o d = 0 on the CE complex, graded dims by PBW inversion of a Hilbert
-series and by the relation-ideal route, bracket closures over all pairs
-of lower components, membership in a subalgebra of a free algebra from
-its spans, the Leibniz check over all pairs, induced modules from a basis
-of the subalgebra, induced module dims against the series quotient, [I,F]
-with its redundant [[I,F],x] term, the Lie algebra laws on the engine's
-structure constants), so a test can compare the two.
+d o d = 0 on the CE complex, the CE differential with every bracket read
+afresh, PBW products one right factor at a time, graded dims by PBW
+inversion of a Hilbert series and by the relation-ideal route, bracket
+closures over all pairs of lower components, membership in a subalgebra
+of a free algebra from its spans, the Leibniz check over all pairs,
+induced modules from a basis of the subalgebra, induced module dims
+against the series quotient, [I,F] with its redundant [[I,F],x] term, the
+Lie algebra laws on the engine's structure constants), so a test can
+compare the two.
 """
 
 from __future__ import annotations
@@ -305,6 +307,53 @@ def d_squared_vanishes(cx) -> bool:
                 if out:
                     return False
     return True
+
+
+def ce_differential_columns(cx, i: int, n: int) -> list[dict]:
+    """The columns of d_{i,n} on cx's chains, each bracket read from the
+    engine for every chain that needs it and each key placed by a linear
+    scan."""
+    field = cx.field
+    eng = cx.algebra.engine
+    signs = (field.one, field.neg(field.one))
+    tgt_index = cx.chain_index(i - 1, n)
+    columns = []
+    for chain in cx.chains(i, n):
+        col: dict = {}
+        for s in range(len(chain)):
+            for t in range(s + 1, len(chain)):
+                ks, kt = chain[s], chain[t]
+                rest = chain[:s] + chain[s + 1 : t] + chain[t + 1 :]
+                w = ks[0] + kt[0]
+                term = {}
+                for bi, c in eng.pair(ks, kt).items():
+                    d = (w, bi)
+                    if d in rest:
+                        continue
+                    pos = 0
+                    while pos < len(rest) and rest[pos] < d:
+                        pos += 1
+                    new_chain = rest[:pos] + (d,) + rest[pos:]
+                    term[tgt_index[new_chain]] = field.neg(c) if pos % 2 else c
+                field.axpy(col, signs[(s + t) % 2], term)
+        columns.append(col)
+    return columns
+
+
+# ----------------------------------------------------------------------
+# PBW products
+
+
+def mult_mono_by_keys(env: Envelope, m1: tuple, m2: tuple) -> dict:
+    """m1 . m2 in U(L), multiplying m1 on the right by m2's keys in turn."""
+    field = env.field
+    acc = {m1: field.one}
+    for key in m2:
+        nxt: dict = {}
+        for m, c in acc.items():
+            field.axpy(nxt, c, env.mult_by_key(m, key))
+        acc = nxt
+    return acc
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,16 @@
 import os
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from gradedlie.envelope import Envelope, InducedModule
 from gradedlie.fields import GF, QQ, FieldError
 from gradedlie.graphalg import load_graph, verify_theorem_a
-from gradedlie.presented import PresentedLieAlgebra
+from gradedlie.presented import PresentedLieAlgebra, load_presentation
 from gradedlie.series import HilbertSeries
-from oracles import EmbeddingError, induced_module_dims
+from oracles import EmbeddingError, induced_module_dims, mult_mono_by_keys
+
+GOLDEN_INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
 
 
 def test_hilbert_abelian():
@@ -85,6 +88,28 @@ def test_straightening_lie_compatible():
     _, vec = L.evaluate(L.parse("[x,y]"))
     expected = env.lie_vector_as_u(2, vec)
     assert diff == expected
+
+
+def _pbw_algebra(name, field):
+    path = os.path.join(GOLDEN_INPUTS, name)
+    if name.endswith(".graph"):
+        return load_graph(path, field).fundamental().algebra
+    return load_presentation(path, field=field)
+
+
+@pytest.mark.parametrize("name", ["mn.lie", "mix.graph"])
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+@seed(20210104)
+@settings(max_examples=10, deadline=None, database=None)
+@given(data=st.data())
+def test_mult_mono_matches_key_by_key_products(name, field, data):
+    # an ordered product is a concatenation; every product equals m1 times
+    # m2's keys one at a time
+    env = Envelope(_pbw_algebra(name, field))
+    for _ in range(20):
+        m1, m2 = (data.draw(st.sampled_from(env.pbw_basis(data.draw(st.integers(0, 3)))))
+                  for _ in range(2))
+        assert env.mult_mono(m1, m2) == mult_mono_by_keys(env, m1, m2)
 
 
 def test_induced_module_trivial_cases():
@@ -170,9 +195,6 @@ def test_coords_reject_a_monomial_of_another_weight():
         env.coords({**u, env.pbw_basis(1)[0]: QQ.one}, 2)
     with pytest.raises(KeyError):
         env.coords(u, 3)
-
-
-GOLDEN_INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
 
 
 @pytest.mark.parametrize(

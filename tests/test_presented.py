@@ -261,27 +261,43 @@ def test_zero_generator_presentation():
 
 
 
-def test_engine_stores_integer_numerators_and_one_orientation():
-    # M*N after a change of generators whose reduction map has denominators
-    # up to 64: the engine keeps int numerators over one den per vector and
-    # one orientation of each pair
-    path = os.path.join(os.path.dirname(__file__), "golden", "inputs", "mn-denom.lie")
-    eng = load_presentation(path).engine
-    eng.build_to(7)
-    for a in range(1, 7):
+def _stored_pairs(path, field, N):
+    """The engine for path over field, built to N with every pair of
+    weight N asked for, and its stored vectors: candidate reductions and
+    pair memo entries as (numerators, den)."""
+    eng = load_presentation(path, field=field).engine
+    eng.build_to(N)
+    for a in range(1, N):
         for i in range(eng.dim(a)):
-            for j in range(eng.dim(7 - a)):
-                eng.pair((a, i), (7 - a, j))
-    dens = set()
+            for j in range(eng.dim(N - a)):
+                eng.pair((a, i), (N - a, j))
+    stored = []
+    for n in range(1, N + 1):
+        stored += [vd for col in eng._cand_red[n].values() for vd in col]
+        stored += [vd for col in eng._pair_memo[n].values() for vd in col.values()]
+    return eng, stored
+
+
+def test_engine_stores_integer_numerators_and_both_orientations():
+    # M*N after a change of generators whose reduction map has denominators
+    # up to 64: the engine keeps int numerators over one den per vector, and
+    # both orientations of a pair share one numerators dict
+    path = os.path.join(os.path.dirname(__file__), "golden", "inputs", "mn-denom.lie")
+    eng, stored = _stored_pairs(path, QQ, 7)
+    for vec, den in stored:
+        assert type(den) is int and all(type(x) is int for x in vec.values())
+    assert max(abs(den) for _, den in stored) == 64
     for n in range(1, 8):
-        stored = list(eng._cand_red[n].values()) + list(eng._pair_memo[n].values())
-        for vec, den in stored:
-            assert type(den) is int and all(type(x) is int for x in vec.values())
-            dens.add(abs(den))
         memo = eng._pair_memo[n]
-        assert all((q, p) not in memo for p, q in memo)
         assert memo or n == 1
-    assert max(dens) == 64
+        for q, col in memo.items():
+            for i, (vec, den) in col.items():
+                vec_t, den_t = memo[n - q[0], i][q[1]]
+                assert vec_t is vec and den_t == -den
+    # over F_p every numerator is a residue in [1, p) and every den is +-1
+    _, stored = _stored_pairs(path, GF(7), 7)
+    for vec, den in stored:
+        assert den in (1, -1) and all(type(x) is int and 0 < x < 7 for x in vec.values())
 
 
 class _RecordingEchelon(Echelon):

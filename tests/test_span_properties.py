@@ -10,11 +10,12 @@ subalgebra's generators, and the Leibniz check as a graph subalgebra.
 
 The same presentations, over F_7 and over Q with small integer
 coefficients, check the engine's structure constants (antisymmetry,
-Jacobi, relators, canonical values) and its dimensions against the ideal
-route, the Chevalley-Eilenberg H_1 and H_2 against the presentation's h1
-and the Hopf formula h2, and the PBW monomial counts against the
-enveloping series.  A Q relator that is not multihomogeneous can give
-rows with real fractions in the engine.  Over F_7 the explicit induced
+Jacobi, relators, canonical values, pair(p, q) = -pair(q, p) read in
+either order) and its dimensions against the ideal route, the
+Chevalley-Eilenberg differential against a bracket-by-bracket oracle, its
+H_1 and H_2 against the presentation's h1 and the Hopf formula h2, and
+the PBW monomial counts against the enveloping series.  A Q relator that
+is not multihomogeneous can give rows with real fractions in the engine.  Over F_7 the explicit induced
 module k (x)_{U(S)} U(L) of a random subalgebra S, presented by
 `infer_presentation`, has the dimensions of the series quotient, and on
 random small graphs (amalgams and HNN extensions along a rank-one edge
@@ -34,7 +35,7 @@ from gradedlie.envelope import Envelope, InducedModule
 from gradedlie.fields import GF, QQ
 from gradedlie.freelie import FreeLieAlgebra
 from gradedlie.graphalg import Edge, GraphError, GraphOfLieAlgebras, LieDerivation, verify_theorem_a
-from gradedlie.homology import homology_table
+from gradedlie.homology import ChainComplex, homology_table
 from gradedlie.presented import PresentedLieAlgebra, infer_presentation
 from oracles import (
     all_pairs_commutator_rank,
@@ -42,6 +43,7 @@ from oracles import (
     all_pairs_subalgebra_spans,
     basis_product_quotient_basis,
     bracket_ideal_with_redundant_term,
+    ce_differential_columns,
     dim_via_ideal,
     induced_module_dims,
     structure_constant_failure,
@@ -152,6 +154,32 @@ def test_structure_constants_are_a_lie_algebra(name, data):
     for n in range(1, N + 1):
         assert L.engine.dim(n) == dim_via_ideal(L, n)
         assert L.engine.commutator_rank(n) == all_pairs_commutator_rank(L, n)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_engine_pairs_are_antisymmetric(name, data):
+    # both orientations of a pair are stored from the first one computed
+    L = data.draw(presentations(FIELDS[name]))
+    field, eng = L.field, L.engine
+    for wp in range(1, 6):
+        for wq in range(1, 7 - wp):
+            for i in range(eng.dim(wp)):
+                for j in range(eng.dim(wq)):
+                    p, q = (wp, i), (wq, j)
+                    assert eng.pair(p, q) == {k: field.neg(c) for k, c in eng.pair(q, p).items()}
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_ce_differential_matches_oracle(name, data):
+    L = data.draw(presentations(FIELDS[name]))
+    cx = ChainComplex(L, 3, N)
+    for i in range(1, 5):
+        for n in range(N + 1):
+            assert cx.differential(i, n).columns == ce_differential_columns(cx, i, n)
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
