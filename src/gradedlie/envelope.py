@@ -15,6 +15,8 @@ cleverness here.  The Hilbert series of U(L) is
 An induced module is realized as the quotient U(L)/(S.U(L)) by the right
 ideal generated by a graded subalgebra S; its graded dimension equals the
 coefficient of Hilb(U(L))/Hilb(U(S)) (freeness of U(L) over U(S) via PBW).
+Per weight it keeps a residue table from the ideal's canonical rows, exact
+since a residue modulo a span is unique, so projecting is a sum of lookups.
 """
 
 from __future__ import annotations
@@ -103,10 +105,15 @@ class Envelope:
         self._mult_memo[(mono, key)] = out
         return out
 
+    @staticmethod
+    def ordered(m1: tuple, m2: tuple) -> bool:
+        """Whether m1.m2 is in PBW order, that is the PBW monomial m1 + m2."""
+        return not m1 or not m2 or m1[-1] <= m2[0]
+
     def mult_mono(self, m1: tuple, m2: tuple) -> dict:
         """Product of two PBW monomials as a combination of PBW monomials."""
         field = self.field
-        if not m1 or not m2 or m1[-1] <= m2[0]:  # already in PBW order
+        if self.ordered(m1, m2):
             return {m1 + m2: field.one}
         acc = {m1: field.one}
         for key in m2:
@@ -143,11 +150,16 @@ class InducedModule:
     [x,g] = xg - gx; so per weight, (S.U(L))_n is spanned by the products
     g.u with g over a basis of the span of S's given generators of each
     weight w (not a basis of S) and u over the PBW monomials of weight
-    n - w.  The quotient basis is the canonical complement (non-pivot PBW
-    monomials).
+    n - w; for g one basis key k and k <= u[0], g.u is the PBW monomial
+    (k,) + u, a unit row built without a product.  The quotient basis is
+    the canonical complement (non-pivot PBW monomials).  The residue table
+    holds minus each canonical row without its pivot entry: canonical rows
+    vanish on the other pivots, so that is the pivot monomial's residue,
+    which depends only on the span; :meth:`project` sums the classes of
+    u's monomials.
 
-    Modules on one Envelope share their per-weight state (the ideal's
-    Echelon and the quotient basis) when the given generators span the
+    Modules on one Envelope share their per-weight state (the quotient
+    basis and the residue table) when the given generators span the
     same space in every weight.  The key is the canonical basis of those
     spans, so the order of the generators, repeats and changes of basis
     within a weight give the same key, and the state is built from the key
@@ -161,48 +173,58 @@ class InducedModule:
         self.env = env
         self.field = env.field
         self._gens = _span_key(sub)
-        # n -> (Echelon of (S.U(L))_n, quotient basis, {PBW position: quotient position})
+        # n -> (quotient basis, {non-pivot PBW position: quotient position}, residue table)
         self._state: dict[int, tuple] = env._induced.setdefault(self._gens, {})
 
     def _build(self, n: int) -> tuple:
         got = self._state.get(n)
         if got is None:
-            env = self.env
-            one = self.field.one
+            env, field = self.env, self.field
+            one, index = field.one, env.pbw_index(n)
             rows = []
             for w, g in self._gens:
                 if w <= n:
                     g_u = env.lie_vector_as_u(w, dict(g))
+                    # a one-term canonical row is a basis key with coefficient 1
+                    g_mono = next(iter(g_u)) if len(g_u) == 1 else None
                     for u_mono in env.pbw_basis(n - w):
-                        rows.append(env.coords(env.mult(g_u, {u_mono: one}), n))
-            ech = Echelon.of(self.field, rows)
-            pivots = set(ech.pivots())
+                        if g_mono and env.ordered(g_mono, u_mono):
+                            rows.append({index[g_mono + u_mono]: one})
+                        else:
+                            rows.append(env.coords(env.mult(g_u, {u_mono: one}), n))
+            canon = Echelon.of(field, rows).rows
             pbw = env.pbw_basis(n)
-            nonpivot = [i for i in range(len(pbw)) if i not in pivots]
-            got = (ech, [pbw[i] for i in nonpivot], {i: j for j, i in enumerate(nonpivot)})
+            qindex = {i: j for j, i in enumerate(i for i in range(len(pbw)) if i not in canon)}
+            residues = {p: {qindex[c]: field.neg(x) for c, x in row.items() if c != p}
+                        for p, row in canon.items()}  # pivot position -> residue
+            got = ([pbw[i] for i in qindex], qindex, residues)
             self._state[n] = got
         return got
 
     def dim(self, n: int) -> int:
         if n < 0:
             return 0
-        return len(self._build(n)[1])
+        return len(self._build(n)[0])
 
     def dims(self, N: int) -> list[int]:
         return [self.dim(n) for n in range(N + 1)]
 
     def quotient_basis(self, n: int) -> list[tuple]:
-        return self._build(n)[1]
+        return self._build(n)[0]
 
     def project(self, u: dict, n: int) -> dict:
         """Class of a weight-n U(L) element, in quotient coordinates."""
-        ech, _, qindex = self._build(n)
-        # residues live on non-pivot columns; re-index to the quotient basis
-        return {qindex[i]: c for i, c in ech.reduce(self.env.coords(u, n)).items()}
+        _, qindex, residues = self._build(n)
+        field, index = self.field, self.env.pbw_index(n)
+        out: dict = {}
+        for m, c in u.items():
+            i = index[m]
+            field.axpy(out, c, residues[i] if i in residues else {qindex[i]: field.one})
+        return out
 
     def right_action(self, coords: dict, n: int, u: dict, j: int) -> dict:
         """Act on a weight-n class by a weight-j element of U(L)."""
-        basis = self._build(n)[1]
+        basis = self._build(n)[0]
         lift = {basis[i]: c for i, c in coords.items()}
         return self.project(self.env.mult(lift, u), n + j)
 

@@ -496,8 +496,9 @@ def verify_theorem_a(
         sum_e t^shift(e) H_L/H_{L_e} + 1 = sum_v H_L/H_{L_v};
     (2) if explicit_to is given, build alpha's columns from the per-edge
         formula (see the module docstring), with u over the quotient basis
-        of Q_e and each column filed at weight w(u) + shift(e), and check
-        injectivity and exactness by ranks for all weights <= explicit_to.
+        of Q_e, and check injectivity and exactness by ranks one weight
+        n <= explicit_to at a time, from the columns with w(u) + shift(e) = n
+        alone, so only one weight's columns are alive at once.
 
     The formula gives the ranks of the sequence by the gluing lemma: if
     0 -> A -> B -> Y -> 0 and 0 -> X -> Y -> Z -> 0 are exact and s: X -> B
@@ -578,40 +579,36 @@ def verify_theorem_a(
     }
 
     field, one = L.field, L.field.one
-    offsets = {}  # n -> {vertex id: its first coordinate in (+)_v Q_v at weight n}
+    t_us = {e.id: fund.stable_letter_u(env, e.id) for e in graph.edges if not e.in_forest}
     for n in range(M + 1):
-        offsets[n], total = {}, 0
+        offsets, mid_dim = {}, 0  # vertex id -> its first coordinate in (+)_v Q_v
         for vid in graph.vertices:
-            offsets[n][vid] = total
-            total += vertex_modules[vid].dim(n)
+            offsets[vid] = mid_dim
+            mid_dim += vertex_modules[vid].dim(n)
 
-    def at(vid: str, u: dict, n: int) -> dict:
-        """The class of the weight-n element u in Q_vid, in (+)_v Q_v."""
-        return {offsets[n][vid] + i: c for i, c in vertex_modules[vid].project(u, n).items()}
+        def at(vid: str, u: dict) -> dict:
+            """The class of the weight-n element u in Q_vid, in (+)_v Q_v."""
+            return {offsets[vid] + i: c for i, c in vertex_modules[vid].project(u, n).items()}
 
-    # alpha's columns, each filed at the weight of its image
-    columns: dict[int, list] = {n: [] for n in range(M + 1)}
-    for e in graph.edges:
-        t_u = None if e.in_forest else fund.stable_letter_u(env, e.id)
-        for n in range(e.shift, M + 1):
-            for mono in edge_modules[e.id].quotient_basis(n - e.shift):
-                u = {mono: one}
-                if e.in_forest:
-                    col = at(e.dst, u, n)
-                    field.axpy(col, field.neg(one), at(e.src, u, n))
-                else:
-                    col = at(e.src, env.mult(t_u, u), n)
-                columns[n].append(col)
-
-    for n in range(M + 1):
+        # alpha's columns of weight n: the edge modules' classes of weight n - shift
+        columns = []
+        for e in graph.edges:
+            if e.shift <= n:
+                for mono in edge_modules[e.id].quotient_basis(n - e.shift):
+                    u = {mono: one}
+                    if e.in_forest:
+                        col = at(e.dst, u)
+                        field.axpy(col, field.neg(one), at(e.src, u))
+                    else:
+                        col = at(e.src, env.mult(t_us[e.id], u))
+                    columns.append(col)
         src_dim = sum(edge_modules[e.id].dim(n - e.shift) for e in graph.edges if n >= e.shift)
-        mid_dim = sum(vertex_modules[vid].dim(n) for vid in graph.vertices)
-        rank_alpha = Echelon.of(field, columns[n]).rank
+        rank_alpha = Echelon.of(field, columns).rank
         # beta: sum of augmentation coordinates; nonzero only at weight 0,
         # where each quotient basis is the class of 1 and beta sums them
         rank_beta = 1 if n == 0 else 0
         composite_zero = n > 0 or all(
-            field.is_zero(field.of(sum(col.values()))) for col in columns[0]
+            field.is_zero(field.of(sum(col.values()))) for col in columns
         )
         report.checks.append(
             SequenceCheck(n, src_dim, mid_dim, rank_alpha, rank_beta, composite_zero)

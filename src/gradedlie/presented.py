@@ -240,8 +240,9 @@ class GradedEngine:
     inner loop reads a bracket with one int-keyed lookup.  A miss stores
     both orientations, whose two entries share one numerators dict under
     opposite dens.  In candidate coordinates the two orientations may
-    differ, so a miss computes the one asked for, and that first value
-    defines both for the rest of the build.
+    differ.  A miss computes the one asked for and stores both, but when
+    the recursion below it stores the pair first, the outer call's value
+    overwrites the inner one: the last call to finish defines both.
     """
 
     def __init__(self, algebra: PresentedLieAlgebra):

@@ -47,26 +47,26 @@ RAAG = "src/gradedlie/raag.py"
 MUTANTS = [
     # Theorem A: the forest column's src term not negated
     (GRAPHALG,
-     "field.axpy(col, field.neg(one), at(e.src, u, n))",
-     "field.axpy(col, one, at(e.src, u, n))",
+     "field.axpy(col, field.neg(one), at(e.src, u))",
+     "field.axpy(col, one, at(e.src, u))",
      ["tests/test_graphalg.py::test_theorem_a_amalgam_path",
       "tests/test_graphalg.py::test_theorem_a_one_edge[m-n]"]),
     # Theorem A: the forest column's dst term read at src
     (GRAPHALG,
-     "col = at(e.dst, u, n)",
-     "col = at(e.src, u, n)",
+     "col = at(e.dst, u)",
+     "col = at(e.src, u)",
      ["tests/test_graphalg.py::test_theorem_a_amalgam_path",
       "tests/test_graphalg.py::test_theorem_a_non_loop_non_forest_edge"]),
     # Theorem A: every edge's columns start one weight too high
     (GRAPHALG,
-     "for n in range(e.shift, M + 1):",
-     "for n in range(e.shift + 1, M + 1):",
+     "if e.shift <= n:",
+     "if e.shift < n:",
      ["tests/test_graphalg.py::test_theorem_a_hnn_loop",
       "tests/test_graphalg.py::test_theorem_a_one_edge[free2-loop]"]),
     # Theorem A: u.t in place of t.u in the HNN columns
     (GRAPHALG,
-     "env.mult(t_u, u)",
-     "env.mult(u, t_u)",
+     "env.mult(t_us[e.id], u)",
+     "env.mult(u, t_us[e.id])",
      ["tests/test_graphalg.py::test_theorem_a_loop_tree_mix",
       "tests/test_span_properties.py::test_euler_identity_gives_explicit_theorem_a_ranks"]),
     # Theorem A: the Euler sum's edge shift dropped
@@ -133,6 +133,19 @@ MUTANTS = [
      "signs[0]",
      ["tests/test_homology.py::test_d_squared_zero",
       "tests/test_span_properties.py::test_ce_differential_matches_oracle[Q]"]),
+    # induced modules: every stored residue with the wrong sign
+    (ENVELOPE,
+     "qindex[c]: field.neg(x)",
+     "qindex[c]: x",
+     ["tests/test_span_properties.py::test_projections_match_product_span_oracle[Q]",
+      "tests/test_span_properties.py::test_projections_match_product_span_oracle[F7]"]),
+    # induced modules: a right-ideal row written as a concatenation exactly
+    # when the product is not in PBW order
+    (ENVELOPE,
+     "if g_mono and env.ordered(g_mono, u_mono):",
+     "if g_mono and not env.ordered(g_mono, u_mono):",
+     ["tests/test_span_properties.py::test_projections_match_product_span_oracle[F7]",
+      "tests/test_graphalg.py::test_theorem_a_amalgam_path"]),
     # PBW: a product taken as ordered when m1 ends below m2's last key
     (ENVELOPE,
      "m1[-1] <= m2[0]",

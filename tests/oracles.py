@@ -11,10 +11,10 @@ afresh, PBW products one right factor at a time, graded dims by PBW
 inversion of a Hilbert series and by the relation-ideal route, bracket
 closures over all pairs of lower components, membership in a subalgebra
 of a free algebra from its spans, the Leibniz check over all pairs,
-induced modules from a basis of the subalgebra, induced module dims
-against the series quotient, [I,F] with its redundant [[I,F],x] term, the
-Lie algebra laws on the engine's structure constants), so a test can
-compare the two.
+induced modules and their right ideals from a basis of the subalgebra,
+induced module dims against the series quotient, [I,F] with its redundant
+[[I,F],x] term, the Lie algebra laws on the engine's structure
+constants), so a test can compare the two.
 """
 
 from __future__ import annotations
@@ -514,9 +514,10 @@ def induced_module_dims(
         )
     return explicit, module
 
-def basis_product_quotient_basis(env, sub, n: int) -> list:
-    """Non-pivot PBW monomials of weight n modulo the products s.u, with s
-    over a basis of each S_w and u over the PBW monomials of weight n - w."""
+def basis_product_ideal(env, sub, n: int) -> Echelon:
+    """(S.U(L))_n over pbw_basis(n) positions: the span of the products
+    s.u, with s over a basis of each S_w and u over the PBW monomials of
+    weight n - w, added one at a time."""
     one = env.field.one
     ech = Echelon(env.field)
     for w in range(1, n + 1):
@@ -524,7 +525,12 @@ def basis_product_quotient_basis(env, sub, n: int) -> list:
             s_u = env.lie_vector_as_u(w, s)
             for u_mono in env.pbw_basis(n - w):
                 ech.add(env.coords(env.mult(s_u, {u_mono: one}), n))
-    pivots = set(ech.pivots())
+    return ech
+
+
+def basis_product_quotient_basis(env, sub, n: int) -> list:
+    """Non-pivot PBW monomials of weight n modulo :func:`basis_product_ideal`."""
+    pivots = set(basis_product_ideal(env, sub, n).pivots())
     return [m for i, m in enumerate(env.pbw_basis(n)) if i not in pivots]
 
 

@@ -23,7 +23,8 @@ algebra, and amalgams with a non-forest edge between their two vertices)
 the Theorem A Euler identity gives the explicit ranks.  Induced
 modules of one subalgebra given by permuted, repeated or recombined
 generators share one state on an Envelope and equal modules built on
-fresh Envelopes, over F_7 and Q.
+fresh Envelopes, over F_7 and Q, and their projections of random
+elements equal the residues modulo an Echelon of all products s.u.
 """
 
 import re
@@ -41,6 +42,7 @@ from oracles import (
     all_pairs_commutator_rank,
     all_pairs_leibniz_failure,
     all_pairs_subalgebra_spans,
+    basis_product_ideal,
     basis_product_quotient_basis,
     bracket_ideal_with_redundant_term,
     ce_differential_columns,
@@ -70,8 +72,8 @@ def presentations(draw, field=F7):
 
 
 @st.composite
-def presentations_with_subalgebra(draw):
-    L = draw(presentations())
+def presentations_with_subalgebra(draw, field=F7):
+    L = draw(presentations(field))
     sub = [homogeneous(draw, L.free, draw(st.integers(1, 3))) for _ in range(draw(st.integers(1, 3)))]
     return L, [e for e in sub if not e.is_zero()]
 
@@ -260,6 +262,31 @@ def test_shared_induced_modules_match_fresh_envelopes(name, data):
             picks = data.draw(st.lists(st.integers(0, len(pbw) - 1), max_size=3)) if pbw else []
             u = {pbw[i]: field.of(data.draw(st.integers(1, 6))) for i in picks}
             assert module.project(u, n) == fresh.project(u, n)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_projections_match_product_span_oracle(name, data):
+    # the residue tables give the residue modulo (S.U(L))_n; compare it
+    # with one reduction by an Echelon of all products s.u
+    field = FIELDS[name]
+    L, sub_gens = data.draw(presentations_with_subalgebra(field))
+    S = L.subalgebra(sub_gens)
+    env = Envelope(L)
+    module = InducedModule(env, S)
+    values = st.integers(1, 6) if field == F7 else st.sampled_from([-3, -2, -1, 1, 2, 3])
+    for n in range(5):
+        pbw = env.pbw_basis(n)
+        if not pbw:
+            continue
+        ideal = basis_product_ideal(env, S, n)
+        nonpivot = [i for i in range(len(pbw)) if i not in ideal.rows]
+        qindex = {i: j for j, i in enumerate(nonpivot)}
+        picks = data.draw(st.lists(st.integers(0, len(pbw) - 1), min_size=1, max_size=4, unique=True))
+        u = {pbw[i]: field.of(data.draw(values)) for i in picks}
+        want = {qindex[i]: c for i, c in ideal.reduce(env.coords(u, n)).items()}
+        assert module.project(u, n) == want
 
 
 def rank_one_image(draw, L: PresentedLieAlgebra):
