@@ -43,7 +43,7 @@ from typing import Optional
 
 from .envelope import Envelope, InducedModule
 from .fields import Field, check_same_field
-from .freelie import LieElement, substitution
+from .freelie import FreeLieAlgebra, LieElement, substitution
 from .linalg import Echelon
 from .presented import GradedSubalgebra, PresentedLieAlgebra, add_brackets, load_presentation
 from .series import HilbertSeries
@@ -230,8 +230,7 @@ def hnn(
     if t_name in L.free.gen_index:
         raise GraphError(f"stable letter {t_name!r} collides with a base generator")
     gens = [(g.name, g.weight) for g in L.generators] + [(t_name, t_weight)]
-    out = PresentedLieAlgebra(L.field, gens, [], name=name)
-    free = out.free
+    free = FreeLieAlgebra(L.field, gens)
     into = substitution(L.free, free, {g.name: free.gen_element(g.name) for g in L.generators})
     rels = [into(r) for r in L.relators]
     t = free.gen_element(t_name)
@@ -389,8 +388,7 @@ class FundamentalAlgebra:
                     raise GraphError(f"stable letter {e.id} collides with a generator")
                 gens.append((e.id, e.stable_weight))
 
-        shell = PresentedLieAlgebra(field, gens, [], name="fundamental")
-        free = shell.free
+        free = FreeLieAlgebra(field, gens)
         rels = []
         self._into = {}  # vertex id -> substitution into the fundamental algebra
         for vid, alg in graph.vertices.items():

@@ -258,7 +258,6 @@ class GradedEngine:
         self._gen_alive: list = [False] * len(self.gens)
         self._pair_memo: dict[int, dict] = {}   # n -> {q: {i: (numerators, den)}}
         self._eval_memo: dict[int, dict] = {}   # n -> {monomial id: (numerators, den)}
-        self._commutator_rank: dict[int, int] = {}
         self._relators_by_weight: dict[int, list] = {}
         for r in algebra.relators:
             self._relators_by_weight.setdefault(r.weight(), []).append(r)
@@ -298,21 +297,18 @@ class GradedEngine:
         return w, self.field.div_vec(*self._eval_terms(elem.terms))
 
     def commutator_rank(self, n: int) -> int:
-        """dim of ([L,L])_n = sum over generators x of [L_{n-w(x)}, x]."""
-        got = self._commutator_rank.get(n)
-        if got is not None:
-            return got
-        self.build_to(n)
+        """dim of ([L,L])_n: dim L_n minus the surviving generators of weight n.
 
-        def units(m):
-            return [({i: 1}, 1) for i in range(len(self._defs[m]))]
-
-        gens = [(g.weight, red) for g, red in zip(self.gens, self._gen_red) if red and red[0]]
-        rank = add_brackets(
-            Echelon(self.field), units, gens, n, lambda *args: self._bracket(*args)[0]
-        ).rank
-        self._commutator_rank[n] = rank
-        return rank
+        The blocks [b, z] over the surviving generators z span [L,L]_n
+        (left-normed brackets of generators span the algebra they generate,
+        and the surviving generators generate L).  The weight-n generators
+        are the lowest candidate columns, so with lowest-column pivots
+        every constraint row either pivots on a generator column or is zero
+        on all of them: L_n/[L,L]_n has the surviving generators as a basis.
+        """
+        dim = self.dim(n)  # builds weight n, which settles its survivors
+        alive = zip(self.gens, self._gen_alive)
+        return dim - sum(1 for g, a in alive if a and g.weight == n)
 
     # -- internals ----------------------------------------------------------
 
@@ -542,7 +538,7 @@ def add_brackets(ech: Echelon, rows, gens, n: int, bracket) -> Echelon:
     rows(m) spans V_m and bracket(m, v, w, g) is the weight-(m+w) bracket
     of a weight-m vector v with g.  Subalgebra spans, the relation ideal I
     and the graph of a derivation are each V_n = seeds_n + sum_g
-    [V_{n-w(g)}, g], and [L,L] and [I,F] are the bracket term alone:
+    [V_{n-w(g)}, g], and [S,S] and [I,F] are the bracket term alone:
     left-normed brackets of generators span the Lie algebra (or ideal)
     they generate (Reutenauer, Free Lie Algebras, 1993), so no pair of
     lower components needs bracketing.
@@ -558,8 +554,9 @@ class _IdealSpansForList:
     The ideal I generated by the relators R is I = R + [I,F], so each
     weight is built once, from below: [I,F]_n = sum_x [I_{n-w(x)}, x] is
     bracketed once and I_n = [I,F]_n + span(relators of weight n) reuses
-    it.  The relator list may grow (infer_presentation appends to it and
-    calls invalidate_from).
+    it.  The relator list may grow, but relators of weight n must be
+    appended before I_n is first read (infer_presentation appends each
+    weight's relators before it reads that weight's I_n).
     """
 
     def __init__(self, field, free, relators: list):
@@ -569,11 +566,6 @@ class _IdealSpansForList:
         self._gens = [(g.weight, free.gen_element(g.name)) for g in free.gens]
         self._ideal: dict[int, Echelon] = {}
         self._bracket: dict[int, Echelon] = {}
-
-    def invalidate_from(self, n: int):
-        """Forget I at weights >= n; [I,F]_n depends on lower weights only."""
-        self._ideal = {k: v for k, v in self._ideal.items() if k < n}
-        self._bracket = {k: v for k, v in self._bracket.items() if k <= n}
 
     def bracket_ideal(self, n: int) -> Echelon:
         got = self._bracket.get(n)
@@ -604,8 +596,11 @@ class GradedSubalgebra:
     """Finitely generated graded subalgebra of a presented Lie algebra.
 
     Generators are homogeneous elements, given as expressions in the
-    ambient free algebra (or precomputed (weight, vector) pairs); per-weight
-    spans are bracket-closed by construction.
+    ambient free algebra (or precomputed (weight, vector) pairs).  Each
+    weight is built once, from below, as the relation ideal is: the
+    derived span [S,S]_n = sum_g [S_{n-w(g)}, g] is kept, and S_n is a
+    copy of it extended by the generators of weight n, just as
+    I_n = [I,F]_n + R_n.
     """
 
     def __init__(self, ambient: PresentedLieAlgebra, generators):
@@ -622,6 +617,7 @@ class GradedSubalgebra:
                 w, vec = g
                 self.generators.append((None, w, vec))
         self._spans: dict[int, Echelon] = {}
+        self._derived: dict[int, Echelon] = {}  # n -> [S,S]_n
         self._built = 0
 
     def weighted_generators(self) -> list[tuple]:
@@ -637,10 +633,10 @@ class GradedSubalgebra:
         bracket = self.ambient.engine.bracket_vec
         while self._built < n:
             m = self._built + 1
-            seeds = Echelon.of(self.field, [vec for w, vec in gens if w == m])
-            self._spans[m] = add_brackets(
-                seeds, lambda k: self._spans[k].primitive_basis(), gens, m, bracket
+            derived = self._derived[m] = add_brackets(
+                Echelon(self.field), lambda k: self._spans[k].primitive_basis(), gens, m, bracket
             )
+            self._spans[m] = derived.copy().extend([vec for w, vec in gens if w == m])
             self._built = m
 
     def span(self, n: int) -> Echelon:
@@ -651,21 +647,6 @@ class GradedSubalgebra:
     def span_dims(self, N: int) -> list[int]:
         self._build_to(N)
         return [self._spans[n].rank for n in range(1, N + 1)]
-
-    def contains_vector(self, n: int, vec: dict) -> bool:
-        self._build_to(n)
-        return self._spans[n].contains(vec)
-
-    def membership(self, elem: LieElement) -> bool:
-        """Exact per-degree membership of a homogeneous element."""
-        if not elem.is_homogeneous():
-            raise PresentationError("membership requires a homogeneous element")
-        if elem.is_zero():
-            return True
-        w, vec = self.ambient.evaluate(elem)
-        if not vec:
-            return True
-        return self.contains_vector(w, vec)
 
 
 class InferredPresentation:
@@ -687,29 +668,27 @@ def infer_presentation(
 ) -> InferredPresentation:
     """Minimal graded presentation of S, computed degree by degree.
 
-    Generators are lifts of a graded basis of S/[S,S]; relators in weight n
-    are a canonical complement of the ideal of lower relators inside the
-    kernel of F(gens) -> S.  Raises InconclusiveAtDegree if new generators
-    still appear at weight N (S might not be finitely generated within the
-    truncation); pass strict_boundary=False to get the truncated
-    presentation anyway, flagged inconclusive.
+    Generators are lifts of a graded basis of S/[S,S]: the canonical rows
+    of S_n outside a copy of the derived span [S,S]_n that S keeps.
+    Relators in weight n are a canonical complement of [I,F]_n, the ideal
+    of the lower relators in weight n, inside the kernel of F(gens) -> S;
+    they are appended before I_n is first read, so each ideal component is
+    built once.  Raises InconclusiveAtDegree if new generators still appear
+    at weight N (S might not be finitely generated within the truncation);
+    pass strict_boundary=False to get the truncated presentation anyway,
+    flagged inconclusive.
     """
     field = S.field
-    ambient = S.ambient
-    eng = ambient.engine
+    eng = S.ambient.engine
     S._build_to(N)
 
     # graded generator lifts: S_n modulo [S,S]_n
     gen_specs = []  # (weight, vector)
-    s_gens = S.weighted_generators()
     for n in range(1, N + 1):
-        comm = add_brackets(
-            Echelon(field), lambda m: S.span(m).primitive_basis(), s_gens, n, eng.bracket_vec
-        )
+        comm = S._derived[n].copy()
         for row in S.rows(n):
-            if not comm.contains(row):
+            if comm.add(row) is not None:
                 gen_specs.append((n, row))
-                comm.add(row)
     # at N = 0 nothing is checked, so nothing is certified
     conclusive = N >= 1 and not (gen_specs and max(w for w, _ in gen_specs) == N)
     if not conclusive and strict_boundary:
@@ -728,50 +707,37 @@ def infer_presentation(
     gens = [(names[i], w) for i, (w, _) in enumerate(gen_specs)]
 
     # kernel of F(gens) -> S, degree by degree
-    partial = PresentedLieAlgebra(field, gens, [], name="inferred")
-    fhat = partial.free
+    fhat = FreeLieAlgebra(field, gens)
     relators: list[LieElement] = []
     ideal = _IdealSpansForList(field, fhat, relators)
-    gen_vecs = [(w, vec) for (w, vec) in gen_specs]
-
-    mono_eval: dict[int, dict] = {}
-
-    def eval_monomial(mid: int) -> tuple[int, dict]:
-        got = mono_eval.get(mid)
-        if got is not None:
-            return got
-        if fhat.is_generator(mid):
-            gi = fhat.gen_index[fhat.generator_of(mid).name]
-            res = gen_vecs[gi]
-        else:
-            l, r = fhat.factors(mid)
-            wl, vl = eval_monomial(l)
-            wr, vr = eval_monomial(r)
-            res = (wl + wr, eng.bracket_vec(wl, vl, wr, vr))
-        mono_eval[mid] = res
-        return res
-
+    images: dict[int, dict] = {}  # Hall monomial of F-hat -> its image in S
     for n in range(1, N + 1):
         basis = fhat.hall_basis(n)
         if not basis:
             continue
-        images = [eval_monomial(mid)[1] for mid in basis]
-        ech = ideal.ideal(n).copy()
+        # a monomial's factors have lower weight: their images are filled
+        for mid in basis:
+            if fhat.is_generator(mid):
+                images[mid] = gen_specs[fhat.gen_index[fhat.generator_of(mid).name]][1]
+            else:
+                l, r = fhat.factors(mid)
+                images[mid] = eng.bracket_vec(fhat.weight(l), images[l], fhat.weight(r), images[r])
+        # no relator of weight n exists yet, so this is I_n so far
+        ech = ideal.bracket_ideal(n).copy()
         # the columns are the images of the Hall monomials, so kernel
         # vectors are coordinates over the weight-n Hall basis of F-hat
-        for kv in SparseMatrix(field, images).kernel():
+        for kv in SparseMatrix(field, [images[mid] for mid in basis]).kernel():
             p = ech.add(kv)
             if p is not None:
                 relators.append(fhat.element_from_coordinates(ech.rows[p], n))
-                ideal.invalidate_from(n)
         # sanity: presentation dims must match span dims at this degree
-        if len(basis) - ideal.ideal(n).rank != S._spans[n].rank:
+        if len(basis) - ech.rank != S._spans[n].rank:
             raise AssertionError(
                 f"inferred presentation inconsistent at weight {n}"
             )
 
     pres = PresentedLieAlgebra(field, gens, relators, name="inferred", free=fhat)
-    return InferredPresentation(pres, gen_vecs, conclusive, N)
+    return InferredPresentation(pres, gen_specs, conclusive, N)
 
 
 # ----------------------------------------------------------------------

@@ -68,18 +68,7 @@ class HilbertSeries:
             [a + b for a, b in zip(self.coeffs, other.coeffs)], self.truncation
         )
 
-    def __sub__(self, other: "HilbertSeries") -> "HilbertSeries":
-        self._check(other)
-        return HilbertSeries(
-            [a - b for a, b in zip(self.coeffs, other.coeffs)], self.truncation
-        )
-
-    def __neg__(self) -> "HilbertSeries":
-        return HilbertSeries([-a for a in self.coeffs], self.truncation)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return HilbertSeries([other * a for a in self.coeffs], self.truncation)
+    def __mul__(self, other: "HilbertSeries") -> "HilbertSeries":
         self._check(other)
         n = self.truncation
         out = [0] * (n + 1)
@@ -91,28 +80,11 @@ class HilbertSeries:
                     out[i + j] += a * b
         return HilbertSeries(out, n)
 
-    __rmul__ = __mul__
-
     def shift(self, k: int) -> "HilbertSeries":
         """Multiply by t^k."""
         if k < 0:
             raise ValueError("negative shift")
         return HilbertSeries([0] * k + self.coeffs, self.truncation)
-
-    def inverse(self) -> "HilbertSeries":
-        if abs(self.coeffs[0]) != 1:
-            raise ValueError("inverse requires unit constant term")
-        n = self.truncation
-        c0 = self.coeffs[0]
-        out = [0] * (n + 1)
-        out[0] = c0  # 1/1 = 1, 1/-1 = -1
-        for k in range(1, n + 1):
-            s = 0
-            for i in range(1, k + 1):
-                if i < len(self.coeffs) and self.coeffs[i]:
-                    s += self.coeffs[i] * out[k - i]
-            out[k] = -s * c0
-        return HilbertSeries(out, n)
 
     def divide(self, other: "HilbertSeries") -> "HilbertSeries":
         """Exact division; raises if the quotient is not an integer series."""

@@ -127,6 +127,26 @@ MUTANTS = [
      "                if mod:\n                    s %= mod\n",
      "",
      ["tests/test_presented.py::test_engine_stores_integer_numerators_and_both_orientations"]),
+    # [L,L]: the surviving generators of every weight up to n counted
+    (PRESENTED,
+     "if a and g.weight == n)",
+     "if a and g.weight <= n)",
+     ["tests/test_span_properties.py::test_left_normed_spans_match_all_pairs",
+      "tests/test_span_properties.py::test_ce_h1_matches_presentation_h1[Q]",
+      "tests/test_span_properties.py::test_ce_h1_matches_presentation_h1[F7]"]),
+    # subalgebra: S_m extends the kept [S,S]_m in place
+    (PRESENTED,
+     "self._spans[m] = derived.copy().extend(",
+     "self._spans[m] = derived.extend(",
+     ["tests/test_presented.py::test_infer_presentation_abelian_slice",
+      "tests/test_presented.py::test_infer_presentation_section6"]),
+    # infer: the kernel step starts from 0, not from [I,F]_n
+    (PRESENTED,
+     "ech = ideal.bracket_ideal(n).copy()",
+     "ech = Echelon(field)",
+     ["tests/test_span_properties.py::test_inferred_presentations_are_minimal[Q]",
+      "tests/test_span_properties.py::test_inferred_presentations_are_minimal[F7]",
+      "tests/test_golden.py::test_golden_reports_byte_identical"]),
     # CE differential: the (-1)^{s+t} sign dropped
     (HOMOLOGY,
      "signs[(s + t) % 2]",

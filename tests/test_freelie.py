@@ -62,7 +62,7 @@ def test_hall_counts_weighted():
     assert w[:3] == [1, 1, 1]
     from gradedlie.series import HilbertSeries
 
-    h = HilbertSeries([1, -1, -1], 8).inverse()
+    h = HilbertSeries.one(8).divide(HilbertSeries([1, -1, -1], 8))
     assert pbw_graded_dims(h) == w
 
 

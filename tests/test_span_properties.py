@@ -14,7 +14,10 @@ Jacobi, relators, canonical values, pair(p, q) = -pair(q, p) read in
 either order) and its dimensions against the ideal route, the
 Chevalley-Eilenberg differential against a bracket-by-bracket oracle, its
 H_1 and H_2 against the presentation's h1 and the Hopf formula h2, and
-the PBW monomial counts against the enveloping series.  A Q relator that
+the PBW monomial counts against the enveloping series.  Presentations
+that `infer_presentation` gives for random subalgebras S, over F_7 and
+Q, are minimal: their h1 and Hopf h2 count their generators and relators
+weight by weight, and their dimensions are S's.  A Q relator that
 is not multihomogeneous can give rows with real fractions in the engine.  Over F_7 the explicit induced
 module k (x)_{U(S)} U(L) of a random subalgebra S, presented by
 `infer_presentation`, has the dimensions of the series quotient, and on
@@ -30,7 +33,7 @@ elements equal the residues modulo an Echelon of all products s.u.
 import re
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from gradedlie.envelope import Envelope, InducedModule
 from gradedlie.fields import GF, QQ
@@ -198,6 +201,27 @@ def test_ce_h1_matches_presentation_h1(name, data):
 def test_ce_h2_matches_hopf_h2(name, data):
     L = data.draw(presentations(FIELDS[name]))
     assert homology_table(L, 2, N)[2][1:] == L.h2_hopf(N)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@seed(20210109)
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_inferred_presentations_are_minimal(name, data):
+    # minimal: one generator per basis vector of H_1 and one relator per
+    # basis vector of H_2, weight by weight, presenting S itself.  Only
+    # about 2 draws in 100 give S a relator below weight N, which a
+    # redundant relator needs, so the draws are many (and cheap).
+    L, sub_gens = data.draw(presentations_with_subalgebra(FIELDS[name]))
+    S = L.subalgebra(sub_gens)
+    P = infer_presentation(S, N, strict_boundary=False).presentation
+
+    def per_weight(weights):
+        return [weights.count(n) for n in range(1, N + 1)]
+
+    assert P.h1(N) == per_weight(P.generator_weights())
+    assert P.h2_hopf(N) == per_weight(P.relator_weights())
+    assert P.dim_sequence(N) == S.span_dims(N)
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
