@@ -45,7 +45,7 @@ from .envelope import Envelope, InducedModule
 from .fields import Field, check_same_field
 from .freelie import FreeLieAlgebra, LieElement, substitution
 from .linalg import Echelon
-from .presented import GradedSubalgebra, PresentedLieAlgebra, add_brackets, load_presentation
+from .presented import GeneratedSpans, GradedSubalgebra, PresentedLieAlgebra, load_presentation
 from .series import HilbertSeries
 
 
@@ -166,10 +166,11 @@ class LieDerivation:
         generated by the pairs g + eps.d(g) meets eps.L only in 0.  A
         weight-m element a + eps.b (a in L_m, b in L_{m+shift}) is stored as
         one vector: a in columns [0, dim L_m), b shifted by dim L_m.  The
-        subalgebra is built as seeds plus one add_brackets step per weight,
-        with [a + eps.b, g + eps.d_g] = [a,g] + eps.([a,d_g] + [b,g]); a
-        pivot >= dim L_m is a nonzero element of eps.L.  Raises GraphError
-        at the first weight with one.
+        subalgebra is the :class:`GeneratedSpans` with the pairs as gens and
+        seeds, and the bracket
+        [a + eps.b, g + eps.d_g] = [a,g] + eps.([a,d_g] + [b,g]); a pivot
+        >= dim L_m is a nonzero element of eps.L.  Raises GraphError at the
+        first weight with one.
         """
         base, field, shift = self.base, self.field, self.shift
         bracket_vec = base.engine.bracket_vec
@@ -191,13 +192,11 @@ class LieDerivation:
         for g, v in zip(self.domain_gens, self.values):
             w, gvec = base.evaluate(g)
             gens.append((w, (gvec, {} if v.is_zero() else base.evaluate(v)[1])))
-        graph: dict[int, Echelon] = {}
+        graph = GeneratedSpans(
+            field, gens, bracket, lambda m: [join(m, g, dg) for w, (g, dg) in gens if w == m]
+        )
         for m in range(1, N + 1):
-            seeds = Echelon.of(field, [join(m, g, dg) for w, (g, dg) in gens if w == m])
-            graph[m] = add_brackets(
-                seeds, lambda k: graph[k].primitive_basis(), gens, m, bracket
-            )
-            if max(graph[m].pivots(), default=-1) >= base.dim(m):
+            if max(graph.span(m).pivots(), default=-1) >= base.dim(m):
                 raise GraphError(
                     f"Leibniz violation at weight {m}: the pairs (g, d(g)) generate"
                     " a pair (0, v) with v != 0, so d is not well defined on A"

@@ -16,6 +16,9 @@ Two computation routes coexist:
   for the engine (the two routes must agree on dim L_n = dim F_n - dim I_n;
   the test suite enforces this on every corpus algebra).
 
+The relation ideal, every subalgebra and the graph of a derivation are
+each one :class:`GeneratedSpans`, the one type of span generated from below.
+
 Per-weight data is computed under a single-writer discipline: once a weight
 is built it is immutable and may be read concurrently.
 
@@ -533,79 +536,87 @@ def _reduced(vec: dict, den: int) -> tuple:
 
 def add_brackets(ech: Echelon, rows, gens, n: int, bracket) -> Echelon:
     """Add sum over (w, g) in gens of [V_{n-w}, g] to ech, as one batch
-    (:meth:`Echelon.extend`), and return ech.
-
-    rows(m) spans V_m and bracket(m, v, w, g) is the weight-(m+w) bracket
-    of a weight-m vector v with g.  Subalgebra spans, the relation ideal I
-    and the graph of a derivation are each V_n = seeds_n + sum_g
-    [V_{n-w(g)}, g], and [S,S] and [I,F] are the bracket term alone:
-    left-normed brackets of generators span the Lie algebra (or ideal)
-    they generate (Reutenauer, Free Lie Algebras, 1993), so no pair of
-    lower components needs bracketing.
-    """
+    (:meth:`Echelon.extend`), and return ech: the bracket term of
+    :meth:`GeneratedSpans.derived`, where rows(m) spans V_m."""
     return ech.extend(
         [bracket(n - w, v, w, g) for w, g in gens if w < n for v in rows(n - w)]
     )
 
 
-class _IdealSpansForList:
-    """Relation-ideal components inside the free algebra, degree by degree.
+class GeneratedSpans:
+    """The graded span V generated from below by seeds and brackets with
+    gens: V_n = seeds(n) + sum over (w, g) in gens of [V_{n-w}, g].
 
-    The ideal I generated by the relators R is I = R + [I,F], so each
-    weight is built once, from below: [I,F]_n = sum_x [I_{n-w(x)}, x] is
-    bracketed once and I_n = [I,F]_n + span(relators of weight n) reuses
-    it.  The relator list may grow, but relators of weight n must be
-    appended before I_n is first read (infer_presentation appends each
-    weight's relators before it reads that weight's I_n).
+    gens lists (weight, g) pairs, bracket(m, v, w, g) is the weight-(m+w)
+    bracket of a weight-m vector v with g, and seeds(n) lists the seed
+    vectors of weight n.  Left-normed brackets of generators span the Lie
+    algebra, or the ideal, they generate (Reutenauer, Free Lie Algebras,
+    1993), so no pair of lower components needs bracketing.  Each weight is
+    built once, from below: span(n) is a copy of the kept derived(n)
+    extended by the seeds, which must be known before V_n is first read.
     """
 
-    def __init__(self, field, free, relators: list):
+    def __init__(self, field: Field, gens: list, bracket, seeds):
         self.field = field
-        self.free = free
-        self.relators = relators
-        self._gens = [(g.weight, free.gen_element(g.name)) for g in free.gens]
-        self._ideal: dict[int, Echelon] = {}
-        self._bracket: dict[int, Echelon] = {}
+        self.gens = gens
+        self.bracket = bracket
+        self.seeds = seeds
+        self._derived: dict[int, Echelon] = {}
+        self._spans: dict[int, Echelon] = {}
 
-    def bracket_ideal(self, n: int) -> Echelon:
-        got = self._bracket.get(n)
+    def derived(self, n: int) -> Echelon:
+        """The bracket term sum_g [V_{n-w(g)}, g] of V_n."""
+        got = self._derived.get(n)
         if got is None:
-            got = self._bracket[n] = add_brackets(
-                Echelon(self.field), lambda m: self.ideal(m).primitive_basis(), self._gens, n,
-                self.free.bracket_coordinates,
+            got = self._derived[n] = add_brackets(
+                Echelon(self.field), lambda m: self.span(m).primitive_basis(), self.gens, n,
+                self.bracket,
             )
         return got
 
-    def ideal(self, n: int) -> Echelon:
-        got = self._ideal.get(n)
+    def span(self, n: int) -> Echelon:
+        """V_n: derived(n) extended by the seeds of weight n."""
+        got = self._spans.get(n)
         if got is None:
-            rels = [self.free.coordinates(r, n) for r in self.relators if r.weight() == n]
-            got = self._ideal[n] = self.bracket_ideal(n).copy().extend(rels)
+            got = self._spans[n] = self.derived(n).copy().extend(self.seeds(n))
         return got
+
+
+class _IdealSpansForList(GeneratedSpans):
+    """The ideal I = R + [I,F] of a relator list R inside the free
+    algebra: I_n is span(n) and [I,F]_n is derived(n).  The list may grow
+    (infer_presentation appends each weight's relators before it reads
+    that weight's I_n)."""
+
+    def __init__(self, field, free, relators: list):
+        super().__init__(
+            field, [(g.weight, free.gen_element(g.name)) for g in free.gens],
+            free.bracket_coordinates,
+            lambda n: [free.coordinates(r, n) for r in relators if r.weight() == n],
+        )
+
+    ideal = GeneratedSpans.span  # only for bench/tracer.py, which wraps it by name
 
 
 class _IdealSpans(_IdealSpansForList):
     """The ideal components of a presentation."""
 
     # bound here too only because bench/tracer.py wraps both classes by name
-    ideal = _IdealSpansForList.ideal
-    bracket_ideal = _IdealSpansForList.bracket_ideal
+    ideal = GeneratedSpans.span
+    bracket_ideal = GeneratedSpans.derived
 
 
-class GradedSubalgebra:
-    """Finitely generated graded subalgebra of a presented Lie algebra.
+class GradedSubalgebra(GeneratedSpans):
+    """Finitely generated graded subalgebra S of a presented Lie algebra,
+    the :class:`GeneratedSpans` with its generators as both gens and seeds:
+    span(n) is S_n and derived(n) is [S,S]_n, in L_n coordinates.
 
     Generators are homogeneous elements, given as expressions in the
-    ambient free algebra (or precomputed (weight, vector) pairs).  Each
-    weight is built once, from below, as the relation ideal is: the
-    derived span [S,S]_n = sum_g [S_{n-w(g)}, g] is kept, and S_n is a
-    copy of it extended by the generators of weight n, just as
-    I_n = [I,F]_n + R_n.
+    ambient free algebra (or precomputed (weight, vector) pairs).
     """
 
     def __init__(self, ambient: PresentedLieAlgebra, generators):
         self.ambient = ambient
-        self.field = ambient.field
         self.generators = []  # (expr or None, weight, vector)
         for g in generators:
             if isinstance(g, str):
@@ -616,37 +627,24 @@ class GradedSubalgebra:
             else:
                 w, vec = g
                 self.generators.append((None, w, vec))
-        self._spans: dict[int, Echelon] = {}
-        self._derived: dict[int, Echelon] = {}  # n -> [S,S]_n
-        self._built = 0
+        gens = self.weighted_generators()
+        super().__init__(
+            ambient.field, gens, ambient.engine.bracket_vec,
+            lambda n: [vec for w, vec in gens if w == n],
+        )
 
     def weighted_generators(self) -> list[tuple]:
         """The generators as (weight, vector) pairs."""
         return [(w, vec) for _, w, vec in self.generators]
 
-    def rows(self, n: int) -> list[dict]:
-        """Canonical basis of the weight-n component (built to n already)."""
-        return self._spans[n].basis()
-
     def _build_to(self, n: int):
-        gens = self.weighted_generators()
-        bracket = self.ambient.engine.bracket_vec
-        while self._built < n:
-            m = self._built + 1
-            derived = self._derived[m] = add_brackets(
-                Echelon(self.field), lambda k: self._spans[k].primitive_basis(), gens, m, bracket
-            )
-            self._spans[m] = derived.copy().extend([vec for w, vec in gens if w == m])
-            self._built = m
-
-    def span(self, n: int) -> Echelon:
-        """The weight-n component of the subalgebra, inside L_n coordinates."""
-        self._build_to(n)
-        return self._spans[n]
+        # a loop only because bench/tracer.py wraps it by name
+        for m in range(1, n + 1):
+            self.span(m)
 
     def span_dims(self, N: int) -> list[int]:
         self._build_to(N)
-        return [self._spans[n].rank for n in range(1, N + 1)]
+        return [self.span(n).rank for n in range(1, N + 1)]
 
 
 class InferredPresentation:
@@ -669,33 +667,31 @@ def infer_presentation(
     """Minimal graded presentation of S, computed degree by degree.
 
     Generators are lifts of a graded basis of S/[S,S]: the canonical rows
-    of S_n outside a copy of the derived span [S,S]_n that S keeps.
-    Relators in weight n are a canonical complement of [I,F]_n, the ideal
-    of the lower relators in weight n, inside the kernel of F(gens) -> S;
-    they are appended before I_n is first read, so each ideal component is
-    built once.  Raises InconclusiveAtDegree if new generators still appear
-    at weight N (S might not be finitely generated within the truncation);
-    pass strict_boundary=False to get the truncated presentation anyway,
-    flagged inconclusive.
+    of S_n outside a copy of the derived span [S,S]_n.  Relators in weight
+    n are a canonical complement of [I,F]_n, the ideal of the lower
+    relators in weight n, inside the kernel of F(gens) -> S; they are
+    appended before I_n is first read, so each ideal component is built
+    once.  S/[S,S] is spanned by the given generators, so the generator
+    set is complete exactly when N >= 1 and N reaches the largest weight
+    of a given generator with a nonzero image.  Otherwise this raises
+    InconclusiveAtDegree; pass strict_boundary=False to get the truncated
+    presentation anyway, flagged inconclusive.
     """
     field = S.field
     eng = S.ambient.engine
-    S._build_to(N)
 
     # graded generator lifts: S_n modulo [S,S]_n
     gen_specs = []  # (weight, vector)
     for n in range(1, N + 1):
-        comm = S._derived[n].copy()
-        for row in S.rows(n):
+        comm = S.derived(n).copy()
+        for row in S.span(n).basis():
             if comm.add(row) is not None:
                 gen_specs.append((n, row))
-    # at N = 0 nothing is checked, so nothing is certified
-    conclusive = N >= 1 and not (gen_specs and max(w for w, _ in gen_specs) == N)
+    need = max([1] + [w for _, w, vec in S.generators if vec])
+    conclusive = N >= need
     if not conclusive and strict_boundary:
         raise InconclusiveAtDegree(
-            N,
-            "new subalgebra generators appear at the truncation boundary",
-            partial=gen_specs,
+            N, f"the generator set is certified from weight {need} on", partial=gen_specs
         )
 
     if names is None:
@@ -723,7 +719,7 @@ def infer_presentation(
                 l, r = fhat.factors(mid)
                 images[mid] = eng.bracket_vec(fhat.weight(l), images[l], fhat.weight(r), images[r])
         # no relator of weight n exists yet, so this is I_n so far
-        ech = ideal.bracket_ideal(n).copy()
+        ech = ideal.derived(n).copy()
         # the columns are the images of the Hall monomials, so kernel
         # vectors are coordinates over the weight-n Hall basis of F-hat
         for kv in SparseMatrix(field, [images[mid] for mid in basis]).kernel():
@@ -731,7 +727,7 @@ def infer_presentation(
             if p is not None:
                 relators.append(fhat.element_from_coordinates(ech.rows[p], n))
         # sanity: presentation dims must match span dims at this degree
-        if len(basis) - ech.rank != S._spans[n].rank:
+        if len(basis) - ech.rank != S.span(n).rank:
             raise AssertionError(
                 f"inferred presentation inconsistent at weight {n}"
             )

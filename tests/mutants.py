@@ -104,12 +104,19 @@ MUTANTS = [
      "for w, g in gens[:-1] if w < n for",
      ["tests/test_presented.py::test_engine_matches_ideal_route",
       "tests/test_span_properties.py::test_left_normed_spans_match_all_pairs"]),
-    # infer: weight 0 taken as conclusive
+    # infer: conclusive below the largest given weight
     (PRESENTED,
-     "conclusive = N >= 1 and not (",
-     "conclusive = not (",
-     ["tests/test_presented.py::test_infer_at_weight_0_is_inconclusive",
-      "tests/test_cli.py::test_infer_at_max_degree_0_is_not_conclusive"]),
+     "need = max([1] + [w for _, w, vec in S.generators if vec])",
+     "need = 1",
+     ["tests/test_cli.py::test_infer_is_conclusive_from_the_largest_given_weight[below-weight-2]",
+      "tests/test_cli.py::test_infer_is_conclusive_from_the_largest_given_weight[below-weight-3]",
+      "tests/test_presented.py::test_infer_inconclusive_signal"]),
+    # infer: inconclusive at the largest given weight
+    (PRESENTED,
+     "conclusive = N >= need",
+     "conclusive = N > need",
+     ["tests/test_cli.py::test_infer_is_conclusive_from_the_largest_given_weight[at-weight-2]",
+      "tests/test_presented.py::test_infer_at_weight_0_is_inconclusive"]),
     # the engine's lcm rescale dropped from _addto
     (PRESENTED,
      "    if den % dv:\n        s = lcm(den, dv) // den",
@@ -134,15 +141,24 @@ MUTANTS = [
      ["tests/test_span_properties.py::test_left_normed_spans_match_all_pairs",
       "tests/test_span_properties.py::test_ce_h1_matches_presentation_h1[Q]",
       "tests/test_span_properties.py::test_ce_h1_matches_presentation_h1[F7]"]),
-    # subalgebra: S_m extends the kept [S,S]_m in place
+    # generated spans: V_n extends the kept derived span in place (the
+    # Leibniz check reads only V_n, so for it this mutant is equivalent)
     (PRESENTED,
-     "self._spans[m] = derived.copy().extend(",
-     "self._spans[m] = derived.extend(",
+     "self.derived(n).copy().extend(",
+     "self.derived(n).extend(",
      ["tests/test_presented.py::test_infer_presentation_abelian_slice",
-      "tests/test_presented.py::test_infer_presentation_section6"]),
+      "tests/test_presented.py::test_infer_presentation_section6",
+      "tests/test_presented.py::test_h2_hopf"]),
+    # generated spans: the seeds left out of V_n
+    (PRESENTED,
+     ".extend(self.seeds(n))",
+     ".extend([])",
+     ["tests/test_graphalg.py::test_leibniz_violation_on_dependent_generators",
+      "tests/test_presented.py::test_engine_matches_ideal_route",
+      "tests/test_presented.py::test_infer_presentation_abelian_slice"]),
     # infer: the kernel step starts from 0, not from [I,F]_n
     (PRESENTED,
-     "ech = ideal.bracket_ideal(n).copy()",
+     "ech = ideal.derived(n).copy()",
      "ech = Echelon(field)",
      ["tests/test_span_properties.py::test_inferred_presentations_are_minimal[Q]",
       "tests/test_span_properties.py::test_inferred_presentations_are_minimal[F7]",

@@ -30,7 +30,7 @@ from gradedlie.fields import GF, RationalField, check_same_field
 from gradedlie.freelie import FreeLieAlgebra
 from gradedlie.homology import HomologyTable
 from gradedlie.linalg import Echelon, SparseMatrix
-from gradedlie.presented import GradedSubalgebra, PresentedLieAlgebra, add_brackets
+from gradedlie.presented import GeneratedSpans, GradedSubalgebra, PresentedLieAlgebra
 from gradedlie.raag import RaagResolution, SimpleGraph, find_induced_cycle
 from gradedlie.series import HilbertSeries
 
@@ -412,13 +412,11 @@ def free_subalgebra_contains(free: FreeLieAlgebra, family: list[int], r) -> bool
     from spans S_m = span(members of weight m) + sum_g [S_{m-w(g)}, g]."""
     w = r.weight()
     gens = [(free.weight(m), free.monomial_element(m)) for m in family]
-    spans: dict = {}
-    for m in range(1, w + 1):
-        seeds = Echelon.of(free.field, [free.coordinates(e, m) for wg, e in gens if wg == m])
-        spans[m] = add_brackets(
-            seeds, lambda k: spans[k].basis(), gens, m, free.bracket_coordinates
-        )
-    return spans[w].contains(free.coordinates(r, w))
+    spans = GeneratedSpans(
+        free.field, gens, free.bracket_coordinates,
+        lambda m: [free.coordinates(e, m) for wg, e in gens if wg == m],
+    )
+    return spans.span(w).contains(free.coordinates(r, w))
 
 
 def all_pairs_commutator_rank(L: PresentedLieAlgebra, n: int) -> int:

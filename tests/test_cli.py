@@ -144,6 +144,24 @@ def test_infer_at_max_degree_0_is_not_conclusive(capsys):
     assert report["ok"] is False and code == 1
 
 
+@pytest.mark.parametrize("max_degree, gens, conclusive", [
+    ("1", ["[a,x]"], False),
+    ("2", ["[[a,x],x]"], False),
+    ("2", ["[a,x]", "[b,x]"], True),
+], ids=["below-weight-2", "below-weight-3", "at-weight-2"])
+def test_infer_is_conclusive_from_the_largest_given_weight(capsys, max_degree, gens, conclusive):
+    # S/[S,S] is spanned by the given generators, so the generator set is
+    # complete exactly when the truncation reaches their largest weight
+    path = os.path.join(os.path.dirname(__file__), "golden", "inputs", "mn.lie")
+    argv = ["--max-degree", max_degree, "infer", path]
+    for g in gens:
+        argv += ["--gen", g]
+    code, out = run(capsys, *argv)
+    report = json.loads(out)
+    assert report["data"]["conclusive"] is conclusive
+    assert report["ok"] is conclusive and code == (0 if conclusive else 1)
+
+
 def test_example_sec6(capsys):
     code, out = run(capsys, "example", "sec6")
     assert code == 0

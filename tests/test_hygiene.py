@@ -7,13 +7,17 @@ a name in the code or inside a string annotation.  Every function, method
 and class defined there, dunder methods aside, must be referred to by name
 or attribute somewhere in ``src/``, ``tests/`` or ``bench/``; the
 ``"Class.method"`` strings of ``bench/tracer.py``'s ``WRAPS`` table count,
-since the tracer looks those up by name.  The mutation table of
-``tests/mutants.py`` must stay runnable: each old text occurs exactly once
-in its file and each named test exists.
+since the tracer looks those up by name, and each of them must resolve as
+the tracer resolves it.  The mutation table of ``tests/mutants.py`` must
+stay runnable: each old text occurs exactly once in its file and each
+named test exists.  Every hypothesis ``@given`` test carries a ``@seed``,
+so tier-1 draws the same examples on every run.
 """
 
 import ast
 import functools
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -85,16 +89,20 @@ def referenced_names(tree: ast.Module) -> set:
     return refs
 
 
-def wrapped_names(tree: ast.Module) -> set:
-    """The dotted parts of the attribute paths in a ``WRAPS`` table."""
-    refs = set()
+def wraps_table(tree: ast.Module) -> list:
+    """The (module, attribute path, layer) entries of ``WRAPS`` tables."""
+    entries = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "WRAPS" for t in node.targets
         ):
-            for entry in ast.literal_eval(node.value):
-                refs.update(entry[1].split("."))
-    return refs
+            entries += ast.literal_eval(node.value)
+    return entries
+
+
+def wrapped_names(tree: ast.Module) -> set:
+    """The dotted parts of the attribute paths in a ``WRAPS`` table."""
+    return {part for _, path, _ in wraps_table(tree) for part in path.split(".")}
 
 
 @functools.lru_cache(maxsize=None)
@@ -147,3 +155,81 @@ def test_mutant_table_is_well_formed():
             tree = ast.parse((ROOT / file).read_text(encoding="utf-8"))
             functions = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
             assert name.split("[")[0] in functions, node
+
+
+def unresolved_wraps(wraps: list, modules: dict) -> list:
+    """Paths of ``WRAPS`` entries the tracer cannot install: a module
+    function that does not exist, or a ``Class.attr`` that is not in the
+    class's own ``__dict__`` (the tracer replaces it there)."""
+    bad = []
+    for modname, path, _ in wraps:
+        module = modules[modname]
+        owner, _, attr = path.rpartition(".")
+        if owner:
+            cls = getattr(module, owner, None)
+            found = cls is not None and attr in vars(cls)
+        else:
+            found = callable(getattr(module, attr, None))
+        if not found:
+            bad.append(path)
+    return bad
+
+
+def test_every_traced_name_resolves():
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    wraps = wraps_table(tree)
+    modules = {name: importlib.import_module(f"gradedlie.{name}") for name, _, _ in wraps}
+    unresolved = unresolved_wraps(wraps, modules)
+    assert wraps and not unresolved, f"WRAPS names the tracer cannot find: {unresolved}"
+
+
+def test_wraps_check_sees_an_unresolved_name():
+    class Base:
+        def inherited(self):
+            pass
+
+    class Sub(Base):
+        def own(self):
+            pass
+
+    module = types.SimpleNamespace(Sub=Sub, helper=len)
+    wraps = [("m", path, "layer") for path in
+             ("Sub.own", "Sub.inherited", "Sub.missing", "Missing.own", "helper", "gone")]
+    assert unresolved_wraps(wraps, {"m": module}) == [
+        "Sub.inherited", "Sub.missing", "Missing.own", "gone"
+    ]
+
+
+def decorator_name(node: ast.expr):
+    func = node.func if isinstance(node, ast.Call) else node
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def unseeded_property_tests(tree: ast.Module) -> list:
+    """(name, line) of every function decorated with ``given`` but not
+    with ``seed``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = {decorator_name(d) for d in node.decorator_list}
+            if "given" in names and "seed" not in names:
+                out.append((node.name, node.lineno))
+    return out
+
+
+def test_every_property_test_is_seeded():
+    unseeded = [f"{path.name}::{name} (line {line})"
+                for path in sorted((ROOT / "tests").glob("test_*.py"))
+                for name, line in unseeded_property_tests(
+                    ast.parse(path.read_text(encoding="utf-8")))]
+    assert not unseeded, f"@given tests without @seed: {', '.join(unseeded)}"
+
+
+def test_scan_sees_an_unseeded_property_test():
+    tree = ast.parse(
+        "@seed(1)\n@given(st.data())\ndef test_a(data): pass\n"
+        "@given(st.data())\n@settings(max_examples=5)\ndef test_b(data): pass\n"
+        "def test_c():\n"
+        "    @hypothesis.given(st.data())\n    def check(data): pass\n"
+    )
+    assert {name for name, _ in unseeded_property_tests(tree)} == {"test_b", "check"}

@@ -135,6 +135,7 @@ def test_dim_formula_random(field):
         assert intersect(a, b).rank + sum_spaces(a, b).rank == a.rank + b.rank
 
 
+@seed(20210112)
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3), max_size=6))
 @settings(max_examples=60, deadline=None)
 def test_kernel_vectors_annihilate(rows):
@@ -177,6 +178,7 @@ def exact_rational(x) -> bool:
 def test_echelon_matches_dense_oracle(name):
     field, rows_strategy = FIELDS[name]
 
+    @seed(20210113)
     @given(rows_strategy)
     @settings(max_examples=120, deadline=None)
     def check(rows):
@@ -206,6 +208,7 @@ def test_echelon_keeps_no_caller_dict(name):
         max_size=6,
     )
 
+    @seed(20210114)
     @given(unit_rows, rows_strategy)
     @settings(max_examples=80, deadline=None)
     def check(units, rows):
@@ -235,6 +238,7 @@ def test_adding_to_a_copy_leaves_the_original_unchanged(name):
     own; primitive_basis is the canonical basis up to the pivot entries."""
     field, rows_strategy = FIELDS[name]
 
+    @seed(20210115)
     @given(rows_strategy, rows_strategy, st.booleans())
     @settings(max_examples=80, deadline=None)
     def check(first, more, read_first):
@@ -257,6 +261,7 @@ def test_adding_to_a_copy_leaves_the_original_unchanged(name):
 def test_column_solver_against_oracle(name):
     field, rows_strategy = FIELDS[name]
 
+    @seed(20210116)
     @given(rows_strategy, rows_strategy)
     @settings(max_examples=120, deadline=None)
     def check(columns, targets):
@@ -305,6 +310,7 @@ def test_tracked_columns_rank_over_f7():
 def test_sparse_matrix_against_oracle(name):
     field, columns_strategy = FIELDS[name]
 
+    @seed(20210117)
     @given(columns_strategy)
     @settings(max_examples=120, deadline=None)
     def check(columns):
@@ -344,6 +350,7 @@ def test_interleaved_echelon_against_oracle(name):
     def exact(values):
         assert field != QQ or all(exact_rational(x) for x in values)
 
+    @seed(20210118)
     @given(op_sequences(value))
     @settings(max_examples=150, deadline=None)
     def check(ops):

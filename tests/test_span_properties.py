@@ -33,11 +33,11 @@ elements equal the residues modulo an Echelon of all products s.u.
 import re
 
 import pytest
-from hypothesis import assume, given, seed, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from gradedlie.envelope import Envelope, InducedModule
 from gradedlie.fields import GF, QQ
-from gradedlie.freelie import FreeLieAlgebra
+from gradedlie.freelie import FreeLieAlgebra, substitution
 from gradedlie.graphalg import Edge, GraphError, GraphOfLieAlgebras, LieDerivation, verify_theorem_a
 from gradedlie.homology import ChainComplex, homology_table
 from gradedlie.presented import PresentedLieAlgebra, infer_presentation
@@ -81,6 +81,7 @@ def presentations_with_subalgebra(draw, field=F7):
     return L, [e for e in sub if not e.is_zero()]
 
 
+@seed(20210120)
 @given(presentations_with_subalgebra())
 @settings(max_examples=30, deadline=None)
 def test_left_normed_spans_match_all_pairs(case):
@@ -94,6 +95,7 @@ def test_left_normed_spans_match_all_pairs(case):
         assert S.span(n).basis() == oracle[n].basis()
 
 
+@seed(20210121)
 @given(presentations_with_subalgebra())
 @settings(max_examples=15, deadline=None)
 def test_generator_steps_match_basis_oracles(case):
@@ -107,6 +109,7 @@ def test_generator_steps_match_basis_oracles(case):
         assert module.quotient_basis(n) == basis_product_quotient_basis(module.env, S, n)
 
 
+@seed(20210122)
 @given(presentations_with_subalgebra())
 @settings(max_examples=20, deadline=None)
 def test_induced_module_dims_match_series_quotient(case):
@@ -128,6 +131,7 @@ def leibniz_failure(d: LieDerivation, n: int):
 
 
 @pytest.mark.parametrize("inner", [False, True], ids=["random-values", "restricted-ad"])
+@seed(20210123)
 @given(case=presentations_with_subalgebra(), data=st.data())
 @settings(max_examples=15, deadline=None)
 def test_graph_leibniz_check_matches_all_pairs(inner, case, data):
@@ -151,6 +155,7 @@ FIELDS = {"F7": F7, "Q": QQ}
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
+@seed(20210124)
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_structure_constants_are_a_lie_algebra(name, data):
@@ -162,6 +167,7 @@ def test_structure_constants_are_a_lie_algebra(name, data):
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
+@seed(20210125)
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
 def test_engine_pairs_are_antisymmetric(name, data):
@@ -177,6 +183,7 @@ def test_engine_pairs_are_antisymmetric(name, data):
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
+@seed(20210126)
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
 def test_ce_differential_matches_oracle(name, data):
@@ -188,6 +195,7 @@ def test_ce_differential_matches_oracle(name, data):
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
+@seed(20210127)
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_ce_h1_matches_presentation_h1(name, data):
@@ -196,6 +204,7 @@ def test_ce_h1_matches_presentation_h1(name, data):
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
+@seed(20210128)
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_ce_h2_matches_hopf_h2(name, data):
@@ -225,6 +234,7 @@ def test_inferred_presentations_are_minimal(name, data):
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
+@seed(20210129)
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_pbw_counts_match_enveloping_series(name, data):
@@ -255,6 +265,7 @@ def same_span_variants(draw, field, gens: list) -> list:
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
+@seed(20210130)
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_shared_induced_modules_match_fresh_envelopes(name, data):
@@ -289,6 +300,7 @@ def test_shared_induced_modules_match_fresh_envelopes(name, data):
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
+@seed(20210131)
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_projections_match_product_span_oracle(name, data):
@@ -313,12 +325,24 @@ def test_projections_match_product_span_oracle(name, data):
         assert module.project(u, n) == want
 
 
-def rank_one_image(draw, L: PresentedLieAlgebra):
-    """A homogeneous element of L's free algebra that is nonzero in L, so
-    the free algebra on one generator embeds into L through it."""
-    e = homogeneous(draw, L.free, draw(st.integers(1, 3)))
-    assume(not e.is_zero() and L.evaluate(e)[1])
-    return e
+def with_rank_one_images(draw, weights: list):
+    """A presentation from `presentations` and, per weight w in weights, a
+    Hall monomial of weight w that is nonzero in it, so the free algebra on
+    one generator of weight w embeds through it.  A weight with no such
+    monomial gets a new free generator of that weight, so no draw is
+    rejected."""
+    L = draw(presentations())
+
+    def nonzero(w):
+        return [m for m in L.free.hall_basis(w) if L.evaluate(L.free.monomial_element(m))[1]]
+
+    missing = sorted({w for w in weights if not nonzero(w)})
+    if missing:
+        gens = [(g.name, g.weight) for g in L.generators] + [(f"e{w}", w) for w in missing]
+        free = FreeLieAlgebra(F7, gens)
+        into = substitution(L.free, free, {g.name: free.gen_element(g.name) for g in L.generators})
+        L = PresentedLieAlgebra(F7, gens, [into(r) for r in L.relators], free=free)
+    return L, [L.free.monomial_element(draw(st.sampled_from(nonzero(w)))) for w in weights]
 
 
 @st.composite
@@ -329,21 +353,21 @@ def small_graphs(draw):
     amalgam with a second, non-forest rank-one edge from v2 to v1, whose
     derivation takes values in v1."""
     shape = draw(st.sampled_from(["amalgam", "loop", "amalgam-and-edge"]))
-    L1 = draw(presentations())
-    sigma = rank_one_image(draw, L1)
-    K = PresentedLieAlgebra(F7, [("z", sigma.weight())])
+    w = draw(st.integers(1, 3))
+    L1, [sigma] = with_rank_one_images(draw, [w])
+    K = PresentedLieAlgebra(F7, [("z", w)])
     if shape == "loop":
         shift = draw(st.integers(1, 2))
-        value = homogeneous(draw, L1.free, sigma.weight() + shift)
+        value = homogeneous(draw, L1.free, w + shift)
         edge = Edge("t", "v", "v", K, {"z": sigma}, in_forest=False,
                     der_values={"z": value}, stable_weight=shift)
         return GraphOfLieAlgebras(F7, {"v": L1}, [edge])
-    L2 = draw(presentations())
-    tau = rank_one_image(draw, L2)
-    assume(tau.weight() == sigma.weight())
-    edges = [Edge("e", "v1", "v2", K, {"z": sigma}, in_forest=True, tau_images={"z": tau})]
+    # tau has the weight of sigma; the second edge's image lies in L2 too
+    weights = [w] if shape == "amalgam" else [w, draw(st.integers(1, 3))]
+    L2, images = with_rank_one_images(draw, weights)
+    edges = [Edge("e", "v1", "v2", K, {"z": sigma}, in_forest=True, tau_images={"z": images[0]})]
     if shape == "amalgam-and-edge":
-        image = rank_one_image(draw, L2)
+        image = images[1]
         shift = draw(st.integers(1, 2))
         value = homogeneous(draw, L1.free, image.weight() + shift)
         Kt = PresentedLieAlgebra(F7, [("y", image.weight())])
@@ -352,6 +376,7 @@ def small_graphs(draw):
     return GraphOfLieAlgebras(F7, {"v1": L1, "v2": L2}, edges)
 
 
+@seed(20210132)
 @given(small_graphs())
 @settings(max_examples=20, deadline=None)
 def test_euler_identity_gives_explicit_theorem_a_ranks(graph):
