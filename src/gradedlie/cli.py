@@ -1,9 +1,9 @@
 """Command-line frontend.
 
 Subcommands: hall, dims, hilbert, homology, hopf, infer, graph verify,
-onerelator decompose, raag chordal|resolve|verdict, example sec6, selftest.
+onerelator decompose, raag chordal|resolve|verdict, example sec6.
 Reports are JSON (schema 1) with all dimensions as decimal strings so that
-consumers never overflow; identical inputs, configuration and seed produce
+consumers never overflow; identical inputs and configuration produce
 byte-identical reports.  Exit codes: 0 pass, 1 verification failure,
 2 input error, 3 internal error (a bug: a one-line message on stderr, no
 report).
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from . import example6
@@ -42,7 +41,7 @@ def _report(args, command: str, ok: bool, data: dict) -> dict:
         "field": "Q" if args.field is None else args.field,
         "max_degree": getattr(args, "max_degree", None),
         "hom_bound": getattr(args, "hom_bound", None),
-        "seed": getattr(args, "seed", 0),
+        "seed": 0,  # no option sets it; schema 1 keeps the key
         "ok": ok,
         "data": data,
     }
@@ -228,7 +227,7 @@ def cmd_graph_verify(args) -> int:
 def cmd_onerelator_decompose(args) -> int:
     P = _load_presentation(args, args.file)
     try:
-        tower = decompose(P, cap=args.cap)
+        tower = decompose(P)
     except DecompositionError as exc:
         raise InputError(str(exc))
     report = verify_tower(tower, P, args.max_degree)
@@ -309,82 +308,6 @@ def cmd_example_sec6(args) -> int:
     return _emit(args, _report(args, "example sec6", report["ok"], data))
 
 
-def cmd_selftest(args) -> int:
-    rng = random.Random(args.seed)
-    field = _field(args)
-    results = {}
-
-    # Jacobi / antisymmetry on random triples
-    alg = FreeLieAlgebra(field, ["x", "y"])
-    monomials = [m for n in range(1, 6) for m in alg.hall_basis(n)]
-    ok = True
-    for _ in range(100):
-        elems = []
-        for _ in range(3):
-            terms = {
-                rng.choice(monomials): field.of(rng.randint(-3, 3))
-                for _ in range(2)
-            }
-            elems.append(alg.from_terms(terms))
-        a, b, c = elems
-        jac = a.bracket(b).bracket(c) + b.bracket(c).bracket(a) + c.bracket(a).bracket(b)
-        ok = ok and jac.is_zero() and (a.bracket(b) + b.bracket(a)).is_zero()
-    results["jacobi_antisymmetry"] = ok
-
-    # Witt agreement
-    alg2 = FreeLieAlgebra(field, ["x", "y"])
-    alg3 = FreeLieAlgebra(field, ["x", "y", "z"])
-    results["witt_rank2"] = alg2.hall_counts(8) == witt_dims([1, 1], 8)
-    results["witt_rank3"] = alg3.hall_counts(7) == witt_dims([1, 1, 1], 7)
-
-    # PBW counts vs the series product formula
-    from .envelope import Envelope
-    from .presented import PresentedLieAlgebra
-
-    pbw_ok = True
-    for gens, rels in [
-        (["x", "y"], []),
-        (["a", "b", "x"], ["[a,b]"]),
-        (["a", "b"], ["[a,[a,b]]", "[b,[a,b]]"]),
-    ]:
-        P = PresentedLieAlgebra(field, gens, rels)
-        env = Envelope(P)
-        series = P.enveloping_series(6)
-        pbw_ok = pbw_ok and all(env.pbw_dim(n) == series[n] for n in range(7))
-    results["pbw_counts"] = pbw_ok
-
-    # Hopf H2 agrees with the Chevalley-Eilenberg route
-    hh = True
-    for gens, rels in [(["x", "y"], ["[x,y]"]), (["a", "b", "x"], ["[a,b]"])]:
-        P = PresentedLieAlgebra(field, gens, rels)
-        table = homology_table(P, 2, 5)
-        hh = hh and table[1][1:6] == P.h1(5) and table[2][1:6] == P.h2_hopf(5)
-    results["h2_double_route"] = hh
-
-    # rank-nullity on random sparse matrices
-    from .linalg import SparseMatrix
-
-    rn = True
-    for _ in range(100):
-        rows, cols = rng.randint(0, 6), rng.randint(1, 6)
-        columns = [{} for _ in range(cols)]
-        for r in range(rows):
-            for c in range(cols):
-                if rng.random() < 0.4:
-                    x = field.of(rng.randint(-4, 4))
-                    if not field.is_zero(x):
-                        columns[c][r] = x
-        m = SparseMatrix(field, columns)
-        rn = rn and m.rank() + len(m.kernel()) == cols
-    results["rank_nullity"] = rn
-
-    # the worked example end to end
-    results["example_sec6"] = example6.full_report(field)["ok"]
-
-    ok = all(results.values())
-    return _emit(args, _report(args, "selftest", ok, results))
-
-
 # -- parser ---------------------------------------------------------------
 
 
@@ -411,9 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-degree", type=_count, default=8, dest="max_degree")
     parser.add_argument("--hom-bound", type=_count, default=4, dest="hom_bound")
     parser.add_argument("--format", choices=("json", "table"), default="json")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="write the report to a file")
-    parser.add_argument("--cap", type=_count, default=200, help="layer cap for decompositions")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hall", help="Hall basis counts for a free Lie algebra")
@@ -465,9 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     esub = p.add_subparsers(dest="example_command", required=True)
     es = esub.add_parser("sec6", help="reproduce the worked example")
     es.set_defaults(func=cmd_example_sec6)
-
-    p = sub.add_parser("selftest", help="invariant suite plus the worked example")
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 

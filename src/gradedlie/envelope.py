@@ -76,9 +76,6 @@ class Envelope:
             self._index[n] = got
         return got
 
-    def pbw_dim(self, n: int) -> int:
-        return len(self.pbw_basis(n))
-
     # -- straightening -----------------------------------------------------
 
     def mult_by_key(self, mono: tuple, key: tuple) -> dict:

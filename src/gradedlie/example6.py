@@ -38,7 +38,11 @@ def ambient_free_product(field: Field = QQ) -> PresentedLieAlgebra:
     return PresentedLieAlgebra(field, ["a", "b", "x"], ["[a,b]"], name="M*N")
 
 
-def build_s(field: Field = QQ, N: int = 8):
+INFER_DEGREE = 8  # weights to which S's presentation is inferred
+WITNESS_DEGREE = 6  # weights of H_2(M) and H_2(Q) in the free-product witness
+
+
+def build_s(field: Field):
     """Construct S <= M*N and infer its minimal presentation.
 
     Returns a report dict with the presentation, graded H_1/H_2 data (both
@@ -47,6 +51,7 @@ def build_s(field: Field = QQ, N: int = 8):
     """
     L = ambient_free_product(field)
     S = L.subalgebra(["a", "b", "[x,a]", "[x,b]"])
+    N = INFER_DEGREE
     inferred = infer_presentation(S, N, names=["a", "b", "z", "t"])
     pres = inferred.presentation
     h1 = pres.h1(N)
@@ -79,7 +84,7 @@ def build_s(field: Field = QQ, N: int = 8):
     return report
 
 
-def not_free_product_witness(s_report: dict, N: int = 6):
+def not_free_product_witness(s_report: dict):
     """The dimension contradiction against S = M * Q.
 
     If S = M * Q then Q would be free on the images of z, t, and H_2 would
@@ -89,8 +94,8 @@ def not_free_product_witness(s_report: dict, N: int = 6):
     field = s_report["presentation"].field
     M = PresentedLieAlgebra(field, ["a", "b"], ["[a,b]"], name="M")
     Q = PresentedLieAlgebra(field, [("z", 2), ("t", 2)], name="free on z,t")
-    h2_m = sum(M.h2_hopf(N))
-    h2_q = sum(Q.h2_hopf(N))
+    h2_m = sum(M.h2_hopf(WITNESS_DEGREE))
+    h2_q = sum(Q.h2_hopf(WITNESS_DEGREE))
     report = {
         "h2_M": h2_m,
         "h2_Q_candidate": h2_q,
@@ -237,17 +242,16 @@ def four_vertex_two_edge_graphs() -> dict:
     return {"shared": shared, "disjoint": disjoint}
 
 
-def not_raag_witness(s_report: dict):
+def not_raag_witness(s_report: dict, dq_report: dict):
     """S is not a right-angled Artin Lie algebra.
 
     H_1 = 4 and H_2 = 2 (from `s_report`, the report of `build_s`) force a
-    4-vertex, 2-edge graph; both isomorphism classes yield class-2
-    quotients whose fingerprints differ from E's.
+    4-vertex, 2-edge graph; both isomorphism classes yield class-2 quotients
+    whose fingerprints differ from E's, read from `dq_report`.
     """
     field = s_report["presentation"].field
     classes = four_vertex_two_edge_graphs()
-    E = quotient_algebras(field)["E"]
-    fp_e = fingerprint(E, rational=E if field == QQ else quotient_algebras(QQ)["E"])
+    fp_e = dq_report["fingerprints"]["E"]
     comparisons = {}
     for label, graph in classes.items():
         raag = raag_presentation(graph, field)
@@ -274,7 +278,7 @@ def full_report(field: Field = QQ) -> dict:
     s = build_s(field)
     nf = not_free_product_witness(s)
     dq = distinguish_quotients(field)
-    nr = not_raag_witness(s)
+    nr = not_raag_witness(s, dq)
     return {
         "build_s": s,
         "not_free_product": nf,

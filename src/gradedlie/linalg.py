@@ -56,8 +56,8 @@ class Echelon:
     is reduced by clearing the pivot columns it meets in heap order,
     pushing each pivot column a row operation brings in; a cleared column
     never comes back, since the rows applied after it have higher pivots.
-    The residue on the non-pivot columns is unique, so :meth:`reduce`,
-    :meth:`contains` and :meth:`express` need no canonical form.
+    The residue on the non-pivot columns is unique, so :meth:`reduce`
+    and :meth:`express` need no canonical form.
 
     Over F_p each stored row has pivot entry 1.  Over Q an input is scaled
     by the lcm of its denominators, eliminated in integers and stored as a
@@ -168,9 +168,6 @@ class Echelon:
         """Return the residue of vec modulo the current row space."""
         out, scale = self._clear(vec)
         return self.field.div_vec(out, scale)
-
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
 
     def add(self, vec: dict) -> Optional[int]:
         """Insert vec; return its new pivot column, or None if dependent."""

@@ -138,13 +138,16 @@ def _iterate_bracket(free: FreeLieAlgebra, h: int, z: int, j: int) -> int:
     return out
 
 
-def decompose(P: PresentedLieAlgebra, cap: int = 200) -> HNNTower:
+LAYER_CAP = 200
+
+
+def decompose(P: PresentedLieAlgebra) -> HNNTower:
     """Theorem-B decomposition of a one-relator graded presentation.
 
     Peels stable letters until the re-expressed relator's leading Hall
     monomial is a generator symbol of the current family; each exponent
-    j is chosen minimal.  `cap` bounds the number of layers (exceeded caps
-    abort with the last state attached).
+    j is chosen minimal.  LAYER_CAP bounds the number of steps (an exceeded
+    cap aborts with the last state attached).
     """
     if len(P.relators) != 1:
         raise DecompositionError("decompose requires exactly one relator")
@@ -155,7 +158,7 @@ def decompose(P: PresentedLieAlgebra, cap: int = 200) -> HNNTower:
     family.sort(key=free.key)
     layers: list[TowerLayer] = []
 
-    for _step in range(cap):
+    for _step in range(LAYER_CAP):
         expressed = _express_over(free, family, r)
         if expressed is None:
             raise DecompositionError(
@@ -185,7 +188,7 @@ def decompose(P: PresentedLieAlgebra, cap: int = 200) -> HNNTower:
         family = new_family
         Z = sorted((_iterate_bracket(free, h, z, jj) for z in rest for jj in range(j)), key=free.key)
         layers.append(TowerLayer(h, free.weight(h), list(family), Z, j))
-    raise DecompositionError(f"cap {cap} exceeded before stabilization", state=(family, layers))
+    raise DecompositionError(f"cap {LAYER_CAP} exceeded before stabilization", state=(family, layers))
 
 
 class TowerReport:

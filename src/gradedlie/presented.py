@@ -10,11 +10,11 @@ Two computation routes coexist:
   carries explicit bracket tables, which homology, enveloping-algebra and
   graph constructions consume;
 
-* a free-algebra ideal route (:meth:`PresentedLieAlgebra.ideal_component`)
-  that spans the relation ideal degree by degree inside the ambient free
-  Lie algebra, used for the Hopf-formula H_2 and as an independent oracle
-  for the engine (the two routes must agree on dim L_n = dim F_n - dim I_n;
-  the test suite enforces this on every corpus algebra).
+* a free-algebra ideal route that spans the relation ideal degree by degree
+  inside the ambient free Lie algebra, reached through the Hopf-formula H_2
+  (:meth:`PresentedLieAlgebra.h2_hopf`).  The two routes must agree on
+  dim L_n = dim F_n - dim I_n; the test suite enforces this on every corpus
+  algebra, reading I_n through ``ideal_component`` in ``tests/oracles.py``.
 
 The relation ideal, every subalgebra and the graph of a derivation are
 each one :class:`GeneratedSpans`, the one type of span generated from below.
@@ -153,10 +153,6 @@ class PresentedLieAlgebra:
         if self._ideal is None:
             self._ideal = _IdealSpans(self.field, self.free, self.relators)
         return self._ideal
-
-    def ideal_component(self, n: int) -> Echelon:
-        """The weight-n component of the relation ideal inside F_n."""
-        return self._ideal_spans.ideal(n)
 
     # -- homological invariants -------------------------------------------
 

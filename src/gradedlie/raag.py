@@ -227,10 +227,10 @@ def validate_peo(graph: SimpleGraph, order: list) -> Optional[tuple]:
     return None
 
 
-def find_induced_cycle(graph: SimpleGraph, min_len: int = 4) -> Optional[list]:
-    """A chordless cycle with >= min_len vertices, by subset search."""
+def find_induced_cycle(graph: SimpleGraph) -> Optional[list]:
+    """A chordless cycle with >= 4 vertices, by subset search."""
     n = len(graph.vertices)
-    for size in range(min_len, n + 1):
+    for size in range(4, n + 1):
         for combo in combinations(graph.vertices, size):
             sub = graph.subgraph(combo)
             if len(sub.edges) != size:
@@ -352,30 +352,14 @@ class RaagResolution:
         self._extend_to(k)
         return len(self._mins[k])
 
-    def traces(self, k: int) -> list:
-        """The traces of weight k as words of vertex indices, sorted: the
-        tables read back."""
-        self._extend_to(k)
-        out = [()]
-        for w in range(1, k + 1):
-            out = [(a,) + out[j] for a, j in zip(self._heads[w], self._tails[w])]
-        return out
-
     def left(self, k: int) -> list:
         """left_k: left[a][i] is the position in T_k of NF(a . t_i), t_i in T_{k-1}."""
         self._extend_to(k)
         return self._left[k]
 
-    def module_basis(self, j: int, m: int) -> list:
-        """Basis of P_j in weight m: (clique of size j, trace of weight m - j),
-        in the order that indexes the rows and columns of the d_j."""
-        if j < 0 or m - j < 0:
-            return []
-        return [(w, t) for w in self.by_size.get(j, []) for t in self.traces(m - j)]
-
     def boundary_rows(self, j: int, m: int):
-        """The rows of d_j from the weight-m part of P_j, over
-        module_basis(j - 1, m), in module_basis(j, m) order (an iterator).
+        """The rows of d_j from the weight-m part of P_j (an iterator), one
+        per cell (w, t) with w in by_size[j] order, then t in T_{m-j} order.
 
         d(c_w (x) t_i) = sum_r (-1)^r c_{w minus v_r} (x) NF(v_r t_i), r
         0-based: the row of cell (w, t_i) has entry (-1)^r at column

@@ -14,7 +14,9 @@ of a free algebra from its spans, the Leibniz check over all pairs,
 induced modules and their right ideals from a basis of the subalgebra,
 induced module dims against the series quotient, [I,F] with its redundant
 [[I,F],x] term, the Lie algebra laws on the engine's structure
-constants), so a test can compare the two.
+constants), so a test can compare the two.  A few readers expose what only
+tests look at: the RAAG trace tables as sorted words, the cell bases of the
+resolution and the components of the relation ideal.
 """
 
 from __future__ import annotations
@@ -113,12 +115,35 @@ class TraceNormalForm:
         return got
 
 
+def traces(res: RaagResolution, k: int) -> list:
+    """The traces of weight k as words of vertex indices, sorted: the
+    trace tables of `res` read back."""
+    res.trace_count(k)  # builds the tables to weight k
+    out = [()]
+    for w in range(1, k + 1):
+        out = [(a,) + out[j] for a, j in zip(res._heads[w], res._tails[w])]
+    return out
+
+
+def module_basis(res, j: int, m: int) -> list:
+    """Basis of P_j in weight m: (clique of size j, u), u over the traces of
+    weight m - j (the PBW monomials for a :class:`PbwResolution`), in the
+    order that indexes the rows and columns of the d_j."""
+    if j < 0 or m - j < 0:
+        return []
+    if isinstance(res, PbwResolution):
+        fibre = res.env.pbw_basis(m - j)
+    else:
+        fibre = traces(res, m - j)
+    return [(w, u) for w in res.by_size.get(j, []) for u in fibre]
+
+
 def cell_boundary(res, w: tuple, t: tuple) -> dict:
     """d(c_w (x) t) as {(clique, trace): coefficient}, read off the row of
     (w, t) in ``res.boundary_rows``."""
     j, m = len(w), len(w) + len(t)
-    low = res.module_basis(j - 1, m)
-    row = list(res.boundary_rows(j, m))[res.module_basis(j, m).index((w, t))]
+    low = module_basis(res, j - 1, m)
+    row = list(res.boundary_rows(j, m))[module_basis(res, j, m).index((w, t))]
     return {low[c]: x for c, x in row.items()}
 
 
@@ -134,7 +159,7 @@ def resolution_d_squared_failure(res, N: int):
                 for c, x in row.items():
                     field.axpy(out, x, lower[c])
                 if out:
-                    return m, j, res.module_basis(j, m)[i]
+                    return m, j, module_basis(res, j, m)[i]
     return None
 
 
@@ -151,16 +176,11 @@ class PbwResolution(RaagResolution):
             (idx, _), = gen_reduction(self.algebra, i).items()
             self.gen_keys[v] = (1, idx)
 
-    def module_basis(self, j: int, m: int) -> list:
-        if j < 0 or m - j < 0:
-            return []
-        return [(w, mono) for w in self.by_size.get(j, []) for mono in self.env.pbw_basis(m - j)]
-
     def boundary_rows(self, j: int, m: int) -> list:
         field = self.field
-        index = {c: i for i, c in enumerate(self.module_basis(j - 1, m))}
+        index = {c: i for i, c in enumerate(module_basis(self, j - 1, m))}
         rows = []
-        for w, mono in self.module_basis(j, m):
+        for w, mono in module_basis(self, j, m):
             out: dict = {}
             for r, v in enumerate(w, start=1):
                 sign = field.one if r % 2 == 1 else field.neg(field.one)
@@ -178,7 +198,7 @@ def resolution_ranks(res, N: int) -> dict:
     for m in range(N + 1):
         for j in range(min(res.max_position(), m) + 1):
             rank = Echelon.of(res.field, res.boundary_rows(j, m)).rank if j else 0
-            out[m, j] = (len(res.module_basis(j, m)), rank)
+            out[m, j] = (len(module_basis(res, j, m)), rank)
     return out
 
 # ----------------------------------------------------------------------
@@ -381,9 +401,15 @@ def pbw_graded_dims(series: HilbertSeries) -> list[int]:
     return dims
 
 
+def ideal_component(P: PresentedLieAlgebra, n: int) -> Echelon:
+    """The weight-n component of P's relation ideal inside F_n, as the
+    ideal route behind ``P.h2_hopf`` builds it."""
+    return P._ideal_spans.ideal(n)
+
+
 def dim_via_ideal(P: PresentedLieAlgebra, n: int) -> int:
     """dim L_n by the relation-ideal route: dim F_n - dim I_n."""
-    return len(P.free.hall_basis(n)) - P.ideal_component(n).rank
+    return len(P.free.hall_basis(n)) - ideal_component(P, n).rank
 
 
 # ----------------------------------------------------------------------
@@ -416,7 +442,7 @@ def free_subalgebra_contains(free: FreeLieAlgebra, family: list[int], r) -> bool
         free.field, gens, free.bracket_coordinates,
         lambda m: [free.coordinates(e, m) for wg, e in gens if wg == m],
     )
-    return spans.span(w).contains(free.coordinates(r, w))
+    return not spans.span(w).reduce(free.coordinates(r, w))
 
 
 def all_pairs_commutator_rank(L: PresentedLieAlgebra, n: int) -> int:
@@ -542,7 +568,7 @@ def bracket_ideal_with_redundant_term(P: PresentedLieAlgebra, N: int) -> dict:
         for w, x in gens:
             m = n - w
             if m >= 1:
-                for v in P.ideal_component(m).basis() + out[m].basis():
+                for v in ideal_component(P, m).basis() + out[m].basis():
                     ech.add(free.bracket_coordinates(m, v, w, x))
     return out
 

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from gradedlie import onerelator
 from gradedlie.cli import main
+from gradedlie.presented import load_presentation
 
 
 @pytest.fixture
@@ -216,13 +218,6 @@ def test_out_file_and_table_format(capsys, heisenberg_file, tmp_path):
     assert "PASS" in out
 
 
-def test_selftest(capsys):
-    code, out = run(capsys, "--max-degree", "6", "selftest")
-    assert code == 0
-    report = json.loads(out)
-    assert all(report["data"].values())
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -231,9 +226,13 @@ def test_selftest(capsys):
         ["--hom-bound", "-1", "homology", "{mn}"],
         ["hall", "--gens", "x:a"],
         ["dims", "{deep}"],
+        ["selftest"],
+        ["--seed", "1", "dims", "{mn}"],
+        ["--cap", "5", "onerelator", "decompose", "{mn}"],
     ],
     ids=["negative-max-degree-hall", "negative-max-degree-hilbert",
-         "negative-hom-bound", "bad-generator-weight", "deep-nesting"],
+         "negative-hom-bound", "bad-generator-weight", "deep-nesting",
+         "removed-subcommand", "removed-seed-option", "removed-cap-option"],
 )
 def test_bad_input_exits_2(capsys, tmp_path, argv):
     mn = tmp_path / "mn.lie"
@@ -350,6 +349,19 @@ def test_onerelator_base_checked_past_max_degree(capsys):
     code, out = run(capsys, "--max-degree", "2", "onerelator", "decompose", path)
     assert code == 0
     assert json.loads(out)["data"]["base_free"] is True
+
+
+def test_onerelator_layer_cap_exits_2(capsys, monkeypatch):
+    # onerel3.lie has a tower of depth 3, which needs more than 2 steps
+    path = os.path.join(os.path.dirname(__file__), "golden", "inputs", "onerel3.lie")
+    monkeypatch.setattr(onerelator, "LAYER_CAP", 2)
+    P = load_presentation(path)
+    with pytest.raises(onerelator.DecompositionError, match="cap 2 exceeded"):
+        onerelator.decompose(P)
+    code = main(["onerelator", "decompose", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: cap 2 exceeded") and captured.err.count("\n") == 1
 
 
 def test_graph_verify_checks_embeddings_to_explicit_weight(capsys, tmp_path):

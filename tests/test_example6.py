@@ -1,5 +1,6 @@
 import pytest
 
+from gradedlie import example6
 from gradedlie.example6 import (
     ambient_free_product,
     build_s,
@@ -18,7 +19,7 @@ from oracles import zero_pair_count_oracle
 
 @pytest.fixture(scope="module")
 def s_report():
-    return build_s(QQ, N=8)
+    return build_s(QQ)
 
 
 def test_build_s(s_report):
@@ -111,7 +112,7 @@ def test_four_vertex_two_edge_enumeration():
 
 
 def test_not_raag_witness(s_report):
-    report = not_raag_witness(s_report)
+    report = not_raag_witness(s_report, distinguish_quotients(QQ))
     assert report["ok"]
     assert report["h1_total"] == 4 and report["h2_total"] == 2
     for label in ("shared", "disjoint"):
@@ -133,9 +134,18 @@ def test_change_field():
     assert L5.dim_sequence(5) == L.dim_sequence(5)
 
 
-def test_full_report():
+def test_full_report(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return fingerprint(*args, **kwargs)
+
+    monkeypatch.setattr(example6, "fingerprint", counted)
     report = full_report(QQ)
     assert report["ok"]
+    # E's fingerprint is computed once and shared by both quotient witnesses
+    assert len(calls) == 5 and calls.count("E") == 1
 
 
 def test_fingerprint_reduces_from_q():

@@ -43,9 +43,11 @@ def brute_force_lyndon_counts(k, n):
 
 def test_hall_counts_rank2():
     alg = FreeLieAlgebra(QQ, ["x", "y"])
-    assert alg.hall_counts(5) == [2, 1, 2, 3, 6]
-    assert alg.hall_counts(5) == [necklace_rank2(n) for n in range(1, 6)]
-    assert alg.hall_counts(5) == brute_force_lyndon_counts(2, 5)
+    counts = alg.hall_counts(8)
+    assert counts == [2, 1, 2, 3, 6, 9, 18, 30]
+    assert counts == [necklace_rank2(n) for n in range(1, 9)]
+    assert counts == brute_force_lyndon_counts(2, 8)
+    assert counts == witt_dims([1, 1], 8)
 
 
 def test_hall_counts_rank1():

@@ -5,13 +5,14 @@ Stdlib ``ast`` scans.  Every name bound by an import statement in
 ``src/gradedlie/*.py`` must be read somewhere in the same module, either as
 a name in the code or inside a string annotation.  Every function, method
 and class defined there, dunder methods aside, must be referred to by name
-or attribute somewhere in ``src/``, ``tests/`` or ``bench/``; the
-``"Class.method"`` strings of ``bench/tracer.py``'s ``WRAPS`` table count,
-since the tracer looks those up by name, and each of them must resolve as
-the tracer resolves it.  The mutation table of ``tests/mutants.py`` must
-stay runnable: each old text occurs exactly once in its file and each
-named test exists.  Every hypothesis ``@given`` test carries a ``@seed``,
-so tier-1 draws the same examples on every run.
+or attribute somewhere in ``src/``: a definition only tests use belongs in
+``tests/oracles.py``.  The ``"Class.method"`` strings of
+``bench/tracer.py``'s ``WRAPS`` table count too, since the tracer looks
+those up by name, and each of them must resolve as the tracer resolves
+it.  The mutation table of ``tests/mutants.py`` must stay runnable: each
+old text occurs exactly once in its file and each named test exists.
+Every hypothesis ``@given`` test carries a ``@seed``, so tier-1 draws the
+same examples on every run.
 """
 
 import ast
@@ -106,24 +107,30 @@ def wrapped_names(tree: ast.Module) -> set:
 
 
 @functools.lru_cache(maxsize=None)
-def all_references() -> frozenset:
+def library_references(root: Path) -> frozenset:
+    """Names read in ``root/src``, plus the parts of the ``WRAPS`` paths of
+    ``root/bench/tracer.py``; references from ``root/tests`` do not count."""
     refs = set()
-    for top in ("src", "tests", "bench"):
-        for path in sorted((ROOT / top).rglob("*.py")):
-            refs |= referenced_names(ast.parse(path.read_text(encoding="utf-8")))
-    tracer = ROOT / "bench" / "tracer.py"
+    for path in sorted((root / "src").rglob("*.py")):
+        refs |= referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    tracer = root / "bench" / "tracer.py"
     refs |= wrapped_names(ast.parse(tracer.read_text(encoding="utf-8")))
     return frozenset(refs)
 
 
+def unreferenced_definitions(path: Path, root: Path) -> list:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    refs = library_references(root)
+    return sorted(f"{name} (line {line})" for name, line in defined_names(tree)
+                  if name not in refs)
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unreferenced_definitions(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    refs = all_references()
-    unreferenced = sorted(f"{name} (line {line})" for name, line in defined_names(tree)
-                          if name not in refs)
+    unreferenced = unreferenced_definitions(path, ROOT)
     assert not unreferenced, (
-        f"{path.name} defines names nothing refers to: {', '.join(unreferenced)}"
+        f"{path.name} defines names the library never refers to "
+        f"(a test-only one belongs in tests/oracles.py): {', '.join(unreferenced)}"
     )
 
 
@@ -140,6 +147,21 @@ def test_scan_sees_an_unreferenced_definition():
     )
     refs = referenced_names(tree) | wrapped_names(tree)
     assert {name for name, _ in defined_names(tree)} - refs == {"orphan"}
+
+
+def test_scan_sees_a_test_only_definition(tmp_path):
+    for part in ("src", "tests", "bench"):
+        (tmp_path / part).mkdir()
+    (tmp_path / "src" / "m.py").write_text(
+        "class A:\n"
+        "    def used(self): pass\n"
+        "    def wrapped(self): pass\n"
+        "    def tested(self): pass\n"
+        "A().used()\n"
+    )
+    (tmp_path / "tests" / "test_m.py").write_text("def test_a(): A().tested()\n")
+    (tmp_path / "bench" / "tracer.py").write_text("WRAPS = [('m', 'A.wrapped', 'layer')]\n")
+    assert unreferenced_definitions(tmp_path / "src" / "m.py", tmp_path) == ["tested (line 4)"]
 
 
 def test_mutant_table_is_well_formed():

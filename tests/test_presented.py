@@ -17,7 +17,7 @@ from gradedlie.presented import (
     parse_presentation,
 )
 from gradedlie.series import HilbertSeries
-from oracles import dim_via_ideal, pbw_graded_dims
+from oracles import dim_via_ideal, ideal_component, pbw_graded_dims
 
 
 def test_free_dims_match_witt():
@@ -101,14 +101,14 @@ def test_left_normed_spanning_oracle():
 
 def test_ideal_component_examples():
     P = PresentedLieAlgebra(QQ, ["x", "y"], ["[x,y]"])
-    sub2 = P.ideal_component(2)
+    sub2 = ideal_component(P, 2)
     assert sub2.rank == 1 and len(P.free.hall_basis(2)) == 1
-    sub3 = P.ideal_component(3)
+    sub3 = ideal_component(P, 3)
     assert sub3.rank == 2 and len(P.free.hall_basis(3)) == 2
     assert P.dim(3) == 0
 
     F = PresentedLieAlgebra(QQ, ["x", "y"])
-    assert F.ideal_component(4).rank == 0
+    assert ideal_component(F, 4).rank == 0
 
 
 def test_h1():
@@ -164,7 +164,7 @@ def test_subalgebra_span_and_membership():
 
     def member(expr):
         w, vec = L.evaluate(L.parse(expr))
-        return S.span(w).contains(vec)
+        return not S.span(w).reduce(vec)
 
     assert member("a")
     assert member("[x,a]")
@@ -182,7 +182,7 @@ def test_subalgebra_bracket_closed():
             target = S.span(i + j)
             for va in si.basis():
                 for vb in sj.basis():
-                    assert target.contains(eng.bracket_vec(i, va, j, vb))
+                    assert not target.reduce(eng.bracket_vec(i, va, j, vb))
 
 
 def test_infer_presentation_free():

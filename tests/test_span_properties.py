@@ -241,7 +241,7 @@ def test_pbw_counts_match_enveloping_series(name, data):
     L = data.draw(presentations(FIELDS[name]))
     series = L.enveloping_series(N)
     env = Envelope(L)
-    assert [env.pbw_dim(n) for n in range(N + 1)] == series.coeffs
+    assert [len(env.pbw_basis(n)) for n in range(N + 1)] == series.coeffs
 
 
 def same_span_variants(draw, field, gens: list) -> list:
