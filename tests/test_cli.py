@@ -69,17 +69,40 @@ def test_hopf_and_homology(capsys, heisenberg_file):
     assert report["data"]["table"]["0"] == {"0": "1"}
 
 
-def test_raag_chordal_exit_codes(capsys, c4_file, tmp_path):
+@pytest.fixture
+def tree_file(tmp_path):
+    f = tmp_path / "tree.graph"
+    f.write_text("vertices a b c\nedge a b\nedge b c\n")
+    return str(f)
+
+
+def test_raag_chordal_exit_codes(capsys, c4_file, tree_file):
+    # either answer is verified, with its certificate: exit 0 and ok true
     code, out = run(capsys, "raag", "chordal", c4_file)
-    assert code == 1  # C4 is not chordal: verification failure + certificate
+    assert code == 0
     report = json.loads(out)
+    assert report["ok"] is True and report["data"]["chordal"] is False
     assert len(report["data"]["induced_cycle"]) == 4
 
-    tree = tmp_path / "tree.graph"
-    tree.write_text("vertices a b c\nedge a b\nedge b c\n")
-    code, out = run(capsys, "raag", "chordal", str(tree))
+    code, out = run(capsys, "raag", "chordal", tree_file)
     assert code == 0
-    assert json.loads(out)["data"]["chordal"] is True
+    report = json.loads(out)
+    assert report["ok"] is True and report["data"]["chordal"] is True
+    assert sorted(report["data"]["peo"]) == ["a", "b", "c"]
+
+
+def test_raag_verdict_exit_codes(capsys, c4_file, tree_file):
+    code, out = run(capsys, "raag", "verdict", c4_file)
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] is True and report["data"]["coherent"] is False
+    assert len(report["data"]["cycle"]) == 4
+
+    code, out = run(capsys, "raag", "verdict", tree_file)
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] is True and report["data"]["coherent"] is True
+    assert "decomposition" in report["data"]
 
 
 def test_raag_resolve_and_verdict(capsys, c4_file):
@@ -93,7 +116,7 @@ def test_raag_resolve_and_verdict(capsys, c4_file):
     assert len(ranks) == 5
 
     code, out = run(capsys, "raag", "verdict", c4_file)
-    assert code == 1
+    assert code == 0
     assert json.loads(out)["data"]["coherent"] is False
 
 
@@ -280,7 +303,7 @@ def test_raag_reports_independent_of_hash_seed(tmp_path, command, key):
             [sys.executable, "-m", "gradedlie.cli", "raag", command, str(c5)],
             capture_output=True, text=True, env=env,
         )
-        assert proc.returncode == 1, proc.stderr  # C5 is not chordal
+        assert proc.returncode == 0, proc.stderr  # C5 is not chordal, verified
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["data"][key] == ["a", "b", "c", "d", "e"]
