@@ -22,7 +22,8 @@ the span.  That holds for tracked columns too: the tracking indices fix
 which columns count as earlier, not the order of insertion, and the
 stored rows with a pivot among the tracking columns are a basis of the
 span's vectors supported there.  The RAAG resolution's boundary rows are
-the one stream added in arrival order
+the one stream added in arrival order, and only at a weight whose ranks
+its lowest-column certificate does not settle
 (:meth:`gradedlie.raag.RaagResolution.verify_exactness`).
 
 An Echelon stores its rows in semi-echelon form (each row's lowest column

@@ -43,15 +43,26 @@ same order, these are the rows that normalising each word v_r t gives
 (the word-level normal form is the test oracle), so the ranks do not
 depend on how the normal forms are found.
 
-Exactness is verified by ranks: one elimination of d_j per weight m and
-position j, over the whole weight-m part of P_j.  The relators are
-multihomogeneous, so d preserves the multidegree (content in each vertex)
-and each weight of the complex is a direct sum of multidegree blocks whose
-ranks add up.  As d o d = 0, every block has r_j + r_{j+1} <= dim P_j, so
-the equality in total holds exactly when it holds in every block: the
-unsplit check says what a per-block one would.  Rows of different
-multidegree have disjoint supports, so sparse elimination never mixes
-blocks and splitting them would not make it cheaper.
+Exactness is certified weight by weight from the rows themselves, with no
+elimination.  Write r_j for the rank of d_j in weight m and L_j for the
+number of distinct lowest columns (least column of the support) among the
+rows of d_j.  One row per distinct lowest column is already in echelon
+form, so r_j >= L_j.  Composing each row of d_j with d_{j-1} (j >= 2)
+checks d o d = 0, and im d_j in ker d_{j-1} gives r_{j-1} + r_j <=
+dim P_{j-1}.  Suppose L_1 = dim P_0 (weight m > 0) and L_j + L_{j+1} =
+dim P_j at every position j >= 1, with L_j = 0 past the top position.
+Then r_1 = L_1, as r_1 <= dim P_0; and r_j = L_j gives
+r_{j+1} <= dim P_j - L_j = L_{j+1} <= r_{j+1}, so by induction every
+r_j = L_j and the weight is exact.  This is the leading-term idea of
+algebraic Morse theory (Sköldberg, Trans. AMS 358, 2006; Jöllenbeck &
+Welker, Mem. AMS 197, 2009), read off the +-1 rows of the resolution.
+Only a weight where d o d = 0 fails or the equalities do not close is
+eliminated, one d_j at a time, so the reported ranks and failures are the
+ranks of the d_j either way.  That elimination is not split by
+multidegree: the relators are multihomogeneous, d preserves the
+multidegree (content in each vertex), and rows of different multidegree
+have disjoint supports, so sparse elimination never mixes the blocks and
+splitting them would not make it cheaper.
 
 Graph file format::
 
@@ -277,8 +288,9 @@ def is_chordal(graph: SimpleGraph) -> ChordalityResult:
 class RaagResolution:
     """The complex P_j = (+)_{|w| = j} c_w U(L_Gamma), per weight, with
     chains indexed (clique, trace) and the traces of each weight held as
-    integer tables (see the module docstring).  Exactness is checked by
-    one rank of d_j per weight and position."""
+    integer tables (see the module docstring).  Exactness is certified by
+    lowest columns and d o d = 0 per weight, and eliminated only where that
+    certificate does not close."""
 
     def __init__(self, graph: SimpleGraph, field: Field = QQ):
         self.graph = graph
@@ -378,19 +390,56 @@ class RaagResolution:
             for i in range(len(terms[0][1])):
                 yield {off + to[i]: s for off, to, s in terms}
 
+    def _certified_ranks(self, m: int, dims: list) -> Optional[list]:
+        """[r_1, ..., r_top] of weight m, dims[j] = dim P_j, when the
+        lowest-column certificate closes (see :meth:`verify_exactness`),
+        else None.  Each d_j is read once, as it streams; the rows of d_{j-1}
+        are kept, as item tuples, only to compose d_{j-1} d_j."""
+        of = self.field.of
+        top = len(dims) - 1
+        counts, lower = [], None
+        for j in range(1, top + 1):
+            lows, rows = bytearray(dims[j - 1]), []
+            for row in self.boundary_rows(j, m):
+                if lower is not None:  # d_{j-1} d_j = 0 on this row
+                    out = {}
+                    for c, x in row.items():
+                        for e, y in lower[c]:
+                            out[e] = out.get(e, 0) + x * y
+                    # exact sums of representatives, mapped into the field
+                    if any(map(of, out.values())):
+                        return None
+                if row:
+                    lows[min(row)] = 1
+                if j < top:
+                    rows.append(tuple(row.items()))
+            counts.append(lows.count(1))
+            lower = rows
+        # in weight 0 there is no d_j, and bounds[0] = 0 < dim P_0 = 1
+        bounds = [0] + counts + [0]
+        if all(bounds[j] + bounds[j + 1] == d for j, d in enumerate(dims)):
+            return counts
+        return None
+
     def verify_exactness(self, N: int) -> "ResolutionReport":
-        """Rank-check exactness at every position, weights <= N.
+        """Check exactness at every position, weights <= N.
 
         For each weight m and position j >= 1, r_j is the rank of d_j from
         the weight-m part of P_j to that of P_{j-1}.  Exactness at j >= 1 is
         r_j + r_{j+1} = dim P_j; at j = 0 the augmentation kernel is all of
-        P_0 in weight m > 0 (so r_1 = dim P_0) and is 0 in weight 0.  The
-        check is not split by multidegree: d preserves it, so total ranks
-        are sums of block ranks, and since d o d = 0 bounds every block by
-        r_j + r_{j+1} <= dim P_j, the totals are equal exactly when every
-        block's are.  A failure is recorded as (weight, position, dim P_j,
-        r_j, r_{j+1}), and every weight's (dim P_j, r_j) pairs, j = 0, ...,
-        in ``report.ranks`` (d_0 = 0: the augmentation is not one of the d_j).
+        P_0 in weight m > 0 (so r_1 = dim P_0) and is 0 in weight 0.
+
+        The ranks of weight m come from the certificate of the module
+        docstring when it closes: L_j, the number of distinct lowest columns
+        among the rows of d_j, is a lower bound for r_j; d_{j-1} d_j = 0 on
+        every row of d_j bounds r_{j-1} + r_j <= dim P_{j-1}; and L_1 =
+        dim P_0 with L_j + L_{j+1} = dim P_j at every position forces r_j =
+        L_j by induction on j.  Where d o d = 0 fails or an equality does
+        not hold, each d_j of that weight is eliminated as its rows stream
+        in, so ``report`` is the same either way.  A failure is recorded as
+        (weight, position, dim P_j, r_j, r_{j+1}), and every weight's
+        (dim P_j, r_j) pairs, j = 0, ..., in ``report.ranks`` (d_0 = 0: the
+        augmentation is not one of the d_j).
         """
         report = ResolutionReport(self.graph, N)
         field = self.field
@@ -408,7 +457,10 @@ class RaagResolution:
         for m in range(N + 1):
             top_m = min(top, m)
             dims = [len(self.by_size[j]) * self.trace_count(m - j) for j in range(top_m + 1)]
-            ranks = [0] + [rank(self.boundary_rows(j, m)) for j in range(1, top_m + 1)] + [0]
+            ranks = self._certified_ranks(m, dims)
+            if ranks is None:
+                ranks = [rank(self.boundary_rows(j, m)) for j in range(1, top_m + 1)]
+            ranks = [0] + ranks + [0]
             report.ranks.append([(dims[j], ranks[j]) for j in range(top_m + 1)])
             for j in range(top_m + 1):
                 d_j, r_j, r_j1 = dims[j], ranks[j], ranks[j + 1]

@@ -216,6 +216,18 @@ MUTANTS = [
      "ok = r_j + r_j1 == d_j",
      "ok = r_j + r_j1 <= d_j",
      ["tests/test_raag.py::test_exactness_check_detects_a_complex_that_is_not_exact"]),
+    # RAAG certificate: d o d = 0 not checked, so a complex with the right
+    # supports but a dropped sign passes for exact
+    (RAAG,
+     "if lower is not None:  # d_{j-1} d_j = 0 on this row",
+     "if False:  # d_{j-1} d_j = 0 on this row",
+     ["tests/test_raag.py::test_exactness_check_detects_a_dropped_sign"]),
+    # RAAG certificate: the closure L_j + L_{j+1} = dim P_j loosened to <=,
+    # so lowest-column counts below the ranks are reported as ranks
+    (RAAG,
+     "bounds[j] + bounds[j + 1] == d",
+     "bounds[j] + bounds[j + 1] <= d",
+     ["tests/test_raag.py::test_exactness_check_eliminates_where_lowest_columns_undercount"]),
     # trace tables: (a,) + t taken as a normal form whenever Min(t) & C(a)
     # is empty, not only its part below a
     (RAAG,

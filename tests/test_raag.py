@@ -3,7 +3,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from gradedlie import raag
 from gradedlie.fields import GF, QQ
+from gradedlie.linalg import Echelon
 from gradedlie.presented import PresentedLieAlgebra
 from gradedlie.raag import (
     RaagResolution,
@@ -216,6 +218,31 @@ def test_exactness_check_detects_a_complex_that_is_not_exact(monkeypatch):
     assert not report.ok
 
 
+def rows_with_first_added(self, j, m):
+    """RaagResolution.boundary_rows with the first row of d_j added to every
+    other one on the top position: the same image, so the same exact
+    complex, but fewer distinct lowest columns than the rank."""
+    rows = list(signed_rows(self, j, m))
+    if j == self.max_position():
+        for row in rows[1:]:
+            self.field.axpy(row, self.field.one, rows[0])
+    return rows
+
+
+def test_exactness_check_eliminates_where_lowest_columns_undercount(monkeypatch):
+    # the certificate cannot close, so the weights are eliminated, and the
+    # report is that of the unchanged resolution
+    want = RaagResolution(complete(3)).verify_exactness(5)
+    built = []
+    monkeypatch.setattr(raag, "Echelon", lambda field: built.append(field) or Echelon(field))
+    monkeypatch.setattr(RaagResolution, "boundary_rows", rows_with_first_added)
+    res = RaagResolution(complete(3))
+    assert resolution_d_squared_failure(res, 5) is None
+    got = res.verify_exactness(5)
+    assert built
+    assert (got.ranks, got.failures) == (want.ranks, [])
+
+
 @st.composite
 def small_graphs(draw):
     n = draw(st.integers(2, 6))
@@ -269,10 +296,25 @@ def test_trace_basis_ranks_match_pbw_oracle(graph, field):
     series = res.algebra.enveloping_series(5)
     assert [len(traces(res, k)) for k in range(6)] == series.coeffs
     assert resolution_ranks(res, 5) == resolution_ranks(PbwResolution(graph, field), 5)
-    reported = res.verify_exactness(5).ranks
-    assert {(m, j): pair for m, row in enumerate(reported) for j, pair in enumerate(row)} == (
-        resolution_ranks(res, 5)
-    )
+
+
+def no_elimination(field):
+    raise AssertionError("a weight of a valid resolution was eliminated")
+
+
+@seed(20210123)
+@given(graph=small_graphs(), field=st.sampled_from([QQ, GF(7)]))
+@settings(max_examples=30, deadline=None)
+def test_certified_ranks_match_elimination_oracle(graph, field):
+    # on a valid resolution the lowest-column certificate closes at every
+    # weight, so no Echelon is built, and its ranks are the eliminated ones
+    res = RaagResolution(graph, field)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(raag, "Echelon", no_elimination)
+        report = res.verify_exactness(5)
+    assert not report.failures
+    reported = {(m, j): pair for m, row in enumerate(report.ranks) for j, pair in enumerate(row)}
+    assert reported == resolution_ranks(res, 5)
 
 
 def test_koszul_for_complete_graphs():
