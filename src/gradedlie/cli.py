@@ -149,7 +149,7 @@ def cmd_homology(args) -> int:
     data = {
         "table": {
             str(i): {str(n): str(d) for n, d in enumerate(row) if d}
-            for i, row in enumerate(table.dims)
+            for i, row in enumerate(table)
         }
     }
     return _emit(args, _report(args, "homology", True, data))

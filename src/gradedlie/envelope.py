@@ -203,9 +203,6 @@ class InducedModule:
             return 0
         return len(self._build(n)[0])
 
-    def dims(self, N: int) -> list[int]:
-        return [self.dim(n) for n in range(N + 1)]
-
     def quotient_basis(self, n: int) -> list[tuple]:
         return self._build(n)[0]
 
@@ -231,7 +228,7 @@ def _span_key(sub: Optional[GradedSubalgebra]) -> tuple:
     of the span of sub's given generators in each weight, weights
     ascending; () for S = 0."""
     spans: dict[int, Echelon] = {}
-    for w, g in sub.weighted_generators() if sub is not None else ():
+    for w, g in sub.gens if sub is not None else ():
         spans.setdefault(w, Echelon(sub.field)).add(g)
     return tuple(
         (w, tuple(sorted(row.items()))) for w in sorted(spans) for row in spans[w].basis()

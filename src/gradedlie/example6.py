@@ -67,8 +67,8 @@ def build_s(field: Field):
         "h1_total": sum(h1),
         "h2_graded": h2,
         "h2_total": sum(h2),
-        "h1_ce_total": table.total(1),
-        "h2_ce_total": table.total(2),
+        "h1_ce_total": sum(table[1]),
+        "h2_ce_total": sum(table[2]),
         "proper": S.span(1).rank < L.dim(1),
         "not_in_abelian_factor": S.span(2).rank > 0,
         "not_in_free_factor": S.span(1).rank > 1,

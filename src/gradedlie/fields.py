@@ -60,10 +60,10 @@ def is_prime(n: int) -> bool:
 class Field:
     """Common interface of the concrete fields below.
 
-    Subclasses provide exact ``add/sub/mul/neg/inv/div`` plus coercion
-    (``of``), parsing, formatting and the in-place ``axpy`` of the
-    elimination kernel.  Zero coefficients are represented as the field's
-    canonical zero; sparse containers drop them.
+    Subclasses provide exact ``mul/neg/inv`` plus coercion (``of``),
+    parsing, formatting and the in-place ``axpy`` of the elimination
+    kernel; a sum is ``of(a + b)``.  Zero coefficients are represented as
+    the field's canonical zero; sparse containers drop them.
     """
 
     zero = 0
@@ -74,12 +74,6 @@ class Field:
 
     def is_zero(self, a) -> bool:
         return not a
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
 
     def mul(self, a, b):
         raise NotImplementedError
@@ -145,12 +139,6 @@ class RationalField(Field):
         if isinstance(x, int):
             return int(x)
         return _q(Fraction(x))
-
-    def add(self, a, b):
-        return _q(a + b)
-
-    def sub(self, a, b):
-        return _q(a - b)
 
     def mul(self, a, b):
         return _q(a * b)
@@ -223,12 +211,6 @@ class PrimeField(Field):
             return num * pow(den, -1, self.p) % self.p
         return x % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return a * b % self.p
 
@@ -239,9 +221,6 @@ class PrimeField(Field):
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of zero in F_{self.p}")
         return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
 
     def axpy(self, out: dict, a, v: dict):
         if not a:

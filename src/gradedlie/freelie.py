@@ -224,32 +224,8 @@ class FreeLieAlgebra:
             self, {m: v for m, v in terms.items() if not field.is_zero(v)}
         )
 
-    def element(self, ast) -> "LieElement":
-        """Evaluate a parsed bracket-expression AST to a normal form."""
-        kind = ast[0]
-        if kind in ("add", "sub"):
-            # a sum parses to a left-deep chain: walk it without recursion
-            chain = []
-            while ast[0] in ("add", "sub"):
-                chain.append(ast)
-                ast = ast[1]
-            out = self.element(ast)
-            for node in reversed(chain):
-                rhs = self.element(node[2])
-                out = out + rhs if node[0] == "add" else out - rhs
-            return out
-        if kind == "gen":
-            return self.gen_element(ast[1])
-        if kind == "br":
-            return self.element(ast[1]).bracket(self.element(ast[2]))
-        if kind == "neg":
-            return -self.element(ast[1])
-        if kind == "scale":
-            return self.element(ast[2]).scale(self.field.parse(ast[1]))
-        raise ValueError(f"bad AST node {ast!r}")
-
     def parse(self, text: str) -> "LieElement":
-        return self.element(parse_expression(text))
+        return parse_expression(self, text)
 
     def coordinates(self, elem: "LieElement", n: int) -> dict:
         """Coordinates of the weight-n part over hall_basis(n) positions."""
@@ -458,6 +434,8 @@ def witt_dims(weights: list[int], max_weight: int) -> list[int]:
 #
 # Names may contain letters, digits, '_' and '.' (qualified names use dots).
 # Brackets, parentheses and prefix operators nest at most MAX_NESTING deep.
+# The parser evaluates each construct as soon as it is read, sums from the
+# left, so an expression goes straight to its normal form.
 
 MAX_NESTING = 100
 
@@ -499,9 +477,10 @@ def _tokenize(text: str):
     return tokens
 
 
-def parse_expression(text: str):
-    """Parse a bracket expression to an AST consumed by
-    :meth:`FreeLieAlgebra.element`."""
+def parse_expression(alg: FreeLieAlgebra, text: str) -> LieElement:
+    """Parse a bracket expression to its normal form in alg, in one pass:
+    the first error from the left is the one raised."""
+    field = alg.field
     tokens = _tokenize(text)
     pos = [0]
 
@@ -519,26 +498,25 @@ def parse_expression(text: str):
             raise ExprSyntaxError(text, t[2], f"expected {kind!r}, got {t[1]!r}")
         return t
 
-    def parse_scalar_text():
+    def parse_scalar():
         t = expect("int")
         if peek()[0] == "/":
             advance()
-            t2 = expect("int")
-            return f"{t[1]}/{t2[1]}"
-        return t[1]
+            return field.parse(f"{t[1]}/{expect('int')[1]}")
+        return field.parse(t[1])
 
     def parse_atom(depth):
         t = peek()
         if t[0] == "name":
             advance()
-            return ("gen", t[1])
+            return alg.gen_element(t[1])
         if t[0] == "[":
             advance()
             left = parse_expr(depth + 1)
             expect(",")
             right = parse_expr(depth + 1)
             expect("]")
-            return ("br", left, right)
+            return left.bracket(right)
         if t[0] == "(":
             advance()
             inner = parse_expr(depth + 1)
@@ -552,23 +530,23 @@ def parse_expression(text: str):
             raise ExprSyntaxError(text, t[2], f"nested deeper than {MAX_NESTING}")
         if t[0] == "-":
             advance()
-            return ("neg", parse_term(depth + 1))
+            return -parse_term(depth + 1)
         if t[0] == "int":
-            scalar = parse_scalar_text()
+            scalar = parse_scalar()
             expect("*")
-            return ("scale", scalar, parse_term(depth + 1))
+            return parse_term(depth + 1).scale(scalar)
         return parse_atom(depth)
 
     def parse_expr(depth=0):
-        node = parse_term(depth)
+        out = parse_term(depth)
         while peek()[0] in ("+", "-"):
             op = advance()[0]
             rhs = parse_term(depth)
-            node = ("add", node, rhs) if op == "+" else ("sub", node, rhs)
-        return node
+            out = out + rhs if op == "+" else out - rhs
+        return out
 
-    node = parse_expr()
+    out = parse_expr()
     t = peek()
     if t[0] != "end":
         raise ExprSyntaxError(text, t[2], f"trailing input {t[1]!r}")
-    return node
+    return out

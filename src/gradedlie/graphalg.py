@@ -470,8 +470,6 @@ class TheoremAReport:
         self.euler_rhs: Optional[list] = None
         self.embedding_failures: list = []
         self.checks: list[SequenceCheck] = []
-        self.explicit_to: Optional[int] = None
-        self.N: Optional[int] = None
         self.fundamental: Optional[FundamentalAlgebra] = None
 
     @property
@@ -524,7 +522,6 @@ def verify_theorem_a(
     if not graph.connected:
         raise GraphError("theorem A verification requires a connected graph")
     report = TheoremAReport()
-    report.N = N
     fund = graph.fundamental()
     L = fund.algebra
     report.fundamental = fund
@@ -562,7 +559,6 @@ def verify_theorem_a(
 
     if explicit_to is None:
         return report
-    report.explicit_to = explicit_to
     M = explicit_to
 
     env = Envelope(L)

@@ -23,14 +23,12 @@ from .presented import PresentedLieAlgebra
 class ChainComplex:
     """Per-weight CE chains and differentials of a presented Lie algebra."""
 
-    def __init__(self, algebra: PresentedLieAlgebra, I: int, N: int):
+    def __init__(self, algebra: PresentedLieAlgebra, N: int):
         self.algebra = algebra
         self.field = algebra.field
-        self.I = I
         self.N = N
         self._chains: dict[tuple[int, int], list] = {}
         self._index: dict[tuple[int, int], dict] = {}
-        self._diff: dict[tuple[int, int], SparseMatrix] = {}
         self._pairs: dict[tuple, list] = {}  # (k_s, k_t) -> [(target key, coefficient)]
         algebra.engine.build_to(N)
 
@@ -87,10 +85,8 @@ class ChainComplex:
         bracket key placed into the rest by its sorted position, with the
         sign of the transpositions that move it there.  Each bracket
         [k_s, k_t] is read from the engine once per complex, as a list of
-        (target key, coefficient) in ``_pairs``."""
-        got = self._diff.get((i, n))
-        if got is not None:
-            return got
+        (target key, coefficient) in ``_pairs``.  Each d_{i,n} is built
+        afresh; :func:`homology_table` asks for it once."""
         field = self.field
         eng = self.algebra.engine
         pairs = self._pairs
@@ -117,40 +113,16 @@ class ChainComplex:
                         term[tgt_index[new_chain]] = field.neg(c) if pos % 2 else c
                     field.axpy(col, signs[(s + t) % 2], term)  # (-1)^{s+t}, 0-indexed
             columns.append(col)
-        m = self._diff[(i, n)] = SparseMatrix(field, columns)
-        return m
+        return SparseMatrix(field, columns)
 
 
-class HomologyTable:
-    """dims[i][n] = dim H_i(L, k) in weight n, 0 <= i <= I, 0 <= n <= N."""
-
-    def __init__(self, dims: list[list[int]], I: int, N: int):
-        self.dims = dims
-        self.I = I
-        self.N = N
-
-    def __getitem__(self, i: int) -> list[int]:
-        return self.dims[i]
-
-    def total(self, i: int) -> int:
-        return sum(self.dims[i])
-
-    def as_dict(self) -> dict:
-        return {
-            i: {n: d for n, d in enumerate(row) if d}
-            for i, row in enumerate(self.dims)
-        }
-
-    def __repr__(self):
-        return f"HomologyTable({self.as_dict()})"
-
-
-def homology_table(P: PresentedLieAlgebra, I: int, N: int) -> HomologyTable:
-    """H_i(L, k) dims per weight via the CE complex.
+def homology_table(P: PresentedLieAlgebra, I: int, N: int) -> list[list[int]]:
+    """H_i(L, k) dims per weight via the CE complex: the rows dims[i][n] =
+    dim H_i(L, k) in weight n, 0 <= i <= I, 0 <= n <= N.
 
     dims[i][n] = dim C_{i,n} - rank d_{i,n} - rank d_{i+1,n}.
     """
-    cx = ChainComplex(P, I, N)
+    cx = ChainComplex(P, N)
     ranks: dict[tuple[int, int], int] = {}
 
     def rank(i, n):
@@ -170,4 +142,4 @@ def homology_table(P: PresentedLieAlgebra, I: int, N: int) -> HomologyTable:
                 continue
             row.append(c - rank(i, n) - rank(i + 1, n))
         dims.append(row)
-    return HomologyTable(dims, I, N)
+    return dims

@@ -72,9 +72,6 @@ class HNNTower:
     def depth(self) -> int:
         return len(self.layers)
 
-    def monomial_str(self, mid: int) -> str:
-        return self.original.free.monomial_str(mid)
-
     def describe(self) -> dict:
         free = self.original.free
         return {

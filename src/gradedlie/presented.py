@@ -57,7 +57,8 @@ class InconclusiveAtDegree(Exception):
 
 
 class PresentedLieAlgebra:
-    """L = F(X)/<R> with weighted generators X and homogeneous relators R."""
+    """L = F(X)/<R> with weighted generators X and homogeneous relators R,
+    each an expression (str) or an element of the free algebra."""
 
     def __init__(
         self,
@@ -79,8 +80,6 @@ class PresentedLieAlgebra:
         for r in relators:
             if isinstance(r, str):
                 r = self.free.parse(r)
-            if not isinstance(r, LieElement):
-                r = self.free.element(r)
             if r.algebra is not self.free:
                 raise PresentationError("relator built over a different algebra")
             if r.is_zero():
@@ -608,30 +607,22 @@ class GradedSubalgebra(GeneratedSpans):
     span(n) is S_n and derived(n) is [S,S]_n, in L_n coordinates.
 
     Generators are homogeneous elements, given as expressions in the
-    ambient free algebra (or precomputed (weight, vector) pairs).
+    ambient free algebra (or precomputed (weight, vector) pairs); gens
+    holds them as (weight, vector) pairs.
     """
 
     def __init__(self, ambient: PresentedLieAlgebra, generators):
         self.ambient = ambient
-        self.generators = []  # (expr or None, weight, vector)
+        gens = []
         for g in generators:
             if isinstance(g, str):
                 g = ambient.parse(g)
-            if isinstance(g, LieElement):
-                w, vec = ambient.evaluate(g)
-                self.generators.append((g, w, vec))
-            else:
-                w, vec = g
-                self.generators.append((None, w, vec))
-        gens = self.weighted_generators()
+            w, vec = ambient.evaluate(g) if isinstance(g, LieElement) else g
+            gens.append((w, vec))
         super().__init__(
             ambient.field, gens, ambient.engine.bracket_vec,
             lambda n: [vec for w, vec in gens if w == n],
         )
-
-    def weighted_generators(self) -> list[tuple]:
-        """The generators as (weight, vector) pairs."""
-        return [(w, vec) for _, w, vec in self.generators]
 
     def _build_to(self, n: int):
         # a loop only because bench/tracer.py wraps it by name
@@ -644,12 +635,11 @@ class GradedSubalgebra(GeneratedSpans):
 
 
 class InferredPresentation:
-    """Result of infer_presentation: a minimal graded presentation plus the
-    generator lifts that realize it inside the ambient algebra."""
+    """Result of infer_presentation: a minimal graded presentation, whether
+    its generator set is certified complete, and the weight it is checked to."""
 
-    def __init__(self, presentation, generator_vectors, conclusive, checked_to):
+    def __init__(self, presentation, conclusive, checked_to):
         self.presentation = presentation
-        self.generator_vectors = generator_vectors  # list of (weight, vector)
         self.conclusive = conclusive
         self.checked_to = checked_to
 
@@ -683,7 +673,7 @@ def infer_presentation(
         for row in S.span(n).basis():
             if comm.add(row) is not None:
                 gen_specs.append((n, row))
-    need = max([1] + [w for _, w, vec in S.generators if vec])
+    need = max([1] + [w for w, vec in S.gens if vec])
     conclusive = N >= need
     if not conclusive and strict_boundary:
         raise InconclusiveAtDegree(
@@ -729,7 +719,7 @@ def infer_presentation(
             )
 
     pres = PresentedLieAlgebra(field, gens, relators, name="inferred", free=fhat)
-    return InferredPresentation(pres, gen_specs, conclusive, N)
+    return InferredPresentation(pres, conclusive, N)
 
 
 # ----------------------------------------------------------------------

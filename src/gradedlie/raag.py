@@ -194,9 +194,6 @@ class ChordalityResult:
         self.peo = peo        # perfect elimination ordering (certificate)
         self.cycle = cycle    # induced cycle of length >= 4 (counter-cert.)
 
-    def __bool__(self):
-        return self.chordal
-
     def __repr__(self):
         if self.chordal:
             return f"ChordalityResult(chordal, peo={self.peo})"

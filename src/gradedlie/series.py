@@ -113,5 +113,3 @@ class HilbertSeries:
     def __repr__(self):
         return f"HilbertSeries({self.coeffs}, N={self.truncation})"
 
-    def __getitem__(self, k: int) -> int:
-        return self.coeffs[k]

@@ -20,7 +20,7 @@ def rref(field, rows: list[dict], ncols: int) -> list[dict]:
         for i in range(len(dense)):
             if i != r and not field.is_zero(dense[i][c]):
                 f = dense[i][c]
-                dense[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(dense[i], dense[r])]
+                dense[i] = [field.of(x - field.mul(f, y)) for x, y in zip(dense[i], dense[r])]
         r += 1
     return [{c: x for c, x in enumerate(row) if not field.is_zero(x)} for row in dense[:r]]
 
@@ -38,7 +38,7 @@ def normal_form(field, reduced: list[dict], vec: dict) -> dict:
         if p in out:
             f = out[p]
             for c, x in row.items():
-                out[c] = field.sub(out.get(c, field.zero), field.mul(f, x))
+                out[c] = field.of(out.get(c, field.zero) - field.mul(f, x))
             out = {c: x for c, x in out.items() if not field.is_zero(x)}
     return out
 
@@ -48,7 +48,7 @@ def combination(field, coeffs: dict, vectors) -> dict:
     out: dict = {}
     for k, a in coeffs.items():
         for c, x in vectors[k].items():
-            out[c] = field.add(out.get(c, field.zero), field.mul(a, x))
+            out[c] = field.of(out.get(c, field.zero) + field.mul(a, x))
     return {c: x for c, x in out.items() if not field.is_zero(x)}
 
 

@@ -30,7 +30,6 @@ from gradedlie.envelope import Envelope, InducedModule
 from gradedlie.example6 import NilpotentQuotient, change_field
 from gradedlie.fields import GF, RationalField, check_same_field
 from gradedlie.freelie import FreeLieAlgebra
-from gradedlie.homology import HomologyTable
 from gradedlie.linalg import Echelon, SparseMatrix
 from gradedlie.presented import GeneratedSpans, GradedSubalgebra, PresentedLieAlgebra
 from gradedlie.raag import RaagResolution, SimpleGraph, find_induced_cycle
@@ -59,7 +58,7 @@ def zero_pair_count_oracle(source: PresentedLieAlgebra, p: int) -> int:
                         continue
                     coeff = fp.mul(v1[i], v2[j])
                     for k, c in tensor.get((i, j), {}).items():
-                        s = fp.add(acc.get(k, fp.zero), fp.mul(coeff, c))
+                        s = fp.of(acc.get(k, fp.zero) + fp.mul(coeff, c))
                         if fp.is_zero(s):
                             acc.pop(k, None)
                         else:
@@ -220,9 +219,9 @@ class MayerVietorisReport:
 
 
 def mv_rank_certificate(
-    edge_tables: list[tuple[HomologyTable, int]],
-    vertex_tables: list[HomologyTable],
-    total_table: HomologyTable,
+    edge_tables: list[tuple[list, int]],
+    vertex_tables: list[list],
+    total_table: list,
     I: int,
     N: int,
 ) -> MayerVietorisReport:
@@ -232,6 +231,7 @@ def mv_rank_certificate(
 
     using only dimensions: starting from surjectivity onto H_0(L), the
     ranks forced by exactness must stay nonnegative at every position.
+    Tables are rows of dims as :func:`homology_table` returns them.
     Edge entries carry a weight shift (the stable-letter weight for
     non-forest edges, 0 for forest edges).  The topmost homological degree
     cannot be certified without H_{I+1} data and is flagged inconclusive.
@@ -241,7 +241,7 @@ def mv_rank_certificate(
         seq = []  # dims from the left: E_I, V_I, H_I, E_{I-1}, ..., V_0, H_0
         for i in range(I, -1, -1):
             e_dim = sum(
-                t[i][n - shift] if 0 <= n - shift <= t.N else 0
+                t[i][n - shift] if 0 <= n - shift < len(t[i]) else 0
                 for t, shift in edge_tables
             )
             v_dim = sum(t[i][n] for t in vertex_tables)
@@ -314,10 +314,11 @@ def intersect(a: Echelon, b: Echelon) -> Echelon:
     return Echelon.of(field, vectors)
 
 
-def d_squared_vanishes(cx) -> bool:
-    """d o d = 0 exactly at every bidegree of the chain complex cx."""
+def d_squared_vanishes(cx, I: int) -> bool:
+    """d o d = 0 exactly at every bidegree (i, n) of the chain complex cx
+    with i <= I + 1."""
     field = cx.field
-    for i in range(2, cx.I + 2):
+    for i in range(2, I + 2):
         for n in range(0, cx.N + 1):
             low = cx.differential(i - 1, n).columns
             for col in cx.differential(i, n).columns:
@@ -422,7 +423,7 @@ def all_pairs_subalgebra_spans(S, N: int) -> dict:
     spans = {}
     for n in range(1, N + 1):
         ech = Echelon(S.field)
-        for _, w, vec in S.generators:
+        for w, vec in S.gens:
             if w == n:
                 ech.add(vec)
         for a in range(1, n):
@@ -527,7 +528,7 @@ def induced_module_dims(
         if any(src_dims):
             raise ValueError("nonzero source with no image subalgebra")
     module = InducedModule(env, image)
-    explicit = module.dims(N)
+    explicit = [module.dim(n) for n in range(N + 1)]
     hl = env.algebra.enveloping_series(N)
     hs = HilbertSeries.from_graded_dims(src_dims, N)
     series = hl.divide(hs)

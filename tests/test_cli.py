@@ -326,6 +326,8 @@ BAD_GRAPH_AND_PRESENTATION_INPUTS = {
     "der-syntax-error": HNN_GRAPH.format(u="a", du="[a,", sw="1"),
     "der-unknown-generator": HNN_GRAPH.format(u="a", du="q", sw="1"),
     "der-unknown-in-bracket": HNN_GRAPH.format(u="a", du="[a,q]", sw="1"),
+    # one-pass parsing: the unknown name comes before the syntax error
+    "rel-unknown-before-syntax-error": "field = Q\ngen a weight 1\ngen b weight 1\nrel [q,\n",
     "generator-weight-0": "field = Q\ngen x weight 0\n",
     "duplicate-generator": "field = Q\ngen x weight 1\ngen y weight 1\ngen x weight 2\n",
     "field-line-unknown": "field = xQ\ngen x weight 1\n",

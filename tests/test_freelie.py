@@ -176,18 +176,23 @@ def test_parser():
     assert alg.parse("[y,x]") == -x.bracket(y)
     assert alg.parse("-x") == -x
     with pytest.raises(ExprSyntaxError):
-        parse_expression("[x,y")
+        parse_expression(alg, "[x,y")
     with pytest.raises(ExprSyntaxError):
-        parse_expression("x )")
+        alg.parse("x )")
     with pytest.raises(KeyError):
         alg.parse("[x,zz]")
+    # one pass: the first error from the left is the one raised
+    with pytest.raises(KeyError):
+        alg.parse("[zz,")
+    with pytest.raises(ExprSyntaxError):
+        alg.parse("[x, ) + zz")
 
 
 def test_parser_depth_limits():
     alg = FreeLieAlgebra(QQ, ["x", "y"])
     for nested in ("[x," * 101 + "y" + "]" * 101, "(" * 150 + "x" + ")" * 150, "-" * 200 + "x"):
         with pytest.raises(ExprSyntaxError, match="nested deeper"):
-            parse_expression(nested)
+            parse_expression(alg, nested)
     # long sums are flat, not nested, and evaluate without deep recursion
     x, y = alg.gen_element("x"), alg.gen_element("y")
     assert alg.parse(" + ".join(["[x,y]"] * 3000)) == x.bracket(y).scale(QQ.of(3000))

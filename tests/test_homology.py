@@ -10,7 +10,7 @@ from oracles import d_squared_vanishes, mv_rank_certificate
 
 def test_complex_shape():
     L = PresentedLieAlgebra(QQ, ["x", "y"])
-    cx = ChainComplex(L, 3, 5)
+    cx = ChainComplex(L, 5)
     assert cx.dim(0, 0) == 1
     for n in range(1, 6):
         assert cx.dim(0, n) == 0
@@ -19,7 +19,7 @@ def test_complex_shape():
 
 def test_abelian_differentials_vanish():
     L = PresentedLieAlgebra(QQ, ["x", "y", "z"], ["[x,y]", "[x,z]", "[y,z]"])
-    cx = ChainComplex(L, 3, 4)
+    cx = ChainComplex(L, 4)
     for i in range(1, 4):
         for n in range(5):
             assert not any(cx.differential(i, n).columns)
@@ -33,8 +33,8 @@ def test_d_squared_zero():
         ([("a", 1), ("t", 2)], ["[a,[a,t]]"]),
     ]:
         L = PresentedLieAlgebra(QQ, gens, rels)
-        cx = ChainComplex(L, 3, 6)
-        assert d_squared_vanishes(cx)
+        cx = ChainComplex(L, 6)
+        assert d_squared_vanishes(cx, 3)
 
 
 def test_homology_free():
@@ -42,8 +42,8 @@ def test_homology_free():
     table = homology_table(L, 3, 6)
     assert table[0][0] == 1 and sum(table[0][1:]) == 0
     assert table[1][1] == 2 and sum(table[1]) == 2
-    assert table.total(2) == 0
-    assert table.total(3) == 0
+    assert sum(table[2]) == 0
+    assert sum(table[3]) == 0
 
 
 def test_homology_abelian_exterior():
@@ -54,7 +54,7 @@ def test_homology_abelian_exterior():
         L = PresentedLieAlgebra(QQ, gens, rels)
         table = homology_table(L, m, m)
         for i in range(m + 1):
-            assert table.total(i) == comb(m, i)
+            assert sum(table[i]) == comb(m, i)
             if i:
                 assert table[i][i] == comb(m, i)
 
@@ -85,7 +85,7 @@ def test_h1_h2_match_fp():
 def test_euler_characteristic_per_weight():
     L = PresentedLieAlgebra(QQ, ["a", "b", "x"], ["[a,b]"])
     I, N = 3, 5
-    cx = ChainComplex(L, I, N)
+    cx = ChainComplex(L, N)
     table = homology_table(L, I, N)
     for n in range(N + 1):
         # chains vanish above homological degree n (weights >= 1 each)
@@ -100,7 +100,7 @@ def test_free_hi_vanish():
     L = PresentedLieAlgebra(QQ, ["x", "y", "z"])
     table = homology_table(L, 4, 5)
     for i in range(2, 5):
-        assert table.total(i) == 0
+        assert sum(table[i]) == 0
 
 
 def test_mv_certificate_free_product():

@@ -6,7 +6,12 @@ Stdlib ``ast`` scans.  Every name bound by an import statement in
 a name in the code or inside a string annotation.  Every function, method
 and class defined there, dunder methods aside, must be referred to by name
 or attribute somewhere in ``src/``: a definition only tests use belongs in
-``tests/oracles.py``.  The ``"Class.method"`` strings of
+``tests/oracles.py``.  The scan matches bare names, so it cannot tell two
+definitions of one name apart: a method only tests call passes whenever
+the library uses the same name elsewhere (``Field.add`` passed while
+``Echelon.add`` was in use).  ``python3 tests/reach.py`` covers that blind
+spot: it lists the functions no golden command enters.  The
+``"Class.method"`` strings of
 ``bench/tracer.py``'s ``WRAPS`` table count too, since the tracer looks
 those up by name, and each of them must resolve as the tracer resolves
 it.  The mutation table of ``tests/mutants.py`` must stay runnable: each

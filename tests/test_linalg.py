@@ -43,7 +43,7 @@ def test_kernel_trivial():
     assert len(k) == 1
     (v,) = k
     # span{(1, -1)} up to normalization
-    assert QQ.add(v.get(0, QQ.zero), v.get(1, QQ.zero)) == QQ.zero
+    assert QQ.of(v.get(0, QQ.zero) + v.get(1, QQ.zero)) == QQ.zero
 
 
 def test_quotient_basis():
@@ -98,7 +98,7 @@ def test_column_solver():
     out = {}
     for j, c in sol.items():
         for r, v in cols[j].items():
-            out[r] = field.add(out.get(r, field.zero), field.mul(c, v))
+            out[r] = field.of(out.get(r, field.zero) + field.mul(c, v))
     out = {r: v for r, v in out.items() if not field.is_zero(v)}
     assert out == {0: field.of(3), 1: field.of(5)}
     assert solver.solve({2: field.one}) is None
