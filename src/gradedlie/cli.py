@@ -1,7 +1,13 @@
-"""Command-line frontend.
+"""Command-line frontend: gradedlie [GLOBAL OPTIONS] COMMAND ...
 
-Subcommands: hall, dims, hilbert, homology, hopf, infer, graph verify,
-onerelator decompose, raag chordal|resolve|verdict, example sec6.
+The commands (hall, dims, hilbert, homology, hopf, infer, graph verify,
+onerelator decompose, raag chordal|resolve|verdict, example sec6), their
+positionals and their options are the table of `_grammar`.  The global
+options come before the command, a command's own options before or after
+its file.  A value follows its option as the next argument or after "="
+(the only form for a value that starts with "-"), and a unique prefix names
+a long option.  -h or --help prints the usage of its level and exits 0; any
+other bad command line writes one "error: ..." line to stderr and exits 2.
 Reports are JSON (schema 1) with all dimensions as decimal strings so that
 consumers never overflow; identical inputs and configuration produce
 byte-identical reports.  Exit codes: 0 pass (a verified answer, "no"
@@ -11,9 +17,10 @@ a one-line message on stderr, no report).
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from . import example6
 from .fields import QQ, FieldError, parse_field
@@ -56,8 +63,7 @@ def _emit(args, report: dict) -> int:
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:
         lines = [f"{report['command']}: {'PASS' if report['ok'] else 'FAIL'}"]
-        for key, value in sorted(report["data"].items()):
-            lines.append(f"  {key}: {value}")
+        lines += [f"  {key}: {value}" for key, value in sorted(report["data"].items())]
         text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -95,18 +101,12 @@ def _load_presentation(args, path):
 
 def cmd_hall(args) -> int:
     specs = []
-    for part in args.gens.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ":" in part:
-            name, _, w = part.partition(":")
-            try:
-                specs.append((name.strip(), int(w)))
-            except ValueError:
-                raise InputError(f"bad generator weight in {part!r}")
-        else:
-            specs.append((part, 1))
+    for part in filter(None, map(str.strip, args.gens.split(","))):
+        name, colon, w = part.partition(":")
+        try:
+            specs.append((name.strip(), int(w) if colon else 1))
+        except ValueError:
+            raise InputError(f"bad generator weight in {part!r}")
     if not specs:
         raise InputError("empty generator list")
     field = _field(args)
@@ -146,12 +146,8 @@ def cmd_hilbert(args) -> int:
 def cmd_homology(args) -> int:
     P = _load_presentation(args, args.file)
     table = homology_table(P, args.hom_bound, args.max_degree)
-    data = {
-        "table": {
-            str(i): {str(n): str(d) for n, d in enumerate(row) if d}
-            for i, row in enumerate(table)
-        }
-    }
+    data = {"table": {str(i): {str(n): str(d) for n, d in enumerate(row) if d}
+                      for i, row in enumerate(table)}}
     return _emit(args, _report(args, "homology", True, data))
 
 
@@ -194,9 +190,7 @@ def cmd_graph_verify(args) -> int:
 
     try:
         graph = load_graph(args.file, field=_field(args, None))
-        report = verify_theorem_a(
-            graph, args.max_degree, explicit_to=args.explicit_to
-        )
+        report = verify_theorem_a(graph, args.max_degree, explicit_to=args.explicit_to)
     except (GraphError, PresentationError, FieldError, FileNotFoundError) as exc:
         raise InputError(str(exc))
     args.field = graph.field.name
@@ -210,16 +204,10 @@ def cmd_graph_verify(args) -> int:
     }
     if args.explicit_to is not None:
         data["explicit_checks"] = [
-            {
-                "weight": str(c.n),
-                "injective": c.injective,
-                "exact_middle": c.exact_middle,
-            }
+            {"weight": str(c.n), "injective": c.injective, "exact_middle": c.exact_middle}
             for c in report.checks
         ]
-        data["explicit_ranks"] = [
-            _strs((c.src_dim, c.mid_dim, c.rank_alpha)) for c in report.checks
-        ]
+        data["explicit_ranks"] = [_strs((c.src_dim, c.mid_dim, c.rank_alpha)) for c in report.checks]
         data["explicit_ok"] = report.explicit_ok
     return _emit(args, _report(args, "graph verify", report.ok, data))
 
@@ -242,7 +230,7 @@ def cmd_onerelator_decompose(args) -> int:
     return _emit(args, _report(args, "onerelator decompose", report.ok, data))
 
 
-def _load_simple_graph(args, path):
+def _load_simple_graph(path):
     from .raag import load_graph
 
     try:
@@ -254,7 +242,7 @@ def _load_simple_graph(args, path):
 def cmd_raag_chordal(args) -> int:
     from .raag import is_chordal
 
-    graph = _load_simple_graph(args, args.file)
+    graph = _load_simple_graph(args.file)
     res = is_chordal(graph)
     data = {"chordal": res.chordal}
     if res.chordal:
@@ -268,7 +256,7 @@ def cmd_raag_chordal(args) -> int:
 def cmd_raag_resolve(args) -> int:
     from .raag import verify_resolution
 
-    graph = _load_simple_graph(args, args.file)
+    graph = _load_simple_graph(args.file)
     report = verify_resolution(graph, args.max_degree, field=_field(args))
     data = {
         "exact": not report.failures,
@@ -282,19 +270,17 @@ def cmd_raag_resolve(args) -> int:
 def cmd_raag_verdict(args) -> int:
     from .raag import coherence_verdict
 
-    graph = _load_simple_graph(args, args.file)
+    graph = _load_simple_graph(args.file)
     verdict = coherence_verdict(graph)
     return _emit(args, _report(args, "raag verdict", True, verdict.as_dict()))
 
 
 def cmd_example_sec6(args) -> int:
     report = example6.full_report(_field(args))
+    build = report["build_s"]
     data = {
-        "h1_total": str(report["build_s"]["h1_total"]),
-        "h2_total": str(report["build_s"]["h2_total"]),
-        "h1_ce_total": str(report["build_s"]["h1_ce_total"]),
-        "h2_ce_total": str(report["build_s"]["h2_ce_total"]),
-        "relator_weights": _strs(report["build_s"]["relator_weights"]),
+        **{k: str(build[k]) for k in ("h1_total", "h2_total", "h1_ce_total", "h2_ce_total")},
+        "relator_weights": _strs(build["relator_weights"]),
         "not_free_product": {
             k: v if isinstance(v, bool) else str(v) if isinstance(v, int) else v
             for k, v in report["not_free_product"].items()
@@ -309,93 +295,154 @@ def cmd_example_sec6(args) -> int:
     return _emit(args, _report(args, "example sec6", report["ok"], data))
 
 
-# -- parser ---------------------------------------------------------------
+# -- command line ---------------------------------------------------------
+
+HELP = ("help", None, "show this help message and exit")
 
 
-def _count(text: str) -> int:
-    """A nonnegative integer option; argparse turns a bad one into exit 2."""
+def _count(flag: str, text: str) -> int:
+    """The value of a nonnegative integer option."""
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        value = -1
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        raise InputError(f"argument {flag}: expected an integer >= 0, got {text!r}")
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gradedlie",
-        description="computations with finitely presented graded Lie algebras",
-    )
-    parser.add_argument(
-        "--field", default=None,
-        help="ground field: Q or Fp:<prime> (default: a file's field line, Q elsewhere)",
-    )
-    parser.add_argument("--max-degree", type=_count, default=8, dest="max_degree")
-    parser.add_argument("--hom-bound", type=_count, default=4, dest="hom_bound")
-    parser.add_argument("--format", choices=("json", "table"), default="json")
-    parser.add_argument("--out", default=None, help="write the report to a file")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _grammar() -> dict:
+    """Command path -> (handler, help, positionals, options); "" is the top
+    level, a path without a handler a group.  Options map a flag to (kind,
+    default, help); a default of ... makes one required.  Built per call, so
+    a patched handler is the one called."""
+    file = ("file",)
+    return {
+        "": (None, "computations with finitely presented graded Lie algebras", (), {
+            "--field": ("value", None, "ground field: Q or Fp:<prime> "
+                        "(default: a file's field line, Q elsewhere)"),
+            "--max-degree": ("count", 8, ""),
+            "--hom-bound": ("count", 4, ""),
+            "--format": (("json", "table"), "json", ""),
+            "--out": ("value", None, "write the report to a file")}),
+        "hall": (cmd_hall, "Hall basis counts for a free Lie algebra", (), {
+            "--gens": ("value", ..., "comma list, e.g. x,y or a:1,t:2"),
+            "--list": ("flag", False, "include the monomials")}),
+        "dims": (cmd_dims, "", file, {}), "hilbert": (cmd_hilbert, "", file, {}),
+        "homology": (cmd_homology, "", file, {}), "hopf": (cmd_hopf, "", file, {}),
+        "infer": (cmd_infer, "presentation of a graded subalgebra", file,
+                  {"--gen": ("append", [], "subalgebra generator expression")}),
+        "graph": (None, "graph-of-Lie-algebras commands", (), {}),
+        "graph verify": (cmd_graph_verify, "verify the fundamental-algebra sequence", file,
+                         {"--explicit-to": ("count", None, "")}),
+        "onerelator": (None, "", (), {}),
+        "onerelator decompose": (cmd_onerelator_decompose, "iterated HNN decomposition",
+                                 file, {}),
+        "raag": (None, "", (), {}), "raag chordal": (cmd_raag_chordal, "", file, {}),
+        "raag resolve": (cmd_raag_resolve, "", file, {}),
+        "raag verdict": (cmd_raag_verdict, "", file, {}),
+        "example": (None, "", (), {}),
+        "example sec6": (cmd_example_sec6, "reproduce the worked example", (), {}),
+    }
 
-    p = sub.add_parser("hall", help="Hall basis counts for a free Lie algebra")
-    p.add_argument("--gens", required=True, help="comma list, e.g. x,y or a:1,t:2")
-    p.add_argument("--list", action="store_true", help="include the monomials")
-    p.set_defaults(func=cmd_hall)
 
-    for name, func in (
-        ("dims", cmd_dims),
-        ("hilbert", cmd_hilbert),
-        ("homology", cmd_homology),
-        ("hopf", cmd_hopf),
-    ):
-        p = sub.add_parser(name)
-        p.add_argument("file")
-        p.set_defaults(func=func)
+def _option(options: dict, arg: str):
+    """None when `arg` is a positional value, else (flag, the text after
+    "=" or None), flag None for an option not in `options`.  A unique
+    prefix of a long flag names it; an ambiguous one is an error."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    name, eq, value = arg.partition("=")
+    value = value if eq else None
+    if name in options:
+        return name, value
+    if arg[1] == "-" and len(name) > 2:
+        hits = [flag for flag in options if flag.startswith(name)]
+        if len(hits) > 1:
+            raise InputError(f"ambiguous option: {name!r} could match {', '.join(hits)}")
+        if hits:
+            return hits[0], value
+    elif arg[:2] in options:  # -h with text after it
+        return arg[:2], arg[2:]
+    if " " in arg or re.match(r"^-\d+$|^-\d*\.\d+$", arg):
+        return None
+    return None, arg
 
-    p = sub.add_parser("infer", help="presentation of a graded subalgebra")
-    p.add_argument("file")
-    p.add_argument("--gen", action="append", default=[], help="subalgebra generator expression")
-    p.set_defaults(func=cmd_infer)
 
-    p = sub.add_parser("graph", help="graph-of-Lie-algebras commands")
-    gsub = p.add_subparsers(dest="graph_command", required=True)
-    gv = gsub.add_parser("verify", help="verify the fundamental-algebra sequence")
-    gv.add_argument("file")
-    gv.add_argument("--explicit-to", type=_count, default=None, dest="explicit_to")
-    gv.set_defaults(func=cmd_graph_verify)
+def _usage(grammar: dict, path: str) -> str:
+    """The -h text of one level of the grammar."""
+    handler, about, positionals, options = grammar[path]
+    words = ["usage: gradedlie", path, "[options]", *map(str.upper, positionals),
+             "COMMAND ..." if handler is None else ""]
+    lines = [" ".join(filter(None, words)), about, "", "options:"]
+    for flag, (kind, _, text) in {"-h, --help": HELP, **options}.items():
+        meta = ("{" + ",".join(kind) + "}" if isinstance(kind, tuple) else
+                {"count": "N", "value": flag[2:].upper(), "append": flag[2:].upper()}.get(kind, ""))
+        lines.append(f"  {flag} {meta}".ljust(24) + text)
+    subs = [p for p in grammar if p and p.rpartition(" ")[0] == path]
+    lines += ["", "commands:"] * bool(subs)
+    lines += [f"  {p.rpartition(' ')[2]:<22}{grammar[p][1]}" for p in subs]
+    return "\n".join(line.rstrip() for line in lines) + "\n"
 
-    p = sub.add_parser("onerelator")
-    osub = p.add_subparsers(dest="onerelator_command", required=True)
-    od = osub.add_parser("decompose", help="iterated HNN decomposition")
-    od.add_argument("file")
-    od.set_defaults(func=cmd_onerelator_decompose)
 
-    p = sub.add_parser("raag")
-    rsub = p.add_subparsers(dest="raag_command", required=True)
-    rc = rsub.add_parser("chordal")
-    rc.add_argument("file")
-    rc.set_defaults(func=cmd_raag_chordal)
-    rr = rsub.add_parser("resolve")
-    rr.add_argument("file")
-    rr.set_defaults(func=cmd_raag_resolve)
-    rv = rsub.add_parser("verdict")
-    rv.add_argument("file")
-    rv.set_defaults(func=cmd_raag_verdict)
-
-    p = sub.add_parser("example")
-    esub = p.add_subparsers(dest="example_command", required=True)
-    es = esub.add_parser("sec6", help="reproduce the worked example")
-    es.set_defaults(func=cmd_example_sec6)
-
-    return parser
+def _parse(argv: list):
+    """The handler's arguments for `argv`, or None once -h/--help has
+    printed its level's usage; InputError for any other bad command line."""
+    grammar = _grammar()
+    values, path, wanted = {}, "", []
+    options = {"-h": HELP, "--help": HELP, **grammar[""][3]}
+    for arg in argv:  # an ambiguous prefix of a global flag is an error anywhere
+        _option(options, arg)
+    tokens = iter(argv)
+    for arg in tokens:
+        found = _option(options, arg)
+        if found is None and grammar[path][0] is None:  # a group: arg names a subcommand
+            sub = f"{path} {arg}".lstrip()
+            if arg.split() != [arg] or sub not in grammar:
+                raise InputError(f"invalid choice: {arg!r}")
+            values[f"{path}_command".lstrip("_")] = arg
+            path, wanted = sub, list(grammar[sub][2])
+            options = {"-h": HELP, "--help": HELP, **grammar[sub][3]}
+            continue
+        if found is None and wanted:
+            values[wanted.pop(0)] = arg
+            continue
+        if found is None or found[0] is None:
+            raise InputError(f"unrecognized argument: {arg!r}")
+        flag, value = found
+        kind, dest = options[flag][0], flag[2:].replace("-", "_")
+        if kind in ("flag", "help"):
+            if value is not None:
+                raise InputError(f"argument {flag}: ignored explicit argument {value!r}")
+            if kind == "help":
+                sys.stdout.write(_usage(grammar, path))
+                return None
+            value = True
+        elif value is None:
+            value = next(tokens, None)
+            if value is None or _option(options, value) is not None:
+                raise InputError(f"argument {flag}: expected one argument")
+        if kind == "count":
+            value = _count(flag, value)
+        elif kind == "append":
+            value = values.get(dest, []) + [value]
+        elif isinstance(kind, tuple) and value not in kind:
+            raise InputError(f"argument {flag}: invalid choice: {value!r}")
+        values[dest] = value
+    handler, _, _, options = grammar[path]
+    for flag, (_, default, _) in {**grammar[""][3], **options}.items():
+        values.setdefault(flag[2:].replace("-", "_"), default)
+    wanted += [dest for dest, value in values.items() if value is ...]
+    if wanted or handler is None:
+        missing = ", ".join(wanted) if handler else f"{path}_command".lstrip("_")
+        raise InputError(f"the following arguments are required: {missing}")
+    return SimpleNamespace(func=handler, **values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        return 0 if args is None else args.func(args)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

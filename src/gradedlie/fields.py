@@ -100,7 +100,11 @@ class Field:
         return {c: self.div(x, d) for c, x in vec.items()}
 
     def parse(self, text: str):
-        raise NotImplementedError
+        """An integer or a/b, mapped into the field by `of`."""
+        num, slash, den = text.strip().partition("/")
+        if slash and not int(den):
+            raise FieldError("zero denominator")
+        return self.of(Fraction(int(num), int(den)) if slash else int(num))
 
     def format(self, a) -> str:
         return str(a)
@@ -170,16 +174,6 @@ class RationalField(Field):
                 ax = ax.numerator
             out[c] = ax
 
-    def parse(self, text: str):
-        text = text.strip()
-        if "/" in text:
-            num, den = text.split("/")
-            d = int(den)
-            if d == 0:
-                raise FieldError("zero denominator")
-            return _q(Fraction(int(num), d))
-        return int(text)
-
     @property
     def name(self) -> str:
         return "Q"
@@ -236,9 +230,6 @@ class PrimeField(Field):
             else:
                 # a and x are nonzero residues mod a prime: so is a*x
                 out[c] = a * x % p
-
-    def parse(self, text: str):
-        return self.of(int(text.strip()))
 
     @property
     def name(self) -> str:

@@ -37,6 +37,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIMEOUT_S = 120
 MEMORY_BYTES = 1 << 30
 
+CLI = "src/gradedlie/cli.py"
+CHOSEN = "tests/test_cli_parser.py::test_chosen_lines_parse_as_the_reference"
 ENVELOPE = "src/gradedlie/envelope.py"
 GRAPHALG = "src/gradedlie/graphalg.py"
 HOMOLOGY = "src/gradedlie/homology.py"
@@ -248,6 +250,30 @@ MUTANTS = [
      "drop[m][i] = j",
      ["tests/test_raag.py::test_trace_tables_match_normal_forms",
       "tests/test_raag.py::test_trace_tables_match_normal_forms_to_weight_7[C4]"]),
+    # command line: the --max-degree default moved
+    (CLI,
+     '"--max-degree": ("count", 8, ""),',
+     '"--max-degree": ("count", 7, ""),',
+     [CHOSEN + "[default-bounds]",
+      "tests/test_golden.py::test_golden_reports_byte_identical"]),
+    # command line: --opt=value keeps the "=" in the value
+    (CLI,
+     "    value = value if eq else None\n",
+     "    value = eq + value if eq else None\n",
+     [CHOSEN + "[prefixes-and-eq-forms]",
+      "tests/test_cli_parser.py::test_corpus_and_workload_lines_parse_as_before"]),
+    # command line: an ambiguous prefix names its first match
+    (CLI,
+     "        if len(hits) > 1:\n",
+     "        if len(hits) > 2:\n",
+     [CHOSEN + "[ambiguous-prefix]",
+      CHOSEN + "[ambiguous-prefix-after-command]"]),
+    # command line: a repeated --gen replaces the earlier ones
+    (CLI,
+     "            value = values.get(dest, []) + [value]\n",
+     "            value = [value]\n",
+     [CHOSEN + "[repeated-gen]",
+      "tests/test_cli_parser.py::test_corpus_and_workload_lines_parse_as_before"]),
 ]
 
 

@@ -14,18 +14,34 @@ of a free algebra from its spans, the Leibniz check over all pairs,
 induced modules and their right ideals from a basis of the subalgebra,
 induced module dims against the series quotient, [I,F] with its redundant
 [[I,F],x] term, the Lie algebra laws on the engine's structure
-constants), so a test can compare the two.  A few readers expose what only
+constants, the command line by the argparse parser the CLI once
+built), so a test can compare the two.  A few readers expose what only
 tests look at: the RAAG trace tables as sorted words, the cell bases of the
 resolution and the components of the relation ideal.
 """
 
 from __future__ import annotations
 
+import argparse
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 from typing import Optional
 
+from gradedlie.cli import (
+    cmd_dims,
+    cmd_example_sec6,
+    cmd_graph_verify,
+    cmd_hall,
+    cmd_hilbert,
+    cmd_homology,
+    cmd_hopf,
+    cmd_infer,
+    cmd_onerelator_decompose,
+    cmd_raag_chordal,
+    cmd_raag_resolve,
+    cmd_raag_verdict,
+)
 from gradedlie.envelope import Envelope, InducedModule
 from gradedlie.example6 import NilpotentQuotient, change_field
 from gradedlie.fields import GF, RationalField, check_same_field
@@ -631,3 +647,86 @@ def structure_constant_failure(P: PresentedLieAlgebra, N: int):
         if total:
             return "jacobi", p, q, r
     return None
+
+
+# ----------------------------------------------------------------------
+# the command line as argparse parsed it
+
+
+def _count(text: str) -> int:
+    """A nonnegative integer option; argparse turns a bad one into exit 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="gradedlie",
+        description="computations with finitely presented graded Lie algebras",
+    )
+    parser.add_argument(
+        "--field", default=None,
+        help="ground field: Q or Fp:<prime> (default: a file's field line, Q elsewhere)",
+    )
+    parser.add_argument("--max-degree", type=_count, default=8, dest="max_degree")
+    parser.add_argument("--hom-bound", type=_count, default=4, dest="hom_bound")
+    parser.add_argument("--format", choices=("json", "table"), default="json")
+    parser.add_argument("--out", default=None, help="write the report to a file")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("hall", help="Hall basis counts for a free Lie algebra")
+    p.add_argument("--gens", required=True, help="comma list, e.g. x,y or a:1,t:2")
+    p.add_argument("--list", action="store_true", help="include the monomials")
+    p.set_defaults(func=cmd_hall)
+
+    for name, func in (
+        ("dims", cmd_dims),
+        ("hilbert", cmd_hilbert),
+        ("homology", cmd_homology),
+        ("hopf", cmd_hopf),
+    ):
+        p = sub.add_parser(name)
+        p.add_argument("file")
+        p.set_defaults(func=func)
+
+    p = sub.add_parser("infer", help="presentation of a graded subalgebra")
+    p.add_argument("file")
+    p.add_argument("--gen", action="append", default=[], help="subalgebra generator expression")
+    p.set_defaults(func=cmd_infer)
+
+    p = sub.add_parser("graph", help="graph-of-Lie-algebras commands")
+    gsub = p.add_subparsers(dest="graph_command", required=True)
+    gv = gsub.add_parser("verify", help="verify the fundamental-algebra sequence")
+    gv.add_argument("file")
+    gv.add_argument("--explicit-to", type=_count, default=None, dest="explicit_to")
+    gv.set_defaults(func=cmd_graph_verify)
+
+    p = sub.add_parser("onerelator")
+    osub = p.add_subparsers(dest="onerelator_command", required=True)
+    od = osub.add_parser("decompose", help="iterated HNN decomposition")
+    od.add_argument("file")
+    od.set_defaults(func=cmd_onerelator_decompose)
+
+    p = sub.add_parser("raag")
+    rsub = p.add_subparsers(dest="raag_command", required=True)
+    rc = rsub.add_parser("chordal")
+    rc.add_argument("file")
+    rc.set_defaults(func=cmd_raag_chordal)
+    rr = rsub.add_parser("resolve")
+    rr.add_argument("file")
+    rr.set_defaults(func=cmd_raag_resolve)
+    rv = rsub.add_parser("verdict")
+    rv.add_argument("file")
+    rv.set_defaults(func=cmd_raag_verdict)
+
+    p = sub.add_parser("example")
+    esub = p.add_subparsers(dest="example_command", required=True)
+    es = esub.add_parser("sec6", help="reproduce the worked example")
+    es.set_defaults(func=cmd_example_sec6)
+
+    return parser

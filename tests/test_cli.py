@@ -266,13 +266,11 @@ def test_bad_input_exits_2(capsys, tmp_path, argv):
         nested = f"[x,{nested}]"
     deep.write_text(f"field = Q\ngen x weight 1\ngen y weight 1\nrel {nested}\n")
     argv = [a.format(mn=mn, deep=deep) for a in argv]
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse rejects bad option values
-        code = exc.code
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
-    assert "error" in captured.err and "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
     assert captured.out == ""
 
 
@@ -365,6 +363,20 @@ def test_malformed_field_flag_exits_2(capsys, spec):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err and "internal error" not in captured.err
     assert captured.out == ""
+
+
+def test_rational_scalars_over_a_prime_field(capsys, tmp_path):
+    head = "field = Q\ngen a weight 1\ngen b weight 1\ngen x weight 1\n"
+    dims = {}
+    for name, rel in (("plain", "[a,b]"), ("half", "1/2*[a,b]"), ("seventh", "1/7*[a,b]")):
+        (tmp_path / f"{name}.lie").write_text(f"{head}rel {rel}\n")
+        code = main(["--field", "Fp:7", "--max-degree", "4", "dims", str(tmp_path / f"{name}.lie")])
+        captured = capsys.readouterr()
+        dims[name] = code, captured.out and json.loads(captured.out)["data"]["dims"], captured.err
+    assert dims["half"] == dims["plain"] == (0, ["3", "2", "5", "10"], "")
+    code, out, err = dims["seventh"]  # 7 is not invertible mod 7
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "not invertible" in err
 
 
 def test_onerelator_base_checked_past_max_degree(capsys):
@@ -484,3 +496,23 @@ def test_cli_import_leaves_dataclasses_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=60, check=True).stdout
     assert out == "False\n"
+
+
+def test_cli_run_leaves_argparse_gettext_and_locale_unloaded(tmp_path):
+    # the command line costs no argparse set-up and no gettext lookups,
+    # whose first one imports locale
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")])
+    )
+    code = (
+        "import sys\n"
+        "from gradedlie.cli import main\n"
+        f"code = main(['--out', {str(tmp_path / 'report.json')!r}, 'hall', '--gens', 'x,y'])\n"
+        "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True).stdout
+    assert out == "0 []\n"
+    assert json.loads((tmp_path / "report.json").read_text())["ok"] is True

@@ -1,13 +1,16 @@
-"""The CLI contract as a seeded property over mutated golden inputs.
+"""The CLI contract as seeded properties over mutated golden commands.
 
-Each example takes a command of the golden corpus that reads a
+The first property takes a command of the golden corpus that reads a
 presentation, a graph of Lie algebras or a simple graph, or takes --gen
 expressions, and mutates one of those inputs with a few inserted tokens,
 deleted spans or replaced characters (compare Miller, Fredriksen & So,
 CACM 33(12), 1990).  The command runs twice in process at a small
 --max-degree.  Every run must exit 0, 1 or 2 without a traceback, an exit
 2 must write exactly one `error:` line on stderr, and the two runs must
-print byte-identical stdout.
+print byte-identical stdout.  The second property mutates the command
+line itself: it inserts, deletes or replaces argv tokens, or edits the
+characters of one.  Every run must exit 0, 1 or 2 without a traceback, and
+an exit 2 must write one `error:` line and nothing on stdout.
 """
 
 import contextlib
@@ -18,8 +21,9 @@ import os
 import shutil
 import tempfile
 
-from hypothesis import HealthCheck, given, seed, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, seed, settings, strategies as st
 
+import oracles
 from gradedlie.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -30,6 +34,13 @@ TOKENS = [
     " ", "\n", "#", "[", "]", ",", "*", "+", "-", "=", "->", "0", "1", "2", "7", "1/2",
     "a", "b", "x", "gen", "rel", "weight", "field", "Q", "Fp:5", "Fp:4", "vertex",
     "vertices", "edge", "forest", "map", "sigma", "tau", "der", "stable-weight",
+]
+# argv tokens: flags of every level, their prefixes, values and commands
+ARGS = [
+    "--field", "--max-degree", "--hom-bound", "--format", "--out", "--gens", "--list",
+    "--gen", "--explicit-to", "--f", "--h", "--max", "--ex", "--gen=a", "--field=Fp:5",
+    "-h", "--help", "--", "-", "", "-x", "--bogus", "0", "1", "2", "-1", "x", "Q", "Fp:4",
+    "json", "table", "mn.lie", "c5.graph", "dims", "hall", "graph", "verify", "raag",
 ]
 
 
@@ -79,10 +90,7 @@ def run(argv: list, cwd: str) -> tuple:
     os.chdir(cwd)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejects the command line
-                code = exc.code
+            code = main(argv)
     finally:
         os.chdir(here)
     return code, out.getvalue(), err.getvalue()
@@ -121,3 +129,48 @@ def test_mutated_inputs_keep_the_exit_code_contract(data):
         if code == 2:
             assert sum("error:" in line for line in err.splitlines()) == 1, err
     assert first[1] == second[1]
+
+
+def small_bounds(argv: list) -> bool:
+    """False when the reference parser accepts `argv` with a bound above
+    the small ones: such a run proves nothing more and takes long."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            args = oracles.build_parser().parse_args(argv)
+        except SystemExit:
+            return True
+    return args.max_degree <= 3 and args.hom_bound <= 2 and \
+        (getattr(args, "explicit_to", None) or 0) <= 3
+
+
+@seed(20210105)
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_command_lines_keep_the_exit_code_contract(data):
+    argv, _ = data.draw(st.sampled_from(_targets()))
+    argv = ["--max-degree", "3", "--hom-bound", "2"] + list(argv)
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(argv) - 1))
+        kind = data.draw(st.sampled_from(["insert", "delete", "replace", "edit"]))
+        if kind == "insert":
+            argv.insert(i, data.draw(st.sampled_from(ARGS)))
+        elif kind == "delete":
+            del argv[i]
+        elif kind == "replace":
+            argv[i] = data.draw(st.sampled_from(ARGS))
+        else:
+            argv[i] = data.draw(mutations(argv[i]))
+        if not argv:
+            break
+    assume(small_bounds(argv))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in os.listdir(INPUTS):
+            shutil.copy(os.path.join(INPUTS, name), tmp)
+        code, out, err = run(argv, tmp)
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)

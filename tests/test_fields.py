@@ -30,6 +30,10 @@ def test_prime_field_basics():
     assert F5.inv(2) == 3
     assert F5.mul(2, F5.inv(2)) == 1
     assert F5.of(-1) == 4
+    assert F5.parse(" 7 ") == 2 and F5.parse("1/2") == 3 and F5.parse("-3/4") == 3
+    for text in ("1/5", "2/0"):
+        with pytest.raises(FieldError):
+            F5.parse(text)
     with pytest.raises(ZeroDivisionError):
         F5.inv(0)
     with pytest.raises(ZeroDivisionError):
