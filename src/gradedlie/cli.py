@@ -12,7 +12,12 @@ Reports are JSON (schema 1) with all dimensions as decimal strings so that
 consumers never overflow; identical inputs and configuration produce
 byte-identical reports.  Exit codes: 0 pass (a verified answer, "no"
 included), 1 verification failure, 2 input error, 3 internal error (a bug:
-a one-line message on stderr, no report).
+a one-line message on stderr, no report).  Exit 2 covers a bad command
+line, an input the loaders reject (an InputError), an input file that
+cannot be read or is not UTF-8, and a --out file that cannot be written.
+
+Each handler returns (ok, data); `main` builds and writes the report, and
+it alone maps exceptions to exit codes.
 """
 
 from __future__ import annotations
@@ -23,28 +28,20 @@ import sys
 from types import SimpleNamespace
 
 from . import example6
-from .fields import QQ, FieldError, parse_field
+from .fields import QQ, InputError, parse_field
 from .freelie import FreeLieAlgebra, witt_dims
 from .homology import homology_table
-from .onerelator import DecompositionError, decompose, verify_tower
-from .presented import (
-    InconclusiveAtDegree,
-    PresentationError,
-    infer_presentation,
-    load_presentation,
-)
+from .onerelator import decompose, verify_tower
+from .presented import infer_presentation, load_presentation
 
 SCHEMA = 1
 
 
-class InputError(Exception):
-    pass
-
-
-def _report(args, command: str, ok: bool, data: dict) -> dict:
+def _report(args, ok: bool, data: dict) -> dict:
+    sub = getattr(args, f"{args.command}_command", None)
     return {
         "schema": SCHEMA,
-        "command": command,
+        "command": f"{args.command} {sub}" if sub else args.command,
         "field": "Q" if args.field is None else args.field,
         "max_degree": getattr(args, "max_degree", None),
         "hom_bound": getattr(args, "hom_bound", None),
@@ -75,31 +72,21 @@ def _emit(args, report: dict) -> int:
 
 def _field(args, default=QQ):
     """The field of --field, or `default` when the flag is absent."""
-    if args.field is None:
-        return default
-    try:
-        return parse_field(args.field)
-    except FieldError as exc:
-        raise InputError(str(exc))
+    return default if args.field is None else parse_field(args.field)
 
 
 def _load_presentation(args, path):
     """Load over --field, or else over the file's own field line; the
     report states the field used."""
-    try:
-        P = load_presentation(path, field=_field(args, None))
-    except FileNotFoundError as exc:
-        raise InputError(str(exc))
-    except PresentationError as exc:
-        raise InputError(f"{path}: {exc}")
+    P = load_presentation(path, field=_field(args, None))
     args.field = P.field.name
     return P
 
 
-# -- subcommand handlers -------------------------------------------------
+# -- subcommand handlers: each returns (ok, data) -------------------------
 
 
-def cmd_hall(args) -> int:
+def cmd_hall(args) -> tuple[bool, dict]:
     specs = []
     for part in filter(None, map(str.strip, args.gens.split(","))):
         name, colon, w = part.partition(":")
@@ -109,11 +96,7 @@ def cmd_hall(args) -> int:
             raise InputError(f"bad generator weight in {part!r}")
     if not specs:
         raise InputError("empty generator list")
-    field = _field(args)
-    try:
-        alg = FreeLieAlgebra(field, specs)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    alg = FreeLieAlgebra(_field(args), specs)
     counts = alg.hall_counts(args.max_degree)
     expected = witt_dims([w for _, w in specs], args.max_degree)
     data = {
@@ -126,73 +109,60 @@ def cmd_hall(args) -> int:
             str(n): [alg.monomial_str(m) for m in alg.hall_basis(n)]
             for n in range(1, args.max_degree + 1)
         }
-    return _emit(args, _report(args, "hall", counts == expected, data))
+    return counts == expected, data
 
 
-def cmd_dims(args) -> int:
+def cmd_dims(args) -> tuple[bool, dict]:
     P = _load_presentation(args, args.file)
-    dims = P.dim_sequence(args.max_degree)
-    data = {"dims": _strs(dims), "generators": P.generator_names}
-    return _emit(args, _report(args, "dims", True, data))
+    return True, {"dims": _strs(P.dim_sequence(args.max_degree)),
+                  "generators": P.generator_names}
 
 
-def cmd_hilbert(args) -> int:
+def cmd_hilbert(args) -> tuple[bool, dict]:
     P = _load_presentation(args, args.file)
-    series = P.enveloping_series(args.max_degree)
-    data = {"coefficients": _strs(series.coeffs)}
-    return _emit(args, _report(args, "hilbert", True, data))
+    return True, {"coefficients": _strs(P.enveloping_series(args.max_degree).coeffs)}
 
 
-def cmd_homology(args) -> int:
+def cmd_homology(args) -> tuple[bool, dict]:
     P = _load_presentation(args, args.file)
     table = homology_table(P, args.hom_bound, args.max_degree)
-    data = {"table": {str(i): {str(n): str(d) for n, d in enumerate(row) if d}
-                      for i, row in enumerate(table)}}
-    return _emit(args, _report(args, "homology", True, data))
+    return True, {"table": {str(i): {str(n): str(d) for n, d in enumerate(row) if d}
+                            for i, row in enumerate(table)}}
 
 
-def cmd_hopf(args) -> int:
+def cmd_hopf(args) -> tuple[bool, dict]:
     P = _load_presentation(args, args.file)
     h1 = P.h1(args.max_degree)
     h2 = P.h2_hopf(args.max_degree)
-    data = {
+    return True, {
         "h1": _strs(h1),
         "h2": _strs(h2),
         "h1_total": str(sum(h1)),
         "h2_total": str(sum(h2)),
         "freeness": P.is_free_up_to(args.max_degree).verdict,
     }
-    return _emit(args, _report(args, "hopf", True, data))
 
 
-def cmd_infer(args) -> int:
+def cmd_infer(args) -> tuple[bool, dict]:
     P = _load_presentation(args, args.file)
     if not args.gen:
         raise InputError("infer needs at least one --gen expression")
-    try:
-        S = P.subalgebra(args.gen)
-        inferred = infer_presentation(S, args.max_degree, strict_boundary=False)
-    except (PresentationError, KeyError, ValueError) as exc:
-        raise InputError(str(exc))
+    inferred = infer_presentation(P.subalgebra(args.gen), args.max_degree)
     pres = inferred.presentation
-    data = {
+    return inferred.conclusive, {
         "generators": [f"{g.name}:{g.weight}" for g in pres.generators],
         "relators": [repr(r) for r in pres.relators],
         "relator_weights": _strs(pres.relator_weights()),
         "dims": _strs(pres.dim_sequence(args.max_degree)),
         "conclusive": inferred.conclusive,
     }
-    return _emit(args, _report(args, "infer", inferred.conclusive, data))
 
 
-def cmd_graph_verify(args) -> int:
-    from .graphalg import GraphError, load_graph, verify_theorem_a
+def cmd_graph_verify(args) -> tuple[bool, dict]:
+    from .graphalg import load_graph, verify_theorem_a
 
-    try:
-        graph = load_graph(args.file, field=_field(args, None))
-        report = verify_theorem_a(graph, args.max_degree, explicit_to=args.explicit_to)
-    except (GraphError, PresentationError, FieldError, FileNotFoundError) as exc:
-        raise InputError(str(exc))
+    graph = load_graph(args.file, field=_field(args, None))
+    report = verify_theorem_a(graph, args.max_degree, explicit_to=args.explicit_to)
     args.field = graph.field.name
     euler = report.euler_lhs is not None  # not reached after a failed embedding
     data = {
@@ -209,17 +179,14 @@ def cmd_graph_verify(args) -> int:
         ]
         data["explicit_ranks"] = [_strs((c.src_dim, c.mid_dim, c.rank_alpha)) for c in report.checks]
         data["explicit_ok"] = report.explicit_ok
-    return _emit(args, _report(args, "graph verify", report.ok, data))
+    return report.ok, data
 
 
-def cmd_onerelator_decompose(args) -> int:
+def cmd_onerelator_decompose(args) -> tuple[bool, dict]:
     P = _load_presentation(args, args.file)
-    try:
-        tower = decompose(P)
-    except DecompositionError as exc:
-        raise InputError(str(exc))
+    tower = decompose(P)
     report = verify_tower(tower, P, args.max_degree)
-    data = {
+    return report.ok, {
         "tower": tower.describe(),
         "rebuilt_dims": _strs(report.rebuilt_dims),
         "original_dims": _strs(report.original_dims),
@@ -227,58 +194,43 @@ def cmd_onerelator_decompose(args) -> int:
         "base_free": report.base_free,
         "layers": report.layer_reports,
     }
-    return _emit(args, _report(args, "onerelator decompose", report.ok, data))
 
 
-def _load_simple_graph(path):
-    from .raag import load_graph
+def cmd_raag_chordal(args) -> tuple[bool, dict]:
+    from .raag import is_chordal, load_graph
 
-    try:
-        return load_graph(path)
-    except (FileNotFoundError, ValueError) as exc:
-        raise InputError(str(exc))
-
-
-def cmd_raag_chordal(args) -> int:
-    from .raag import is_chordal
-
-    graph = _load_simple_graph(args.file)
-    res = is_chordal(graph)
+    res = is_chordal(load_graph(args.file))
     data = {"chordal": res.chordal}
     if res.chordal:
         data["peo"] = res.peo
     else:
         data["induced_cycle"] = res.cycle
     # either answer comes with a validated certificate: "no" is not a failure
-    return _emit(args, _report(args, "raag chordal", True, data))
+    return True, data
 
 
-def cmd_raag_resolve(args) -> int:
-    from .raag import verify_resolution
+def cmd_raag_resolve(args) -> tuple[bool, dict]:
+    from .raag import load_graph, verify_resolution
 
-    graph = _load_simple_graph(args.file)
-    report = verify_resolution(graph, args.max_degree, field=_field(args))
-    data = {
+    report = verify_resolution(load_graph(args.file), args.max_degree, field=_field(args))
+    return report.ok, {
         "exact": not report.failures,
         "euler_ok": report.euler_ok,
         "failures": [str(f[:3]) for f in report.failures[:10]],
         "ranks": [[_strs(pair) for pair in weight] for weight in report.ranks],
     }
-    return _emit(args, _report(args, "raag resolve", report.ok, data))
 
 
-def cmd_raag_verdict(args) -> int:
-    from .raag import coherence_verdict
+def cmd_raag_verdict(args) -> tuple[bool, dict]:
+    from .raag import coherence_verdict, load_graph
 
-    graph = _load_simple_graph(args.file)
-    verdict = coherence_verdict(graph)
-    return _emit(args, _report(args, "raag verdict", True, verdict.as_dict()))
+    return True, coherence_verdict(load_graph(args.file)).as_dict()
 
 
-def cmd_example_sec6(args) -> int:
+def cmd_example_sec6(args) -> tuple[bool, dict]:
     report = example6.full_report(_field(args))
     build = report["build_s"]
-    data = {
+    return report["ok"], {
         **{k: str(build[k]) for k in ("h1_total", "h2_total", "h1_ce_total", "h2_ce_total")},
         "relator_weights": _strs(build["relator_weights"]),
         "not_free_product": {
@@ -292,7 +244,6 @@ def cmd_example_sec6(args) -> int:
         },
         "not_raag": report["not_raag"]["ok"],
     }
-    return _emit(args, _report(args, "example sec6", report["ok"], data))
 
 
 # -- command line ---------------------------------------------------------
@@ -442,13 +393,14 @@ def _parse(argv: list):
 def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
-        return 0 if args is None else args.func(args)
-    except InputError as exc:
+        if args is None:
+            return 0
+        ok, data = args.func(args)
+        return _emit(args, _report(args, ok, data))
+    except (InputError, OSError, UnicodeDecodeError) as exc:
+        # the last two come only from reading an input file or writing --out
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except InconclusiveAtDegree as exc:
-        sys.stderr.write(f"inconclusive: {exc}\n")
-        return 1
     except Exception as exc:  # not a verdict on the input: keep it out of 1 and 2
         sys.stderr.write(f"internal error: {exc!r}\n")
         return 3

@@ -74,7 +74,8 @@ def build_s(field: Field):
         "not_in_free_factor": S.span(1).rank > 1,
     }
     report["ok"] = (
-        report["h1_total"] == 4
+        inferred.conclusive
+        and report["h1_total"] == 4
         and report["h2_total"] == 2
         and report["h1_ce_total"] == 4
         and report["h2_ce_total"] == 2

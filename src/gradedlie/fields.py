@@ -29,7 +29,12 @@ from fractions import Fraction
 from math import lcm
 
 
-class FieldError(ValueError):
+class InputError(ValueError):
+    """Bad input: a malformed file, expression, graph or field spec.  The
+    CLI exits 2 on it; the loaders' own errors are its subclasses."""
+
+
+class FieldError(InputError):
     """Bad field construction or mixed-field operation."""
 
 
@@ -102,9 +107,13 @@ class Field:
     def parse(self, text: str):
         """An integer or a/b, mapped into the field by `of`."""
         num, slash, den = text.strip().partition("/")
-        if slash and not int(den):
+        try:  # int() refuses a string of more than 4300 digits
+            num, den = int(num), int(den) if slash else 1
+        except ValueError as exc:
+            raise FieldError(str(exc)) from None
+        if not den:
             raise FieldError("zero denominator")
-        return self.of(Fraction(int(num), int(den)) if slash else int(num))
+        return self.of(Fraction(num, den) if slash else num)
 
     def format(self, a) -> str:
         return str(a)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional
 
-from .fields import Field, FieldError
+from .fields import Field, FieldError, InputError
 
 
 class Generator:
@@ -32,7 +32,7 @@ class Generator:
 
     def __init__(self, name: str, weight: int):
         if weight < 1:
-            raise ValueError(f"generator {name!r} has weight {weight} < 1")
+            raise InputError(f"generator {name!r} has weight {weight} < 1")
         self.name = name
         self.weight = weight
 
@@ -53,7 +53,7 @@ class FreeLieAlgebra:
                 gens.append(Generator(name, int(weight)))
         names = [g.name for g in gens]
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate generator names in {names}")
+            raise InputError(f"duplicate generator names in {names}")
         self.gens: list[Generator] = gens
         self.gen_index = {g.name: i for i, g in enumerate(gens)}
 
@@ -212,7 +212,7 @@ class FreeLieAlgebra:
 
     def gen_element(self, name: str) -> "LieElement":
         if name not in self.gen_index:
-            raise KeyError(f"unknown generator {name!r}")
+            raise InputError(f"unknown generator {name!r}")
         return LieElement(self, {self.gen_monomial(name): self.field.one})
 
     def monomial_element(self, mid: int) -> "LieElement":
@@ -440,7 +440,7 @@ def witt_dims(weights: list[int], max_weight: int) -> list[int]:
 MAX_NESTING = 100
 
 
-class ExprSyntaxError(ValueError):
+class ExprSyntaxError(InputError):
     def __init__(self, text: str, pos: int, message: str):
         super().__init__(f"{message} at position {pos}: {text!r}")
         self.pos = pos

@@ -42,14 +42,14 @@ import os
 from typing import Optional
 
 from .envelope import Envelope, InducedModule
-from .fields import Field, check_same_field
+from .fields import Field, InputError, check_same_field
 from .freelie import FreeLieAlgebra, LieElement, substitution
 from .linalg import Echelon
 from .presented import GeneratedSpans, GradedSubalgebra, PresentedLieAlgebra, load_presentation
 from .series import HilbertSeries
 
 
-class GraphError(ValueError):
+class GraphError(InputError):
     pass
 
 
@@ -59,8 +59,8 @@ def _parse(alg: PresentedLieAlgebra, expr, what: str) -> LieElement:
         return expr
     try:
         return alg.parse(expr)
-    except (ValueError, KeyError) as exc:
-        raise GraphError(f"{what}: {exc.args[0]}") from exc
+    except InputError as exc:
+        raise GraphError(f"{what}: {exc}") from exc
 
 
 class LieHomomorphism:

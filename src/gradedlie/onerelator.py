@@ -30,16 +30,15 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .fields import InputError
 from .freelie import FreeLieAlgebra, LieElement, substitution
 from .graphalg import GraphError, LieDerivation, hnn
 from .linalg import ColumnSolver
 from .presented import PresentationError, PresentedLieAlgebra, infer_presentation
 
 
-class DecompositionError(ValueError):
-    def __init__(self, message, state=None):
-        super().__init__(message)
-        self.state = state
+class DecompositionError(InputError):
+    pass
 
 
 class TowerLayer:
@@ -143,8 +142,7 @@ def decompose(P: PresentedLieAlgebra) -> HNNTower:
 
     Peels stable letters until the re-expressed relator's leading Hall
     monomial is a generator symbol of the current family; each exponent
-    j is chosen minimal.  LAYER_CAP bounds the number of steps (an exceeded
-    cap aborts with the last state attached).
+    j is chosen minimal.  LAYER_CAP bounds the number of steps.
     """
     if len(P.relators) != 1:
         raise DecompositionError("decompose requires exactly one relator")
@@ -159,8 +157,7 @@ def decompose(P: PresentedLieAlgebra) -> HNNTower:
         expressed = _express_over(free, family, r)
         if expressed is None:
             raise DecompositionError(
-                "relator left the current family (internal error)",
-                state=(family, layers),
+                "relator left the current family (internal error)"
             )
         abstract, r_hat = expressed
         lead = max(r_hat.terms, key=abstract.key)
@@ -179,13 +176,12 @@ def decompose(P: PresentedLieAlgebra) -> HNNTower:
         else:
             raise DecompositionError(
                 f"relator not expressible over the rebased family "
-                f"(weight cap {jmax})",
-                state=(family, layers),
+                f"(weight cap {jmax})"
             )
         family = new_family
         Z = sorted((_iterate_bracket(free, h, z, jj) for z in rest for jj in range(j)), key=free.key)
         layers.append(TowerLayer(h, free.weight(h), list(family), Z, j))
-    raise DecompositionError(f"cap {LAYER_CAP} exceeded before stabilization", state=(family, layers))
+    raise DecompositionError(f"cap {LAYER_CAP} exceeded before stabilization")
 
 
 class TowerReport:
@@ -289,7 +285,7 @@ def verify_tower(tower: HNNTower, P: PresentedLieAlgebra, N: int) -> TowerReport
         associated_free = True
         if layer.Z:
             checked_to = max(max(free.weight(z) for z in layer.Z) + 2, 4)
-            inf = infer_presentation(der.domain, checked_to, strict_boundary=False)
+            inf = infer_presentation(der.domain, checked_to)
             associated_free = not inf.presentation.relators
         frei = freiheitssatz_check(tower.original, r, layer.Z)
         # one exponent less must lose r: shrink the family and retest

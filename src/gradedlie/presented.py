@@ -37,23 +37,14 @@ from itertools import combinations_with_replacement
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .fields import Field, FieldError, PrimeField, check_same_field, integral, parse_field
+from .fields import Field, FieldError, InputError, PrimeField, check_same_field, integral, parse_field
 from .freelie import FreeLieAlgebra, LieElement, witt_dims
 from .linalg import Echelon, SparseMatrix
 from .series import HilbertSeries
 
 
-class PresentationError(ValueError):
+class PresentationError(InputError):
     pass
-
-
-class InconclusiveAtDegree(Exception):
-    """Raised when a truncated computation cannot certify its answer."""
-
-    def __init__(self, degree: int, message: str, partial=None):
-        super().__init__(f"inconclusive at degree {degree}: {message}")
-        self.degree = degree
-        self.partial = partial
 
 
 class PresentedLieAlgebra:
@@ -648,7 +639,6 @@ def infer_presentation(
     S: GradedSubalgebra,
     N: int,
     names: Optional[Sequence[str]] = None,
-    strict_boundary: bool = True,
 ) -> InferredPresentation:
     """Minimal graded presentation of S, computed degree by degree.
 
@@ -659,9 +649,8 @@ def infer_presentation(
     appended before I_n is first read, so each ideal component is built
     once.  S/[S,S] is spanned by the given generators, so the generator
     set is complete exactly when N >= 1 and N reaches the largest weight
-    of a given generator with a nonzero image.  Otherwise this raises
-    InconclusiveAtDegree; pass strict_boundary=False to get the truncated
-    presentation anyway, flagged inconclusive.
+    of a given generator with a nonzero image; below that the truncated
+    presentation is returned flagged inconclusive.
     """
     field = S.field
     eng = S.ambient.engine
@@ -675,10 +664,6 @@ def infer_presentation(
                 gen_specs.append((n, row))
     need = max([1] + [w for w, vec in S.gens if vec])
     conclusive = N >= need
-    if not conclusive and strict_boundary:
-        raise InconclusiveAtDegree(
-            N, f"the generator set is certified from weight {need} on", partial=gen_specs
-        )
 
     if names is None:
         names = [f"s{i + 1}" for i in range(len(gen_specs))]
@@ -772,11 +757,16 @@ def parse_presentation(
     for lineno, t in rel_texts:
         try:
             rels.append(free.parse(t))
-        except (ValueError, KeyError) as exc:
+        except InputError as exc:
             raise PresentationError(f"line {lineno}: {exc}") from exc
     return PresentedLieAlgebra(use_field, gens, rels, name=name, free=free)
 
 
 def load_presentation(path, field: Optional[Field] = None) -> PresentedLieAlgebra:
+    """The presentation in file `path`; a PresentationError names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_presentation(fh.read(), field=field, name=str(path))
+        text = fh.read()
+    try:
+        return parse_presentation(text, field=field, name=str(path))
+    except PresentationError as exc:
+        raise PresentationError(f"{path}: {exc}") from None

@@ -76,7 +76,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional
 
-from .fields import QQ, Field
+from .fields import QQ, Field, InputError
 from .linalg import Echelon
 from .presented import PresentedLieAlgebra
 from .series import HilbertSeries
@@ -88,15 +88,15 @@ class SimpleGraph:
     def __init__(self, vertices, edges):
         self.vertices = list(vertices)
         if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("duplicate vertices")
+            raise InputError("duplicate vertices")
         vset = set(self.vertices)
         self.edges = set()
         for e in edges:
             u, v = e
             if u == v:
-                raise ValueError(f"loop at {u!r} not allowed")
+                raise InputError(f"loop at {u!r} not allowed")
             if u not in vset or v not in vset:
-                raise ValueError(f"edge {e} references unknown vertex")
+                raise InputError(f"edge {e} references unknown vertex")
             self.edges.add(frozenset((u, v)))
 
     def has_edge(self, u, v) -> bool:
@@ -159,12 +159,12 @@ def parse_graph(text: str) -> SimpleGraph:
             vertices.extend(parts[1:])
         elif parts[0] == "edge":
             if len(parts) != 3:
-                raise ValueError(f"line {lineno}: expected 'edge <u> <v>'")
+                raise InputError(f"line {lineno}: expected 'edge <u> <v>'")
             edges.append((parts[1], parts[2]))
         else:
-            raise ValueError(f"line {lineno}: unrecognized line {raw!r}")
+            raise InputError(f"line {lineno}: unrecognized line {raw!r}")
     if not vertices:
-        raise ValueError("no vertices declared")
+        raise InputError("no vertices declared")
     return SimpleGraph(vertices, edges)
 
 

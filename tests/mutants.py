@@ -274,6 +274,11 @@ MUTANTS = [
      "            value = [value]\n",
      [CHOSEN + "[repeated-gen]",
       "tests/test_cli_parser.py::test_corpus_and_workload_lines_parse_as_before"]),
+    # exit codes: an unreadable input or --out file taken for a bug
+    (CLI,
+     "except (InputError, OSError, UnicodeDecodeError)",
+     "except (InputError, UnicodeDecodeError)",
+     ["tests/test_cli.py::test_input_errors"]),
 ]
 
 

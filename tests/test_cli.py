@@ -200,14 +200,34 @@ def test_example_sec6(capsys):
 
 
 def test_input_errors(capsys, tmp_path):
-    code = main(["dims", str(tmp_path / "missing.lie")])
-    assert code == 2
     bad = tmp_path / "bad.lie"
     bad.write_text("field = Q\ngen a weight one\n")
-    code = main(["dims", str(bad)])
-    assert code == 2
-    code = main(["--field", "R", "hall", "--gens", "x"])
-    assert code == 2
+    latin1 = tmp_path / "latin1.lie"
+    latin1.write_bytes("field = Q\ngen é weight 1\n".encode("latin-1"))
+    (tmp_path / "sub").mkdir()
+    vertex_dir = tmp_path / "vertex-dir.graph"
+    vertex_dir.write_text("vertex v sub\n")
+    for argv in [
+        ["dims", str(tmp_path / "missing.lie")],
+        ["dims", str(bad)],
+        ["--field", "R", "hall", "--gens", "x"],
+        # a directory as the input, or as a file the input names
+        ["dims", str(tmp_path)],
+        ["raag", "chordal", str(tmp_path)],
+        ["graph", "verify", str(tmp_path)],
+        ["graph", "verify", str(vertex_dir)],
+        # an input file that is not UTF-8
+        ["dims", str(latin1)],
+        ["infer", str(latin1), "--gen", "a"],
+        ["graph", "verify", str(latin1)],
+        # a --out file in a missing directory
+        ["--out", str(tmp_path / "missing" / "r.json"), "hall", "--gens", "x"],
+    ]:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, (argv, captured.err)
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+        assert captured.out == "", argv
 
 
 def test_internal_error_exits_3(capsys, monkeypatch, heisenberg_file):
@@ -223,6 +243,23 @@ def test_internal_error_exits_3(capsys, monkeypatch, heisenberg_file):
     assert captured.out == ""
     assert captured.err.startswith("internal error: KeyError(")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_internal_key_error_in_inference_exits_3(capsys, monkeypatch):
+    # a fault inside inference is a bug, not a verdict on the input
+    from gradedlie import presented
+
+    def broken(self):
+        raise KeyError("lost column")
+
+    monkeypatch.setattr(presented.SparseMatrix, "kernel", broken)
+    path = os.path.join(os.path.dirname(__file__), "golden", "inputs", "mn.lie")
+    code = main(["--max-degree", "3", "infer", path, "--gen", "a", "--gen", "[x,a]"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: KeyError(")
+    assert captured.err.count("\n") == 1
 
 
 def test_byte_identical_reports(capsys, heisenberg_file):
@@ -328,6 +365,7 @@ BAD_GRAPH_AND_PRESENTATION_INPUTS = {
     "rel-unknown-before-syntax-error": "field = Q\ngen a weight 1\ngen b weight 1\nrel [q,\n",
     "generator-weight-0": "field = Q\ngen x weight 0\n",
     "duplicate-generator": "field = Q\ngen x weight 1\ngen y weight 1\ngen x weight 2\n",
+    "rel-scalar-too-long": "field = Q\ngen a weight 1\ngen b weight 1\nrel " + "1" * 5000 + "*[a,b]\n",
     "field-line-unknown": "field = xQ\ngen x weight 1\n",
     "field-line-bad-modulus": "field = Fp:7.0\ngen x weight 1\n",
     "vertex-field-line": "vertex v badfield.lie\n",

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradedlie.fields import QQ, GF
+from gradedlie.fields import QQ, GF, InputError
 from gradedlie.freelie import (
     ExprSyntaxError,
     FreeLieAlgebra,
@@ -179,10 +179,10 @@ def test_parser():
         parse_expression(alg, "[x,y")
     with pytest.raises(ExprSyntaxError):
         alg.parse("x )")
-    with pytest.raises(KeyError):
+    with pytest.raises(InputError, match="unknown generator"):
         alg.parse("[x,zz]")
     # one pass: the first error from the left is the one raised
-    with pytest.raises(KeyError):
+    with pytest.raises(InputError, match="unknown generator"):
         alg.parse("[zz,")
     with pytest.raises(ExprSyntaxError):
         alg.parse("[x, ) + zz")

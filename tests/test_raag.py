@@ -379,7 +379,7 @@ def test_derived_subalgebra_free_for_chordal():
                 vec = {i: QQ.one}
                 gens.append((n, vec))
         S = L.subalgebra(gens)
-        inf = infer_presentation(S, 6, strict_boundary=False)
+        inf = infer_presentation(S, 6)
         assert inf.presentation.relators == [], g
         assert inf.presentation.is_free_up_to(6) == "free-witnessed"
 

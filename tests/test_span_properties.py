@@ -115,7 +115,7 @@ def test_generator_steps_match_basis_oracles(case):
 def test_induced_module_dims_match_series_quotient(case):
     L, sub_gens = case
     S = L.subalgebra(sub_gens)
-    source = infer_presentation(S, 4, strict_boundary=False).presentation
+    source = infer_presentation(S, 4).presentation
     explicit, _ = induced_module_dims(Envelope(L), source, S, 4)
     quotient = L.enveloping_series(4).divide(source.enveloping_series(4))
     assert explicit == quotient.coeffs
@@ -223,7 +223,7 @@ def test_inferred_presentations_are_minimal(name, data):
     # redundant relator needs, so the draws are many (and cheap).
     L, sub_gens = data.draw(presentations_with_subalgebra(FIELDS[name]))
     S = L.subalgebra(sub_gens)
-    P = infer_presentation(S, N, strict_boundary=False).presentation
+    P = infer_presentation(S, N).presentation
 
     def per_weight(weights):
         return [weights.count(n) for n in range(1, N + 1)]
