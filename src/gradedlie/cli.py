@@ -8,13 +8,16 @@ its file.  A value follows its option as the next argument or after "="
 (the only form for a value that starts with "-"), and a unique prefix names
 a long option.  -h or --help prints the usage of its level and exits 0; any
 other bad command line writes one "error: ..." line to stderr and exits 2.
+--field is checked under every command, whether or not the command uses
+it, and a report gives the canonical name of the field used ("Fp:7" for
+"Fp:007"): the flag's field, else a file's own field line, else Q.
 Reports are JSON (schema 1) with all dimensions as decimal strings so that
 consumers never overflow; identical inputs and configuration produce
 byte-identical reports.  Exit codes: 0 pass (a verified answer, "no"
 included), 1 verification failure, 2 input error, 3 internal error (a bug:
 a one-line message on stderr, no report).  Exit 2 covers a bad command
-line, an input the loaders reject (an InputError), an input file that
-cannot be read or is not UTF-8, and a --out file that cannot be written.
+line, an input the loaders reject (an InputError, which names the file),
+an input file that cannot be read, and a --out file that cannot be written.
 
 Each handler returns (ok, data); `main` builds and writes the report, and
 it alone maps exceptions to exit codes.
@@ -27,8 +30,8 @@ import re
 import sys
 from types import SimpleNamespace
 
-from . import example6
-from .fields import QQ, InputError, parse_field
+from . import example6, graphalg, raag
+from .fields import QQ, InputError, integer, parse_field
 from .freelie import FreeLieAlgebra, witt_dims
 from .homology import homology_table
 from .onerelator import decompose, verify_tower
@@ -42,7 +45,7 @@ def _report(args, ok: bool, data: dict) -> dict:
     return {
         "schema": SCHEMA,
         "command": f"{args.command} {sub}" if sub else args.command,
-        "field": "Q" if args.field is None else args.field,
+        "field": (args.field or QQ).name,
         "max_degree": getattr(args, "max_degree", None),
         "hom_bound": getattr(args, "hom_bound", None),
         "seed": 0,  # no option sets it; schema 1 keeps the key
@@ -70,16 +73,11 @@ def _emit(args, report: dict) -> int:
     return 0 if report["ok"] else 1
 
 
-def _field(args, default=QQ):
-    """The field of --field, or `default` when the flag is absent."""
-    return default if args.field is None else parse_field(args.field)
-
-
 def _load_presentation(args, path):
     """Load over --field, or else over the file's own field line; the
     report states the field used."""
-    P = load_presentation(path, field=_field(args, None))
-    args.field = P.field.name
+    P = load_presentation(path, field=args.field)
+    args.field = P.field
     return P
 
 
@@ -89,14 +87,11 @@ def _load_presentation(args, path):
 def cmd_hall(args) -> tuple[bool, dict]:
     specs = []
     for part in filter(None, map(str.strip, args.gens.split(","))):
-        name, colon, w = part.partition(":")
-        try:
-            specs.append((name.strip(), int(w) if colon else 1))
-        except ValueError:
-            raise InputError(f"bad generator weight in {part!r}")
+        name, colon, w = map(str.strip, part.partition(":"))
+        specs.append((name, integer(w, f"weight of {name!r}", 1) if colon else 1))
     if not specs:
         raise InputError("empty generator list")
-    alg = FreeLieAlgebra(_field(args), specs)
+    alg = FreeLieAlgebra(args.field or QQ, specs)
     counts = alg.hall_counts(args.max_degree)
     expected = witt_dims([w for _, w in specs], args.max_degree)
     data = {
@@ -159,11 +154,9 @@ def cmd_infer(args) -> tuple[bool, dict]:
 
 
 def cmd_graph_verify(args) -> tuple[bool, dict]:
-    from .graphalg import load_graph, verify_theorem_a
-
-    graph = load_graph(args.file, field=_field(args, None))
-    report = verify_theorem_a(graph, args.max_degree, explicit_to=args.explicit_to)
-    args.field = graph.field.name
+    graph = graphalg.load_graph(args.file, field=args.field)
+    args.field = graph.field
+    report = graphalg.verify_theorem_a(graph, args.max_degree, explicit_to=args.explicit_to)
     euler = report.euler_lhs is not None  # not reached after a failed embedding
     data = {
         "euler_ok": report.euler_ok,
@@ -197,9 +190,7 @@ def cmd_onerelator_decompose(args) -> tuple[bool, dict]:
 
 
 def cmd_raag_chordal(args) -> tuple[bool, dict]:
-    from .raag import is_chordal, load_graph
-
-    res = is_chordal(load_graph(args.file))
+    res = raag.is_chordal(raag.load_graph(args.file))
     data = {"chordal": res.chordal}
     if res.chordal:
         data["peo"] = res.peo
@@ -210,9 +201,8 @@ def cmd_raag_chordal(args) -> tuple[bool, dict]:
 
 
 def cmd_raag_resolve(args) -> tuple[bool, dict]:
-    from .raag import load_graph, verify_resolution
-
-    report = verify_resolution(load_graph(args.file), args.max_degree, field=_field(args))
+    report = raag.verify_resolution(raag.load_graph(args.file), args.max_degree,
+                                    field=args.field or QQ)
     return report.ok, {
         "exact": not report.failures,
         "euler_ok": report.euler_ok,
@@ -222,13 +212,11 @@ def cmd_raag_resolve(args) -> tuple[bool, dict]:
 
 
 def cmd_raag_verdict(args) -> tuple[bool, dict]:
-    from .raag import coherence_verdict, load_graph
-
-    return True, coherence_verdict(load_graph(args.file)).as_dict()
+    return True, raag.coherence_verdict(raag.load_graph(args.file)).as_dict()
 
 
 def cmd_example_sec6(args) -> tuple[bool, dict]:
-    report = example6.full_report(_field(args))
+    report = example6.full_report(args.field or QQ)
     build = report["build_s"]
     return report["ok"], {
         **{k: str(build[k]) for k in ("h1_total", "h2_total", "h1_ce_total", "h2_ce_total")},
@@ -249,17 +237,6 @@ def cmd_example_sec6(args) -> tuple[bool, dict]:
 # -- command line ---------------------------------------------------------
 
 HELP = ("help", None, "show this help message and exit")
-
-
-def _count(flag: str, text: str) -> int:
-    """The value of a nonnegative integer option."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise InputError(f"argument {flag}: expected an integer >= 0, got {text!r}")
-    return value
 
 
 def _grammar() -> dict:
@@ -374,7 +351,7 @@ def _parse(argv: list):
             if value is None or _option(options, value) is not None:
                 raise InputError(f"argument {flag}: expected one argument")
         if kind == "count":
-            value = _count(flag, value)
+            value = integer(value, f"argument {flag}")
         elif kind == "append":
             value = values.get(dest, []) + [value]
         elif isinstance(kind, tuple) and value not in kind:
@@ -395,10 +372,11 @@ def main(argv=None) -> int:
         args = _parse(sys.argv[1:] if argv is None else argv)
         if args is None:
             return 0
+        args.field = None if args.field is None else parse_field(args.field)
         ok, data = args.func(args)
         return _emit(args, _report(args, ok, data))
-    except (InputError, OSError, UnicodeDecodeError) as exc:
-        # the last two come only from reading an input file or writing --out
+    except (InputError, OSError) as exc:
+        # an OSError comes only from reading an input file or writing --out
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception as exc:  # not a verdict on the input: keep it out of 1 and 2

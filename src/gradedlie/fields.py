@@ -21,6 +21,10 @@ their own boundaries.
 
 Fields are spelled ``"Q"`` or ``"Fp:<prime>"`` in config files and on the
 command line; see :func:`parse_field`.
+
+The module is also the package's input boundary: :class:`InputError`, the
+one reader of input files (:func:`load`), the one line splitter of their
+formats (:func:`lines`) and the one reader of integers (:func:`integer`).
 """
 
 from __future__ import annotations
@@ -36,6 +40,40 @@ class InputError(ValueError):
 
 class FieldError(InputError):
     """Bad field construction or mixed-field operation."""
+
+
+def load(path, parse, *args):
+    """parse(text, *args) of the UTF-8 file `path`.  A decode error is an
+    InputError; it and any InputError of `parse` get the path in front,
+    each in its own class."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read(), *args)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    except InputError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+def lines(text: str):
+    """(number, line) of each line of an input file that is not blank once
+    its # comment is cut off, the line stripped."""
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield number, line
+
+
+def integer(text: str, what: str, least: int = 0, error=InputError) -> int:
+    """int(text) when that is at least `least`, else `error` naming `what`."""
+    try:
+        value = int(text)
+    except ValueError:  # also for a string of more than 4300 digits
+        value = least - 1
+    if value < least:
+        raise error(f"{what}: expected an integer >= {least}, got {text!r}")
+    return value
 
 
 def is_prime(n: int) -> bool:
@@ -264,11 +302,7 @@ def parse_field(text: str) -> Field:
     if text == "Q":
         return QQ
     if text.startswith("Fp:"):
-        try:
-            p = int(text[3:])
-        except ValueError:
-            raise FieldError(f"bad modulus in {text!r} (expected 'Fp:<prime>')") from None
-        return PrimeField(p)
+        return PrimeField(integer(text[3:], f"modulus of {text!r}", 2, FieldError))
     raise FieldError(f"unknown field spec {text!r} (expected 'Q' or 'Fp:<prime>')")
 
 

@@ -25,7 +25,8 @@ Amalgams and HNN extensions are the one-edge graphs: an amalgam is built
 and verified as the fundamental algebra of a one-edge graph, and `hnn`
 builds a single HNN extension directly for the one-relator towers.
 
-Graph file format::
+Graph file format, where # starts a comment and blank lines are allowed;
+each vertex and edge id is declared once::
 
     vertex v1 path/to/presentation.lie
     edge e1 v1 v2 forest path/to/edge.lie
@@ -39,10 +40,11 @@ Graph file format::
 from __future__ import annotations
 
 import os
+from collections import defaultdict
 from typing import Optional
 
 from .envelope import Envelope, InducedModule
-from .fields import Field, InputError, check_same_field
+from .fields import Field, InputError, check_same_field, integer, lines, load
 from .freelie import FreeLieAlgebra, LieElement, substitution
 from .linalg import Echelon
 from .presented import GeneratedSpans, GradedSubalgebra, PresentedLieAlgebra, load_presentation
@@ -232,15 +234,15 @@ def hnn(
     free = FreeLieAlgebra(L.field, gens)
     into = substitution(L.free, free, {g.name: free.gen_element(g.name) for g in L.generators})
     rels = [into(r) for r in L.relators]
-    t = free.gen_element(t_name)
-    for g_expr, v_expr in zip(derivation.domain_gens, derivation.values):
-        rel = t.bracket(into(g_expr))
-        if not v_expr.is_zero():
-            rel = rel - into(v_expr)
-        if rel.is_zero():
-            continue
-        rels.append(rel)
+    pairs = ((into(g), into(v)) for g, v in zip(derivation.domain_gens, derivation.values))
+    rels += _hnn_relators(free.gen_element(t_name), pairs)
     return PresentedLieAlgebra(L.field, gens, rels, name=name, free=free)
+
+
+def _hnn_relators(t: LieElement, pairs) -> list:
+    """The nonzero [t, a] - d(a) for the pairs (a, d(a)): the relators an
+    HNN extension with stable letter t adds."""
+    return [rel for rel in (t.bracket(a) - da for a, da in pairs) if not rel.is_zero()]
 
 
 # ----------------------------------------------------------------------
@@ -404,14 +406,10 @@ class FundamentalAlgebra:
                     if not diff.is_zero():
                         rels.append(diff)
             else:
-                t = free.gen_element(e.id)
-                for g in e.algebra.generators:
-                    rel = t.bracket(into_src(graph.sigma[e.id].images[g.name]))
-                    dval = e.der_values[g.name]
-                    if not dval.is_zero():
-                        rel = rel - into_dst(dval)
-                    if not rel.is_zero():
-                        rels.append(rel)
+                sigma = graph.sigma[e.id].images
+                pairs = ((into_src(sigma[g.name]), into_dst(e.der_values[g.name]))
+                         for g in e.algebra.generators)
+                rels += _hnn_relators(free.gen_element(e.id), pairs)
         self.algebra = PresentedLieAlgebra(field, gens, rels, name="fundamental", free=free)
 
     def vertex_embedding(self, vid: str) -> LieHomomorphism:
@@ -613,75 +611,61 @@ def verify_theorem_a(
 # graph files
 
 
-def _stable_weight(text: str, lineno: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise GraphError(f"line {lineno}: bad stable weight {text.strip()!r}") from None
-
-
 def parse_graph_file(text: str, base_dir: str, field: Optional[Field] = None) -> GraphOfLieAlgebras:
     """Parse the graph file format (see module docstring)."""
-    vertices = {}
-    edge_specs = []
-    maps = []
-    ders = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    vertices, specs = {}, {}
+    # edge id -> its map, der and stable-weight lines, in any order
+    tables = defaultdict(lambda: {"sigma": {}, "tau": {}, "der": {}, "weights": set()})
+    for lineno, line in lines(text):
         parts = line.split()
         if parts[0] == "vertex":
             if len(parts) != 3:
                 raise GraphError(f"line {lineno}: expected 'vertex <id> <file>'")
+            if parts[1] in vertices:
+                raise GraphError(f"line {lineno}: vertex {parts[1]!r} declared twice")
             vertices[parts[1]] = load_presentation(
                 os.path.join(base_dir, parts[2]), field=field
             )
         elif parts[0] == "edge":
             body = parts[1:]
-            sw = None
             if len(body) >= 2 and body[-2] == "stable-weight":
-                sw = _stable_weight(body[-1], lineno)
+                weight = integer(body[-1], f"line {lineno}: stable weight", 1, GraphError)
+                tables[body[0]]["weights"].add(weight)
                 body = body[:-2]
-            if len(body) == 5 and body[3] == "forest":
-                edge_specs.append((body[0], body[1], body[2], True, body[4], sw))
-            elif len(body) == 4:
-                edge_specs.append((body[0], body[1], body[2], False, body[3], sw))
-            else:
+            if len(body) not in (4, 5) or len(body) == 5 and body[3] != "forest":
                 raise GraphError(
                     f"line {lineno}: expected 'edge <id> <src> <dst> [forest] <file>'"
                 )
+            if body[0] in specs:
+                raise GraphError(f"line {lineno}: edge {body[0]!r} declared twice")
+            specs[body[0]] = (body[1], body[2], len(body) == 5, body[-1])
         elif parts[0] == "map":
             if len(parts) < 4 or parts[1] not in ("sigma", "tau"):
                 raise GraphError(f"line {lineno}: malformed map line")
-            rest = " ".join(parts[3:])
-            if "->" not in rest:
+            gen, arrow, expr = " ".join(parts[3:]).partition("->")
+            if not arrow:
                 raise GraphError(f"line {lineno}: map needs '<gen> -> <expr>'")
-            gen, expr = rest.split("->", 1)
-            maps.append((parts[1], parts[2], gen.strip(), expr.strip()))
+            tables[parts[2]][parts[1]][gen.strip()] = expr.strip()
         elif parts[0] == "der":
-            rest = " ".join(parts[2:])
-            if "->" not in rest or "stable-weight" not in rest:
+            gen, arrow, tail = " ".join(parts[2:]).partition("->")
+            expr, keyword, sw = tail.rpartition("stable-weight")
+            if not arrow or not keyword:
                 raise GraphError(
                     f"line {lineno}: der needs '<gen> -> <expr> stable-weight <w>'"
                 )
-            gen, tail = rest.split("->", 1)
-            expr, sw = tail.rsplit("stable-weight", 1)
-            ders.append((parts[1], gen.strip(), expr.strip(), _stable_weight(sw, lineno)))
+            weight = integer(sw.strip(), f"line {lineno}: stable weight", 1, GraphError)
+            tables[parts[1]]["der"][gen.strip()] = expr.strip()
+            tables[parts[1]]["weights"].add(weight)
         else:
-            raise GraphError(f"line {lineno}: unrecognized line {raw!r}")
+            raise GraphError(f"line {lineno}: unrecognized line {line!r}")
     if not vertices:
         raise GraphError("no vertices declared")
     fld = field or next(iter(vertices.values())).field
     edges = []
-    for eid, src, dst, in_forest, fname, sw_line in edge_specs:
+    for eid, (src, dst, in_forest, fname) in specs.items():
         alg = load_presentation(os.path.join(base_dir, fname), field=field)
-        sigma_images = {g: e for kind, id_, g, e in maps if id_ == eid and kind == "sigma"}
-        tau_images = {g: e for kind, id_, g, e in maps if id_ == eid and kind == "tau"}
-        der_values = {g: e for id_, g, e, _ in ders if id_ == eid}
-        weights = {w for id_, _, _, w in ders if id_ == eid}
-        if sw_line is not None:
-            weights.add(sw_line)
+        table = tables[eid]
+        weights = table["weights"]
         stable_weight = weights.pop() if weights else None
         if weights:
             raise GraphError(f"edge {eid}: conflicting stable weights")
@@ -696,10 +680,10 @@ def parse_graph_file(text: str, base_dir: str, field: Optional[Field] = None) ->
                 src,
                 dst,
                 alg,
-                sigma_images,
+                table["sigma"],
                 in_forest,
-                tau_images=tau_images or None,
-                der_values=der_values or None,
+                tau_images=table["tau"] or None,
+                der_values=table["der"] or None,
                 stable_weight=stable_weight,
             )
         )
@@ -707,5 +691,4 @@ def parse_graph_file(text: str, base_dir: str, field: Optional[Field] = None) ->
 
 
 def load_graph(path, field: Optional[Field] = None) -> GraphOfLieAlgebras:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph_file(fh.read(), os.path.dirname(os.path.abspath(path)), field)
+    return load(path, parse_graph_file, os.path.dirname(os.path.abspath(path)), field)

@@ -22,7 +22,8 @@ each one :class:`GeneratedSpans`, the one type of span generated from below.
 Per-weight data is computed under a single-writer discipline: once a weight
 is built it is immutable and may be read concurrently.
 
-Presentation file format::
+Presentation file format, where # starts a comment and blank lines are
+allowed::
 
     field = Q            # or Fp:<prime>
     gen x weight 1
@@ -37,7 +38,8 @@ from itertools import combinations_with_replacement
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .fields import Field, FieldError, InputError, PrimeField, check_same_field, integral, parse_field
+from .fields import (Field, FieldError, InputError, PrimeField, check_same_field, integer, integral,
+                     lines, load, parse_field)
 from .freelie import FreeLieAlgebra, LieElement, witt_dims
 from .linalg import Echelon, SparseMatrix
 from .series import HilbertSeries
@@ -718,10 +720,7 @@ def parse_presentation(
     gens = []
     rel_texts = []
     file_field = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in lines(text):
         if line.startswith("field"):
             _, _, rhs = line.partition("=")
             if not rhs.strip():
@@ -734,21 +733,16 @@ def parse_presentation(
             parts = line.split()
             if len(parts) != 4 or parts[2] != "weight":
                 raise PresentationError(
-                    f"line {lineno}: expected 'gen <name> weight <w>', got {raw!r}"
+                    f"line {lineno}: expected 'gen <name> weight <w>', got {line!r}"
                 )
-            try:
-                w = int(parts[3])
-            except ValueError:
-                raise PresentationError(f"line {lineno}: bad weight {parts[3]!r}")
-            if w < 1:
-                raise PresentationError(f"line {lineno}: generator weight {w} < 1")
+            w = integer(parts[3], f"line {lineno}: weight of {parts[1]!r}", 1, PresentationError)
             if any(parts[1] == name for name, _ in gens):
                 raise PresentationError(f"line {lineno}: duplicate generator {parts[1]!r}")
             gens.append((parts[1], w))
         elif line.startswith("rel "):
             rel_texts.append((lineno, line[4:].strip()))
         else:
-            raise PresentationError(f"line {lineno}: unrecognized line {raw!r}")
+            raise PresentationError(f"line {lineno}: unrecognized line {line!r}")
     use_field = field or file_field
     if use_field is None:
         raise PresentationError("no field given (add a 'field = ...' line)")
@@ -763,10 +757,5 @@ def parse_presentation(
 
 
 def load_presentation(path, field: Optional[Field] = None) -> PresentedLieAlgebra:
-    """The presentation in file `path`; a PresentationError names the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return parse_presentation(text, field=field, name=str(path))
-    except PresentationError as exc:
-        raise PresentationError(f"{path}: {exc}") from None
+    """The presentation in file `path`, over `field` if given."""
+    return load(path, parse_presentation, field, str(path))

@@ -64,7 +64,7 @@ multidegree (content in each vertex), and rows of different multidegree
 have disjoint supports, so sparse elimination never mixes the blocks and
 splitting them would not make it cheaper.
 
-Graph file format::
+Graph file format, where # starts a comment and blank lines are allowed::
 
     vertices a b c d
     edge a b
@@ -76,7 +76,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional
 
-from .fields import QQ, Field, InputError
+from .fields import QQ, Field, InputError, lines, load
 from .linalg import Echelon
 from .presented import PresentedLieAlgebra
 from .series import HilbertSeries
@@ -150,10 +150,7 @@ def parse_graph(text: str) -> SimpleGraph:
     """Parse the `vertices ...` / `edge a b` file format."""
     vertices = []
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in lines(text):
         parts = line.split()
         if parts[0] == "vertices":
             vertices.extend(parts[1:])
@@ -162,15 +159,14 @@ def parse_graph(text: str) -> SimpleGraph:
                 raise InputError(f"line {lineno}: expected 'edge <u> <v>'")
             edges.append((parts[1], parts[2]))
         else:
-            raise InputError(f"line {lineno}: unrecognized line {raw!r}")
+            raise InputError(f"line {lineno}: unrecognized line {line!r}")
     if not vertices:
         raise InputError("no vertices declared")
     return SimpleGraph(vertices, edges)
 
 
 def load_graph(path) -> SimpleGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    return load(path, parse_graph)
 
 
 def raag_presentation(graph: SimpleGraph, field: Field = QQ) -> PresentedLieAlgebra:

@@ -40,6 +40,7 @@ MEMORY_BYTES = 1 << 30
 CLI = "src/gradedlie/cli.py"
 CHOSEN = "tests/test_cli_parser.py::test_chosen_lines_parse_as_the_reference"
 ENVELOPE = "src/gradedlie/envelope.py"
+FIELDS = "src/gradedlie/fields.py"
 GRAPHALG = "src/gradedlie/graphalg.py"
 HOMOLOGY = "src/gradedlie/homology.py"
 ONERELATOR = "src/gradedlie/onerelator.py"
@@ -276,9 +277,20 @@ MUTANTS = [
       "tests/test_cli_parser.py::test_corpus_and_workload_lines_parse_as_before"]),
     # exit codes: an unreadable input or --out file taken for a bug
     (CLI,
-     "except (InputError, OSError, UnicodeDecodeError)",
-     "except (InputError, UnicodeDecodeError)",
+     "except (InputError, OSError) as exc:",
+     "except InputError as exc:",
      ["tests/test_cli.py::test_input_errors"]),
+    # input files: an error in a file's content names no file
+    (FIELDS,
+     'exc.args = (f"{path}: {exc}",)',
+     "exc.args = exc.args",
+     ["tests/test_cli.py::test_input_errors",
+      "tests/test_cli.py::test_bad_graph_and_presentation_input_exits_2[edge-declared-twice]"]),
+    # graph files: a vertex declared twice, the second one kept
+    (GRAPHALG,
+     "if parts[1] in vertices:",
+     "if False:",
+     ["tests/test_cli.py::test_bad_graph_and_presentation_input_exits_2[vertex-declared-twice]"]),
 ]
 
 

@@ -204,30 +204,54 @@ def test_input_errors(capsys, tmp_path):
     bad.write_text("field = Q\ngen a weight one\n")
     latin1 = tmp_path / "latin1.lie"
     latin1.write_bytes("field = Q\ngen é weight 1\n".encode("latin-1"))
+    latin1_raag = tmp_path / "latin1-raag.graph"
+    latin1_raag.write_bytes("vertices a é\n".encode("latin-1"))
+    latin1_vertex = tmp_path / "latin1-vertex.graph"
+    latin1_vertex.write_text(f"vertex v {latin1.name}\n")
+    bad_raag = tmp_path / "bad-raag.graph"
+    bad_raag.write_text("vertices a b\nedge a\n")
+    c5 = os.path.join(os.path.dirname(__file__), "golden", "inputs", "c5.graph")
     (tmp_path / "sub").mkdir()
     vertex_dir = tmp_path / "vertex-dir.graph"
     vertex_dir.write_text("vertex v sub\n")
-    for argv in [
-        ["dims", str(tmp_path / "missing.lie")],
-        ["dims", str(bad)],
-        ["--field", "R", "hall", "--gens", "x"],
+    # (argv, a file the one error line must name, or None)
+    for argv, named in [
+        (["dims", str(tmp_path / "missing.lie")], tmp_path / "missing.lie"),
+        (["dims", str(bad)], bad),
+        (["raag", "resolve", str(bad_raag)], bad_raag),
+        # a bad --field under every command, used there or not
+        (["--field", "R", "hall", "--gens", "x"], None),
+        (["--field", "R", "raag", "chordal", c5], None),
+        (["--field", "Fp:4", "raag", "verdict", c5], None),
         # a directory as the input, or as a file the input names
-        ["dims", str(tmp_path)],
-        ["raag", "chordal", str(tmp_path)],
-        ["graph", "verify", str(tmp_path)],
-        ["graph", "verify", str(vertex_dir)],
-        # an input file that is not UTF-8
-        ["dims", str(latin1)],
-        ["infer", str(latin1), "--gen", "a"],
-        ["graph", "verify", str(latin1)],
+        (["dims", str(tmp_path)], tmp_path),
+        (["raag", "chordal", str(tmp_path)], tmp_path),
+        (["graph", "verify", str(tmp_path)], tmp_path),
+        (["graph", "verify", str(vertex_dir)], tmp_path / "sub"),
+        # an input file that is not UTF-8, given or named by a graph
+        (["dims", str(latin1)], latin1),
+        (["infer", str(latin1), "--gen", "a"], latin1),
+        (["graph", "verify", str(latin1)], latin1),
+        (["raag", "resolve", str(latin1_raag)], latin1_raag),
+        (["graph", "verify", str(latin1_vertex)], latin1),
         # a --out file in a missing directory
-        ["--out", str(tmp_path / "missing" / "r.json"), "hall", "--gens", "x"],
+        (["--out", str(tmp_path / "missing" / "r.json"), "hall", "--gens", "x"],
+         tmp_path / "missing" / "r.json"),
     ]:
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2, (argv, captured.err)
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+        assert named is None or str(named) in captured.err, (argv, captured.err)
         assert captured.out == "", argv
+
+
+@pytest.mark.parametrize("argv", [["hall", "--gens", "x"], ["raag", "resolve", "c5.graph"],
+                                  ["dims", "mn.lie"]], ids=lambda argv: argv[0])
+def test_reports_give_the_canonical_field_name(capsys, monkeypatch, argv):
+    monkeypatch.chdir(os.path.join(os.path.dirname(__file__), "golden", "inputs"))
+    code, out = run(capsys, "--field", "Fp:007", "--max-degree", "3", *argv)
+    assert code == 0 and json.loads(out)["field"] == "Fp:7"
 
 
 def test_internal_error_exits_3(capsys, monkeypatch, heisenberg_file):
@@ -369,6 +393,9 @@ BAD_GRAPH_AND_PRESENTATION_INPUTS = {
     "field-line-unknown": "field = xQ\ngen x weight 1\n",
     "field-line-bad-modulus": "field = Fp:7.0\ngen x weight 1\n",
     "vertex-field-line": "vertex v badfield.lie\n",
+    "vertex-declared-twice": "vertex v free2.lie\nvertex v kuv.lie\n",
+    "edge-declared-twice": "vertex v free2.lie\nedge t v v zero.lie stable-weight 1\n"
+                           "edge t v v zero.lie stable-weight 1\n",
 }
 
 
@@ -380,15 +407,17 @@ def test_bad_graph_and_presentation_input_exits_2(capsys, tmp_path, case):
     (tmp_path / "badfield.lie").write_text("gen a weight 1\nfield = Fp:x\n")
     text = BAD_GRAPH_AND_PRESENTATION_INPUTS[case]
     if text.startswith("field"):
-        (tmp_path / "bad.lie").write_text(text)
-        argv = ["--max-degree", "3", "dims", str(tmp_path / "bad.lie")]
+        bad = tmp_path / "bad.lie"
+        argv = ["--max-degree", "3", "dims", str(bad)]
     else:
-        (tmp_path / "bad.graph").write_text(text)
-        argv = ["--max-degree", "3", "graph", "verify", str(tmp_path / "bad.graph")]
+        bad = tmp_path / "bad.graph"
+        argv = ["--max-degree", "3", "graph", "verify", str(bad)]
+    bad.write_text(text)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(bad) in captured.err  # the error names the file
     assert "Traceback" not in captured.err and "internal error" not in captured.err
     assert captured.out == ""
 

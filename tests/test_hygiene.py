@@ -17,7 +17,8 @@ those up by name, and each of them must resolve as the tracer resolves
 it.  The mutation table of ``tests/mutants.py`` must stay runnable: each
 old text occurs exactly once in its file and each named test exists.
 Every hypothesis ``@given`` test carries a ``@seed``, so tier-1 draws the
-same examples on every run.
+same examples on every run.  Files are opened in two places only: the
+input reader ``fields.load`` and the ``--out`` writer ``cli._emit``.
 """
 
 import ast
@@ -227,7 +228,8 @@ def test_wraps_check_sees_an_unresolved_name():
     ]
 
 
-def decorator_name(node: ast.expr):
+def callee_name(node: ast.expr):
+    """The name a decorator or a call refers to, bare or as an attribute."""
     func = node.func if isinstance(node, ast.Call) else node
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
@@ -238,7 +240,7 @@ def unseeded_property_tests(tree: ast.Module) -> list:
     out = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            names = {decorator_name(d) for d in node.decorator_list}
+            names = {callee_name(d) for d in node.decorator_list}
             if "given" in names and "seed" not in names:
                 out.append((node.name, node.lineno))
     return out
@@ -260,3 +262,46 @@ def test_scan_sees_an_unseeded_property_test():
         "    @hypothesis.given(st.data())\n    def check(data): pass\n"
     )
     assert {name for name, _ in unseeded_property_tests(tree)} == {"test_b", "check"}
+
+
+# (module, function) of the only places that may open a file
+OPENERS = {("fields.py", "load"), ("cli.py", "_emit")}
+
+
+def open_calls(tree: ast.Module) -> list:
+    """(innermost enclosing function or "<module>", line) of each call of a
+    name or attribute ``open``, ``read_text`` or ``read_bytes``."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and callee_name(child) in (
+                "open", "read_text", "read_bytes"
+            ):
+                found.append((where, child.lineno))
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_files_are_opened_only_at_the_input_boundary():
+    calls = [(path.name, where, line) for path in sorted(PACKAGE.glob("*.py"))
+             for where, line in open_calls(ast.parse(path.read_text(encoding="utf-8")))]
+    stray = [f"{name}:{line} in {where}" for name, where, line in calls
+             if (name, where) not in OPENERS]
+    assert not stray, f"files opened outside fields.load and cli._emit: {', '.join(stray)}"
+    assert {(name, where) for name, where, _ in calls} == OPENERS
+
+
+def test_scan_sees_a_stray_open():
+    tree = ast.parse(
+        "def load(p):\n    return open(p)\n"
+        "def other(p):\n    def inner():\n        return io.open(p)\n"
+        "    return p.read_text()\n"
+        "open('x')\nlen('open')\n"
+    )
+    assert open_calls(tree) == [("load", 2), ("inner", 5), ("other", 6), ("<module>", 7)]
