@@ -212,24 +212,21 @@ def cmd_raag_resolve(args) -> tuple[bool, dict]:
 
 
 def cmd_raag_verdict(args) -> tuple[bool, dict]:
-    return True, raag.coherence_verdict(raag.load_graph(args.file)).as_dict()
+    return True, raag.coherence_verdict(raag.load_graph(args.file))
 
 
 def cmd_example_sec6(args) -> tuple[bool, dict]:
     report = example6.full_report(args.field or QQ)
-    build = report["build_s"]
+    build, nf = report["build_s"], report["not_free_product"]
+    dq = report["distinguish_quotients"]
     return report["ok"], {
         **{k: str(build[k]) for k in ("h1_total", "h2_total", "h1_ce_total", "h2_ce_total")},
         "relator_weights": _strs(build["relator_weights"]),
         "not_free_product": {
-            k: v if isinstance(v, bool) else str(v) if isinstance(v, int) else v
-            for k, v in report["not_free_product"].items()
-        },
-        "quotients_separated": report["distinguish_quotients"]["ok"],
-        "fingerprints": {
-            k: repr(v)
-            for k, v in report["distinguish_quotients"]["fingerprints"].items()
-        },
+            **{k: str(nf[k]) for k in ("h2_M", "h2_Q_candidate", "h2_S", "h2_sum")},
+            "contradiction": nf["contradiction"], "ok": nf["ok"]},
+        "quotients_separated": dq["ok"],
+        "fingerprints": {k: repr(v) for k, v in dq["fingerprints"].items()},
         "not_raag": report["not_raag"]["ok"],
     }
 

@@ -209,28 +209,17 @@ class LieDerivation:
 # HNN extensions
 
 
-def hnn(
-    L: PresentedLieAlgebra,
-    derivation: LieDerivation,
-    t_name: str,
-    t_weight: int,
-    name: str = "hnn",
-) -> PresentedLieAlgebra:
-    """HNN extension <L, t | [t, a] = d(a) for a in A>.
+def hnn(derivation: LieDerivation, t_name: str, name: str = "hnn") -> PresentedLieAlgebra:
+    """HNN extension <L, t | [t, a] = d(a) for a in A> of L = derivation.base.
 
-    The derivation's shift must equal the stable-letter weight; its domain
-    generators (elements of L) index the new relators.  The Leibniz law is
-    not checked here (see LieDerivation.validate_leibniz).
+    The stable letter t has the derivation's shift as its weight; the
+    derivation's domain generators (elements of L) index the new relators.
+    The Leibniz law is not checked here (see LieDerivation.validate_leibniz).
     """
-    if derivation.base is not L:
-        raise GraphError("derivation must live on the HNN base algebra")
-    if derivation.shift != t_weight:
-        raise GraphError(
-            f"derivation shift {derivation.shift} != stable-letter weight {t_weight}"
-        )
+    L = derivation.base
     if t_name in L.free.gen_index:
         raise GraphError(f"stable letter {t_name!r} collides with a base generator")
-    gens = [(g.name, g.weight) for g in L.generators] + [(t_name, t_weight)]
+    gens = [(g.name, g.weight) for g in L.generators] + [(t_name, derivation.shift)]
     free = FreeLieAlgebra(L.field, gens)
     into = substitution(L.free, free, {g.name: free.gen_element(g.name) for g in L.generators})
     rels = [into(r) for r in L.relators]
@@ -660,6 +649,9 @@ def parse_graph_file(text: str, base_dir: str, field: Optional[Field] = None) ->
             raise GraphError(f"line {lineno}: unrecognized line {line!r}")
     if not vertices:
         raise GraphError("no vertices declared")
+    undeclared = sorted(tables.keys() - specs.keys())
+    if undeclared:
+        raise GraphError(f"map or der line for undeclared edge {', '.join(undeclared)}")
     fld = field or next(iter(vertices.values())).field
     edges = []
     for eid, (src, dst, in_forest, fname) in specs.items():

@@ -152,13 +152,12 @@ def decompose(P: PresentedLieAlgebra) -> HNNTower:
     family = [free.gen_monomial(g.name) for g in P.generators]
     family.sort(key=free.key)
     layers: list[TowerLayer] = []
+    expressed = _express_over(free, family, r)
+    if expressed is None:
+        raise DecompositionError("relator not expressible over the generators (internal error)")
 
     for _step in range(LAYER_CAP):
-        expressed = _express_over(free, family, r)
-        if expressed is None:
-            raise DecompositionError(
-                "relator left the current family (internal error)"
-            )
+        # r over the current family: solved above, or by the last j-search
         abstract, r_hat = expressed
         lead = max(r_hat.terms, key=abstract.key)
         if abstract.is_generator(lead):
@@ -171,7 +170,8 @@ def decompose(P: PresentedLieAlgebra) -> HNNTower:
                 (_iterate_bracket(free, h, z, jj) for z in rest for jj in range(j + 1)),
                 key=free.key,
             )
-            if _express_over(free, new_family, r) is not None:
+            expressed = _express_over(free, new_family, r)
+            if expressed is not None:
                 break
         else:
             raise DecompositionError(
@@ -236,7 +236,7 @@ def _walk(tower: HNNTower) -> tuple[PresentedLieAlgebra, list, PresentedLieAlgeb
         ]
         der = LieDerivation(current, domain, values, shift=layer.weight)
         steps.append((layer, der))
-        current = hnn(current, der, f"w{layer.h}", layer.weight, name="tower layer")
+        current = hnn(der, f"w{layer.h}", name="tower layer")
     return base, steps, current
 
 

@@ -504,30 +504,6 @@ def verify_resolution(graph: SimpleGraph, N: int, field: Field = QQ) -> Resoluti
 # coherence verdict (Theorem D application)
 
 
-class CoherenceVerdict:
-    def __init__(self, graph, coherent: bool, certificate, witness):
-        self.graph = graph
-        self.coherent = coherent
-        self.certificate = certificate  # peo or induced cycle
-        self.witness = witness          # decomposition tree or None
-
-    def as_dict(self) -> dict:
-        out = {
-            "coherent": self.coherent,
-            "criterion": "chordal" if self.coherent else "induced cycle >= 4",
-        }
-        if self.coherent:
-            out["peo"] = list(self.certificate)
-            out["decomposition"] = self.witness
-        else:
-            out["cycle"] = list(self.certificate)
-        return out
-
-    def __repr__(self):
-        kind = "coherent" if self.coherent else "not coherent"
-        return f"<CoherenceVerdict {kind}>"
-
-
 def _decomposition_tree(graph: SimpleGraph, peo: list) -> dict:
     """Recursive split Gamma = Gamma1 union Gamma2 over a complete
     Gamma1 cap Gamma2, following simplicial vertices of the PEO."""
@@ -548,13 +524,14 @@ def _decomposition_tree(graph: SimpleGraph, peo: list) -> dict:
     }
 
 
-def coherence_verdict(graph: SimpleGraph) -> CoherenceVerdict:
-    """Chordal graphs get 'coherent' with a recursive decomposition over
-    complete separators as witness; non-chordal graphs get 'not coherent'
-    with the induced cycle.  This applies the graph criterion; ring
-    coherence itself is not decided computationally."""
+def coherence_verdict(graph: SimpleGraph) -> dict:
+    """Chordal graphs get 'coherent' with the perfect elimination ordering
+    and a recursive decomposition over complete separators as witness;
+    non-chordal graphs get 'not coherent' with the induced cycle.  This
+    applies the graph criterion; ring coherence itself is not decided
+    computationally."""
     res = is_chordal(graph)
     if res.chordal:
-        tree = _decomposition_tree(graph, res.peo)
-        return CoherenceVerdict(graph, True, res.peo, tree)
-    return CoherenceVerdict(graph, False, res.cycle, None)
+        return {"coherent": True, "criterion": "chordal", "peo": list(res.peo),
+                "decomposition": _decomposition_tree(graph, res.peo)}
+    return {"coherent": False, "criterion": "induced cycle >= 4", "cycle": list(res.cycle)}

@@ -40,6 +40,7 @@ MEMORY_BYTES = 1 << 30
 CLI = "src/gradedlie/cli.py"
 CHOSEN = "tests/test_cli_parser.py::test_chosen_lines_parse_as_the_reference"
 ENVELOPE = "src/gradedlie/envelope.py"
+EXAMPLE6 = "src/gradedlie/example6.py"
 FIELDS = "src/gradedlie/fields.py"
 GRAPHALG = "src/gradedlie/graphalg.py"
 HOMOLOGY = "src/gradedlie/homology.py"
@@ -291,6 +292,17 @@ MUTANTS = [
      "if parts[1] in vertices:",
      "if False:",
      ["tests/test_cli.py::test_bad_graph_and_presentation_input_exits_2[vertex-declared-twice]"]),
+    # graph files: map and der lines of an undeclared edge dropped silently
+    (GRAPHALG,
+     "if undeclared:",
+     "if False:",
+     ["tests/test_cli.py::test_map_and_der_lines_need_a_declared_edge"]),
+    # section 6: only the brackets [e_i, e_j] with i < j in the tensor
+    (EXAMPLE6,
+     "for j in range(d1) if i != j}",
+     "for j in range(d1) if i < j}",
+     ["tests/test_example6.py::test_fingerprints_frozen",
+      "tests/test_example6.py::test_fingerprint_matches_enumeration_oracle"]),
 ]
 
 

@@ -43,7 +43,7 @@ from gradedlie.cli import (
     cmd_raag_verdict,
 )
 from gradedlie.envelope import Envelope, InducedModule
-from gradedlie.example6 import NilpotentQuotient, change_field
+from gradedlie.example6 import change_field
 from gradedlie.fields import GF, RationalField, check_same_field
 from gradedlie.freelie import FreeLieAlgebra
 from gradedlie.linalg import Echelon, SparseMatrix
@@ -57,11 +57,12 @@ from gradedlie.series import HilbertSeries
 
 
 def zero_pair_count_oracle(source: PresentedLieAlgebra, p: int) -> int:
-    """Exhaustive enumeration of commuting pairs over F_p (test oracle)."""
+    """Exhaustive enumeration of commuting pairs over F_p (test oracle),
+    each bracket [e_i, e_j] of weight-1 basis vectors read from the engine."""
     fp = GF(p)
-    quo = NilpotentQuotient(change_field(source, fp), 2)
-    d1 = quo.dims[0]
-    tensor = quo.bracket_tensor()
+    quo = change_field(source, fp)
+    d1 = quo.dim(1)
+    pair = quo.engine.pair
     count = 0
     for v1 in product(range(p), repeat=d1):
         for v2 in product(range(p), repeat=d1):
@@ -73,7 +74,7 @@ def zero_pair_count_oracle(source: PresentedLieAlgebra, p: int) -> int:
                     if v2[j] == 0 or i == j:
                         continue
                     coeff = fp.mul(v1[i], v2[j])
-                    for k, c in tensor.get((i, j), {}).items():
+                    for k, c in pair((1, i), (1, j)).items():
                         s = fp.of(acc.get(k, fp.zero) + fp.mul(coeff, c))
                         if fp.is_zero(s):
                             acc.pop(k, None)

@@ -422,6 +422,20 @@ def test_bad_graph_and_presentation_input_exits_2(capsys, tmp_path, case):
     assert captured.out == ""
 
 
+def test_map_and_der_lines_need_a_declared_edge(capsys, tmp_path):
+    # a mistyped edge id must not drop that edge's maps without a word
+    (tmp_path / "free2.lie").write_text("field = Q\ngen a weight 1\ngen b weight 1\n")
+    graph = tmp_path / "typo.graph"
+    graph.write_text(
+        "vertex v free2.lie\nmap sigma e9 u -> a\nder e9 u -> [a,b] stable-weight 1\n"
+    )
+    code = main(["--max-degree", "3", "graph", "verify", str(graph)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(graph) in captured.err and "undeclared edge e9" in captured.err
+
+
 @pytest.mark.parametrize("spec", ["Fp:x", "Fp:", "Fp:7.0"])
 def test_malformed_field_flag_exits_2(capsys, spec):
     code = main(["--field", spec, "--max-degree", "3", "hall", "--gens", "x,y"])

@@ -14,6 +14,7 @@ from gradedlie.example6 import (
     quotient_algebras,
 )
 from gradedlie.fields import GF, QQ
+from gradedlie.presented import PresentedLieAlgebra
 from oracles import zero_pair_count_oracle
 
 
@@ -29,14 +30,12 @@ def test_build_s(s_report):
     assert report["h1_ce_total"] == 4  # Chevalley-Eilenberg route agrees
     assert report["h2_ce_total"] == 2
     assert report["relator_weights"] == [2, 3]
-    assert report["generator_weights"] == [1, 1, 2, 2]
-    assert report["h1_graded"][:2] == [2, 2]
-    assert report["proper"] and report["not_in_free_factor"]
+    assert report["proper"] and report["not_in_free_factor"] and report["not_in_abelian_factor"]
     assert report["ok"]
 
 
 def test_not_free_product_witness(s_report):
-    report = not_free_product_witness(s_report)
+    report = not_free_product_witness(s_report, QQ)
     assert report["h2_M"] == 1
     assert report["h2_Q_candidate"] == 0
     assert report["h2_sum"] == 1
@@ -101,9 +100,8 @@ def test_e_commuting_structure():
 def test_distinguish_quotients():
     report = distinguish_quotients(QQ)
     assert report["ok"]
-    assert not report["inconclusive_pairs"]
-    assert all(report["separated"].values())
-    assert report["dims_degree2"] == {"E": 4, "E~": 4, "E^": 4}
+    assert report["separated"] == {("E", "E~"): True, ("E", "E^"): True, ("E~", "E^"): True}
+    assert report["fingerprints"] == FROZEN
 
 
 def test_four_vertex_two_edge_enumeration():
@@ -112,11 +110,32 @@ def test_four_vertex_two_edge_enumeration():
 
 
 def test_not_raag_witness(s_report):
-    report = not_raag_witness(s_report, distinguish_quotients(QQ))
-    assert report["ok"]
-    assert report["h1_total"] == 4 and report["h2_total"] == 2
-    for label in ("shared", "disjoint"):
-        assert report["comparisons"][label]["differs_from_E"]
+    dq = distinguish_quotients(QQ)
+    assert not_raag_witness(s_report, dq) == {"ok": True}
+    # E~ and E^ are the two candidate RAAGs: neither may match E
+    for pair in (("E", "E~"), ("E", "E^")):
+        unseparated = {**dq, "separated": {**dq["separated"], pair: False}}
+        assert not_raag_witness(s_report, unseparated) == {"ok": False}, pair
+
+
+# the paper's presentations of the two candidate quotients
+PAPER_QUOTIENTS = {"E~": ["[x1,x2]", "[x1,x3]"], "E^": ["[x1,x2]", "[x4,x3]"]}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+def test_graph_defined_quotients_are_the_papers(field):
+    # E~ and E^ are defined as RAAG Lie algebras of graphs; the paper
+    # presents them by relators.  Each paper relator vanishes in the
+    # graph-defined algebra and the dimensions agree; both ideals are
+    # generated in weight 2, so the two are the same quotient of the free
+    # Lie algebra on x1..x4.
+    algs = quotient_algebras(field)
+    for name, rels in PAPER_QUOTIENTS.items():
+        alg = algs[name]
+        paper = PresentedLieAlgebra(field, ["x1", "x2", "x3", "x4"], rels)
+        for rel in rels:
+            assert alg.evaluate(alg.parse(rel)) == (2, {}), (name, rel)
+        assert alg.dim_sequence(4) == paper.dim_sequence(4), name
 
 
 def test_raag_quotients_match_tilde_and_hat():
@@ -144,8 +163,8 @@ def test_full_report(monkeypatch):
     monkeypatch.setattr(example6, "fingerprint", counted)
     report = full_report(QQ)
     assert report["ok"]
-    # E's fingerprint is computed once and shared by both quotient witnesses
-    assert len(calls) == 5 and calls.count("E") == 1
+    # one fingerprint per quotient, shared by both quotient witnesses
+    assert sorted(calls) == ["E", "E^", "E~"]
 
 
 def test_fingerprint_reduces_from_q():

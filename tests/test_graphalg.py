@@ -59,7 +59,7 @@ def test_hnn_zero_derivation_abelian():
     base = k1("a")
     d = LieDerivation(base, ["a"], [base.free.zero()], shift=1)
     d.validate_leibniz(4)
-    W = hnn(base, d, "t", 1)
+    W = hnn(d, "t")
     assert W.dim_sequence(4) == [2, 0, 0, 0]
 
 
@@ -67,7 +67,7 @@ def test_hnn_free_letter():
     # A = 0: free product with one free generator t
     base = k2_abelian()
     d = LieDerivation(base, [], [], shift=1)
-    W = hnn(base, d, "t", 1)
+    W = hnn(d, "t")
     expected = HilbertSeries.one(6).divide(HilbertSeries([1, -3, 1], 6))  # 1/((1-t)^2 + (1-t) - 1)
     assert W.enveloping_series(6) == expected
 
@@ -78,7 +78,7 @@ def test_hnn_heisenberg():
     base = PresentedLieAlgebra(QQ, [("a", 1), ("b", 2)], ["[a,b]"])
     d = LieDerivation(base, ["a", "b"], ["b", base.free.zero()], shift=1)
     d.validate_leibniz(5)
-    W = hnn(base, d, "t", 1)
+    W = hnn(d, "t")
     assert W.dim_sequence(4) == [2, 1, 0, 0]
 
 
@@ -119,7 +119,7 @@ def test_hnn_ascending_free():
     base = PresentedLieAlgebra(QQ, ["a", "b"])
     d = LieDerivation(base, ["a", "b"], ["[a,b]", base.free.zero()], shift=1)
     d.validate_leibniz(6)
-    W = hnn(base, d, "t", 1)
+    W = hnn(d, "t")
     expected = HilbertSeries.one(8).divide(HilbertSeries([1, -1], 8) * HilbertSeries([1, -2], 8))
     assert W.enveloping_series(8) == expected
     # base embeds

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import assume, example, given, seed, settings, strategies as st
 
+from gradedlie import onerelator
 from gradedlie.fields import GF, QQ
 from gradedlie.onerelator import (
     DecompositionError,
@@ -111,6 +112,21 @@ def test_decompose_one_relator_weight3():
     assert report.ok, report.__dict__
     # the minimal exponent at the first layer is 2: r = [x,x,y]
     assert tower.layers[0].j == 2
+
+
+def test_decompose_solves_each_family_once(monkeypatch):
+    # the j-search's successful solve is the next step's re-expression
+    families = []
+    solve = onerelator._express_over
+
+    def counted(free, family, r):
+        families.append(tuple(family))
+        return solve(free, family, r)
+
+    monkeypatch.setattr(onerelator, "_express_over", counted)
+    P = PresentedLieAlgebra(QQ, ["x", "y", "z"], ["[x,[x,y]]+[z,[z,y]]"])
+    assert decompose(P).depth == 3
+    assert len(families) == len(set(families)) == 8
 
 
 def test_decompose_degenerate_generator_relator():

@@ -329,16 +329,16 @@ def test_koszul_for_complete_graphs():
 
 def test_coherence_verdicts():
     v = coherence_verdict(complete(3))
-    assert v.coherent
-    assert v.witness == {"complete": ["v1", "v2", "v3"]}
+    assert v["coherent"] and v["criterion"] == "chordal"
+    assert v["decomposition"] == {"complete": ["v1", "v2", "v3"]}
     v4 = coherence_verdict(cycle(4))
-    assert not v4.coherent
-    assert len(v4.certificate) == 4
+    assert not v4["coherent"] and v4["criterion"] == "induced cycle >= 4"
+    assert len(v4["cycle"]) == 4 and "decomposition" not in v4
     vp = coherence_verdict(path(4))
-    assert vp.coherent
-    assert "separator" in vp.witness
+    assert vp["coherent"] and len(vp["peo"]) == 4
+    assert "separator" in vp["decomposition"]
     # decomposition tree witnesses a 2-level split for P4
-    assert "rest" in vp.witness
+    assert "rest" in vp["decomposition"]
 
 
 def test_h2_counts_edges():
