@@ -19,8 +19,11 @@ a one-line message on stderr, no report).  Exit 2 covers a bad command
 line, an input the loaders reject (an InputError, which names the file),
 an input file that cannot be read, and a --out file that cannot be written.
 
-Each handler returns (ok, data); `main` builds and writes the report, and
-it alone maps exceptions to exit codes.
+Each handler only calls the library function behind its command (for the
+verifying commands, the verifier, which returns the report data with its
+verdict "ok") and turns the counts into decimal strings with `_strs`; the
+schema-1 formatting lives here alone.  `main` takes "ok" out of the data,
+builds and writes the report, and it alone maps exceptions to exit codes.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import json
 import re
 import sys
 from types import SimpleNamespace
+from typing import Optional
 
 from . import example6, graphalg, raag
 from .fields import QQ, InputError, integer, parse_field
@@ -54,8 +58,9 @@ def _report(args, ok: bool, data: dict) -> dict:
     }
 
 
-def _strs(values) -> list[str]:
-    return [str(int(v)) for v in values]
+def _strs(values) -> Optional[list[str]]:
+    """Counts as decimal strings; None (a value not computed) stays None."""
+    return None if values is None else [str(int(v)) for v in values]
 
 
 def _emit(args, report: dict) -> int:
@@ -81,10 +86,10 @@ def _load_presentation(args, path):
     return P
 
 
-# -- subcommand handlers: each returns (ok, data) -------------------------
+# -- subcommand handlers: each returns the report data with "ok" ----------
 
 
-def cmd_hall(args) -> tuple[bool, dict]:
+def cmd_hall(args) -> dict:
     specs = []
     for part in filter(None, map(str.strip, args.gens.split(","))):
         name, colon, w = map(str.strip, part.partition(":"))
@@ -95,6 +100,7 @@ def cmd_hall(args) -> tuple[bool, dict]:
     counts = alg.hall_counts(args.max_degree)
     expected = witt_dims([w for _, w in specs], args.max_degree)
     data = {
+        "ok": counts == expected,
         "generators": [f"{n}:{w}" for n, w in specs],
         "counts": _strs(counts),
         "witt": _strs(expected),
@@ -104,122 +110,105 @@ def cmd_hall(args) -> tuple[bool, dict]:
             str(n): [alg.monomial_str(m) for m in alg.hall_basis(n)]
             for n in range(1, args.max_degree + 1)
         }
-    return counts == expected, data
+    return data
 
 
-def cmd_dims(args) -> tuple[bool, dict]:
+def cmd_dims(args) -> dict:
     P = _load_presentation(args, args.file)
-    return True, {"dims": _strs(P.dim_sequence(args.max_degree)),
-                  "generators": P.generator_names}
+    return {"ok": True, "dims": _strs(P.dim_sequence(args.max_degree)),
+            "generators": P.generator_names}
 
 
-def cmd_hilbert(args) -> tuple[bool, dict]:
+def cmd_hilbert(args) -> dict:
     P = _load_presentation(args, args.file)
-    return True, {"coefficients": _strs(P.enveloping_series(args.max_degree).coeffs)}
+    return {"ok": True, "coefficients": _strs(P.enveloping_series(args.max_degree).coeffs)}
 
 
-def cmd_homology(args) -> tuple[bool, dict]:
+def cmd_homology(args) -> dict:
     P = _load_presentation(args, args.file)
     table = homology_table(P, args.hom_bound, args.max_degree)
-    return True, {"table": {str(i): {str(n): str(d) for n, d in enumerate(row) if d}
-                            for i, row in enumerate(table)}}
+    return {"ok": True, "table": {str(i): {str(n): str(d) for n, d in enumerate(row) if d}
+                                  for i, row in enumerate(table)}}
 
 
-def cmd_hopf(args) -> tuple[bool, dict]:
+def cmd_hopf(args) -> dict:
     P = _load_presentation(args, args.file)
     h1 = P.h1(args.max_degree)
-    h2 = P.h2_hopf(args.max_degree)
-    return True, {
+    freeness = P.is_free_up_to(args.max_degree)
+    h2 = freeness["h2"]
+    return {
+        "ok": True,
         "h1": _strs(h1),
         "h2": _strs(h2),
         "h1_total": str(sum(h1)),
         "h2_total": str(sum(h2)),
-        "freeness": P.is_free_up_to(args.max_degree).verdict,
+        "freeness": freeness["verdict"],
     }
 
 
-def cmd_infer(args) -> tuple[bool, dict]:
+def cmd_infer(args) -> dict:
     P = _load_presentation(args, args.file)
     if not args.gen:
         raise InputError("infer needs at least one --gen expression")
-    inferred = infer_presentation(P.subalgebra(args.gen), args.max_degree)
-    pres = inferred.presentation
-    return inferred.conclusive, {
+    pres, conclusive = infer_presentation(P.subalgebra(args.gen), args.max_degree)
+    return {
+        "ok": conclusive,
         "generators": [f"{g.name}:{g.weight}" for g in pres.generators],
         "relators": [repr(r) for r in pres.relators],
         "relator_weights": _strs(pres.relator_weights()),
         "dims": _strs(pres.dim_sequence(args.max_degree)),
-        "conclusive": inferred.conclusive,
+        "conclusive": conclusive,
     }
 
 
-def cmd_graph_verify(args) -> tuple[bool, dict]:
+def cmd_graph_verify(args) -> dict:
     graph = graphalg.load_graph(args.file, field=args.field)
     args.field = graph.field
     report = graphalg.verify_theorem_a(graph, args.max_degree, explicit_to=args.explicit_to)
-    euler = report.euler_lhs is not None  # not reached after a failed embedding
-    data = {
-        "euler_ok": report.euler_ok,
-        "euler_lhs": _strs(report.euler_lhs) if euler else None,
-        "euler_rhs": _strs(report.euler_rhs) if euler else None,
-        "embedding_failures": [list(map(str, f)) for f in report.embedding_failures],
-        "fundamental_dims": _strs(report.fundamental.algebra.dim_sequence(args.max_degree)),
-    }
+    for key in ("euler_lhs", "euler_rhs", "fundamental_dims"):
+        report[key] = _strs(report[key])
+    report["embedding_failures"] = [list(map(str, f)) for f in report["embedding_failures"]]
     if args.explicit_to is not None:
-        data["explicit_checks"] = [
-            {"weight": str(c.n), "injective": c.injective, "exact_middle": c.exact_middle}
-            for c in report.checks
-        ]
-        data["explicit_ranks"] = [_strs((c.src_dim, c.mid_dim, c.rank_alpha)) for c in report.checks]
-        data["explicit_ok"] = report.explicit_ok
-    return report.ok, data
+        report["explicit_checks"] = [{**c, "weight": str(c["weight"])}
+                                     for c in report["explicit_checks"]]
+        report["explicit_ranks"] = [_strs(ranks) for ranks in report["explicit_ranks"]]
+    return report
 
 
-def cmd_onerelator_decompose(args) -> tuple[bool, dict]:
+def cmd_onerelator_decompose(args) -> dict:
     P = _load_presentation(args, args.file)
-    tower = decompose(P)
-    report = verify_tower(tower, P, args.max_degree)
-    return report.ok, {
-        "tower": tower.describe(),
-        "rebuilt_dims": _strs(report.rebuilt_dims),
-        "original_dims": _strs(report.original_dims),
-        "dims_match": report.dims_match,
-        "base_free": report.base_free,
-        "layers": report.layer_reports,
-    }
+    report = verify_tower(decompose(P), P, args.max_degree)
+    for key in ("rebuilt_dims", "original_dims"):
+        report[key] = _strs(report[key])
+    for layer in report["layers"]:
+        checked_to = layer["associated_checked_to"]
+        layer["associated_checked_to"] = None if checked_to is None else str(checked_to)
+    return report
 
 
-def cmd_raag_chordal(args) -> tuple[bool, dict]:
-    res = raag.is_chordal(raag.load_graph(args.file))
-    data = {"chordal": res.chordal}
-    if res.chordal:
-        data["peo"] = res.peo
-    else:
-        data["induced_cycle"] = res.cycle
+def cmd_raag_chordal(args) -> dict:
     # either answer comes with a validated certificate: "no" is not a failure
-    return True, data
+    return {"ok": True, **raag.is_chordal(raag.load_graph(args.file))}
 
 
-def cmd_raag_resolve(args) -> tuple[bool, dict]:
+def cmd_raag_resolve(args) -> dict:
     report = raag.verify_resolution(raag.load_graph(args.file), args.max_degree,
                                     field=args.field or QQ)
-    return report.ok, {
-        "exact": not report.failures,
-        "euler_ok": report.euler_ok,
-        "failures": [str(f[:3]) for f in report.failures[:10]],
-        "ranks": [[_strs(pair) for pair in weight] for weight in report.ranks],
-    }
+    report["failures"] = [str(f) for f in report["failures"]]
+    report["ranks"] = [[_strs(pair) for pair in weight] for weight in report["ranks"]]
+    return report
 
 
-def cmd_raag_verdict(args) -> tuple[bool, dict]:
-    return True, raag.coherence_verdict(raag.load_graph(args.file))
+def cmd_raag_verdict(args) -> dict:
+    return {"ok": True, **raag.coherence_verdict(raag.load_graph(args.file))}
 
 
-def cmd_example_sec6(args) -> tuple[bool, dict]:
+def cmd_example_sec6(args) -> dict:
     report = example6.full_report(args.field or QQ)
     build, nf = report["build_s"], report["not_free_product"]
     dq = report["distinguish_quotients"]
-    return report["ok"], {
+    return {
+        "ok": report["ok"],
         **{k: str(build[k]) for k in ("h1_total", "h2_total", "h1_ce_total", "h2_ce_total")},
         "relator_weights": _strs(build["relator_weights"]),
         "not_free_product": {
@@ -370,8 +359,8 @@ def main(argv=None) -> int:
         if args is None:
             return 0
         args.field = None if args.field is None else parse_field(args.field)
-        ok, data = args.func(args)
-        return _emit(args, _report(args, ok, data))
+        data = args.func(args)
+        return _emit(args, _report(args, data.pop("ok"), data))
     except (InputError, OSError) as exc:
         # an OSError comes only from reading an input file or writing --out
         sys.stderr.write(f"error: {exc}\n")

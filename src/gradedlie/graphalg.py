@@ -426,53 +426,11 @@ class FundamentalAlgebra:
 # Theorem A verification
 
 
-class SequenceCheck:
-    """Per-weight exactness data for 0 -> (+)Q_e -> (+)Q_v -> k -> 0."""
-
-    def __init__(self, n, src_dim, mid_dim, rank_alpha, rank_beta, composite_zero):
-        self.n = n
-        self.src_dim = src_dim
-        self.mid_dim = mid_dim
-        self.rank_alpha = rank_alpha
-        self.rank_beta = rank_beta
-        self.composite_zero = composite_zero
-
-    @property
-    def injective(self):
-        return self.rank_alpha == self.src_dim
-
-    @property
-    def exact_middle(self):
-        return self.composite_zero and self.rank_alpha + self.rank_beta == self.mid_dim
-
-    @property
-    def ok(self):
-        return self.injective and self.exact_middle
-
-
-class TheoremAReport:
-    def __init__(self):
-        self.euler_ok: Optional[bool] = None
-        self.euler_lhs: Optional[list] = None
-        self.euler_rhs: Optional[list] = None
-        self.embedding_failures: list = []
-        self.checks: list[SequenceCheck] = []
-        self.fundamental: Optional[FundamentalAlgebra] = None
-
-    @property
-    def explicit_ok(self) -> bool:
-        """False after an embedding failure, which stops the checks early."""
-        return not self.embedding_failures and all(c.ok for c in self.checks)
-
-    @property
-    def ok(self) -> bool:
-        return self.euler_ok is not False and self.explicit_ok
-
-
 def verify_theorem_a(
     graph: GraphOfLieAlgebras, N: int, explicit_to: Optional[int] = None
-) -> TheoremAReport:
-    """Verify the fundamental-algebra short exact sequence.
+) -> dict:
+    """Verify the fundamental-algebra short exact sequence; the report is
+    the `graph verify` data with its verdict "ok".
 
     (1) Euler identity on Hilbert series to degree N:
         sum_e t^shift(e) H_L/H_{L_e} + 1 = sum_v H_L/H_{L_v};
@@ -499,19 +457,27 @@ def verify_theorem_a(
     formula, read at the edge's endpoints, is a lift s, and the columns of
     all steps together are alpha.
 
+    The report holds "fundamental_dims", the fundamental algebra's dims to
+    N, "embedding_failures", "euler_ok", "euler_lhs" and "euler_rhs", and,
+    if explicit_to is given, "explicit_checks" and "explicit_ranks" (see
+    :func:`_sequence_checks`) with "explicit_ok" for them all.  "ok" is
+    euler_ok and, if explicit_to is given, explicit_ok.
+
     All vertex and edge algebras must embed injectively (rank-checked up to
-    max(N, explicit_to), as the explicit checks rely on it); failures abort
-    with diagnostics in the report.  The vertex and edge modules live on
-    one Envelope, so those of equal subalgebras (an edge whose image is a
-    vertex's) share one module state and each right ideal is built once
+    max(N, explicit_to), as the explicit checks rely on it).  An embedding
+    failure leaves the Euler values None and the explicit lists empty, and
+    makes "ok" and "explicit_ok" False.  The vertex and edge modules live
+    on one Envelope, so those of equal subalgebras (an edge whose image is
+    a vertex's) share one module state and each right ideal is built once
     per weight.
     """
     if not graph.connected:
         raise GraphError("theorem A verification requires a connected graph")
-    report = TheoremAReport()
     fund = graph.fundamental()
     L = fund.algebra
-    report.fundamental = fund
+    report = {"fundamental_dims": L.dim_sequence(N), "embedding_failures": [],
+              "euler_ok": None, "euler_lhs": None, "euler_rhs": None}
+    failures = report["embedding_failures"]
 
     # embeddings, checked first
     embed_to = N if explicit_to is None else max(N, explicit_to)
@@ -520,61 +486,61 @@ def verify_theorem_a(
         hom = fund.vertex_embedding(vid)
         bad = hom.injectivity_failure(embed_to)
         if bad is not None:
-            report.embedding_failures.append(("vertex", vid, bad))
-        embeddings[("v", vid)] = hom
+            failures.append(["vertex", vid, bad])
+        embeddings["v", vid] = hom
     for e in graph.edges:
         hom = fund.edge_embedding(e.id)
         bad = hom.injectivity_failure(embed_to)
         if bad is not None:
-            report.embedding_failures.append(("edge", e.id, bad))
-        embeddings[("e", e.id)] = hom
-    if report.embedding_failures:
-        return report
+            failures.append(["edge", e.id, bad])
+        embeddings["e", e.id] = hom
 
-    # Euler / Hilbert identity
-    HL = L.enveloping_series(N)
-    lhs = HilbertSeries.one(N)
-    for e in graph.edges:
-        q = HL.divide(e.algebra.enveloping_series(N))
-        lhs = lhs + q.shift(e.shift)
-    rhs = HilbertSeries.zero(N)
-    for vid, alg in graph.vertices.items():
-        rhs = rhs + HL.divide(alg.enveloping_series(N))
-    report.euler_lhs = lhs.coeffs
-    report.euler_rhs = rhs.coeffs
-    report.euler_ok = lhs == rhs
+    if not failures:
+        # Euler / Hilbert identity
+        HL = L.enveloping_series(N)
+        lhs = HilbertSeries.one(N)
+        for e in graph.edges:
+            q = HL.divide(e.algebra.enveloping_series(N))
+            lhs = lhs + q.shift(e.shift)
+        rhs = HilbertSeries.zero(N)
+        for vid, alg in graph.vertices.items():
+            rhs = rhs + HL.divide(alg.enveloping_series(N))
+        report.update(euler_ok=lhs == rhs, euler_lhs=lhs.coeffs, euler_rhs=rhs.coeffs)
+    if explicit_to is not None:
+        checks, ranks = ([], []) if failures else _sequence_checks(fund, embeddings, explicit_to)
+        report.update(explicit_checks=checks, explicit_ranks=ranks, explicit_ok=not failures
+                      and all(c["injective"] and c["exact_middle"] for c in checks))
+    report["ok"] = report["euler_ok"] is True and report.get("explicit_ok", True)
+    return report
 
-    if explicit_to is None:
-        return report
-    M = explicit_to
 
+def _sequence_checks(fund: FundamentalAlgebra, embeddings: dict, M: int) -> tuple[list, list]:
+    """The explicit checks of :func:`verify_theorem_a` for weights 0..M:
+    per weight n, {"weight", "injective", "exact_middle"} and [dim (+)Q_e,
+    dim (+)Q_v, rank alpha].  `embeddings` maps ("v", vertex id) and
+    ("e", edge id) to the (injective) embeddings in the fundamental
+    algebra."""
+    graph, L = fund.graph, fund.algebra
     env = Envelope(L)
-    vertex_modules = {
-        vid: InducedModule(env, embeddings[("v", vid)].image_subalgebra())
-        for vid in graph.vertices
-    }
-    edge_modules = {
-        e.id: InducedModule(env, embeddings[("e", e.id)].image_subalgebra())
-        for e in graph.edges
-    }
-
+    modules = {x: InducedModule(env, hom.image_subalgebra()) for x, hom in embeddings.items()}
     field, one = L.field, L.field.one
     t_us = {e.id: fund.stable_letter_u(env, e.id) for e in graph.edges if not e.in_forest}
+    checks, ranks = [], []
     for n in range(M + 1):
         offsets, mid_dim = {}, 0  # vertex id -> its first coordinate in (+)_v Q_v
         for vid in graph.vertices:
             offsets[vid] = mid_dim
-            mid_dim += vertex_modules[vid].dim(n)
+            mid_dim += modules["v", vid].dim(n)
 
         def at(vid: str, u: dict) -> dict:
             """The class of the weight-n element u in Q_vid, in (+)_v Q_v."""
-            return {offsets[vid] + i: c for i, c in vertex_modules[vid].project(u, n).items()}
+            return {offsets[vid] + i: c for i, c in modules["v", vid].project(u, n).items()}
 
         # alpha's columns of weight n: the edge modules' classes of weight n - shift
         columns = []
         for e in graph.edges:
             if e.shift <= n:
-                for mono in edge_modules[e.id].quotient_basis(n - e.shift):
+                for mono in modules["e", e.id].quotient_basis(n - e.shift):
                     u = {mono: one}
                     if e.in_forest:
                         col = at(e.dst, u)
@@ -582,7 +548,7 @@ def verify_theorem_a(
                     else:
                         col = at(e.src, env.mult(t_us[e.id], u))
                     columns.append(col)
-        src_dim = sum(edge_modules[e.id].dim(n - e.shift) for e in graph.edges if n >= e.shift)
+        src_dim = sum(modules["e", e.id].dim(n - e.shift) for e in graph.edges if n >= e.shift)
         rank_alpha = Echelon.of(field, columns).rank
         # beta: sum of augmentation coordinates; nonzero only at weight 0,
         # where each quotient basis is the class of 1 and beta sums them
@@ -590,10 +556,10 @@ def verify_theorem_a(
         composite_zero = n > 0 or all(
             field.is_zero(field.of(sum(col.values()))) for col in columns
         )
-        report.checks.append(
-            SequenceCheck(n, src_dim, mid_dim, rank_alpha, rank_beta, composite_zero)
-        )
-    return report
+        checks.append({"weight": n, "injective": rank_alpha == src_dim,
+                       "exact_middle": composite_zero and rank_alpha + rank_beta == mid_dim})
+        ranks.append([src_dim, mid_dim, rank_alpha])
+    return checks, ranks
 
 
 # ----------------------------------------------------------------------

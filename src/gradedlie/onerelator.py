@@ -20,15 +20,15 @@ images span its weight-w(r) part and the solve decides membership whether
 or not the family is free.
 
 `rebuild` reconstructs the algebra layer by layer through HNN extensions.
-`verify_tower` takes the base, the layer derivations and the rebuilt
-algebra from that same walk and recomputes, independently: the dimension
-sequence match with the original presentation, the freeness witnesses, the
-Leibniz law of every layer derivation, and the minimality of each exponent.
+`verify_tower` returns the report of `onerelator decompose`: the tower
+itself, and from the base, the layer derivations and the rebuilt algebra
+of that same walk an independent recomputation of the dimension sequence
+match with the original presentation, the freeness witnesses, the Leibniz
+law of every layer derivation and the minimality of each exponent, with
+the verdict "ok" for them all.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from .fields import InputError
 from .freelie import FreeLieAlgebra, LieElement, substitution
@@ -70,23 +70,6 @@ class HNNTower:
     @property
     def depth(self) -> int:
         return len(self.layers)
-
-    def describe(self) -> dict:
-        free = self.original.free
-        return {
-            "depth": self.depth,
-            "layers": [
-                {
-                    "stable_letter": free.monomial_str(l.h),
-                    "weight": l.weight,
-                    "j": l.j,
-                    "family": [free.monomial_str(m) for m in l.Y],
-                    "associated": [free.monomial_str(m) for m in l.Z],
-                }
-                for l in self.layers
-            ],
-            "base_family": [free.monomial_str(m) for m in self.base_family],
-        }
 
 
 # ----------------------------------------------------------------------
@@ -184,26 +167,6 @@ def decompose(P: PresentedLieAlgebra) -> HNNTower:
     raise DecompositionError(f"cap {LAYER_CAP} exceeded before stabilization")
 
 
-class TowerReport:
-    def __init__(self):
-        self.rebuilt_dims: Optional[list[int]] = None
-        self.original_dims: Optional[list[int]] = None
-        self.dims_match: Optional[bool] = None
-        self.base_free: Optional[bool] = None
-        self.layer_reports: list[dict] = []
-        self.errors: list[str] = []
-
-    @property
-    def ok(self) -> bool:
-        if self.errors or not self.dims_match or not self.base_free:
-            return False
-        return all(
-            lr["associated_free"] and lr["freiheitssatz"] and lr["leibniz"]
-            and lr["j_minimal"]
-            for lr in self.layer_reports
-        )
-
-
 def _walk(tower: HNNTower) -> tuple[PresentedLieAlgebra, list, PresentedLieAlgebra]:
     """Reassemble the algebra from the tower, innermost base outward.
 
@@ -245,33 +208,47 @@ def rebuild(tower: HNNTower) -> PresentedLieAlgebra:
     return _walk(tower)[2]
 
 
-def verify_tower(tower: HNNTower, P: PresentedLieAlgebra, N: int) -> TowerReport:
-    """Independent recomputation of the tower's claims.
+def verify_tower(tower: HNNTower, P: PresentedLieAlgebra, N: int) -> dict:
+    """The `onerelator decompose` data: the tower and an independent
+    recomputation of its claims.
 
     (a) rebuild through graph-algebra HNN extensions; (b) dimension
-    sequence equality with P up to N; (c) freeness witnesses (H_2 = 0) for
-    the base and all associated subalgebras, plus the Freiheitssatz
-    condition r not in F(Z); (d) Leibniz validity of every layer
-    derivation; and minimality of every exponent.  Each layer report gives
-    in `associated_checked_to` the weight to which the associated
+    sequence equality with P up to N ("rebuilt_dims", "original_dims",
+    "dims_match"); (c) freeness witnesses (H_2 = 0) for the base
+    ("base_free") and, per layer, the associated subalgebra, plus the
+    Freiheitssatz condition r not in F(Z); (d) Leibniz validity of every
+    layer derivation; and minimality of every exponent.  "layers" holds one
+    dict of (c), (d) and minimality per layer, base outward, whose
+    "associated_checked_to" is the weight to which the associated
     subalgebra's presentation was inferred (None for an empty family, whose
-    subalgebra is 0).
+    subalgebra is 0).  "ok" holds when every check holds.  If the rebuild
+    fails, every value it would give is None, "layers" is empty and "ok" is
+    False.
     """
-    report = TowerReport()
     free = tower.original.free
     r = tower.relator
     w = r.weight()
-
+    report = {
+        "tower": {
+            "depth": tower.depth,
+            "layers": [{"stable_letter": free.monomial_str(l.h), "weight": l.weight, "j": l.j,
+                        "family": [free.monomial_str(m) for m in l.Y],
+                        "associated": [free.monomial_str(m) for m in l.Z]}
+                       for l in tower.layers],
+            "base_family": [free.monomial_str(m) for m in tower.base_family],
+        },
+        "rebuilt_dims": None, "original_dims": None, "dims_match": None, "base_free": None,
+        "layers": [], "ok": False,
+    }
     try:
         base, steps, rebuilt = _walk(tower)
-    except (GraphError, DecompositionError) as exc:
-        report.errors.append(str(exc))
+    except (GraphError, DecompositionError):
         return report
-    report.rebuilt_dims = rebuilt.dim_sequence(N)
-    report.original_dims = P.dim_sequence(N)
-    report.dims_match = report.rebuilt_dims == report.original_dims
+    report["rebuilt_dims"] = rebuilt.dim_sequence(N)
+    report["original_dims"] = P.dim_sequence(N)
+    report["dims_match"] = report["rebuilt_dims"] == report["original_dims"]
     # checked past the relator weight, so the verdict is never inconclusive
-    report.base_free = base.is_free_up_to(max(N, w)) == "free-witnessed"
+    report["base_free"] = base.is_free_up_to(max(N, w))["verdict"] == "free-witnessed"
 
     for layer, der in steps:
         leibniz_ok = True
@@ -285,22 +262,25 @@ def verify_tower(tower: HNNTower, P: PresentedLieAlgebra, N: int) -> TowerReport
         associated_free = True
         if layer.Z:
             checked_to = max(max(free.weight(z) for z in layer.Z) + 2, 4)
-            inf = infer_presentation(der.domain, checked_to)
-            associated_free = not inf.presentation.relators
+            associated_free = not infer_presentation(der.domain, checked_to)[0].relators
         frei = freiheitssatz_check(tower.original, r, layer.Z)
         # one exponent less must lose r: shrink the family and retest
         shrunk = [y for y in layer.Y if _h_exponent(free, layer.h, y) < layer.j]
         j_minimal = layer.j == 0 or _express_over(free, shrunk, r) is None
-        report.layer_reports.append(
+        report["layers"].append(
             {
                 "stable_letter": free.monomial_str(layer.h),
                 "leibniz": leibniz_ok,
                 "associated_free": associated_free,
-                "associated_checked_to": None if checked_to is None else str(checked_to),
+                "associated_checked_to": checked_to,
                 "freiheitssatz": frei,
                 "j_minimal": j_minimal,
             }
         )
+    report["ok"] = report["dims_match"] and report["base_free"] and all(
+        lr["associated_free"] and lr["freiheitssatz"] and lr["leibniz"] and lr["j_minimal"]
+        for lr in report["layers"]
+    )
     return report
 
 

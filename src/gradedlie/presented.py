@@ -169,30 +169,19 @@ class PresentedLieAlgebra:
             out.append(inter - spans.bracket_ideal(n).rank)
         return out
 
-    def is_free_up_to(self, N: int) -> "FreenessVerdict":
+    def is_free_up_to(self, N: int) -> dict:
+        """{"verdict", "checked_to", "witness_weight", "h2"}: "not-free" at
+        the first weight where h2 is nonzero (witness_weight), else
+        "free-witnessed" once every relator has weight <= N, else
+        "inconclusive"; the last two hold to checked_to = N.  h2 is
+        h2_hopf(N)."""
         h2 = self.h2_hopf(N)
-        for n, d in enumerate(h2, start=1):
-            if d:
-                return FreenessVerdict("not-free", witness_weight=n)
+        witness = next((n for n, d in enumerate(h2, start=1) if d), None)
         max_rel = max((r.weight() for r in self.relators), default=0)
-        if max_rel <= N:
-            return FreenessVerdict("free-witnessed", checked_to=N)
-        return FreenessVerdict("inconclusive", checked_to=N)
-
-
-class FreenessVerdict:
-    def __init__(self, verdict: str, witness_weight: int = None, checked_to: int = None):
-        self.verdict = verdict
-        self.witness_weight = witness_weight
-        self.checked_to = checked_to
-
-    def __eq__(self, other):
-        if isinstance(other, str):
-            return self.verdict == other
-        return NotImplemented
-
-    def __repr__(self):
-        return f"FreenessVerdict({self.verdict!r})"
+        verdict = ("not-free" if witness is not None else
+                   "free-witnessed" if max_rel <= N else "inconclusive")
+        return {"verdict": verdict, "checked_to": N if witness is None else None,
+                "witness_weight": witness, "h2": h2}
 
 
 class GradedEngine:
@@ -627,22 +616,13 @@ class GradedSubalgebra(GeneratedSpans):
         return [self.span(n).rank for n in range(1, N + 1)]
 
 
-class InferredPresentation:
-    """Result of infer_presentation: a minimal graded presentation, whether
-    its generator set is certified complete, and the weight it is checked to."""
-
-    def __init__(self, presentation, conclusive, checked_to):
-        self.presentation = presentation
-        self.conclusive = conclusive
-        self.checked_to = checked_to
-
-
 def infer_presentation(
     S: GradedSubalgebra,
     N: int,
     names: Optional[Sequence[str]] = None,
-) -> InferredPresentation:
-    """Minimal graded presentation of S, computed degree by degree.
+) -> tuple[PresentedLieAlgebra, bool]:
+    """(presentation, conclusive): a minimal graded presentation of S,
+    computed degree by degree to weight N.
 
     Generators are lifts of a graded basis of S/[S,S]: the canonical rows
     of S_n outside a copy of the derived span [S,S]_n.  Relators in weight
@@ -652,7 +632,7 @@ def infer_presentation(
     once.  S/[S,S] is spanned by the given generators, so the generator
     set is complete exactly when N >= 1 and N reaches the largest weight
     of a given generator with a nonzero image; below that the truncated
-    presentation is returned flagged inconclusive.
+    presentation comes with conclusive False.
     """
     field = S.field
     eng = S.ambient.engine
@@ -706,7 +686,7 @@ def infer_presentation(
             )
 
     pres = PresentedLieAlgebra(field, gens, relators, name="inferred", free=fhat)
-    return InferredPresentation(pres, conclusive, N)
+    return pres, conclusive
 
 
 # ----------------------------------------------------------------------

@@ -184,18 +184,6 @@ def raag_presentation(graph: SimpleGraph, field: Field = QQ) -> PresentedLieAlge
 # chordality
 
 
-class ChordalityResult:
-    def __init__(self, chordal: bool, peo=None, cycle=None):
-        self.chordal = chordal
-        self.peo = peo        # perfect elimination ordering (certificate)
-        self.cycle = cycle    # induced cycle of length >= 4 (counter-cert.)
-
-    def __repr__(self):
-        if self.chordal:
-            return f"ChordalityResult(chordal, peo={self.peo})"
-        return f"ChordalityResult(not chordal, cycle={self.cycle})"
-
-
 def lex_bfs(graph: SimpleGraph) -> list:
     """Lexicographic BFS order (partition refinement)."""
     sequence = []
@@ -253,16 +241,17 @@ def find_induced_cycle(graph: SimpleGraph) -> Optional[list]:
     return None
 
 
-def is_chordal(graph: SimpleGraph) -> ChordalityResult:
+def is_chordal(graph: SimpleGraph) -> dict:
     """Chordality with a validated certificate either way.
 
-    True comes with a perfect elimination ordering (lex-BFS order reversed,
-    re-validated directly); False with an induced cycle of length >= 4
-    (re-validated to be chordless).
+    {"chordal": True, "peo": a perfect elimination ordering} (lex-BFS
+    order reversed, re-validated directly), or {"chordal": False,
+    "induced_cycle": an induced cycle of length >= 4} (re-validated to be
+    chordless).
     """
     order = list(reversed(lex_bfs(graph)))
     if validate_peo(graph, order) is None:
-        return ChordalityResult(True, peo=order)
+        return {"chordal": True, "peo": order}
     cycle = find_induced_cycle(graph)
     if cycle is None:
         raise AssertionError("lex-BFS says not chordal but no induced cycle found")
@@ -271,7 +260,7 @@ def is_chordal(graph: SimpleGraph) -> ChordalityResult:
     assert len(sub.edges) == len(cycle) and all(
         len(sub.neighbors(v)) == 2 for v in cycle
     )
-    return ChordalityResult(False, cycle=cycle)
+    return {"chordal": False, "induced_cycle": cycle}
 
 
 # ----------------------------------------------------------------------
@@ -414,7 +403,7 @@ class RaagResolution:
             return counts
         return None
 
-    def verify_exactness(self, N: int) -> "ResolutionReport":
+    def verify_exactness(self, N: int) -> tuple[list, list]:
         """Check exactness at every position, weights <= N.
 
         For each weight m and position j >= 1, r_j is the rank of d_j from
@@ -429,12 +418,12 @@ class RaagResolution:
         dim P_0 with L_j + L_{j+1} = dim P_j at every position forces r_j =
         L_j by induction on j.  Where d o d = 0 fails or an equality does
         not hold, each d_j of that weight is eliminated as its rows stream
-        in, so ``report`` is the same either way.  A failure is recorded as
-        (weight, position, dim P_j, r_j, r_{j+1}), and every weight's
-        (dim P_j, r_j) pairs, j = 0, ..., in ``report.ranks`` (d_0 = 0: the
+        in, so the result is the same either way.  It is (failures, ranks):
+        a failure is (weight, position, dim P_j, r_j, r_{j+1}), and ranks
+        holds every weight's (dim P_j, r_j) pairs, j = 0, ... (d_0 = 0: the
         augmentation is not one of the d_j).
         """
-        report = ResolutionReport(self.graph, N)
+        failures, weights = [], []
         field = self.field
         top = self.max_position()
 
@@ -454,7 +443,7 @@ class RaagResolution:
             if ranks is None:
                 ranks = [rank(self.boundary_rows(j, m)) for j in range(1, top_m + 1)]
             ranks = [0] + ranks + [0]
-            report.ranks.append([(dims[j], ranks[j]) for j in range(top_m + 1)])
+            weights.append([(dims[j], ranks[j]) for j in range(top_m + 1)])
             for j in range(top_m + 1):
                 d_j, r_j, r_j1 = dims[j], ranks[j], ranks[j + 1]
                 if j == 0 and m == 0:
@@ -464,8 +453,8 @@ class RaagResolution:
                 else:
                     ok = r_j + r_j1 == d_j
                 if not ok:
-                    report.failures.append((m, j, d_j, r_j, r_j1))
-        return report
+                    failures.append((m, j, d_j, r_j, r_j1))
+        return failures, weights
 
     def euler_identity(self, N: int) -> bool:
         """Hilb(U(L_Gamma)) . sum_w (-t)^{|w|} = 1, exactly to degree N."""
@@ -474,30 +463,16 @@ class RaagResolution:
         return product == HilbertSeries.one(N)
 
 
-class ResolutionReport:
-    def __init__(self, graph, N):
-        self.graph = graph
-        self.N = N
-        self.failures: list = []
-        self.ranks: list = []  # weight -> [(dim P_j, rank d_j) for j = 0, ...]
-        self.euler_ok: Optional[bool] = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures and self.euler_ok is not False
-
-    def __repr__(self):
-        state = "exact" if not self.failures else f"failures={self.failures[:3]}"
-        return f"<ResolutionReport {state} to weight {self.N}>"
-
-
-def verify_resolution(graph: SimpleGraph, N: int, field: Field = QQ) -> ResolutionReport:
-    """Exactness at every position and weight <= N, plus the
-    clique-polynomial/Hilbert identity to weight N."""
+def verify_resolution(graph: SimpleGraph, N: int, field: Field = QQ) -> dict:
+    """The `raag resolve` data: exactness at every position and weight <= N
+    ("exact", with the first ten "failures" as (weight, position, dim P_j)
+    and every weight's "ranks"), the clique-polynomial/Hilbert identity to
+    weight N ("euler_ok"), and "ok" for both."""
     res = RaagResolution(graph, field)
-    report = res.verify_exactness(N)
-    report.euler_ok = res.euler_identity(N)
-    return report
+    failures, ranks = res.verify_exactness(N)
+    euler_ok = res.euler_identity(N)
+    return {"ok": not failures and euler_ok, "exact": not failures, "euler_ok": euler_ok,
+            "failures": [f[:3] for f in failures[:10]], "ranks": ranks}
 
 
 # ----------------------------------------------------------------------
@@ -531,7 +506,7 @@ def coherence_verdict(graph: SimpleGraph) -> dict:
     applies the graph criterion; ring coherence itself is not decided
     computationally."""
     res = is_chordal(graph)
-    if res.chordal:
-        return {"coherent": True, "criterion": "chordal", "peo": list(res.peo),
-                "decomposition": _decomposition_tree(graph, res.peo)}
-    return {"coherent": False, "criterion": "induced cycle >= 4", "cycle": list(res.cycle)}
+    if res["chordal"]:
+        return {"coherent": True, "criterion": "chordal", "peo": res["peo"],
+                "decomposition": _decomposition_tree(graph, res["peo"])}
+    return {"coherent": False, "criterion": "induced cycle >= 4", "cycle": res["induced_cycle"]}

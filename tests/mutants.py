@@ -303,6 +303,34 @@ MUTANTS = [
      "for j in range(d1) if i < j}",
      ["tests/test_example6.py::test_fingerprints_frozen",
       "tests/test_example6.py::test_fingerprint_matches_enumeration_oracle"]),
+    # reports: a value that was not computed formatted as a count list, so
+    # a failed tower rebuild or embedding check exits 3 instead of 1
+    (CLI,
+     "return None if values is None else [str(int(v)) for v in values]",
+     "return [str(int(v)) for v in values]",
+     ["tests/test_cli.py::test_failed_tower_rebuild_exits_1_with_nulls",
+      "tests/test_cli.py::test_graph_verify_checks_embeddings_to_explicit_weight"]),
+    # Theorem A: exactness in the middle without beta o alpha = 0
+    (GRAPHALG,
+     '"exact_middle": composite_zero and rank_alpha + rank_beta == mid_dim',
+     '"exact_middle": rank_alpha + rank_beta == mid_dim',
+     ["tests/test_graphalg.py::test_theorem_a_exact_middle_needs_beta_alpha_zero"]),
+    # one-relator towers: the verdict ignores the exponents' minimality
+    (ONERELATOR,
+     'and lr["leibniz"] and lr["j_minimal"]',
+     'and lr["leibniz"]',
+     ["tests/test_onerelator.py::test_tower_is_not_ok_when_an_exponent_is_not_minimal"]),
+    # RAAG resolution: the verdict ignores the Euler identity
+    (RAAG,
+     '"ok": not failures and euler_ok,',
+     '"ok": not failures,',
+     ["tests/test_raag.py::test_resolution_is_not_ok_when_the_euler_identity_fails"]),
+    # freeness: inconclusive at the top relator weight itself
+    (PRESENTED,
+     '"free-witnessed" if max_rel <= N else',
+     '"free-witnessed" if max_rel < N else',
+     ["tests/test_presented.py::test_is_free_up_to",
+      "tests/test_cli.py::test_onerelator_base_checked_past_max_degree"]),
 ]
 
 

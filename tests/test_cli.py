@@ -7,6 +7,7 @@ import pytest
 
 from gradedlie import onerelator
 from gradedlie.cli import main
+from gradedlie.graphalg import GraphError
 from gradedlie.presented import load_presentation
 
 
@@ -313,10 +314,13 @@ def test_out_file_and_table_format(capsys, heisenberg_file, tmp_path):
         ["selftest"],
         ["--seed", "1", "dims", "{mn}"],
         ["--cap", "5", "onerelator", "decompose", "{mn}"],
+        ["hall", "--gens", ","],
+        ["infer", "{mn}"],
     ],
     ids=["negative-max-degree-hall", "negative-max-degree-hilbert",
          "negative-hom-bound", "bad-generator-weight", "deep-nesting",
-         "removed-subcommand", "removed-seed-option", "removed-cap-option"],
+         "removed-subcommand", "removed-seed-option", "removed-cap-option",
+         "empty-generator-list", "infer-without-gen"],
 )
 def test_bad_input_exits_2(capsys, tmp_path, argv):
     mn = tmp_path / "mn.lie"
@@ -396,6 +400,13 @@ BAD_GRAPH_AND_PRESENTATION_INPUTS = {
     "vertex-declared-twice": "vertex v free2.lie\nvertex v kuv.lie\n",
     "edge-declared-twice": "vertex v free2.lie\nedge t v v zero.lie stable-weight 1\n"
                            "edge t v v zero.lie stable-weight 1\n",
+    "edge-to-undeclared-vertex": "vertex v free2.lie\nedge t v w zero.lie stable-weight 1\n",
+    "forest-edge-without-tau": "vertex v free2.lie\nvertex w free2.lie\nedge e v w forest kuv.lie\n"
+                               "map sigma e u -> a\nmap sigma e v -> b\n",
+    "map-line-bare": "vertex v free2.lie\nmap sigma\n",
+    "unrecognized-graph-line": "vertex v free2.lie\nvertices a b\n",
+    "conflicting-stable-weights": HNN_GRAPH.format(u="a", du="[a,b]", sw="1").replace(
+        "kuv.lie", "kuv.lie stable-weight 2"),
 }
 
 
@@ -467,6 +478,24 @@ def test_onerelator_base_checked_past_max_degree(capsys):
     code, out = run(capsys, "--max-degree", "2", "onerelator", "decompose", path)
     assert code == 0
     assert json.loads(out)["data"]["base_free"] is True
+
+
+def test_failed_tower_rebuild_exits_1_with_nulls(capsys, monkeypatch):
+    # a rebuild that fails is a verification failure, not a crash: the
+    # values it would give print as null, and the tower itself still prints
+    def broken(*args, **kwargs):
+        raise GraphError("no HNN extension")
+
+    monkeypatch.setattr(onerelator, "hnn", broken)
+    path = os.path.join(os.path.dirname(__file__), "golden", "inputs", "onerel3.lie")
+    code, out = run(capsys, "--max-degree", "5", "onerelator", "decompose", path)
+    report = json.loads(out)
+    assert code == 1 and report["ok"] is False
+    data = report["data"]
+    assert {key: data[key] for key in data if key != "tower"} == {
+        "rebuilt_dims": None, "original_dims": None, "dims_match": None,
+        "base_free": None, "layers": []}
+    assert data["tower"]["depth"] == 3
 
 
 def test_onerelator_layer_cap_exits_2(capsys, monkeypatch):

@@ -235,7 +235,7 @@ def test_induced_modules_skip_dependent_generators(monkeypatch, name, products, 
 
     monkeypatch.setattr(Envelope, "mult", counting_mult)
     monkeypatch.setattr(InducedModule, "_build", flagged_build)
-    assert verify_theorem_a(graph, 8, explicit_to=8).ok
+    assert verify_theorem_a(graph, 8, explicit_to=8)["ok"]
     assert count["products"] == products
     # each distinct subalgebra's right ideal is built once per weight
     assert len(built) == len(set(built))

@@ -143,10 +143,16 @@ def test_h2_nonminimal_presentation():
 
 def test_is_free_up_to():
     F = PresentedLieAlgebra(QQ, ["x", "y", "z"])
-    assert F.is_free_up_to(5) == "free-witnessed"
+    assert F.is_free_up_to(5) == {"verdict": "free-witnessed", "checked_to": 5,
+                                  "witness_weight": None, "h2": [0] * 5}
     A = PresentedLieAlgebra(QQ, ["x", "y"], ["[x,y]"])
     v = A.is_free_up_to(5)
-    assert v == "not-free" and v.witness_weight == 2
+    assert v["verdict"] == "not-free" and v["witness_weight"] == 2
+    assert v["h2"] == A.h2_hopf(5) == [0, 1, 0, 0, 0]
+    # the relator z kills a generator: free on x, y once its weight is reached
+    K = PresentedLieAlgebra(QQ, ["x", "y", ("z", 2)], ["z"])
+    assert K.is_free_up_to(2)["verdict"] == "free-witnessed"
+    assert K.is_free_up_to(1)["verdict"] == "inconclusive"
 
 
 def test_inhomogeneous_relator_rejected():
@@ -187,17 +193,16 @@ def test_subalgebra_bracket_closed():
 def test_infer_presentation_free():
     L = PresentedLieAlgebra(QQ, ["x", "y"])
     S = L.subalgebra(["x", "y"])
-    inf = infer_presentation(S, 6)
-    assert inf.presentation.relators == []
-    assert [g.weight for g in inf.presentation.generators] == [1, 1]
+    pres, conclusive = infer_presentation(S, 6)
+    assert conclusive and pres.relators == []
+    assert [g.weight for g in pres.generators] == [1, 1]
 
 
 def test_infer_presentation_abelian_slice():
     L = PresentedLieAlgebra(QQ, ["a", "b", "x"], ["[a,b]"])
     S = L.subalgebra(["a", "b"])
     assert S.span_dims(6) == [2, 0, 0, 0, 0, 0]  # spans read first leave [S,S] as it was
-    inf = infer_presentation(S, 6)
-    pres = inf.presentation
+    pres, _ = infer_presentation(S, 6)
     assert len(pres.generators) == 2
     assert pres.relator_weights() == [2]
     assert pres.dim_sequence(6) == [2, 0, 0, 0, 0, 0]
@@ -206,8 +211,7 @@ def test_infer_presentation_abelian_slice():
 def test_infer_presentation_section6():
     L = PresentedLieAlgebra(QQ, ["a", "b", "x"], ["[a,b]"])
     S = L.subalgebra(["a", "b", "[x,a]", "[x,b]"])
-    inf = infer_presentation(S, 7, names=["a", "b", "z", "t"])
-    pres = inf.presentation
+    pres, _ = infer_presentation(S, 7, names=["a", "b", "z", "t"])
     assert [g.weight for g in pres.generators] == [1, 1, 2, 2]
     assert pres.relator_weights() == [2, 3]
     assert pres.dim_sequence(7) == S.span_dims(7)
@@ -220,23 +224,21 @@ def test_infer_inconclusive_signal():
     # beyond the truncation
     L = PresentedLieAlgebra(QQ, ["x", "y"])
     S = L.subalgebra(["y", "[x,[x,y]]"])
-    inf = infer_presentation(S, 2)
-    assert not inf.conclusive
+    assert not infer_presentation(S, 2)[1]
     # from the largest given weight on, the generator set is certified
-    assert infer_presentation(S, 3).conclusive
-    inf2 = infer_presentation(S, 6)
-    assert inf2.conclusive
-    assert inf2.presentation.relators == []  # free subalgebra
+    assert infer_presentation(S, 3)[1]
+    pres, conclusive = infer_presentation(S, 6)
+    assert conclusive
+    assert pres.relators == []  # free subalgebra
 
 
 def test_infer_at_weight_0_is_inconclusive():
     # no weight is checked at N = 0, so no generator set is certified
     L = PresentedLieAlgebra(QQ, ["a", "b", "x"], ["[a,b]"])
     S = L.subalgebra(["a"])
-    inf = infer_presentation(S, 0)
-    assert not inf.conclusive and inf.checked_to == 0
-    assert infer_presentation(S, 1).conclusive
-    assert infer_presentation(S, 2).conclusive
+    assert not infer_presentation(S, 0)[1]
+    assert infer_presentation(S, 1)[1]
+    assert infer_presentation(S, 2)[1]
 
 
 def test_parse_presentation_roundtrip():

@@ -72,18 +72,18 @@ def test_raag_presentations():
 
 def test_chordality_verdicts():
     c4 = is_chordal(cycle(4))
-    assert not c4.chordal and len(c4.cycle) == 4
+    assert not c4["chordal"] and len(c4["induced_cycle"]) == 4 and "peo" not in c4
     c5 = is_chordal(cycle(5))
-    assert not c5.chordal and len(c5.cycle) == 5
-    assert is_chordal(path(4)).chordal  # trees are chordal
-    assert is_chordal(complete(4)).chordal
+    assert not c5["chordal"] and len(c5["induced_cycle"]) == 5
+    assert is_chordal(path(4))["chordal"]  # trees are chordal
+    assert is_chordal(complete(4))["chordal"]
     # K4 minus one edge (diamond) is chordal
     g = complete(4)
     edges = [tuple(e) for e in g.edges if e != frozenset(("v1", "v2"))]
     diamond = SimpleGraph(g.vertices, edges)
     r = is_chordal(diamond)
-    assert r.chordal
-    assert validate_peo(diamond, r.peo) is None
+    assert r["chordal"] and "induced_cycle" not in r
+    assert validate_peo(diamond, r["peo"]) is None
 
 
 def test_chordality_agrees_with_brute_force():
@@ -92,7 +92,7 @@ def test_chordality_agrees_with_brute_force():
     total = 0
     for n in range(1, 6):
         for g in all_labeled_graphs(n):
-            assert is_chordal(g).chordal == brute_force_chordal(g)
+            assert is_chordal(g)["chordal"] == brute_force_chordal(g)
             total += 1
     assert total == 1 + 2 + 8 + 64 + 1024
 
@@ -137,13 +137,13 @@ def test_normal_form_is_the_least_equivalent_word():
 
 def test_resolution_exactness_k2():
     report = verify_resolution(SimpleGraph(["a", "b"], [("a", "b")]), 6)
-    assert report.ok
+    assert report["ok"] and report["exact"] and report["euler_ok"]
 
 
 def test_resolution_exactness_c4():
     # exact despite non-chordality; identity Hilb . (1 - 2t)^2 = 1
     report = verify_resolution(cycle(4), 6)
-    assert report.ok
+    assert report["ok"]
     L = raag_presentation(cycle(4))
     H = L.enveloping_series(10)
     assert H * HilbertSeries([1, -4, 4], 10) == HilbertSeries.one(10)
@@ -159,7 +159,16 @@ def test_resolution_exactness_corpus_small():
         SimpleGraph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")]),
     ]:
         report = verify_resolution(g, 5)
-        assert report.ok, (g, report.failures[:3])
+        assert report["ok"], (g, report["failures"])
+
+
+def test_resolution_is_not_ok_when_the_euler_identity_fails(monkeypatch):
+    # an exact resolution is not enough: the clique polynomial 1 in place of
+    # 1 - 4t + 4t^2 breaks Hilb(U) . sum_w (-t)^|w| = 1 alone
+    monkeypatch.setattr(SimpleGraph, "clique_polynomial", lambda self, N: HilbertSeries.one(N))
+    report = verify_resolution(cycle(4), 4)
+    assert report["exact"] and report["failures"] == []
+    assert report["euler_ok"] is False and report["ok"] is False
 
 
 def diamond():
@@ -189,15 +198,14 @@ def test_resolution_d_squared_vanishes(graph, top):
 
 def test_exactness_check_detects_a_dropped_sign(monkeypatch):
     res = RaagResolution(complete(3))
-    assert not res.verify_exactness(4).failures
+    assert res.verify_exactness(4)[0] == []
     monkeypatch.setattr(RaagResolution, "boundary_rows", unsigned_rows)
     res = RaagResolution(complete(3))
     assert resolution_d_squared_failure(res, 4)[:2] == (2, 2)
-    report = res.verify_exactness(4)
+    failures, _ = res.verify_exactness(4)
     # in weight 3, d_2 gains rank: r_1 + r_2 = 10 + 9 exceeds dim P_1 = 18
-    assert report.failures[0] == (3, 1, 18, 10, 9)
-    assert [f[:2] for f in report.failures] == [(3, 1), (3, 2), (4, 1), (4, 2)]
-    assert not report.ok
+    assert failures[0] == (3, 1, 18, 10, 9)
+    assert [f[:2] for f in failures] == [(3, 1), (3, 2), (4, 1), (4, 2)]
 
 
 def rows_without_top(self, j, m):
@@ -213,9 +221,8 @@ def test_exactness_check_detects_a_complex_that_is_not_exact(monkeypatch):
     monkeypatch.setattr(RaagResolution, "boundary_rows", rows_without_top)
     res = RaagResolution(complete(3))
     assert resolution_d_squared_failure(res, 4) is None
-    report = res.verify_exactness(4)
-    assert [f[:2] for f in report.failures] == [(3, 2), (3, 3), (4, 2), (4, 3)]
-    assert not report.ok
+    failures, _ = res.verify_exactness(4)
+    assert [f[:2] for f in failures] == [(3, 2), (3, 3), (4, 2), (4, 3)]
 
 
 def rows_with_first_added(self, j, m):
@@ -238,9 +245,9 @@ def test_exactness_check_eliminates_where_lowest_columns_undercount(monkeypatch)
     monkeypatch.setattr(RaagResolution, "boundary_rows", rows_with_first_added)
     res = RaagResolution(complete(3))
     assert resolution_d_squared_failure(res, 5) is None
-    got = res.verify_exactness(5)
+    failures, ranks = res.verify_exactness(5)
     assert built
-    assert (got.ranks, got.failures) == (want.ranks, [])
+    assert (failures, ranks) == ([], want[1])
 
 
 @st.composite
@@ -311,9 +318,9 @@ def test_certified_ranks_match_elimination_oracle(graph, field):
     res = RaagResolution(graph, field)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(raag, "Echelon", no_elimination)
-        report = res.verify_exactness(5)
-    assert not report.failures
-    reported = {(m, j): pair for m, row in enumerate(report.ranks) for j, pair in enumerate(row)}
+        failures, ranks = res.verify_exactness(5)
+    assert not failures
+    reported = {(m, j): pair for m, row in enumerate(ranks) for j, pair in enumerate(row)}
     assert reported == resolution_ranks(res, 5)
 
 
@@ -323,8 +330,7 @@ def test_koszul_for_complete_graphs():
     g = complete(3)
     res = RaagResolution(g)
     assert [len(res.by_size.get(j, [])) for j in range(4)] == [1, 3, 3, 1]
-    report = res.verify_exactness(5)
-    assert not report.failures
+    assert res.verify_exactness(5)[0] == []
 
 
 def test_coherence_verdicts():
@@ -379,9 +385,9 @@ def test_derived_subalgebra_free_for_chordal():
                 vec = {i: QQ.one}
                 gens.append((n, vec))
         S = L.subalgebra(gens)
-        inf = infer_presentation(S, 6)
-        assert inf.presentation.relators == [], g
-        assert inf.presentation.is_free_up_to(6) == "free-witnessed"
+        pres, _ = infer_presentation(S, 6)
+        assert pres.relators == [], g
+        assert pres.is_free_up_to(6)["verdict"] == "free-witnessed"
 
 
 def test_parse_graph():

@@ -115,7 +115,7 @@ def test_generator_steps_match_basis_oracles(case):
 def test_induced_module_dims_match_series_quotient(case):
     L, sub_gens = case
     S = L.subalgebra(sub_gens)
-    source = infer_presentation(S, 4).presentation
+    source, _ = infer_presentation(S, 4)
     explicit, _ = induced_module_dims(Envelope(L), source, S, 4)
     quotient = L.enveloping_series(4).divide(source.enveloping_series(4))
     assert explicit == quotient.coeffs
@@ -223,7 +223,7 @@ def test_inferred_presentations_are_minimal(name, data):
     # redundant relator needs, so the draws are many (and cheap).
     L, sub_gens = data.draw(presentations_with_subalgebra(FIELDS[name]))
     S = L.subalgebra(sub_gens)
-    P = infer_presentation(S, N).presentation
+    P, _ = infer_presentation(S, N)
 
     def per_weight(weights):
         return [weights.count(n) for n in range(1, N + 1)]
@@ -382,12 +382,11 @@ def small_graphs(draw):
 @settings(max_examples=20, deadline=None)
 def test_euler_identity_gives_explicit_theorem_a_ranks(graph):
     report = verify_theorem_a(graph, 4, explicit_to=4)
-    assert not report.embedding_failures
-    for check in report.checks:
-        n = check.n
+    assert not report["embedding_failures"] and report["explicit_ok"]
+    for n, (src_dim, mid_dim, rank_alpha) in enumerate(report["explicit_ranks"]):
         # sum_e t^shift H_L/H_{L_e} + 1 and sum_v H_L/H_{L_v} at weight n
-        assert report.euler_lhs[n] == check.src_dim + (n == 0)
-        assert report.euler_rhs[n] == check.mid_dim
-        assert check.rank_alpha == check.src_dim
-        assert check.rank_alpha + check.rank_beta == check.mid_dim
-        assert check.composite_zero
+        assert report["euler_lhs"][n] == src_dim + (n == 0)
+        assert report["euler_rhs"][n] == mid_dim
+        # alpha injective, and exact with beta, of rank 1 at weight 0 only
+        assert rank_alpha == src_dim
+        assert rank_alpha + (n == 0) == mid_dim
