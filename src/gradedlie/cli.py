@@ -177,7 +177,7 @@ def cmd_graph_verify(args) -> dict:
 
 def cmd_onerelator_decompose(args) -> dict:
     P = _load_presentation(args, args.file)
-    report = verify_tower(decompose(P), P, args.max_degree)
+    report = verify_tower(decompose(P), args.max_degree)
     for key in ("rebuilt_dims", "original_dims"):
         report[key] = _strs(report[key])
     for layer in report["layers"]:

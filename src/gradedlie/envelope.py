@@ -199,8 +199,6 @@ class InducedModule:
         return got
 
     def dim(self, n: int) -> int:
-        if n < 0:
-            return 0
         return len(self._build(n)[0])
 
     def quotient_basis(self, n: int) -> list[tuple]:

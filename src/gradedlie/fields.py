@@ -103,36 +103,21 @@ def is_prime(n: int) -> bool:
 class Field:
     """Common interface of the concrete fields below.
 
-    Subclasses provide exact ``mul/neg/inv`` plus coercion (``of``),
-    parsing, formatting and the in-place ``axpy`` of the elimination
-    kernel; a sum is ``of(a + b)``.  Zero coefficients are represented as
+    Subclasses provide exact ``mul/neg/inv``, coercion (``of``), the
+    ``name`` property and the elimination kernel's in-place
+    ``axpy(out, a, v)``, out += a*v for sparse vectors {index: nonzero
+    value}; a sum is ``of(a + b)``.  Zero coefficients are represented as
     the field's canonical zero; sparse containers drop them.
     """
 
     zero = 0
     one = 1
 
-    def of(self, x):
-        raise NotImplementedError
-
     def is_zero(self, a) -> bool:
         return not a
 
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def axpy(self, out: dict, a, v: dict):
-        """In place out += a*v for sparse vectors {index: nonzero value}."""
-        raise NotImplementedError
 
     def div_vec(self, vec: dict, d) -> dict:
         """vec/d with canonical values; vec itself when d is 1."""
@@ -155,10 +140,6 @@ class Field:
 
     def format(self, a) -> str:
         return str(a)
-
-    @property
-    def name(self) -> str:
-        raise NotImplementedError
 
     def __repr__(self):
         return self.name
@@ -203,8 +184,6 @@ class RationalField(Field):
         return _q(Fraction(1, a))
 
     def div(self, a, b):
-        if not b:
-            raise ZeroDivisionError("division by zero in Q")
         return _q(Fraction(a, b))
 
     def axpy(self, out: dict, a, v: dict):

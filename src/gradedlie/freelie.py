@@ -13,16 +13,17 @@ antisymmetry when the left factor is not smaller, apply the derivation rule
 rewriting table is memoized with integer coefficients (field-independent);
 elements carry coefficients in the algebra's field.
 
-Monomials are interned per algebra with stable integer ids.  Enumeration
-appends to shared caches under a single-writer discipline; all query
-operations are safe to run concurrently afterwards.
+Monomials are interned per algebra with stable integer ids.  The package
+is single-threaded: queries fill the algebra's memos as they read (Hall
+enumeration, the rewriting memo, newly interned monomials), so no query is
+read-only.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Optional
 
-from .fields import Field, FieldError, InputError
+from .fields import Field, InputError
 
 
 class Generator:
@@ -44,9 +45,7 @@ class FreeLieAlgebra:
         self.field = field
         gens = []
         for g in generators:
-            if isinstance(g, Generator):
-                gens.append(g)
-            elif isinstance(g, str):
+            if isinstance(g, str):
                 gens.append(Generator(g, 1))
             else:
                 name, weight = g
@@ -144,8 +143,6 @@ class FreeLieAlgebra:
 
     def hall_basis(self, n: int) -> list[int]:
         """Basis monomials of weight n, in increasing Hall order."""
-        if n < 1:
-            raise ValueError("weight must be >= 1")
         self._enumerate_to(n)
         return self._hall_by_weight.get(n, [])
 
@@ -155,8 +152,6 @@ class FreeLieAlgebra:
             found = [self._gen_id[i] for i, g in enumerate(self.gens) if g.weight == m]
             for wb in range(1, m):
                 wa = m - wb
-                if wa < 1:
-                    continue
                 for b in self._hall_by_weight.get(wb, []):
                     for a in self._hall_by_weight.get(wa, []):
                         if self.is_hall_pair(a, b):
@@ -258,10 +253,6 @@ class LieElement:
         self.algebra = algebra
         self.terms = terms
 
-    def _check(self, other: "LieElement"):
-        if self.algebra is not other.algebra:
-            raise FieldError("elements of different free Lie algebras")
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -277,7 +268,6 @@ class LieElement:
         return None
 
     def __add__(self, other: "LieElement") -> "LieElement":
-        self._check(other)
         field = self.algebra.field
         out = dict(self.terms)
         field.axpy(out, field.one, other.terms)
@@ -297,7 +287,6 @@ class LieElement:
         return LieElement(self.algebra, {m: field.mul(a, v) for m, v in self.terms.items()})
 
     def bracket(self, other: "LieElement") -> "LieElement":
-        self._check(other)
         alg = self.algebra
         field = alg.field
         out: dict = {}
@@ -310,12 +299,7 @@ class LieElement:
         return LieElement(alg, out)
 
     def __eq__(self, other):
-        if not isinstance(other, LieElement):
-            return NotImplemented
         return self.algebra is other.algebra and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((id(self.algebra), frozenset(self.terms.items())))
 
     def __repr__(self):
         if not self.terms:
@@ -398,8 +382,6 @@ def witt_dims(weights: list[int], max_weight: int) -> list[int]:
     N = max_weight
     g = [0] * (N + 1)
     for w in weights:
-        if w < 1:
-            raise ValueError("weights must be >= 1")
         if w <= N:
             g[w] += 1
     # h = 1/(1-g): h_k = sum_i g_i h_{k-i}

@@ -1,11 +1,12 @@
 """Graphs of Lie algebras and their fundamental Lie algebras.
 
 A graph of Lie algebras carries vertex and edge algebras, edge
-monomorphisms, a fixed maximal forest, and a derivation plus stable-letter
-weight for every non-forest edge (loops are always non-forest).  The
-fundamental algebra is presented by the vertex generators and one stable
-letter t per non-forest edge, with the vertex relators, sigma(g) = tau(g)
-along forest edges and [t, sigma(g)] = d(g) along the others.
+monomorphisms, a fixed spanning tree of forest edges (so the graph is
+connected), and a derivation plus stable-letter weight for every
+non-forest edge (loops are always non-forest).  The fundamental algebra is
+presented by the vertex generators and one stable letter t per non-forest
+edge, with the vertex relators, sigma(g) = tau(g) along forest edges and
+[t, sigma(g)] = d(g) along the others.
 
 `verify_theorem_a` runs two independent checks on the Mayer-Vietoris
 sequence
@@ -85,12 +86,8 @@ class LieHomomorphism:
             if g.name not in images:
                 raise GraphError(f"no image for generator {g.name!r}")
             img = _parse(target, images[g.name], f"image of {g.name!r}")
-            if img.is_zero():
-                raise GraphError(f"image of {g.name!r} is zero (not weight-preserving)")
-            if img.weight() != g.weight:
-                raise GraphError(
-                    f"image of {g.name!r} has weight {img.weight()}, expected {g.weight}"
-                )
+            if img.weight() != g.weight:  # None for 0 and for a mixed weight
+                raise GraphError(f"image of {g.name!r} is {img!r}, not of weight {g.weight}")
             self.images[g.name] = img
         extra = set(images) - {g.name for g in source.generators}
         if extra:
@@ -127,8 +124,9 @@ class LieHomomorphism:
 class LieDerivation:
     """A derivation d: A -> L with a uniform weight shift.
 
-    A is the subalgebra of L generated by `domain_gens`; d is given by its
-    values on those generators and must satisfy the Leibniz law
+    A is the subalgebra of L generated by `domain_gens`, nonzero homogeneous
+    elements; d is given by its values on those generators, each 0 or of
+    the generator's weight plus the shift, and must satisfy the Leibniz law
     d([a,b]) = [a, d(b)] + [d(a), b] on spanning brackets, verified per
     weight up to a truncation bound.  The shift equals the stable-letter
     weight, which keeps the HNN relators [t,a] - d(a) homogeneous.
@@ -137,27 +135,9 @@ class LieDerivation:
     def __init__(self, base: PresentedLieAlgebra, domain_gens, values, shift: int):
         self.base = base
         self.field = base.field
-        if shift < 1:
-            raise GraphError(f"stable-letter weight {shift} must be >= 1")
         self.shift = shift
-        self.domain_gens: list[LieElement] = []
-        self.values: list[LieElement] = []
-        if len(domain_gens) != len(values):
-            raise GraphError("domain generators and values differ in length")
-        for g, v in zip(domain_gens, values):
-            g, v = _parse(base, g, "domain generator"), _parse(base, v, "derivation value")
-            if g.is_zero() or not g.is_homogeneous():
-                raise GraphError("domain generators must be nonzero homogeneous")
-            if not v.is_zero():
-                if not v.is_homogeneous():
-                    raise GraphError("derivation values must be homogeneous")
-                if v.weight() != g.weight() + shift:
-                    raise GraphError(
-                        f"derivation value of weight {v.weight()} for generator of"
-                        f" weight {g.weight()} violates shift {shift}"
-                    )
-            self.domain_gens.append(g)
-            self.values.append(v)
+        self.domain_gens = [_parse(base, g, "domain generator") for g in domain_gens]
+        self.values = [_parse(base, v, "derivation value") for v in values]
         self.domain = base.subalgebra(self.domain_gens)
 
     def validate_leibniz(self, N: int):
@@ -217,8 +197,6 @@ def hnn(derivation: LieDerivation, t_name: str, name: str = "hnn") -> PresentedL
     The Leibniz law is not checked here (see LieDerivation.validate_leibniz).
     """
     L = derivation.base
-    if t_name in L.free.gen_index:
-        raise GraphError(f"stable letter {t_name!r} collides with a base generator")
     gens = [(g.name, g.weight) for g in L.generators] + [(t_name, derivation.shift)]
     free = FreeLieAlgebra(L.field, gens)
     into = substitution(L.free, free, {g.name: free.gen_element(g.name) for g in L.generators})
@@ -262,16 +240,17 @@ class Edge:
         self.stable_weight = stable_weight
 
     @property
-    def is_loop(self) -> bool:
-        return self.src == self.dst
-
-    @property
     def shift(self) -> int:
         return 0 if self.in_forest else self.stable_weight
 
 
 class GraphOfLieAlgebras:
-    """Vertex/edge algebras with structure maps over a fixed maximal forest."""
+    """Vertex/edge algebras with structure maps over a fixed spanning tree.
+
+    The forest edges must join every vertex without a cycle, so the graph is
+    connected; each stable letter is named by its edge id, which must
+    differ from every qualified generator name '<vertex>.<name>'.
+    """
 
     def __init__(self, field: Field, vertices: dict, edges: list[Edge]):
         self.field = field
@@ -282,19 +261,14 @@ class GraphOfLieAlgebras:
         self._validate()
 
     def _validate(self):
-        if not self.vertices:
-            raise GraphError("graph needs at least one vertex")
+        qualified = set()
         for vid, alg in self.vertices.items():
             check_same_field(self.field, alg.field, f"vertex {vid}")
-        ids = [e.id for e in self.edges]
-        if len(set(ids)) != len(ids):
-            raise GraphError("duplicate edge ids")
+            qualified.update(f"{vid}.{g.name}" for g in alg.generators)
         for e in self.edges:
             if e.src not in self.vertices or e.dst not in self.vertices:
                 raise GraphError(f"edge {e.id} references unknown vertices")
             check_same_field(self.field, e.algebra.field, f"edge {e.id}")
-            if e.is_loop and e.in_forest:
-                raise GraphError(f"loop {e.id} cannot be a forest edge")
             self.sigma[e.id] = LieHomomorphism(
                 e.algebra, self.vertices[e.src], e.sigma_images or {}
             )
@@ -307,8 +281,8 @@ class GraphOfLieAlgebras:
             else:
                 if e.stable_weight is None:
                     raise GraphError(f"non-forest edge {e.id} needs a stable-letter weight")
-                if e.stable_weight < 1:
-                    raise GraphError(f"edge {e.id}: stable-letter weight {e.stable_weight} < 1")
+                if e.id in qualified:
+                    raise GraphError(f"stable letter {e.id} collides with a generator")
                 e.der_values = {
                     g: _parse(self.vertices[e.dst], v, f"edge {e.id}: derivation value of {g!r}")
                     for g, v in (e.der_values or {}).items()
@@ -318,8 +292,12 @@ class GraphOfLieAlgebras:
                     raise GraphError(
                         f"non-forest edge {e.id} lacks derivation values for {sorted(missing)}"
                     )
-        # forest = maximal forest: acyclic, and every non-forest edge closes
-        # a cycle within one component
+                for g in e.algebra.generators:
+                    value, weight = e.der_values[g.name], g.weight + e.stable_weight
+                    if not value.is_zero() and value.weight() != weight:
+                        raise GraphError(f"edge {e.id}: derivation value of {g.name!r} is"
+                                         f" {value!r}, not of weight {weight}")
+        # the forest edges form a spanning tree: no cycle, one component
         parent = {v: v for v in self.vertices}
 
         def find(v):
@@ -334,16 +312,8 @@ class GraphOfLieAlgebras:
                 if a == b:
                     raise GraphError(f"forest edge {e.id} closes a cycle")
                 parent[a] = b
-        for e in self.edges:
-            if not e.in_forest and find(e.src) != find(e.dst):
-                raise GraphError(
-                    f"forest is not maximal: edge {e.id} joins distinct components"
-                )
-        self._components = len({find(v) for v in self.vertices})
-
-    @property
-    def connected(self) -> bool:
-        return self._components == 1
+        if len({find(v) for v in self.vertices}) != 1:
+            raise GraphError("the forest edges do not join every vertex")
 
     def fundamental(self) -> "FundamentalAlgebra":
         return FundamentalAlgebra(self)
@@ -374,8 +344,6 @@ class FundamentalAlgebra:
             self.vertex_gen_map[vid] = m
         for e in graph.edges:
             if not e.in_forest:
-                if any(e.id == name for name, _ in gens):
-                    raise GraphError(f"stable letter {e.id} collides with a generator")
                 gens.append((e.id, e.stable_weight))
 
         free = FreeLieAlgebra(field, gens)
@@ -471,8 +439,6 @@ def verify_theorem_a(
     a vertex's) share one module state and each right ideal is built once
     per weight.
     """
-    if not graph.connected:
-        raise GraphError("theorem A verification requires a connected graph")
     fund = graph.fundamental()
     L = fund.algebra
     report = {"fundamental_dims": L.dim_sequence(N), "embedding_failures": [],
@@ -627,11 +593,6 @@ def parse_graph_file(text: str, base_dir: str, field: Optional[Field] = None) ->
         stable_weight = weights.pop() if weights else None
         if weights:
             raise GraphError(f"edge {eid}: conflicting stable weights")
-        if not in_forest and stable_weight is None and not alg.generators:
-            raise GraphError(
-                f"edge {eid}: a stable-letter weight is required "
-                "(add 'stable-weight <w>' to the edge line)"
-            )
         edges.append(
             Edge(
                 eid,

@@ -34,7 +34,7 @@ from .fields import InputError
 from .freelie import FreeLieAlgebra, LieElement, substitution
 from .graphalg import GraphError, LieDerivation, hnn
 from .linalg import ColumnSolver
-from .presented import PresentationError, PresentedLieAlgebra, infer_presentation
+from .presented import PresentedLieAlgebra, infer_presentation
 
 
 class DecompositionError(InputError):
@@ -78,9 +78,7 @@ class HNNTower:
 
 def freiheitssatz_check(P: PresentedLieAlgebra, r: LieElement, Z: list[int]) -> bool:
     """True iff r is outside the subalgebra of F generated by the Hall
-    monomials Z (checked in r's weight)."""
-    if r.weight() is None:
-        raise PresentationError("relator must be homogeneous")
+    monomials Z (checked in r's weight, so r must be homogeneous)."""
     return _express_over(P.free, Z, r) is None
 
 
@@ -208,26 +206,25 @@ def rebuild(tower: HNNTower) -> PresentedLieAlgebra:
     return _walk(tower)[2]
 
 
-def verify_tower(tower: HNNTower, P: PresentedLieAlgebra, N: int) -> dict:
+def verify_tower(tower: HNNTower, N: int) -> dict:
     """The `onerelator decompose` data: the tower and an independent
     recomputation of its claims.
 
     (a) rebuild through graph-algebra HNN extensions; (b) dimension
-    sequence equality with P up to N ("rebuilt_dims", "original_dims",
-    "dims_match"); (c) freeness witnesses (H_2 = 0) for the base
-    ("base_free") and, per layer, the associated subalgebra, plus the
-    Freiheitssatz condition r not in F(Z); (d) Leibniz validity of every
-    layer derivation; and minimality of every exponent.  "layers" holds one
-    dict of (c), (d) and minimality per layer, base outward, whose
-    "associated_checked_to" is the weight to which the associated
-    subalgebra's presentation was inferred (None for an empty family, whose
-    subalgebra is 0).  "ok" holds when every check holds.  If the rebuild
-    fails, every value it would give is None, "layers" is empty and "ok" is
-    False.
+    sequence equality with the original presentation up to N
+    ("rebuilt_dims", "original_dims", "dims_match"); (c) freeness
+    witnesses (H_2 = 0) for the base ("base_free") and, per layer, the
+    associated subalgebra, plus the Freiheitssatz condition r not in F(Z);
+    (d) Leibniz validity of every layer derivation; and minimality of
+    every exponent.  "layers" holds one dict of (c), (d) and minimality per
+    layer, base outward, whose "associated_checked_to" is the weight to
+    which the associated subalgebra's presentation was inferred (None for
+    an empty family, whose subalgebra is 0).  "ok" holds when every check
+    holds.  If the rebuild fails, every value it would give is None,
+    "layers" is empty and "ok" is False.
     """
-    free = tower.original.free
-    r = tower.relator
-    w = r.weight()
+    P, r = tower.original, tower.relator
+    free, w = P.free, r.weight()
     report = {
         "tower": {
             "depth": tower.depth,
@@ -263,7 +260,7 @@ def verify_tower(tower: HNNTower, P: PresentedLieAlgebra, N: int) -> dict:
         if layer.Z:
             checked_to = max(max(free.weight(z) for z in layer.Z) + 2, 4)
             associated_free = not infer_presentation(der.domain, checked_to)[0].relators
-        frei = freiheitssatz_check(tower.original, r, layer.Z)
+        frei = freiheitssatz_check(P, r, layer.Z)
         # one exponent less must lose r: shrink the family and retest
         shrunk = [y for y in layer.Y if _h_exponent(free, layer.h, y) < layer.j]
         j_minimal = layer.j == 0 or _express_over(free, shrunk, r) is None

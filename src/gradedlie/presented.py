@@ -19,8 +19,9 @@ Two computation routes coexist:
 The relation ideal, every subalgebra and the graph of a derivation are
 each one :class:`GeneratedSpans`, the one type of span generated from below.
 
-Per-weight data is computed under a single-writer discipline: once a weight
-is built it is immutable and may be read concurrently.
+The package is single-threaded.  Per-weight data is built on first use,
+and reading a built weight can still fill memos (the engine's pair memo,
+the free algebra's rewriting memo and interned monomials).
 
 Presentation file format, where # starts a comment and blank lines are
 allowed::
@@ -73,8 +74,6 @@ class PresentedLieAlgebra:
         for r in relators:
             if isinstance(r, str):
                 r = self.free.parse(r)
-            if r.algebra is not self.free:
-                raise PresentationError("relator built over a different algebra")
             if r.is_zero():
                 raise PresentationError("zero relator")
             if not r.is_homogeneous():
@@ -112,8 +111,7 @@ class PresentedLieAlgebra:
         return self._engine
 
     def dim(self, n: int) -> int:
-        if n < 1:
-            return 0
+        """dim L_n, n >= 1."""
         if not self.relators:
             if not self.generators:
                 return 0
@@ -249,8 +247,6 @@ class GradedEngine:
             self._build(self._built + 1)
 
     def dim(self, n: int) -> int:
-        if n < 1:
-            return 0
         self.build_to(n)
         return len(self._defs[n])
 
@@ -266,8 +262,6 @@ class GradedEngine:
 
     def evaluate(self, elem: LieElement) -> tuple[int, dict]:
         """Image of a homogeneous free-algebra element in engine coordinates."""
-        if elem.algebra is not self.algebra.free:
-            raise PresentationError("element from a different presentation")
         if elem.is_zero():
             raise PresentationError("cannot evaluate 0 (weight undetermined)")
         w = elem.weight()
@@ -632,7 +626,8 @@ def infer_presentation(
     once.  S/[S,S] is spanned by the given generators, so the generator
     set is complete exactly when N >= 1 and N reaches the largest weight
     of a given generator with a nonzero image; below that the truncated
-    presentation comes with conclusive False.
+    presentation comes with conclusive False.  `names`, if given, names
+    the generators in that order, one name each; else they are s1, s2, ...
     """
     field = S.field
     eng = S.ambient.engine
@@ -649,10 +644,6 @@ def infer_presentation(
 
     if names is None:
         names = [f"s{i + 1}" for i in range(len(gen_specs))]
-    if len(names) != len(gen_specs):
-        raise PresentationError(
-            f"{len(names)} names supplied for {len(gen_specs)} generators"
-        )
     gens = [(names[i], w) for i, (w, _) in enumerate(gen_specs)]
 
     # kernel of F(gens) -> S, degree by degree

@@ -141,10 +141,6 @@ class SimpleGraph:
                 coeffs[k] += (-1) ** k
         return HilbertSeries(coeffs, N)
 
-    def __repr__(self):
-        es = sorted(tuple(sorted(e)) for e in self.edges)
-        return f"SimpleGraph({self.vertices}, {es})"
-
 
 def parse_graph(text: str) -> SimpleGraph:
     """Parse the `vertices ...` / `edge a b` file format."""

@@ -17,8 +17,6 @@ class HilbertSeries:
     __slots__ = ("coeffs", "truncation")
 
     def __init__(self, coeffs, truncation: int):
-        if truncation < 0:
-            raise ValueError("truncation must be >= 0")
         coeffs = list(coeffs)
         if len(coeffs) < truncation + 1:
             coeffs = coeffs + [0] * (truncation + 1 - len(coeffs))
@@ -43,10 +41,6 @@ class HilbertSeries:
         """
         out = cls.one(truncation)
         for i, d in enumerate(dims, start=1):
-            if i > truncation:
-                break
-            if d < 0:
-                raise ValueError("negative graded dimension")
             if d == 0:
                 continue
             # (1 - t^i)^(-d) = sum_k C(k+d-1, d-1) t^(i k)
@@ -81,16 +75,12 @@ class HilbertSeries:
         return HilbertSeries(out, n)
 
     def shift(self, k: int) -> "HilbertSeries":
-        """Multiply by t^k."""
-        if k < 0:
-            raise ValueError("negative shift")
+        """Multiply by t^k, k >= 0."""
         return HilbertSeries([0] * k + self.coeffs, self.truncation)
 
     def divide(self, other: "HilbertSeries") -> "HilbertSeries":
         """Exact division; raises if the quotient is not an integer series."""
         self._check(other)
-        if other.coeffs[0] == 0:
-            raise ZeroDivisionError("division by series with zero constant term")
         n = self.truncation
         out = [0] * (n + 1)
         b0 = other.coeffs[0]
@@ -106,10 +96,4 @@ class HilbertSeries:
         return HilbertSeries(out, n)
 
     def __eq__(self, other):
-        if not isinstance(other, HilbertSeries):
-            return NotImplemented
         return self.truncation == other.truncation and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"HilbertSeries({self.coeffs}, N={self.truncation})"
-

@@ -320,6 +320,34 @@ MUTANTS = [
      'and lr["leibniz"] and lr["j_minimal"]',
      'and lr["leibniz"]',
      ["tests/test_onerelator.py::test_tower_is_not_ok_when_an_exponent_is_not_minimal"]),
+    # one-relator towers: the verdict ignores the layer derivations' Leibniz law
+    (ONERELATOR,
+     'lr["freiheitssatz"] and lr["leibniz"] and',
+     'lr["freiheitssatz"] and',
+     ["tests/test_onerelator.py::test_tower_is_not_ok_when_a_layer_check_fails[leibniz]"]),
+    # one-relator towers: the verdict ignores the Freiheitssatz
+    (ONERELATOR,
+     'lr["associated_free"] and lr["freiheitssatz"]',
+     'lr["associated_free"]',
+     ["tests/test_onerelator.py::test_tower_is_not_ok_when_a_layer_check_fails[freiheitssatz]"]),
+    # one-relator towers: the verdict ignores the associated subalgebras' freeness
+    (ONERELATOR,
+     'lr["associated_free"] and lr',
+     'lr',
+     ["tests/test_onerelator.py::test_tower_is_not_ok_when_a_layer_check_fails"
+      "[associated_free]"]),
+    # fields: a composite that passes trial division taken for a prime when
+    # Miller-Rabin finds a witness
+    (FIELDS,
+     "            return False\n    return True",
+     "            pass\n    return True",
+     ["tests/test_cli.py::test_bad_input_exits_2[field-square-of-a-prime]"]),
+    # graph maps: a generator image of another weight, or 0, accepted
+    (GRAPHALG,
+     "if img.weight() != g.weight:",
+     "if False:",
+     ["tests/test_graphalg.py::test_hom_validation",
+      "tests/test_cli.py::test_bad_graph_and_presentation_input_exits_2[map-image-zero]"]),
     # RAAG resolution: the verdict ignores the Euler identity
     (RAAG,
      '"ok": not failures and euler_ok,',

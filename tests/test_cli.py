@@ -316,11 +316,18 @@ def test_out_file_and_table_format(capsys, heisenberg_file, tmp_path):
         ["--cap", "5", "onerelator", "decompose", "{mn}"],
         ["hall", "--gens", ","],
         ["infer", "{mn}"],
+        ["--field", "Fp:1681", "hall", "--gens", "x"],
+        ["hall", "--gens", "x,x"],
+        ["infer", "{mn}", "--gen", "0*a"],
+        ["infer", "{mn}", "--gen", "a+[a,b]"],
+        ["infer", "{mn}", "--gen", "a$"],
     ],
     ids=["negative-max-degree-hall", "negative-max-degree-hilbert",
          "negative-hom-bound", "bad-generator-weight", "deep-nesting",
          "removed-subcommand", "removed-seed-option", "removed-cap-option",
-         "empty-generator-list", "infer-without-gen"],
+         "empty-generator-list", "infer-without-gen", "field-square-of-a-prime",
+         "hall-generator-repeated", "infer-zero-gen", "infer-mixed-weight-gen",
+         "infer-bad-character"],
 )
 def test_bad_input_exits_2(capsys, tmp_path, argv):
     mn = tmp_path / "mn.lie"
@@ -407,6 +414,27 @@ BAD_GRAPH_AND_PRESENTATION_INPUTS = {
     "unrecognized-graph-line": "vertex v free2.lie\nvertices a b\n",
     "conflicting-stable-weights": HNN_GRAPH.format(u="a", du="[a,b]", sw="1").replace(
         "kuv.lie", "kuv.lie stable-weight 2"),
+    "field-line-empty": "field =\ngen x weight 1\n",
+    "vertices-repeated": "vertices a a\n",
+    "edge-arity": "vertex v free2.lie\nedge t v zero.lie\n",
+    "map-without-arrow": "vertex v free2.lie\nedge t v v zero.lie stable-weight 1\n"
+                         "map sigma t u a\n",
+    "der-without-stable-weight": HNN_GRAPH.format(u="a", du="[a,b]", sw="1").replace(
+        " stable-weight 1\nder t v", "\nder t v"),
+    "no-vertex": "edge t v v zero.lie stable-weight 1\n",
+    "map-image-missing": HNN_GRAPH.format(u="a", du="[a,b]", sw="1").replace(
+        "map sigma t v -> b\n", ""),
+    "map-image-zero": HNN_GRAPH.format(u="0*a", du="[a,b]", sw="1"),
+    "map-image-for-unknown-generator": HNN_GRAPH.format(u="a", du="[a,b]", sw="1")
+                                       + "map sigma t q -> a\n",
+    "non-forest-edge-without-stable-weight": "vertex v free2.lie\nedge t v v zero.lie\n",
+    "der-value-missing": HNN_GRAPH.format(u="a", du="[a,b]", sw="1").replace(
+        "der t v -> 0*a stable-weight 1\n", ""),
+    # checked when the graph is loaded, so the error names the file
+    "der-value-of-wrong-weight": HNN_GRAPH.format(u="a", du="b", sw="1"),
+    "disconnected-graph": "vertex v free2.lie\nvertex w free2.lie\n",
+    "stable-letter-named-like-a-generator": "vertex v free2.lie\n"
+                                            "edge v.a v v zero.lie stable-weight 1\n",
 }
 
 
@@ -420,6 +448,9 @@ def test_bad_graph_and_presentation_input_exits_2(capsys, tmp_path, case):
     if text.startswith("field"):
         bad = tmp_path / "bad.lie"
         argv = ["--max-degree", "3", "dims", str(bad)]
+    elif text.startswith("vertices"):
+        bad = tmp_path / "bad.graph"
+        argv = ["raag", "chordal", str(bad)]
     else:
         bad = tmp_path / "bad.graph"
         argv = ["--max-degree", "3", "graph", "verify", str(bad)]

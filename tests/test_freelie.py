@@ -175,6 +175,7 @@ def test_parser():
     assert e == x.bracket(y) + x.scale(QQ.of(2)) - y.scale(QQ.parse("1/2"))
     assert alg.parse("[y,x]") == -x.bracket(y)
     assert alg.parse("-x") == -x
+    assert alg.parse("2*([x,y] - (x))") == (x.bracket(y) - x).scale(QQ.of(2))
     with pytest.raises(ExprSyntaxError):
         parse_expression(alg, "[x,y")
     with pytest.raises(ExprSyntaxError):
@@ -186,6 +187,15 @@ def test_parser():
         alg.parse("[zz,")
     with pytest.raises(ExprSyntaxError):
         alg.parse("[x, ) + zz")
+
+
+def test_repr():
+    # the inferred relators of `infer` print this way: Hall order, unit
+    # coefficients bare, a minus sign folded into the joint
+    alg = FreeLieAlgebra(QQ, ["x", "y"])
+    assert repr(alg.zero()) == "0"
+    assert repr(alg.parse("2*[x,y]")) == "2*[x,y]"
+    assert repr(alg.parse("[x,y] - x - 1/2*[x,[x,y]]")) == "-x + [x,y] - 1/2*[x,[x,y]]"
 
 
 def test_parser_depth_limits():

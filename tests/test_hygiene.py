@@ -10,11 +10,12 @@ or attribute somewhere in ``src/``: a definition only tests use belongs in
 definitions of one name apart: a method only tests call passes whenever
 the library uses the same name elsewhere (``Field.add`` passed while
 ``Echelon.add`` was in use).  ``python3 tests/reach.py`` covers that blind
-spot: it lists the functions no golden command enters.  The
-``"Class.method"`` strings of
-``bench/tracer.py``'s ``WRAPS`` table count too, since the tracer looks
-those up by name, and each of them must resolve as the tracer resolves
-it.  The mutation table of ``tests/mutants.py`` must stay runnable: each
+spot: it fails on any statement that neither the golden corpus nor tier-1
+runs, unless its ``ALLOWED`` table names it; every key of that table must
+still name a statement of ``src/`` and come with a reason.  The
+``"Class.method"`` strings of ``bench/tracer.py``'s ``WRAPS`` table count
+too, since the tracer looks those up by name, and each of them must
+resolve as the tracer resolves it.  The mutation table of ``tests/mutants.py`` must stay runnable: each
 old text occurs exactly once in its file and each named test exists.
 Every hypothesis ``@given`` test carries a ``@seed``, so tier-1 draws the
 same examples on every run.  Files are opened in two places only: the
@@ -30,6 +31,7 @@ from pathlib import Path
 import pytest
 
 import mutants
+import reach
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gradedlie"
@@ -183,6 +185,28 @@ def test_mutant_table_is_well_formed():
             tree = ast.parse((ROOT / file).read_text(encoding="utf-8"))
             functions = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
             assert name.split("[")[0] in functions, node
+
+
+def test_reach_allowlist_names_statements_with_reasons():
+    texts = {name: {text for _, _, text in reach.statements(str(PACKAGE / name))}
+             for name in {name for name, _ in reach.ALLOWED}}
+    stale = [key for key in reach.ALLOWED if key[1] not in texts[key[0]]]
+    assert not stale, f"ALLOWED keys that name no statement of src/: {stale}"
+    assert all(reason.strip() for reason in reach.ALLOWED.values())
+
+
+def test_reach_counts_statements_by_their_spans(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "'''doc'''\n"
+        "def f(a,\n      b):\n    '''doc'''\n    try:\n"
+        "        return g(\n            a)\n    except KeyError:\n        raise   ValueError(b)\n"
+    )
+    # docstrings and try headers are not counted; a compound statement
+    # spans its header, a simple one all its lines; keys collapse whitespace
+    spans = [(first, last, text.split(":")[0]) for first, last, text in
+             reach.statements(str(path))]
+    assert spans == [(2, 3, "def f(a, b)"), (6, 7, "return g( a)"), (9, 9, "raise ValueError(b)")]
 
 
 def unresolved_wraps(wraps: list, modules: dict) -> list:

@@ -1,8 +1,13 @@
+import json
+import os
+
 import pytest
 from hypothesis import assume, example, given, seed, settings, strategies as st
 
 from gradedlie import onerelator
+from gradedlie.cli import main
 from gradedlie.fields import GF, QQ
+from gradedlie.graphalg import GraphError, LieDerivation
 from gradedlie.onerelator import (
     DecompositionError,
     decompose,
@@ -79,7 +84,7 @@ def test_freiheitssatz_check_matches_span_oracle(case):
 def test_layer_reports_state_associated_weight():
     P = PresentedLieAlgebra(QQ, ["x", "y", "z"], ["[x,[x,y]]+[z,[z,y]]"])
     tower = decompose(P)
-    report = verify_tower(tower, P, 6)
+    report = verify_tower(tower, 6)
     assert report["ok"]
     # layer reports run base outward, the reverse of extraction order
     for layer, lr in zip(reversed(tower.layers), report["layers"]):
@@ -97,7 +102,7 @@ def test_decompose_abelian_rank2():
     assert tower.depth >= 1
     L = rebuild(tower)
     assert L.dim_sequence(8) == [2, 0, 0, 0, 0, 0, 0, 0]
-    report = verify_tower(tower, P, 10)
+    report = verify_tower(tower, 10)
     assert report["ok"], report
 
 
@@ -108,7 +113,7 @@ def test_decompose_one_relator_weight3():
     assert (
         L.enveloping_series(10) == P.enveloping_series(10)
     )
-    report = verify_tower(tower, P, 10)
+    report = verify_tower(tower, 10)
     assert report["ok"], report
     # the minimal exponent at the first layer is 2: r = [x,x,y]
     assert tower.layers[0].j == 2
@@ -134,21 +139,21 @@ def test_decompose_degenerate_generator_relator():
     P = PresentedLieAlgebra(QQ, ["x", "y"], ["x-y"])
     tower = decompose(P)
     assert tower.depth == 0
-    report = verify_tower(tower, P, 8)
+    report = verify_tower(tower, 8)
     assert report["ok"]
 
 
 def test_decompose_weighted():
     P = PresentedLieAlgebra(QQ, [("a", 1), ("b", 2)], ["[a,[a,b]]"])
     tower = decompose(P)
-    report = verify_tower(tower, P, 10)
+    report = verify_tower(tower, 10)
     assert report["ok"], report
 
 
 def test_decompose_weight5_relator():
     P = PresentedLieAlgebra(QQ, ["x", "y"], ["[[x,y],[x,[x,y]]]"])
     tower = decompose(P)
-    report = verify_tower(tower, P, 10)
+    report = verify_tower(tower, 10)
     assert report["ok"], report
 
 
@@ -169,7 +174,7 @@ def test_one_relator_h2_is_one_dim():
 def test_tower_base_and_associated_free():
     P = PresentedLieAlgebra(QQ, ["x", "y"], ["[x,[x,y]]"])
     tower = decompose(P)
-    report = verify_tower(tower, P, 10)
+    report = verify_tower(tower, 10)
     assert report["base_free"]
     for lr in report["layers"]:
         assert lr["associated_free"]
@@ -188,7 +193,7 @@ def test_hand_built_tower_with_wrong_j_fails():
     tower.base_family = bad_Y
     from gradedlie.onerelator import DecompositionError
 
-    report = verify_tower(tower, P, 8)
+    report = verify_tower(tower, 8)
     assert not report["ok"]
 
 
@@ -197,12 +202,46 @@ def test_tower_is_not_ok_when_an_exponent_is_not_minimal(monkeypatch):
     # whole family, which still expresses r, while every other check holds
     monkeypatch.setattr(onerelator, "_h_exponent", lambda free, h, y: 0)
     P = PresentedLieAlgebra(QQ, ["x", "y"], ["[x,[x,y]]"])
-    report = verify_tower(decompose(P), P, 8)
+    report = verify_tower(decompose(P), 8)
     assert report["dims_match"] and report["base_free"]
     assert [lr["j_minimal"] for lr in report["layers"]] == [False]
     assert all(lr["associated_free"] and lr["freiheitssatz"] and lr["leibniz"]
                for lr in report["layers"])
     assert report["ok"] is False
+
+
+def _raise_graph_error(*args):
+    raise GraphError("injected Leibniz violation")
+
+
+FAULTS = {
+    # the layer derivation breaks the Leibniz law
+    "leibniz": lambda mp: mp.setattr(LieDerivation, "validate_leibniz", _raise_graph_error),
+    # r lies in F(Z)
+    "freiheitssatz": lambda mp: mp.setattr(onerelator, "freiheitssatz_check",
+                                           lambda P, r, Z: False),
+    # the associated subalgebra's inferred presentation has a relator
+    "associated_free": lambda mp: mp.setattr(
+        onerelator, "infer_presentation",
+        lambda S, N: (PresentedLieAlgebra(QQ, ["a", "b"], ["[a,b]"]), True)),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(FAULTS))
+def test_tower_is_not_ok_when_a_layer_check_fails(monkeypatch, capsys, flag):
+    # one layer check made to fail, every other check holding: the tower is
+    # not ok, and `onerelator decompose` exits 1
+    FAULTS[flag](monkeypatch)
+    P = PresentedLieAlgebra(QQ, ["x", "y"], ["[x,[x,y]]"])
+    report = verify_tower(decompose(P), 8)
+    assert report["dims_match"] and report["base_free"]
+    assert [lr[flag] for lr in report["layers"]] == [False]
+    others = {"leibniz", "freiheitssatz", "associated_free", "j_minimal"} - {flag}
+    assert all(lr[key] for lr in report["layers"] for key in others)
+    assert report["ok"] is False
+    path = os.path.join(os.path.dirname(__file__), "golden", "inputs", "onerel3.lie")
+    code = main(["--max-degree", "5", "onerelator", "decompose", path])
+    assert code == 1 and json.loads(capsys.readouterr().out)["ok"] is False
 
 
 def test_decompose_requires_single_relator():
@@ -217,7 +256,7 @@ def test_decompose_requires_single_relator():
 def test_tower_description():
     P = PresentedLieAlgebra(QQ, ["x", "y"], ["[x,y]"])
     tower = decompose(P)
-    desc = verify_tower(tower, P, 4)["tower"]
+    desc = verify_tower(tower, 4)["tower"]
     assert desc["depth"] == tower.depth == len(desc["layers"])
     assert [l["stable_letter"] for l in desc["layers"]] == [
         P.free.monomial_str(layer.h) for layer in tower.layers]
