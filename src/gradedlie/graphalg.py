@@ -273,12 +273,16 @@ class GraphOfLieAlgebras:
                 e.algebra, self.vertices[e.src], e.sigma_images or {}
             )
             if e.in_forest:
+                if e.der_values or e.stable_weight is not None:
+                    raise GraphError(f"forest edge {e.id} takes no derivation or stable weight")
                 if e.tau_images is None and e.algebra.generators:
                     raise GraphError(f"forest edge {e.id} needs a tau map")
                 self.tau[e.id] = LieHomomorphism(
                     e.algebra, self.vertices[e.dst], e.tau_images or {}
                 )
             else:
+                if e.tau_images:
+                    raise GraphError(f"non-forest edge {e.id} takes no tau map")
                 if e.stable_weight is None:
                     raise GraphError(f"non-forest edge {e.id} needs a stable-letter weight")
                 if e.id in qualified:
@@ -287,11 +291,10 @@ class GraphOfLieAlgebras:
                     g: _parse(self.vertices[e.dst], v, f"edge {e.id}: derivation value of {g!r}")
                     for g, v in (e.der_values or {}).items()
                 }
-                missing = {g.name for g in e.algebra.generators} - set(e.der_values)
-                if missing:
-                    raise GraphError(
-                        f"non-forest edge {e.id} lacks derivation values for {sorted(missing)}"
-                    )
+                names = {g.name for g in e.algebra.generators}
+                if set(e.der_values) != names:
+                    raise GraphError(f"non-forest edge {e.id} needs derivation values for exactly"
+                                     f" {sorted(names)}, not {sorted(e.der_values)}")
                 for g in e.algebra.generators:
                     value, weight = e.der_values[g.name], g.weight + e.stable_weight
                     if not value.is_zero() and value.weight() != weight:

@@ -7,9 +7,9 @@ alternating bracket sum, stored by columns; the test suite checks
 d o d = 0 exactly.
 
 H_1 and H_2 computed here must agree with the presentation-side h1 and
-Hopf-formula h2 (two independent algorithms); the test suite enforces the
-pair on every corpus algebra.  Degrees are bounded separately in
-homological degree I and weight N.
+Hopf-formula h2, two computations on one engine build (CE ranks against the
+relator rank); the test suite enforces the pair on every corpus algebra.
+Degrees are bounded separately in homological degree I and weight N.
 """
 
 from __future__ import annotations

@@ -138,6 +138,20 @@ MUTANTS = [
      "                if mod:\n                    s %= mod\n",
      "",
      ["tests/test_presented.py::test_engine_stores_integer_numerators_and_both_orientations"]),
+    # Hopf H_2: the generators the relators kill not subtracted
+    (PRESENTED,
+     "self.h2[n] = ech.rank - consistency_rank - killed",
+     "self.h2[n] = ech.rank - consistency_rank",
+     ["tests/test_span_properties.py::test_engine_h2_matches_ideal_route[F7]",
+      "tests/test_span_properties.py::test_engine_h2_matches_ideal_route[Q]",
+      "tests/test_presented.py::test_h2_nonminimal_presentation"]),
+    # Hopf H_2: the consistency rank read after the relator rows are added
+    (PRESENTED,
+     "        consistency_rank = ech.rank\n        prim = ech.extend(relator_rows).primitive_rows\n",
+     "        prim = ech.extend(relator_rows).primitive_rows\n        consistency_rank = ech.rank\n",
+     ["tests/test_span_properties.py::test_engine_h2_matches_ideal_route[F7]",
+      "tests/test_span_properties.py::test_engine_h2_matches_ideal_route[Q]",
+      "tests/test_presented.py::test_h2_hopf"]),
     # [L,L]: the surviving generators of every weight up to n counted
     (PRESENTED,
      "if a and g.weight == n)",
@@ -151,8 +165,8 @@ MUTANTS = [
      "self.derived(n).copy().extend(",
      "self.derived(n).extend(",
      ["tests/test_presented.py::test_infer_presentation_abelian_slice",
-      "tests/test_presented.py::test_infer_presentation_section6",
-      "tests/test_presented.py::test_h2_hopf"]),
+      "tests/test_span_properties.py::test_engine_h2_matches_ideal_route[F7]",
+      "tests/test_span_properties.py::test_engine_h2_matches_ideal_route[Q]"]),
     # generated spans: the seeds left out of V_n
     (PRESENTED,
      ".extend(self.seeds(n))",

@@ -8,7 +8,8 @@ monomials and a straightened boundary, Mayer-Vietoris exactness from
 dimensions alone, Hall monomial chains, subspace sums and intersections,
 d o d = 0 on the CE complex, the CE differential with every bracket read
 afresh, PBW products one right factor at a time, graded dims by PBW
-inversion of a Hilbert series and by the relation-ideal route, bracket
+inversion of a Hilbert series, graded dims and Hopf's H_2 by the
+relation ideal spanned inside the free algebra, bracket
 closures over all pairs of lower components, membership in a subalgebra
 of a free algebra from its spans, the Leibniz check over all pairs,
 induced modules and their right ideals from a basis of the subalgebra,
@@ -16,13 +17,14 @@ induced module dims against the series quotient, [I,F] with its redundant
 [[I,F],x] term, the Lie algebra laws on the engine's structure
 constants, the command line by the argparse parser the CLI once
 built), so a test can compare the two.  A few readers expose what only
-tests look at: the RAAG trace tables as sorted words, the cell bases of the
-resolution and the components of the relation ideal.
+tests look at: the RAAG trace tables as sorted words and the cell bases
+of the resolution.
 """
 
 from __future__ import annotations
 
 import argparse
+import weakref
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -47,7 +49,8 @@ from gradedlie.example6 import change_field
 from gradedlie.fields import GF, RationalField, check_same_field
 from gradedlie.freelie import FreeLieAlgebra
 from gradedlie.linalg import Echelon, SparseMatrix
-from gradedlie.presented import GeneratedSpans, GradedSubalgebra, PresentedLieAlgebra
+from gradedlie.presented import (GeneratedSpans, GradedSubalgebra, PresentedLieAlgebra,
+                                 _IdealSpansForList)
 from gradedlie.raag import RaagResolution, SimpleGraph, find_induced_cycle
 from gradedlie.series import HilbertSeries
 
@@ -419,15 +422,40 @@ def pbw_graded_dims(series: HilbertSeries) -> list[int]:
     return dims
 
 
+_IDEALS = weakref.WeakKeyDictionary()  # presentation -> its relation ideal
+
+
+def ideal_spans(P: PresentedLieAlgebra) -> _IdealSpansForList:
+    """P's relation ideal I inside the free algebra, built once per
+    presentation: span(n) is I_n and derived(n) is [I,F]_n."""
+    got = _IDEALS.get(P)
+    if got is None:
+        got = _IDEALS[P] = _IdealSpansForList(P.field, P.free, P.relators)
+    return got
+
+
 def ideal_component(P: PresentedLieAlgebra, n: int) -> Echelon:
-    """The weight-n component of P's relation ideal inside F_n, as the
-    ideal route behind ``P.h2_hopf`` builds it."""
-    return P._ideal_spans.ideal(n)
+    """The weight-n component of P's relation ideal inside F_n."""
+    return ideal_spans(P).span(n)
 
 
 def dim_via_ideal(P: PresentedLieAlgebra, n: int) -> int:
     """dim L_n by the relation-ideal route: dim F_n - dim I_n."""
     return len(P.free.hall_basis(n)) - ideal_component(P, n).rank
+
+
+def h2_via_ideal(P: PresentedLieAlgebra, N: int) -> list[int]:
+    """Graded dims of (I cap [F,F])/[I,F] for weights 1..N by the
+    relation-ideal route, with I_n and [I,F]_n spanned inside F_n."""
+    spans = ideal_spans(P)
+    out = []
+    for n in range(1, N + 1):
+        n_gens = sum(1 for g in P.generators if g.weight == n)
+        # generators come first in the weight-n Hall order, so rows with
+        # pivot >= n_gens form the canonical basis of I_n cap [F,F]_n
+        inter = sum(1 for p in spans.span(n).pivots() if p >= n_gens)
+        out.append(inter - spans.derived(n).rank)
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -344,6 +344,8 @@ def test_bad_input_exits_2(capsys, tmp_path, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert captured.out == ""
+    if "--gen" in argv:  # the error names the bad expression
+        assert repr(argv[argv.index("--gen") + 1]) in captured.err
 
 
 def test_example_sec6_over_large_prime_field(capsys):
@@ -382,6 +384,10 @@ def test_raag_reports_independent_of_hash_seed(tmp_path, command, key):
 HNN_GRAPH = (
     "vertex v free2.lie\nedge t v v kuv.lie\nmap sigma t u -> {u}\nmap sigma t v -> b\n"
     "der t u -> {du} stable-weight {sw}\nder t v -> 0*a stable-weight {sw}\n"
+)
+FOREST_GRAPH = (
+    "vertex v free2.lie\nvertex w free2.lie\nedge e v w forest kuv.lie{sw}\n"
+    "map sigma e u -> a\nmap sigma e v -> b\nmap tau e u -> a\nmap tau e v -> b\n{der}"
 )
 BAD_GRAPH_AND_PRESENTATION_INPUTS = {
     "der-stable-weight-x": HNN_GRAPH.format(u="a", du="[a,b]", sw="x"),
@@ -435,6 +441,14 @@ BAD_GRAPH_AND_PRESENTATION_INPUTS = {
     "disconnected-graph": "vertex v free2.lie\nvertex w free2.lie\n",
     "stable-letter-named-like-a-generator": "vertex v free2.lie\n"
                                             "edge v.a v v zero.lie stable-weight 1\n",
+    # a line the edge's kind does not use is an error, not dropped
+    "tau-map-on-non-forest-edge": HNN_GRAPH.format(u="a", du="[a,b]", sw="1")
+                                  + "map tau t u -> a\n",
+    "der-line-on-forest-edge": FOREST_GRAPH.format(
+        sw="", der="der e u -> [a,b] stable-weight 1\n"),
+    "stable-weight-on-forest-edge": FOREST_GRAPH.format(sw=" stable-weight 3", der=""),
+    "der-for-unknown-generator": HNN_GRAPH.format(u="a", du="[a,b]", sw="1")
+                                 + "der t q -> [a,b] stable-weight 1\n",
 }
 
 

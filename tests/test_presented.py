@@ -348,11 +348,11 @@ def _engine_digests(path, field, N, monkeypatch):
 
 ENGINE_DIGESTS = {
     ("mn.lie", "Q"): (
-        "d91758f10a1770ebd71bdd6ae5a137d3faa12c8c1c46707fc116d269a32e38c3",
+        "799e0dd8a3d8abcd327906506056899f28b14eb84fa0637544028590bf6909c5",
         "ab18445e03293a4efbdba8c0c21c94ad108ff00082d25478315c2944e2f52bf4",
     ),
     ("mn.lie", "Fp:7"): (
-        "fa6afd907d72406dec34c230dd10335f99f08c973f1ddafe6002e35d7eda4936",
+        "064fcf2eef3dcb8d824416bffad1c8ebe4a3c1a3900ec123a9c12ea863a35f82",
         "b06313525898f7a43b9011d88cfaaf6b48f90e78dab72f51d752eb574c6f4b72",
     ),
     ("mn-twisted.lie", "Q"): (

@@ -14,7 +14,11 @@ Jacobi, relators, canonical values, pair(p, q) = -pair(q, p) read in
 either order) and its dimensions against the ideal route, the
 Chevalley-Eilenberg differential against a bracket-by-bracket oracle, its
 H_1 and H_2 against the presentation's h1 and the Hopf formula h2, and
-the PBW monomial counts against the enveloping series.  Presentations
+the PBW monomial counts against the enveloping series.  The engine's
+Hopf h2 (the rank its relator rows add, minus the generators they kill)
+is checked against the relation ideal spanned inside the free algebra,
+the independent route in ``oracles.py``, on presentations that add
+redundant relators (c.r or [r, g] next to r) to those above.  Presentations
 that `infer_presentation` gives for random subalgebras S, over F_7 and
 Q, are minimal: their h1 and Hopf h2 count their generators and relators
 weight by weight, and their dimensions are S's.  A Q relator that
@@ -50,6 +54,8 @@ from oracles import (
     bracket_ideal_with_redundant_term,
     ce_differential_columns,
     dim_via_ideal,
+    h2_via_ideal,
+    ideal_spans,
     induced_module_dims,
     structure_constant_failure,
 )
@@ -102,7 +108,7 @@ def test_generator_steps_match_basis_oracles(case):
     L, sub_gens = case
     oracle = bracket_ideal_with_redundant_term(L, N)
     for n in range(1, N + 1):
-        assert L._ideal_spans.bracket_ideal(n).basis() == oracle[n].basis()
+        assert ideal_spans(L).derived(n).basis() == oracle[n].basis()
     S = L.subalgebra(sub_gens)
     module = InducedModule(Envelope(L), S)
     for n in range(4):
@@ -210,6 +216,34 @@ def test_ce_h1_matches_presentation_h1(name, data):
 def test_ce_h2_matches_hopf_h2(name, data):
     L = data.draw(presentations(FIELDS[name]))
     assert homology_table(L, 2, N)[2][1:] == L.h2_hopf(N)
+
+
+@st.composite
+def presentations_with_redundant_relators(draw, field=F7):
+    """presentations(field) with a redundant c.r or [r, g] drawn next to
+    some relators r, all in a drawn order."""
+    L = draw(presentations(field))
+    rels = list(L.relators)
+    for r in L.relators:
+        kind = draw(st.sampled_from(["none", "multiple", "bracket"]))
+        if kind == "multiple":
+            rels.append(r.scale(field.of(draw(st.sampled_from([2, 3, -1])))))
+        elif kind == "bracket":
+            g = draw(st.sampled_from(L.generators))
+            rels.append(r.bracket(L.free.gen_element(g.name)))
+    rels = draw(st.permutations([r for r in rels if not r.is_zero()]))
+    return PresentedLieAlgebra(field, L.generators, rels, free=L.free)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@seed(20210133)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_engine_h2_matches_ideal_route(name, data):
+    # weight-1 relators kill generators; a redundant relator adds a relator
+    # row but no rank, so nothing to H_2
+    L = data.draw(presentations_with_redundant_relators(FIELDS[name]))
+    assert L.h2_hopf(N) == h2_via_ideal(L, N)
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
