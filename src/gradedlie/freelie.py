@@ -223,25 +223,17 @@ class FreeLieAlgebra:
         return parse_expression(self, text)
 
     def coordinates(self, elem: "LieElement", n: int) -> dict:
-        """Coordinates of the weight-n part over hall_basis(n) positions."""
+        """Coordinates of a weight-n element over hall_basis(n) positions."""
         pos = self._hall_pos.get(n)
         if pos is None:
             pos = {mid: i for i, mid in enumerate(self.hall_basis(n))}
             self._hall_pos[n] = pos
-        out = {}
-        for mid, coef in elem.terms.items():
-            if self._weight[mid] == n:
-                out[pos[mid]] = coef
-        return out
+        return {pos[mid]: coef for mid, coef in elem.terms.items()}
 
     def element_from_coordinates(self, coords: dict, n: int) -> "LieElement":
+        # no library code reads coordinates back; bench/tracer.py wraps this by name
         basis = self.hall_basis(n)
         return self.from_terms({basis[i]: v for i, v in coords.items()})
-
-    def bracket_coordinates(self, m: int, row: dict, w: int, elem: "LieElement") -> dict:
-        """Coordinates of [row, elem] for weight-m coordinates row and a
-        weight-w element."""
-        return self.coordinates(self.element_from_coordinates(row, m).bracket(elem), m + w)
 
 
 class LieElement:

@@ -6,13 +6,14 @@ weight component L_n as a quotient of the candidate space spanned by
 n), cut by antisymmetry and Jacobi consistency constraints and by the
 relators of weight n.  This scales with dim L rather than dim F and
 carries explicit bracket tables, which homology, enveloping-algebra and
-graph constructions consume.  The same builds give H_1 and Hopf's H_2
-(:meth:`PresentedLieAlgebra.h2_hopf`).  The relation ideal spanned inside
-the free Lie algebra is the independent route to dims and H_2, a test
-oracle in ``tests/oracles.py``.
+graph constructions consume.  The same builds give H_1, Hopf's H_2
+(:meth:`PresentedLieAlgebra.h2_hopf`) and minimal presentations of
+subalgebras (:func:`infer_presentation`).  The relation ideal spanned in
+the free Lie algebra, the independent route to dims, H_2 and those
+presentations, is a test oracle in ``tests/oracles.py``.
 
-The ideal of inferred relators, every subalgebra and the graph of a
-derivation are each one :class:`GeneratedSpans`, the one type of span generated from below.
+Every subalgebra and the graph of a derivation are each one
+:class:`GeneratedSpans`, the one type of span generated from below.
 
 The package is single-threaded.  Per-weight data is built on first use,
 and reading a built weight can still fill memos (the engine's pair memo,
@@ -114,11 +115,7 @@ class PresentedLieAlgebra:
 
     def dim_sequence(self, N: int) -> list[int]:
         """dim L_n for n = 1..N."""
-        if not self.relators:
-            if not self.generators:
-                return [0] * N
-            return witt_dims(self.generator_weights(), N)
-        return [self.engine.dim(n) for n in range(1, N + 1)]
+        return [self.dim(n) for n in range(1, N + 1)]
 
     def enveloping_series(self, N: int) -> HilbertSeries:
         return HilbertSeries.from_graded_dims(self.dim_sequence(N), N)
@@ -184,7 +181,10 @@ class GradedEngine:
     rows, the only rows on generator columns, extend the same echelon:
     ``h2[n]`` is the rank those add minus the generators they kill
     (:meth:`PresentedLieAlgebra.h2_hopf`).  Canonical rows, so bases and
-    tables, do not depend on the order rows are added in.
+    tables, do not depend on the order rows are added in.  An engine given
+    ``kernel`` (:func:`infer_presentation`) adds as relator rows what
+    ``kernel(n, spanning)`` returns, for ``spanning`` the (index, candidate)
+    pairs off the consistency pivots, which span L'_n.
 
     The weight-n candidates are the generators of weight n, then one block
     [b_(n-w(z), i), z] (all i) per surviving generator z.
@@ -216,8 +216,9 @@ class GradedEngine:
     overwrites the inner one: the last call to finish defines both.
     """
 
-    def __init__(self, algebra: PresentedLieAlgebra):
+    def __init__(self, algebra: PresentedLieAlgebra, kernel=None):
         self.algebra = algebra
+        self._kernel = kernel  # infer_presentation's relator rows, see _build
         self.field = algebra.field
         self._mod = algebra.field.p if isinstance(algebra.field, PrimeField) else 0
         self.gens = algebra.generators
@@ -456,6 +457,9 @@ class GradedEngine:
         # candidate i reduces to (-r_j, r_i) over the basis, r its primitive row
         ech = Echelon.of(field, rows)
         consistency_rank = ech.rank
+        if self._kernel is not None:
+            pivots = set(ech.pivots())
+            relator_rows += self._kernel(n, [(i, c) for i, c in enumerate(cands) if i not in pivots])
         prim = ech.extend(relator_rows).primitive_rows
         basis_pos = {}
         defs = []
@@ -549,25 +553,14 @@ class GeneratedSpans:
 
 
 class _IdealSpansForList(GeneratedSpans):
-    """The ideal I = R + [I,F] of a relator list R inside the free
-    algebra: I_n is span(n) and [I,F]_n is derived(n).  The list may grow
-    (infer_presentation appends each weight's relators before it reads
-    that weight's I_n)."""
+    """No library code builds this class or :class:`_IdealSpans`; they keep
+    the names bench/tracer.py wraps.  The relation ideal inside the free
+    algebra is a test oracle (tests/oracles.py)."""
 
-    def __init__(self, field, free, relators: list):
-        super().__init__(
-            field, [(g.weight, free.gen_element(g.name)) for g in free.gens],
-            free.bracket_coordinates,
-            lambda n: [free.coordinates(r, n) for r in relators if r.weight() == n],
-        )
-
-    ideal = GeneratedSpans.span  # only for bench/tracer.py, which wraps it by name
+    ideal = GeneratedSpans.span
 
 
 class _IdealSpans(_IdealSpansForList):
-    """No library code builds this class; it keeps the two names
-    bench/tracer.py wraps.  A presentation's relation ideal is a test oracle."""
-
     ideal = GeneratedSpans.span
     bracket_ideal = GeneratedSpans.derived
 
@@ -577,18 +570,16 @@ class GradedSubalgebra(GeneratedSpans):
     the :class:`GeneratedSpans` with its generators as both gens and seeds:
     span(n) is S_n and derived(n) is [S,S]_n, in L_n coordinates.
 
-    Generators are homogeneous elements, given as expressions in the
-    ambient free algebra (or precomputed (weight, vector) pairs); gens
-    holds them as (weight, vector) pairs.
+    Generators are homogeneous elements, given as expressions or elements
+    of the ambient free algebra; gens holds them as (weight, vector) pairs.
     """
 
     def __init__(self, ambient: PresentedLieAlgebra, generators):
         self.ambient = ambient
         gens = []
         for g in generators:
-            elem = ambient.parse(g) if isinstance(g, str) else g
             try:
-                gens.append(ambient.evaluate(elem) if isinstance(elem, LieElement) else elem)
+                gens.append(ambient.evaluate(ambient.parse(g) if isinstance(g, str) else g))
             except PresentationError as exc:
                 raise PresentationError(f"generator {g!r}: {exc}") from None
         super().__init__(
@@ -615,18 +606,25 @@ def infer_presentation(
     computed degree by degree to weight N.
 
     Generators are lifts of a graded basis of S/[S,S]: the canonical rows
-    of S_n outside a copy of the derived span [S,S]_n.  Relators in weight
-    n are a canonical complement of [I,F]_n, the ideal of the lower
-    relators in weight n, inside the kernel of F(gens) -> S; they are
-    appended before I_n is first read, so each ideal component is built
-    once.  S/[S,S] is spanned by the given generators, so the generator
-    set is complete exactly when N >= 1 and N reaches the largest weight
-    of a given generator with a nonzero image; below that the truncated
-    presentation comes with conclusive False.  `names`, if given, names
-    the generators in that order, one name each; else they are s1, s2, ...
+    of S_n outside a copy of the derived span [S,S]_n.  S/[S,S] is spanned
+    by the given generators, so the generator set is complete exactly when
+    N >= 1 and N reaches the largest weight of a given generator with a
+    nonzero image; below that the truncated presentation comes with
+    conclusive False.  `names`, if given, names the generators in that
+    order, one name each; else they are s1, s2, ...
+
+    The relators are the kernel rows of one :class:`GradedEngine` of F-hat,
+    the free algebra on the generators, which becomes the presentation's
+    own.  At weight n the candidates off the pivots of its consistency rows
+    span L'_n = F-hat_n/[I,F]_n (I the ideal of the lower relators), and a
+    candidate [b, z] maps to [image(b), image(z)] in S.  The kernel of
+    L'_n -> S_n is I_n/[I,F]_n, so its canonical basis is a complement of
+    [I,F]_n in I_n: the presentation is minimal.  Each kernel row is lifted
+    to F-hat through the candidates' definitions (left-normed brackets)
+    and scaled so that its least Hall monomial has coefficient 1.
     """
     field = S.field
-    eng = S.ambient.engine
+    ambient = S.ambient.engine
 
     # graded generator lifts: S_n modulo [S,S]_n
     gen_specs = []  # (weight, vector)
@@ -641,38 +639,44 @@ def infer_presentation(
     if names is None:
         names = [f"s{i + 1}" for i in range(len(gen_specs))]
     gens = [(names[i], w) for i, (w, _) in enumerate(gen_specs)]
-
-    # kernel of F(gens) -> S, degree by degree
     fhat = FreeLieAlgebra(field, gens)
-    relators: list[LieElement] = []
-    ideal = _IdealSpansForList(field, fhat, relators)
-    images: dict[int, dict] = {}  # Hall monomial of F-hat -> its image in S
-    for n in range(1, N + 1):
-        basis = fhat.hall_basis(n)
-        if not basis:
-            continue
-        # a monomial's factors have lower weight: their images are filled
-        for mid in basis:
-            if fhat.is_generator(mid):
-                images[mid] = gen_specs[fhat.gen_index[fhat.generator_of(mid).name]][1]
-            else:
-                l, r = fhat.factors(mid)
-                images[mid] = eng.bracket_vec(fhat.weight(l), images[l], fhat.weight(r), images[r])
-        # no relator of weight n exists yet, so this is I_n so far
-        ech = ideal.derived(n).copy()
-        # the columns are the images of the Hall monomials, so kernel
-        # vectors are coordinates over the weight-n Hall basis of F-hat
-        for kv in SparseMatrix(field, [images[mid] for mid in basis]).kernel():
-            p = ech.add(kv)
-            if p is not None:
-                relators.append(fhat.element_from_coordinates(ech.rows[p], n))
-        # sanity: presentation dims must match span dims at this degree
-        if len(basis) - ech.rank != S.span(n).rank:
-            raise AssertionError(
-                f"inferred presentation inconsistent at weight {n}"
-            )
+    pres = PresentedLieAlgebra(field, gens, name="inferred", free=fhat)
+    images: dict = {}  # candidate of the engine -> its image in S
+    lifts: dict = {}   # candidate of the engine -> its lift to F-hat
 
-    pres = PresentedLieAlgebra(field, gens, relators, name="inferred", free=fhat)
+    def lift(c):
+        got = lifts.get(c)
+        if got is None:
+            if c[0] == "gen":
+                got = fhat.gen_element(gens[c[1]][0])
+            else:
+                (m, i), gz = c
+                got = lift(eng._defs[m][i]).bracket(fhat.gen_element(gens[gz][0]))
+            lifts[c] = got
+        return got
+
+    def kernel(n: int, spanning: list) -> list:
+        # spanning: the (index, candidate) pairs that span L'_n
+        for _, c in spanning:
+            if c[0] == "gen":
+                images[c] = gen_specs[c[1]][1]
+            else:
+                (m, i), gz = c
+                images[c] = ambient.bracket_vec(m, images[eng._defs[m][i]], *gen_specs[gz])
+        rows = SparseMatrix(field, [images[c] for _, c in spanning]).kernel()
+        for row in rows:
+            r = fhat.zero()
+            for j, x in row.items():
+                r = r + lift(spanning[j][1]).scale(x)
+            pres.relators.append(r.scale(field.inv(r.terms[min(r.terms, key=fhat.key)])))
+        return [{spanning[j][0]: x for j, x in row.items()} for row in rows]
+
+    eng = pres._engine = GradedEngine(pres, kernel)
+    for n in range(1, N + 1):
+        # sanity: presentation dims must match span dims at this degree
+        if eng.dim(n) != S.span(n).rank:
+            raise AssertionError(f"inferred presentation inconsistent at weight {n}")
+    eng._kernel = None  # above N the engine is the presentation's own
     return pres, conclusive
 
 

@@ -147,8 +147,8 @@ MUTANTS = [
       "tests/test_presented.py::test_h2_nonminimal_presentation"]),
     # Hopf H_2: the consistency rank read after the relator rows are added
     (PRESENTED,
-     "        consistency_rank = ech.rank\n        prim = ech.extend(relator_rows).primitive_rows\n",
-     "        prim = ech.extend(relator_rows).primitive_rows\n        consistency_rank = ech.rank\n",
+     "consistency_rank = ech.rank\n",
+     "consistency_rank = ech.extend(relator_rows).rank\n",
      ["tests/test_span_properties.py::test_engine_h2_matches_ideal_route[F7]",
       "tests/test_span_properties.py::test_engine_h2_matches_ideal_route[Q]",
       "tests/test_presented.py::test_h2_hopf"]),
@@ -174,13 +174,33 @@ MUTANTS = [
      ["tests/test_graphalg.py::test_leibniz_violation_on_dependent_generators",
       "tests/test_presented.py::test_engine_matches_ideal_route",
       "tests/test_presented.py::test_infer_presentation_abelian_slice"]),
-    # infer: the kernel step starts from 0, not from [I,F]_n
+    # infer: the kernel taken over every candidate, not only over those
+    # that span L'_n modulo the consistency rows
     (PRESENTED,
-     "ech = ideal.derived(n).copy()",
-     "ech = Echelon(field)",
+     "for i, c in enumerate(cands) if i not in pivots]",
+     "for i, c in enumerate(cands)]",
      ["tests/test_span_properties.py::test_inferred_presentations_are_minimal[Q]",
       "tests/test_span_properties.py::test_inferred_presentations_are_minimal[F7]",
       "tests/test_golden.py::test_golden_reports_byte_identical"]),
+    # infer: relators left unscaled (least Hall monomial not made 1)
+    (PRESENTED,
+     "pres.relators.append(r.scale(field.inv(r.terms[min(r.terms, key=fhat.key)])))",
+     "pres.relators.append(r)",
+     ["tests/test_span_properties.py::test_inferred_presentation_matches_ideal_route[Q]",
+      "tests/test_span_properties.py::test_inferred_presentation_matches_ideal_route[F7]"]),
+    # infer: the kernel rows not added to the engine
+    (PRESENTED,
+     "relator_rows += self._kernel(",
+     "self._kernel(",
+     ["tests/test_presented.py::test_infer_presentation_section6",
+      "tests/test_span_properties.py::test_inferred_presentation_matches_ideal_route[Q]",
+      "tests/test_golden.py::test_golden_reports_byte_identical"]),
+    # infer: the engine keeps adding S's kernel above N, so the returned
+    # presentation's dims there are S's, not those of its relators
+    (PRESENTED,
+     "    eng._kernel = None",
+     "",
+     ["tests/test_presented.py::test_inferred_presentation_above_max_degree"]),
     # CE differential: the (-1)^{s+t} sign dropped
     (HOMOLOGY,
      "signs[(s + t) % 2]",

@@ -8,8 +8,9 @@ monomials and a straightened boundary, Mayer-Vietoris exactness from
 dimensions alone, Hall monomial chains, subspace sums and intersections,
 d o d = 0 on the CE complex, the CE differential with every bracket read
 afresh, PBW products one right factor at a time, graded dims by PBW
-inversion of a Hilbert series, graded dims and Hopf's H_2 by the
-relation ideal spanned inside the free algebra, bracket
+inversion of a Hilbert series, graded dims, Hopf's H_2 and minimal
+presentations of subalgebras by the relation ideal spanned inside the
+free algebra, bracket
 closures over all pairs of lower components, membership in a subalgebra
 of a free algebra from its spans, the Leibniz check over all pairs,
 induced modules and their right ideals from a basis of the subalgebra,
@@ -24,6 +25,7 @@ of the resolution.
 from __future__ import annotations
 
 import argparse
+import functools
 import weakref
 from fractions import Fraction
 from itertools import combinations, product
@@ -49,8 +51,7 @@ from gradedlie.example6 import change_field
 from gradedlie.fields import GF, RationalField, check_same_field
 from gradedlie.freelie import FreeLieAlgebra
 from gradedlie.linalg import Echelon, SparseMatrix
-from gradedlie.presented import (GeneratedSpans, GradedSubalgebra, PresentedLieAlgebra,
-                                 _IdealSpansForList)
+from gradedlie.presented import GeneratedSpans, GradedSubalgebra, PresentedLieAlgebra
 from gradedlie.raag import RaagResolution, SimpleGraph, find_induced_cycle
 from gradedlie.series import HilbertSeries
 
@@ -422,15 +423,35 @@ def pbw_graded_dims(series: HilbertSeries) -> list[int]:
     return dims
 
 
+def bracket_coordinates(free: FreeLieAlgebra, m: int, row: dict, w: int, elem) -> dict:
+    """Coordinates of [row, elem] for weight-m coordinates row and a
+    weight-w element of free."""
+    return free.coordinates(free.element_from_coordinates(row, m).bracket(elem), m + w)
+
+
+class IdealSpans(GeneratedSpans):
+    """The ideal I = R + [I,F] of a relator list R inside the free
+    algebra: I_n is span(n) and [I,F]_n is derived(n).  The list may grow
+    (:func:`infer_via_ideal` appends each weight's relators before it
+    reads that weight's I_n)."""
+
+    def __init__(self, field, free: FreeLieAlgebra, relators: list):
+        super().__init__(
+            field, [(g.weight, free.gen_element(g.name)) for g in free.gens],
+            functools.partial(bracket_coordinates, free),
+            lambda n: [free.coordinates(r, n) for r in relators if r.weight() == n],
+        )
+
+
 _IDEALS = weakref.WeakKeyDictionary()  # presentation -> its relation ideal
 
 
-def ideal_spans(P: PresentedLieAlgebra) -> _IdealSpansForList:
+def ideal_spans(P: PresentedLieAlgebra) -> IdealSpans:
     """P's relation ideal I inside the free algebra, built once per
     presentation: span(n) is I_n and derived(n) is [I,F]_n."""
     got = _IDEALS.get(P)
     if got is None:
-        got = _IDEALS[P] = _IdealSpansForList(P.field, P.free, P.relators)
+        got = _IDEALS[P] = IdealSpans(P.field, P.free, P.relators)
     return got
 
 
@@ -456,6 +477,47 @@ def h2_via_ideal(P: PresentedLieAlgebra, N: int) -> list[int]:
         inter = sum(1 for p in spans.span(n).pivots() if p >= n_gens)
         out.append(inter - spans.derived(n).rank)
     return out
+
+
+def infer_via_ideal(S: GradedSubalgebra, N: int, names=None) -> tuple:
+    """(presentation, conclusive) of S to weight N by the relation-ideal
+    route: the generators as :func:`gradedlie.presented.infer_presentation`
+    chooses them, and in weight n the kernel of F(gens)_n -> S_n (the
+    images of the Hall monomials, each bracketed from its factors' images)
+    reduced modulo I_n, the ideal of the lower relators, one relator per
+    new pivot, as its canonical row over the Hall basis."""
+    field = S.field
+    eng = S.ambient.engine
+    gen_specs = []  # (weight, vector)
+    for n in range(1, N + 1):
+        comm = S.derived(n).copy()
+        for row in S.span(n).basis():
+            if comm.add(row) is not None:
+                gen_specs.append((n, row))
+    conclusive = N >= max([1] + [w for w, vec in S.gens if vec])
+    if names is None:
+        names = [f"s{i + 1}" for i in range(len(gen_specs))]
+    gens = [(names[i], w) for i, (w, _) in enumerate(gen_specs)]
+    fhat = FreeLieAlgebra(field, gens)
+    relators: list = []
+    ideal = IdealSpans(field, fhat, relators)
+    images: dict = {}  # Hall monomial of F-hat -> its image in S
+    for n in range(1, N + 1):
+        basis = fhat.hall_basis(n)
+        for mid in basis:
+            if fhat.is_generator(mid):
+                images[mid] = gen_specs[fhat.gen_index[fhat.generator_of(mid).name]][1]
+            else:
+                l, r = fhat.factors(mid)
+                images[mid] = eng.bracket_vec(fhat.weight(l), images[l], fhat.weight(r), images[r])
+        # no relator of weight n exists yet, so this is I_n so far
+        ech = ideal.derived(n).copy()
+        for kv in SparseMatrix(field, [images[mid] for mid in basis]).kernel():
+            p = ech.add(kv)
+            if p is not None:
+                relators.append(fhat.element_from_coordinates(ech.rows[p], n))
+        assert len(basis) - ech.rank == S.span(n).rank
+    return PresentedLieAlgebra(field, gens, relators, name="inferred", free=fhat), conclusive
 
 
 # ----------------------------------------------------------------------
@@ -485,7 +547,7 @@ def free_subalgebra_contains(free: FreeLieAlgebra, family: list[int], r) -> bool
     w = r.weight()
     gens = [(free.weight(m), free.monomial_element(m)) for m in family]
     spans = GeneratedSpans(
-        free.field, gens, free.bracket_coordinates,
+        free.field, gens, functools.partial(bracket_coordinates, free),
         lambda m: [free.coordinates(e, m) for wg, e in gens if wg == m],
     )
     return not spans.span(w).reduce(free.coordinates(r, w))
@@ -615,7 +677,7 @@ def bracket_ideal_with_redundant_term(P: PresentedLieAlgebra, N: int) -> dict:
             m = n - w
             if m >= 1:
                 for v in ideal_component(P, m).basis() + out[m].basis():
-                    ech.add(free.bracket_coordinates(m, v, w, x))
+                    ech.add(bracket_coordinates(free, m, v, w, x))
     return out
 
 

@@ -57,8 +57,7 @@ ALLOWED = {
     ("onerelator.py", 'raise DecompositionError( f"relator not expressible over the '
                       'rebased family " f"(weight cap {jmax})" )'):
         "consistency check: at j = w(r) // w(h) + 1 the family spans r's weight",
-    ("presented.py", 'raise AssertionError( f"inferred presentation inconsistent at'
-                     ' weight {n}" )'):
+    ("presented.py", 'raise AssertionError(f"inferred presentation inconsistent at weight {n}")'):
         "consistency check: the inferred presentation's dims equal the span dims",
     ("raag.py", 'raise AssertionError("lex-BFS says not chordal but no induced cycle found")'):
         "consistency check: a graph with no perfect elimination order has a hole",

@@ -140,6 +140,14 @@ def test_left_normed_brackets_span():
         assert ech.rank == len(alg.hall_basis(n))
 
 
+def test_coordinates_read_a_homogeneous_element():
+    # a term of another weight is an error, not dropped
+    alg = FreeLieAlgebra(QQ, ["x", "y"])
+    assert alg.coordinates(alg.parse("[x,y]"), 2) == {0: 1}
+    with pytest.raises(KeyError):
+        alg.coordinates(alg.parse("x + [x,y]"), 2)
+
+
 def test_canonical_decomposition():
     alg = FreeLieAlgebra(QQ, ["x", "y"])
     z = alg.gen_monomial("x")

@@ -8,6 +8,7 @@ import sys
 
 from gradedlie import presented
 from gradedlie.cli import main
+from gradedlie.freelie import FreeLieAlgebra
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden")
@@ -48,19 +49,20 @@ def test_golden_reports_byte_identical():
 
 
 def test_h2_reports_build_no_relation_ideal(monkeypatch, capsys):
-    # hopf, onerelator decompose and example sec6 read H_2 off the graded
-    # engine; the relation ideal inside the free algebra is a test oracle
+    # every report, H_2 and inferred presentations included, reads the
+    # graded engine: no command builds a relation ideal inside a free
+    # algebra or reads free-algebra coordinates back into an element
     def refuse(*args):
-        raise AssertionError("the library built a presentation's relation ideal")
+        raise AssertionError("the library built a relation ideal or read free coordinates back")
 
+    monkeypatch.setattr(presented._IdealSpansForList, "__init__", refuse)
     monkeypatch.setattr(presented._IdealSpans, "__init__", refuse)
+    monkeypatch.setattr(FreeLieAlgebra, "element_from_coordinates", refuse)
     want = expected()
     with open(os.path.join(GOLDEN, "corpus.json"), encoding="utf-8") as fh:
         corpus = json.load(fh)
     monkeypatch.chdir(os.path.join(GOLDEN, "inputs"))
-    replayed = [(name, argv) for name, argv in corpus
-                if name.startswith(("hopf-", "onerelator-decompose", "example-sec6"))]
-    assert len(replayed) == 7
-    for name, argv in replayed:
+    assert len(corpus) == len(want)
+    for name, argv in corpus:
         code = main(argv)
         assert {"exit": code, "stdout": capsys.readouterr().out} == want[name], name

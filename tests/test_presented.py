@@ -219,6 +219,17 @@ def test_infer_presentation_section6():
     assert sum(pres.h2_hopf(7)) == 2
 
 
+def test_inferred_presentation_above_max_degree():
+    # to weight 2 only [a,b] is found; above 2 the returned presentation's
+    # engine, the one that inferred it, is that of its relators, not S
+    L = PresentedLieAlgebra(QQ, ["a", "b", "x"], ["[a,b]"])
+    S = L.subalgebra(["a", "b", "[x,a]", "[x,b]"])
+    pres, _ = infer_presentation(S, 2, names=["a", "b", "z", "t"])
+    assert pres.relator_weights() == [2]
+    rebuilt = PresentedLieAlgebra(QQ, pres.generators, pres.relators, free=pres.free)
+    assert pres.dim_sequence(5) == rebuilt.dim_sequence(5) != S.span_dims(5)
+
+
 def test_infer_inconclusive_signal():
     # below the weight of a given generator, S/[S,S] may have a generator
     # beyond the truncation

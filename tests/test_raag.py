@@ -377,14 +377,10 @@ def test_derived_subalgebra_free_for_chordal():
 
     for g in [path(3), complete(3), SimpleGraph(["a", "b"], [])]:
         L = raag_presentation(g)
-        eng = L.engine
-        gens = []
-        for n in range(2, 5):
-            for i in range(L.dim(n)):
-                # commutator component equals everything in weight >= 2
-                vec = {i: QQ.one}
-                gens.append((n, vec))
-        S = L.subalgebra(gens)
+        # commutator component equals everything in weight >= 2, which the
+        # Hall monomials of each weight span
+        S = L.subalgebra([L.free.monomial_element(m) for n in range(2, 5)
+                          for m in L.free.hall_basis(n)])
         pres, _ = infer_presentation(S, 6)
         assert pres.relators == [], g
         assert pres.is_free_up_to(6)["verdict"] == "free-witnessed"

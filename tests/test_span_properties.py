@@ -21,7 +21,10 @@ the independent route in ``oracles.py``, on presentations that add
 redundant relators (c.r or [r, g] next to r) to those above.  Presentations
 that `infer_presentation` gives for random subalgebras S, over F_7 and
 Q, are minimal: their h1 and Hopf h2 count their generators and relators
-weight by weight, and their dimensions are S's.  A Q relator that
+weight by weight, and their dimensions are S's; over F_2, F_7 and Q, on
+subalgebras that often have relators, they have the generators, relator
+weights and relation ideal of the ideal route's presentation, and the
+engine that inferred them equals one built from their relators.  A Q relator that
 is not multihomogeneous can give rows with real fractions in the engine.  Over F_7 the explicit induced
 module k (x)_{U(S)} U(L) of a random subalgebra S, presented by
 `infer_presentation`, has the dimensions of the series quotient, and on
@@ -56,6 +59,7 @@ from oracles import (
     dim_via_ideal,
     h2_via_ideal,
     ideal_spans,
+    infer_via_ideal,
     induced_module_dims,
     structure_constant_failure,
 )
@@ -267,6 +271,65 @@ def test_inferred_presentations_are_minimal(name, data):
     assert P.dim_sequence(N) == S.span_dims(N)
 
 
+@st.composite
+def subalgebras_needing_relators(draw, field=F7):
+    """L with 1-2 relators of weight 2-3 inside [F,F], none killing a
+    generator, and the generators of a subalgebra S of L: L's generators,
+    sometimes minus one, plus up to two left-normed brackets of two or
+    three of them.  S is then often L itself, or meets L's relators, so S
+    often has relators."""
+    weights = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))
+    free = FreeLieAlgebra(field, [(f"g{i}", w) for i, w in enumerate(weights)])
+    rels = []
+    for _ in range(draw(st.integers(1, 2))):
+        r = homogeneous(draw, free, draw(st.integers(2, 3)))
+        rels.append(free.from_terms({m: c for m, c in r.terms.items() if not free.is_generator(m)}))
+    L = PresentedLieAlgebra(field, free.gens, [r for r in rels if not r.is_zero()], free=free)
+    gens = [free.gen_element(g.name) for g in free.gens]
+    sub = list(gens)
+    if draw(st.booleans()):
+        del sub[draw(st.integers(0, len(sub) - 1))]
+    for _ in range(draw(st.integers(0, 2))):
+        factors = draw(st.lists(st.sampled_from(gens), min_size=2, max_size=3))
+        e = factors[0]
+        for f in factors[1:]:
+            e = e.bracket(f)
+        sub.append(e)
+    return L, [e for e in sub if not e.is_zero()]
+
+
+def pair_tables(P: PresentedLieAlgebra, N: int) -> dict:
+    """dims and every structure constant [b_p, b_q] of weight <= N."""
+    eng = P.engine
+    return {"dims": P.dim_sequence(N), "pairs": {
+        (a, i, b, j): eng.pair((a, i), (b, j))
+        for a in range(1, N) for b in range(1, N - a + 1)
+        for i in range(P.dim(a)) for j in range(P.dim(b))}}
+
+
+@pytest.mark.parametrize("name", ["F2", "F7", "Q"])
+@seed(20210134)
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_inferred_presentation_matches_ideal_route(name, data):
+    # the engine's kernel complement and the ideal route's reduced kernel
+    # may print different relators, but they present S with the same
+    # generators, relator weights and relation ideal; the inferring engine
+    # is the presentation's own, so it equals one built from the relators
+    L, sub_gens = data.draw(subalgebras_needing_relators({"F2": GF(2), "F7": F7, "Q": QQ}[name]))
+    S = L.subalgebra(sub_gens)
+    P, conclusive = infer_presentation(S, N)
+    O, oracle_conclusive = infer_via_ideal(S, N)
+    assert conclusive == oracle_conclusive
+    assert [(g.name, g.weight) for g in P.generators] == [(g.name, g.weight) for g in O.generators]
+    assert P.relator_weights() == O.relator_weights()
+    assert all(r.terms[min(r.terms, key=P.free.key)] == 1 for r in P.relators)
+    for n in range(1, N + 1):
+        assert ideal_spans(P).span(n).rows == ideal_spans(O).span(n).rows
+    rebuilt = PresentedLieAlgebra(P.field, P.generators, P.relators, free=P.free)
+    assert pair_tables(P, N) == pair_tables(rebuilt, N)
+
+
 @pytest.mark.parametrize("name", sorted(FIELDS))
 @seed(20210129)
 @given(data=st.data())
@@ -279,22 +342,20 @@ def test_pbw_counts_match_enveloping_series(name, data):
 
 
 def same_span_variants(draw, field, gens: list) -> list:
-    """Generator lists, as (weight, vector) pairs, that span the same space
-    as gens in every weight: permuted, with a repeat, and with one
+    """Generator lists, free-algebra elements, whose images span the same
+    space as gens in every weight: permuted, with a repeat, and with one
     generator g_j replaced by a*g_i + b*g_j (b != 0) for a g_i of its
-    weight."""
+    weight, or left out when that is 0 in the free algebra."""
     variants = [draw(st.permutations(gens))]
     if gens:
         variants.append(gens + [draw(st.sampled_from(gens))])
-    pairs = [(i, j) for i, (w, _) in enumerate(gens) for j, (v, _) in enumerate(gens)
-             if i != j and w == v]
+    pairs = [(i, j) for i, g in enumerate(gens) for j, h in enumerate(gens)
+             if i != j and g.weight() == h.weight()]
     if pairs:
         i, j = draw(st.sampled_from(pairs))
         a, b = field.of(draw(st.integers(-3, 3))), field.of(draw(st.integers(1, 3)))
-        combo: dict = {}
-        field.axpy(combo, b, gens[j][1])
-        field.axpy(combo, a, gens[i][1])
-        variants.append(gens[:j] + [(gens[j][0], combo)] + gens[j + 1:])
+        combo = gens[j].scale(b) + gens[i].scale(a)
+        variants.append(gens[:j] + ([combo] if combo.terms else []) + gens[j + 1:])
     return variants
 
 
@@ -308,11 +369,10 @@ def test_shared_induced_modules_match_fresh_envelopes(name, data):
     field = FIELDS[name]
     L = data.draw(presentations(field))
     weights = [data.draw(st.integers(1, 2))] * 2 + data.draw(st.lists(st.integers(1, 3), max_size=1))
-    values = st.integers(0, 6) if field == F7 else st.integers(-3, 3)
-    gens = []  # in L's coordinates; a zero vector is a valid generator
+    gens = []  # free-algebra elements; a relator of L, with image 0, is a valid generator
     for w in weights[: data.draw(st.integers(0, len(weights)))]:
-        coeffs = data.draw(st.lists(values, min_size=L.dim(w), max_size=L.dim(w)))
-        gens.append((w, {i: field.of(c) for i, c in enumerate(coeffs) if c}))
+        e = homogeneous(data.draw, L.free, w)
+        gens += [e] if e.terms else L.relators[:1]
     env = Envelope(L)
     # a module of a possibly smaller subalgebra builds its state first
     smaller = InducedModule(env, L.subalgebra(gens[:-1]))
