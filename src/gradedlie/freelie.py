@@ -248,10 +248,6 @@ class LieElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_homogeneous(self) -> bool:
-        weights = {self.algebra.weight(m) for m in self.terms}
-        return len(weights) <= 1
-
     def weight(self) -> Optional[int]:
         """The common weight of all terms; None for 0 or inhomogeneous."""
         weights = {self.algebra.weight(m) for m in self.terms}

@@ -72,7 +72,7 @@ class PresentedLieAlgebra:
                 r = self.free.parse(r)
             if r.is_zero():
                 raise PresentationError("zero relator")
-            if not r.is_homogeneous():
+            if r.weight() is None:
                 raise PresentationError(f"inhomogeneous relator {r!r}")
             rels.append(r)
         self.relators: list[LieElement] = rels

@@ -36,33 +36,39 @@ neighbours of a and T_k the sorted traces of weight k:
   is j when t_i = (m,) + s_j, and left_{k-1}[w_1][drop_{k-1}[m][j]] when
   t_i = (w_1,) + s_j with w_1 != m.
 
-The chains of P_j in weight m are (clique w, trace t) in that order, so
-the row of d_j at (w, t_i) has entry (-1)^r (r 0-based) at column
-pos(w minus v_r) |T_{m-j+1}| + left[v_r][i].  Entry for entry and in the
-same order, these are the rows that normalising each word v_r t gives
-(the word-level normal form is the test oracle), so the ranks do not
-depend on how the normal forms are found.
+The chains of P_j in weight m are (clique w, trace t) in that order.
+d_j is described once, by its faces: for each w, the terms (pos(w minus
+v_r), v_r, (-1)^r), r 0-based; the row of (w, t_i) has each sign at
+column pos(w minus v_r) |T_{m-j+1}| + left[v_r][i].  Entry for entry and
+in the same order, these are the rows that normalising each word v_r t
+gives (the word-level normal form is the test oracle), so the ranks do
+not depend on how the normal forms are found.
 
-Exactness is certified weight by weight from the rows themselves, with no
-elimination.  Write r_j for the rank of d_j in weight m and L_j for the
-number of distinct lowest columns (least column of the support) among the
-rows of d_j.  One row per distinct lowest column is already in echelon
-form, so r_j >= L_j.  Composing each row of d_j with d_{j-1} (j >= 2)
-checks d o d = 0, and im d_j in ker d_{j-1} gives r_{j-1} + r_j <=
-dim P_{j-1}.  Suppose L_1 = dim P_0 (weight m > 0) and L_j + L_{j+1} =
-dim P_j at every position j >= 1, with L_j = 0 past the top position.
-Then r_1 = L_1, as r_1 <= dim P_0; and r_j = L_j gives
-r_{j+1} <= dim P_j - L_j = L_{j+1} <= r_{j+1}, so by induction every
-r_j = L_j and the weight is exact.  This is the leading-term idea of
-algebraic Morse theory (Sköldberg, Trans. AMS 358, 2006; Jöllenbeck &
-Welker, Mem. AMS 197, 2009), read off the +-1 rows of the resolution.
-Only a weight where d o d = 0 fails or the equalities do not close is
-eliminated, one d_j at a time, so the reported ranks and failures are the
-ranks of the d_j either way.  That elimination is not split by
-multidegree: the relators are multihomogeneous, d preserves the
-multidegree (content in each vertex), and rows of different multidegree
-have disjoint supports, so sparse elimination never mixes the blocks and
-splitting them would not make it cheaper.
+Exactness is certified weight by weight from the faces and the tables,
+with no row built and no elimination.  Write r_j for the rank of d_j in
+weight m and L_j for the number of distinct lowest columns (least column
+of the support) among its rows; one row per distinct lowest column is in
+echelon form, so r_j >= L_j.  The row of (w, t_i) has its lowest column
+in the block of w's least face w minus a, at left[a][i], so L_j counts,
+per least face, the union of the images of left[a].  Through the faces w
+minus a and w minus b, the cell (w, t) reaches c_{w minus {a,b}} (x) b a
+t and a b t with opposite signs, and ab = ba in M(Gamma) makes the two
+tables agree; a check that every face of a face is reached just so
+proves d o d = 0, and im d_j in ker d_{j-1} gives r_{j-1} + r_j <= dim
+P_{j-1}.  Suppose L_1 = dim P_0 (weight m > 0) and L_j + L_{j+1} = dim
+P_j at every position j >= 1, with L_j = 0 past the top position.  Then
+r_1 = L_1, as r_1 <= dim P_0; and r_j = L_j gives r_{j+1} <= dim P_j -
+L_j = L_{j+1} <= r_{j+1}, so by induction every r_j = L_j and the weight
+is exact.  This is the leading-term idea of algebraic Morse theory
+(Sköldberg, Trans. AMS 358, 2006; Jöllenbeck & Welker, Mem. AMS 197,
+2009).  Only a weight where a check fails or the equalities do not close
+is eliminated, one d_j at a time as its rows stream, so the reported
+ranks and failures are the ranks of the d_j either way.  That
+elimination is not split by multidegree: the relators are
+multihomogeneous, d preserves the multidegree (content in each vertex),
+and rows of different multidegree have disjoint supports, so sparse
+elimination never mixes the blocks and splitting them would not make it
+cheaper.
 
 Graph file format, where # starts a comment and blank lines are allowed::
 
@@ -266,17 +272,16 @@ def is_chordal(graph: SimpleGraph) -> dict:
 class RaagResolution:
     """The complex P_j = (+)_{|w| = j} c_w U(L_Gamma), per weight, with
     chains indexed (clique, trace) and the traces of each weight held as
-    integer tables (see the module docstring).  Exactness is certified by
-    lowest columns and d o d = 0 per weight, and eliminated only where that
-    certificate does not close."""
+    integer tables (see the module docstring).  :meth:`_faces` describes
+    d_j once: the rows expand it through the tables, and the exactness
+    certificate reads it with the tables and builds no row."""
 
     def __init__(self, graph: SimpleGraph, field: Field = QQ):
         self.graph = graph
         self.field = field
         self.algebra = raag_presentation(graph, field)
-        self.cliques = graph.cliques()
         self.by_size: dict[int, list] = {}
-        for w in self.cliques:
+        for w in graph.cliques():
             self.by_size.setdefault(len(w), []).append(w)
         vs = graph.vertices
         self.letters = {v: a for a, v in enumerate(vs)}
@@ -347,52 +352,60 @@ class RaagResolution:
         self._extend_to(k)
         return self._left[k]
 
+    def _faces(self, j: int) -> list:
+        """d_j: for each clique w of size j, in by_size[j] order, the terms
+        (position of w minus v_r in by_size[j-1], letter of v_r, (-1)^r)."""
+        pos = {w: p for p, w in enumerate(self.by_size[j - 1])}
+        return [[(pos[w[:r] + w[r + 1:]], self.letters[v], (-1) ** r) for r, v in enumerate(w)]
+                for w in self.by_size[j]]
+
     def boundary_rows(self, j: int, m: int):
         """The rows of d_j from the weight-m part of P_j (an iterator), one
-        per cell (w, t) with w in by_size[j] order, then t in T_{m-j} order.
-
-        d(c_w (x) t_i) = sum_r (-1)^r c_{w minus v_r} (x) NF(v_r t_i), r
-        0-based: the row of cell (w, t_i) has entry (-1)^r at column
-        pos(w minus v_r) |T_{k+1}| + left_{k+1}[v_r][i], k = m - j.
-        """
+        per cell (w, t) with w in by_size[j] order, then t in T_{m-j} order:
+        the faces of w expanded through left_{m-j+1}."""
         k = m - j
-        left, width = self.left(k + 1), self.trace_count(k + 1)
-        pos = {w: p for p, w in enumerate(self.by_size[j - 1])}
-        one = self.field.one
-        signs = (one, self.field.neg(one))
-        for w in self.by_size[j]:
-            terms = [
-                (pos[w[:r] + w[r + 1:]] * width, left[self.letters[v]], signs[r % 2])
-                for r, v in enumerate(w)
-            ]
-            for i in range(len(terms[0][1])):
+        left, width, of = self.left(k + 1), self.trace_count(k + 1), self.field.of
+        for terms in self._faces(j):
+            terms = [(f * width, left[a], of(s)) for f, a, s in terms]
+            for i in range(self.trace_count(k)):
                 yield {off + to[i]: s for off, to, s in terms}
 
+    def _composes_to_zero(self, j: int, k: int) -> bool:
+        """Whether the faces and tables prove d_{j-1} d_j = 0 on the cells
+        (w, t), t in T_k: each face of a face of w reached exactly twice, by
+        (a, b) and (b, a), with cancelling signs, and left[b] left[a] = left[a] left[b]."""
+        of, below = self.field.of, self._faces(j - 1)
+        pairs = set()
+        for terms in self._faces(j):
+            meet: dict = {}
+            for f, a, s in terms:
+                for g, b, t in below[f]:
+                    meet.setdefault(g, []).append((a, b, s * t))
+            for ways in meet.values():
+                if len(ways) != 2 or ways[0][:2] != ways[1][1::-1] or of(ways[0][2] + ways[1][2]):
+                    return False
+                pairs.add(ways[0][:2])
+        inner, outer = self.left(k + 1), self.left(k + 2)
+        return all([outer[b][x] for x in inner[a]] == [outer[a][x] for x in inner[b]]
+                   for a, b in pairs)
+
+    def _lowest_columns(self, j: int, k: int) -> int:
+        """L_j on the cells (w, t), t in T_k: per least face f of a clique,
+        the union of the images of left[a], a the letter of f."""
+        left, lows = self.left(k + 1), {}
+        for terms in self._faces(j):
+            if terms:
+                f, a, _ = min(terms)
+                lows.setdefault(f, set()).update(left[a])
+        return sum(map(len, lows.values()))
+
     def _certified_ranks(self, m: int, dims: list) -> Optional[list]:
-        """[r_1, ..., r_top] of weight m, dims[j] = dim P_j, when the
-        lowest-column certificate closes (see :meth:`verify_exactness`),
-        else None.  Each d_j is read once, as it streams; the rows of d_{j-1}
-        are kept, as item tuples, only to compose d_{j-1} d_j."""
-        of = self.field.of
+        """[r_1, ..., r_top] of weight m, dims[j] = dim P_j, read off the
+        faces and tables when the certificate closes, else None."""
         top = len(dims) - 1
-        counts, lower = [], None
-        for j in range(1, top + 1):
-            lows, rows = bytearray(dims[j - 1]), []
-            for row in self.boundary_rows(j, m):
-                if lower is not None:  # d_{j-1} d_j = 0 on this row
-                    out = {}
-                    for c, x in row.items():
-                        for e, y in lower[c]:
-                            out[e] = out.get(e, 0) + x * y
-                    # exact sums of representatives, mapped into the field
-                    if any(map(of, out.values())):
-                        return None
-                if row:
-                    lows[min(row)] = 1
-                if j < top:
-                    rows.append(tuple(row.items()))
-            counts.append(lows.count(1))
-            lower = rows
+        if not all(self._composes_to_zero(j, m - j) for j in range(2, top + 1)):
+            return None
+        counts = [self._lowest_columns(j, m - j) for j in range(1, top + 1)]
         # in weight 0 there is no d_j, and bounds[0] = 0 < dim P_0 = 1
         bounds = [0] + counts + [0]
         if all(bounds[j] + bounds[j + 1] == d for j, d in enumerate(dims)):
@@ -403,30 +416,25 @@ class RaagResolution:
         """Check exactness at every position, weights <= N.
 
         For each weight m and position j >= 1, r_j is the rank of d_j from
-        the weight-m part of P_j to that of P_{j-1}.  Exactness at j >= 1 is
-        r_j + r_{j+1} = dim P_j; at j = 0 the augmentation kernel is all of
-        P_0 in weight m > 0 (so r_1 = dim P_0) and is 0 in weight 0.
+        the weight-m part of P_j to that of P_{j-1}; r_0, that of the
+        augmentation, is 1 in weight 0 and 0 above, where its kernel is all
+        of P_0.  Exactness at j is r_j + r_{j+1} = dim P_j.
 
         The ranks of weight m come from the certificate of the module
-        docstring when it closes: L_j, the number of distinct lowest columns
-        among the rows of d_j, is a lower bound for r_j; d_{j-1} d_j = 0 on
-        every row of d_j bounds r_{j-1} + r_j <= dim P_{j-1}; and L_1 =
-        dim P_0 with L_j + L_{j+1} = dim P_j at every position forces r_j =
-        L_j by induction on j.  Where d o d = 0 fails or an equality does
-        not hold, each d_j of that weight is eliminated as its rows stream
-        in, so the result is the same either way.  It is (failures, ranks):
-        a failure is (weight, position, dim P_j, r_j, r_{j+1}), and ranks
-        holds every weight's (dim P_j, r_j) pairs, j = 0, ... (d_0 = 0: the
-        augmentation is not one of the d_j).
+        docstring when it closes; otherwise each d_j of that weight is
+        eliminated as its rows stream in, so the result is the same either
+        way.  It is (failures, ranks): a failure is (weight, position,
+        dim P_j, r_j, r_{j+1}), and ranks holds every weight's (dim P_j,
+        r_j) pairs, j = 0, ... (d_0 = 0: the augmentation is not one of the
+        d_j).
         """
         failures, weights = [], []
         field = self.field
         top = self.max_position()
 
         def rank(rows) -> int:
-            # rows added as they stream in, not as one shortest-first batch
-            # (Echelon.extend): a sort would hold all of d_j in memory at
-            # once, and on these +-1 rows it saves no row operation
+            # rows added as they stream in: a shortest-first batch
+            # (Echelon.extend) would hold all of d_j and save no row operation
             ech = Echelon(field)
             for row in rows:
                 ech.add(row)
@@ -440,14 +448,10 @@ class RaagResolution:
                 ranks = [rank(self.boundary_rows(j, m)) for j in range(1, top_m + 1)]
             ranks = [0] + ranks + [0]
             weights.append([(dims[j], ranks[j]) for j in range(top_m + 1)])
+            ranks[0] = int(m == 0)  # the rank of the augmentation P_0 -> F
             for j in range(top_m + 1):
                 d_j, r_j, r_j1 = dims[j], ranks[j], ranks[j + 1]
-                if j == 0 and m == 0:
-                    ok = d_j == 1 and r_j1 == 0
-                elif j == 0:
-                    ok = r_j1 == d_j  # augmentation kernel is everything
-                else:
-                    ok = r_j + r_j1 == d_j
+                ok = r_j + r_j1 == d_j
                 if not ok:
                     failures.append((m, j, d_j, r_j, r_j1))
         return failures, weights

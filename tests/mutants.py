@@ -257,9 +257,21 @@ MUTANTS = [
     # RAAG certificate: d o d = 0 not checked, so a complex with the right
     # supports but a dropped sign passes for exact
     (RAAG,
-     "if lower is not None:  # d_{j-1} d_j = 0 on this row",
-     "if False:  # d_{j-1} d_j = 0 on this row",
+     "if not all(self._composes_to_zero(j, m - j) for j in range(2, top + 1)):",
+     "if False:",
      ["tests/test_raag.py::test_exactness_check_detects_a_dropped_sign"]),
+    # RAAG certificate: the signs of a face of a face not required to
+    # cancel, so faces with every sign +1 pass for a complex
+    (RAAG,
+     " or of(ways[0][2] + ways[1][2]):",
+     ":",
+     ["tests/test_raag.py::test_exactness_check_detects_a_dropped_sign"]),
+    # RAAG certificate: the two letters' tables not required to commute, so
+    # rows whose composite is not zero pass for a complex
+    (RAAG,
+     "[outer[b][x] for x in inner[a]] == [outer[a][x] for x in inner[b]]",
+     "True",
+     ["tests/test_raag.py::test_exactness_check_detects_tables_that_do_not_commute"]),
     # RAAG certificate: the closure L_j + L_{j+1} = dim P_j loosened to <=,
     # so lowest-column counts below the ranks are reported as ranks
     (RAAG,

@@ -89,9 +89,7 @@ def test_grading():
     a, t = alg.gen_element("a"), alg.gen_element("t")
     at = a.bracket(t)
     assert at.weight() == 3
-    assert at.is_homogeneous()
     s = a + t
-    assert not s.is_homogeneous()
     assert s.weight() is None
 
 

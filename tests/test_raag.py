@@ -177,12 +177,12 @@ def diamond():
     return SimpleGraph(g.vertices, [tuple(e) for e in g.edges if e != frozenset(("v1", "v4"))])
 
 
-signed_rows = RaagResolution.boundary_rows
+signed_faces = RaagResolution._faces
 
 
-def unsigned_rows(self, j, m):
-    """RaagResolution.boundary_rows without the sign (-1)^r."""
-    return (dict.fromkeys(row, self.field.one) for row in signed_rows(self, j, m))
+def unsigned_faces(self, j):
+    """RaagResolution._faces with every sign (-1)^r replaced by +1."""
+    return [[(f, a, 1) for f, a, _ in terms] for terms in signed_faces(self, j)]
 
 
 @pytest.mark.parametrize(
@@ -199,7 +199,7 @@ def test_resolution_d_squared_vanishes(graph, top):
 def test_exactness_check_detects_a_dropped_sign(monkeypatch):
     res = RaagResolution(complete(3))
     assert res.verify_exactness(4)[0] == []
-    monkeypatch.setattr(RaagResolution, "boundary_rows", unsigned_rows)
+    monkeypatch.setattr(RaagResolution, "_faces", unsigned_faces)
     res = RaagResolution(complete(3))
     assert resolution_d_squared_failure(res, 4)[:2] == (2, 2)
     failures, _ = res.verify_exactness(4)
@@ -208,46 +208,77 @@ def test_exactness_check_detects_a_dropped_sign(monkeypatch):
     assert [f[:2] for f in failures] == [(3, 1), (3, 2), (4, 1), (4, 2)]
 
 
-def rows_without_top(self, j, m):
-    """RaagResolution.boundary_rows with d = 0 on the top position: still a
-    complex (d o d = 0), but not exact."""
-    rows = signed_rows(self, j, m)
-    return ({} for _ in rows) if j == self.max_position() else rows
+def faces_without_top(self, j):
+    """RaagResolution._faces with no terms on the top position: d = 0
+    there, still a complex (d o d = 0), but not exact."""
+    faces = signed_faces(self, j)
+    return [[] for _ in faces] if j == self.max_position() else faces
 
 
 def test_exactness_check_detects_a_complex_that_is_not_exact(monkeypatch):
     # rank d_j + rank d_{j+1} <= dim P_j holds for any complex; exactness
     # needs the equality, which a zero top differential breaks
-    monkeypatch.setattr(RaagResolution, "boundary_rows", rows_without_top)
+    monkeypatch.setattr(RaagResolution, "_faces", faces_without_top)
     res = RaagResolution(complete(3))
     assert resolution_d_squared_failure(res, 4) is None
     failures, _ = res.verify_exactness(4)
     assert [f[:2] for f in failures] == [(3, 2), (3, 3), (4, 2), (4, 3)]
 
 
-def rows_with_first_added(self, j, m):
-    """RaagResolution.boundary_rows with the first row of d_j added to every
-    other one on the top position: the same image, so the same exact
-    complex, but fewer distinct lowest columns than the rank."""
-    rows = list(signed_rows(self, j, m))
-    if j == self.max_position():
-        for row in rows[1:]:
-            self.field.axpy(row, self.field.one, rows[0])
-    return rows
+lowest_columns = RaagResolution._lowest_columns
+
+
+def undercount_top(self, j, k):
+    """RaagResolution._lowest_columns one below the true L_j on the top
+    position, where d_j is injective: L_j + L_{j+1} = dim P_j cannot close."""
+    count = lowest_columns(self, j, k)
+    return count - 1 if j == self.max_position() else count
+
+
+def eliminations(monkeypatch) -> list:
+    """The fields of the Echelons that raag builds from now on."""
+    built = []
+    monkeypatch.setattr(raag, "Echelon", lambda field: built.append(field) or Echelon(field))
+    return built
 
 
 def test_exactness_check_eliminates_where_lowest_columns_undercount(monkeypatch):
     # the certificate cannot close, so the weights are eliminated, and the
     # report is that of the unchanged resolution
     want = RaagResolution(complete(3)).verify_exactness(5)
-    built = []
-    monkeypatch.setattr(raag, "Echelon", lambda field: built.append(field) or Echelon(field))
-    monkeypatch.setattr(RaagResolution, "boundary_rows", rows_with_first_added)
-    res = RaagResolution(complete(3))
-    assert resolution_d_squared_failure(res, 5) is None
-    failures, ranks = res.verify_exactness(5)
+    built = eliminations(monkeypatch)
+    monkeypatch.setattr(RaagResolution, "_lowest_columns", undercount_top)
+    assert RaagResolution(complete(3)).verify_exactness(5) == want
     assert built
-    assert (failures, ranks) == ([], want[1])
+
+
+unpatched_left = RaagResolution.left
+
+
+def left_swapped(self, k):
+    """RaagResolution.left with the images of the first two traces under
+    the first letter exchanged in weight 2: still injective, with the same
+    images, so every lowest-column count stays, but left[0] no longer
+    commutes with the tables of its neighbours."""
+    tables = unpatched_left(self, k)
+    if k != 2:
+        return tables
+    first = list(tables[0])
+    first[0], first[1] = first[1], first[0]
+    return [first] + tables[1:]
+
+
+def test_exactness_check_detects_tables_that_do_not_commute(monkeypatch):
+    # the faces and signs pair off, but d_1 d_2 is no longer 0 from weight
+    # 2 on, and in weight 3 the eliminated ranks show it
+    built = eliminations(monkeypatch)
+    monkeypatch.setattr(RaagResolution, "left", left_swapped)
+    res = RaagResolution(complete(3))
+    assert resolution_d_squared_failure(res, 4)[:2] == (2, 2)
+    assert not res._composes_to_zero(2, 0)
+    failures, _ = res.verify_exactness(4)
+    assert built
+    assert failures == [(3, 1, 18, 10, 9), (3, 2, 9, 9, 1)]
 
 
 @st.composite
@@ -310,7 +341,7 @@ def no_elimination(field):
 
 
 @seed(20210123)
-@given(graph=small_graphs(), field=st.sampled_from([QQ, GF(7)]))
+@given(graph=small_graphs(), field=st.sampled_from([QQ, GF(7), GF(2)]))
 @settings(max_examples=30, deadline=None)
 def test_certified_ranks_match_elimination_oracle(graph, field):
     # on a valid resolution the lowest-column certificate closes at every
