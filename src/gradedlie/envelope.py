@@ -1,16 +1,29 @@
-"""Graded universal enveloping algebras: PBW bases, straightening
-products, and induced modules k (x)_{U(S)} U(L).
+"""Graded universal enveloping algebras: PBW positions, the left product,
+and induced modules k (x)_{U(S)} U(L).
 
 PBW monomials are nondecreasing tuples of graded basis keys (weight, index)
-of the underlying presented Lie algebra, ordered by key.  An ordered
-product, whose first factor ends at or below where the second starts, is
-the concatenation of the two monomials, already a PBW monomial.  Other
-products are straightened by swapping adjacent out-of-order factors,
-emitting bracket lower-order terms from the structure-constant tables; the
-straightened (monomial, factor) products are memoized per algebra.  Only truncated
-degrees are ever materialized, so simplicity wins over asymptotic
-cleverness here.  The Hilbert series of U(L) is
-`PresentedLieAlgebra.enveloping_series`.
+of the underlying presented Lie algebra; the keys are numbered by rank in
+(weight, index) order.  An element of U(L)_n is {position: coefficient}
+over the weight-n monomials in lexicographic order, which lie in blocks by
+head key; the monomials whose keys are all >= k close each weight.  So
+prepending a key h to a monomial t whose keys are all >= h is one fixed
+shift of position per (n, h): the block of h in weight n lists exactly
+those h.t, in t's order.  Per weight the tables hold each position's head
+and tail (its position in the lower weight) and each key's shift; the
+empty monomial, position 0 of weight 0, has head +inf.
+
+The one product is the left product of a basis key k with a monomial
+t = h.t' (h its head), straightened by the recursion
+
+    k.(h.t') = h.(k.t') + [k,h].t'   (k > h),
+
+in which every key of k.t' is >= h (t' >= h, k > h, and a bracket has
+higher weight), so h.(k.t') is k.t' shifted; for k <= h the product is the
+monomial k.t, a unit vector at t's position plus k's shift.  Only the
+sub-products the recursion reaches are memoised, not the products asked
+for.  PBW straightening by left insertion is the standard argument (de
+Graaf, "Lie Algebras: Theory and Algorithms", 2000, ch. 1).  The Hilbert
+series of U(L) is `PresentedLieAlgebra.enveloping_series`.
 
 An induced module is realized as the quotient U(L)/(S.U(L)) by the right
 ideal generated by a graded subalgebra S; its graded dimension equals the
@@ -21,6 +34,7 @@ since a residue modulo a span is unique, so projecting is a sum of lookups.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Optional
 
 from .linalg import Echelon
@@ -28,7 +42,8 @@ from .presented import GradedSubalgebra, PresentedLieAlgebra
 
 
 class Envelope:
-    """PBW machinery for U(L) of a presented graded Lie algebra.
+    """PBW position tables and the left product for U(L) of a presented
+    graded Lie algebra (see the module docstring).
 
     It also holds the per-weight state of the induced modules built on it,
     one state per subalgebra span (see :class:`InducedModule`), so modules
@@ -38,106 +53,78 @@ class Envelope:
     def __init__(self, algebra: PresentedLieAlgebra):
         self.algebra = algebra
         self.field = algebra.field
-        self._pbw: dict[tuple[int, tuple], list] = {}  # (n, min_key) -> monomials
-        self._index: dict[int, dict] = {}              # n -> {monomial: position}
-        self._mult_memo: dict = {}                     # (mono, key) -> dict
+        self._keys: list[tuple] = []                   # rank -> (weight, index)
+        self._first: list[int] = [0]                   # weight -> rank of (weight, 0)
+        self._heads: list[list] = [[float("inf")]]     # weight -> head rank per position
+        self._tails: list[list] = [[None]]             # weight -> tail position per position
+        self._shifts: list[list] = [[]]                # weight -> shift per key rank
+        self._memo: dict = {}                          # (rank, weight, position) -> product
         self._induced: dict[tuple, dict] = {}          # InducedModule state by span key
 
-    # -- PBW bases ---------------------------------------------------------
+    # -- PBW positions -----------------------------------------------------
+
+    def heads(self, n: int) -> list:
+        """The head key rank of each weight-n position, nondecreasing."""
+        keys = self._keys
+        while len(self._heads) <= n:
+            w = len(self._heads)
+            self._first.append(len(keys))
+            keys += [(w, i) for i in range(self.algebra.dim(w))]
+            heads, tails, shifts = [], [], []
+            for k, (wk, _) in enumerate(keys):
+                below = self._heads[w - wk]
+                start = bisect_left(below, k)  # the tails whose keys are all >= k
+                shifts.append(len(heads) - start)
+                heads += [k] * (len(below) - start)
+                tails += range(start, len(below))
+            self._heads.append(heads)
+            self._tails.append(tails)
+            self._shifts.append(shifts)
+        return self._heads[n]
 
     def pbw_basis(self, n: int) -> list[tuple]:
-        """Ordered multisets (nondecreasing key tuples) of total weight n."""
-        if n == 0:
-            return [()]
-        return self._pbw_from(n, (1, 0))
+        """The weight-n PBW monomials as key tuples, by position."""
+        self.heads(n)
+        monos = [[()]]
+        for w in range(1, n + 1):
+            monos.append([(self._keys[h],) + monos[w - self._keys[h][0]][t]
+                          for h, t in zip(self._heads[w], self._tails[w])])
+        return monos[n]
 
-    def _pbw_from(self, n: int, min_key: tuple) -> list:
-        got = self._pbw.get((n, min_key))
-        if got is not None:
-            return got
-        out = []
-        w0, i0 = min_key
-        for w in range(w0, n + 1):
-            start = i0 if w == w0 else 0
-            for i in range(start, self.algebra.dim(w)):
-                head = (w, i)
-                if w == n:
-                    out.append((head,))
-                else:
-                    for tail in self._pbw_from(n - w, head):
-                        out.append((head,) + tail)
-        self._pbw[(n, min_key)] = out
-        return out
+    # -- the left product --------------------------------------------------
 
-    def pbw_index(self, n: int) -> dict:
-        got = self._index.get(n)
-        if got is None:
-            got = {m: i for i, m in enumerate(self.pbw_basis(n))}
-            self._index[n] = got
-        return got
-
-    # -- straightening -----------------------------------------------------
-
-    def mult_by_key(self, mono: tuple, key: tuple) -> dict:
-        """Right multiplication: (PBW monomial) . (basis element key).
-
-        Returns a combination of PBW monomials of weight w(mono) + w(key).
-        A product already in PBW order is built fresh; only straightened
-        products are memoised.
-        """
-        field = self.field
-        if not mono or mono[-1] <= key:
-            return {mono + (key,): field.one}
-        got = self._mult_memo.get((mono, key))
-        if got is not None:
-            return got
-        prefix, last = mono[:-1], mono[-1]
-        # (p.last).z = (p.z).last + p.[last,z]
-        out = {}
-        for m, c in self.mult_by_key(prefix, key).items():
-            field.axpy(out, c, self.mult_by_key(m, last))
-        bracket = self.algebra.engine.pair(last, key)
-        for i, c in bracket.items():
-            field.axpy(out, c, self.mult_by_key(prefix, (last[0] + key[0], i)))
-        self._mult_memo[(mono, key)] = out
-        return out
-
-    @staticmethod
-    def ordered(m1: tuple, m2: tuple) -> bool:
-        """Whether m1.m2 is in PBW order, that is the PBW monomial m1 + m2."""
-        return not m1 or not m2 or m1[-1] <= m2[0]
-
-    def mult_mono(self, m1: tuple, m2: tuple) -> dict:
-        """Product of two PBW monomials as a combination of PBW monomials."""
-        field = self.field
-        if self.ordered(m1, m2):
-            return {m1 + m2: field.one}
-        acc = {m1: field.one}
-        for key in m2:
-            nxt: dict = {}
-            for m, c in acc.items():
-                field.axpy(nxt, c, self.mult_by_key(m, key))
-            acc = nxt
-        return acc
-
-    def mult(self, a: dict, b: dict) -> dict:
-        """Product of two U(L) elements given as {monomial: coefficient}."""
-        field = self.field
+    def mult(self, w: int, g: dict, m: int, u: dict) -> dict:
+        """g.u for g in L_w, in basis coordinates, and u in U(L)_m, in
+        positions; the product in weight-(w + m) positions."""
+        self.heads(w + m)
+        field, first = self.field, self._first[w]
         out: dict = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                field.axpy(out, field.mul(c1, c2), self.mult_mono(m1, m2))
+        for i, c in g.items():
+            for p, x in u.items():
+                field.axpy(out, field.mul(c, x), self._left(first + i, p, m))
         return out
 
-    def lie_vector_as_u(self, w: int, vec: dict) -> dict:
-        """A weight-w element of L, given in basis coordinates, as a U element."""
-        return {((w, i),): c for i, c in vec.items()}
-
-    def coords(self, u: dict, n: int) -> dict:
-        """Coordinates of a weight-n U element over pbw_basis(n) positions;
-        a monomial of another weight raises KeyError."""
-        index = self.pbw_index(n)
-        return {index[m]: c for m, c in u.items()}
+    def _left(self, k: int, p: int, m: int, store: bool = False) -> dict:
+        """The key of rank k times the weight-m monomial at position p;
+        `store` memoises a straightened product (a sub-product)."""
+        head = self._heads[m][p]
+        keys, n = self._keys, m + self._keys[k][0]
+        if k <= head:
+            return {p + self._shifts[n][k]: self.field.one}
+        if store:
+            got = self._memo.get((k, m, p))
+            if got is not None:
+                return got
+        # k.(h.t) = h.(k.t) + [k,h].t, and prepending h to k.t is a shift
+        t, mt = self._tails[m][p], m - keys[head][0]
+        shift = self._shifts[n][head]
+        out = {q + shift: c for q, c in self._left(k, t, mt, True).items()}
+        first = self._first[n - mt]
+        for i, c in self.algebra.engine.pair(keys[k], keys[head]).items():
+            self.field.axpy(out, c, self._left(first + i, t, mt, True))
+        if store:
+            self._memo[k, m, p] = out
+        return out
 
 
 class InducedModule:
@@ -147,16 +134,20 @@ class InducedModule:
     [x,g] = xg - gx; so per weight, (S.U(L))_n is spanned by the products
     g.u with g over a basis of the span of S's given generators of each
     weight w (not a basis of S) and u over the PBW monomials of weight
-    n - w; for g one basis key k and k <= u[0], g.u is the PBW monomial
-    (k,) + u, a unit row built without a product.  The quotient basis is
-    the canonical complement (non-pivot PBW monomials).  The residue table
-    holds minus each canonical row without its pivot entry: canonical rows
-    vanish on the other pivots, so that is the pivot monomial's residue,
-    which depends only on the span; :meth:`project` sums the classes of
-    u's monomials.
+    n - w.  For g one basis key k and u with head >= k, g.u is the PBW
+    monomial k.u: these ordered rows are the unit vectors of k's block of
+    weight n.  A unit vector e_P in the span is the canonical row at P (a
+    canonical row vanishes on the other pivots), so each P is a pivot with
+    residue 0 and no ordered row is built.  Only the other rows are
+    multiplied; stripped of the unit columns, they are eliminated, and
+    their canonical rows are the rest of the span's canonical rows.  The
+    quotient basis is the canonical complement (non-pivot positions).  The
+    residue table holds minus each of those canonical rows without its
+    pivot entry, the pivot position's residue, which depends only on the
+    span; :meth:`project` sums the classes of u's positions.
 
     Modules on one Envelope share their per-weight state (the quotient
-    basis and the residue table) when the given generators span the
+    positions and the residue table) when the given generators span the
     same space in every weight.  The key is the canonical basis of those
     spans, so the order of the generators, repeats and changes of basis
     within a weight give the same key, and the state is built from the key
@@ -170,55 +161,67 @@ class InducedModule:
         self.env = env
         self.field = env.field
         self._gens = _span_key(sub)
-        # n -> (quotient basis, {non-pivot PBW position: quotient position}, residue table)
+        # n -> ({non-pivot position: quotient position}, residue table)
         self._state: dict[int, tuple] = env._induced.setdefault(self._gens, {})
 
     def _build(self, n: int) -> tuple:
         got = self._state.get(n)
         if got is None:
             env, field = self.env, self.field
-            one, index = field.one, env.pbw_index(n)
-            rows = []
+            one, size = field.one, len(env.heads(n))
+            units, rows = set(), []
             for w, g in self._gens:
                 if w <= n:
-                    g_u = env.lie_vector_as_u(w, dict(g))
-                    # a one-term canonical row is a basis key with coefficient 1
-                    g_mono = next(iter(g_u)) if len(g_u) == 1 else None
-                    for u_mono in env.pbw_basis(n - w):
-                        if g_mono and env.ordered(g_mono, u_mono):
-                            rows.append({index[g_mono + u_mono]: one})
-                        else:
-                            rows.append(env.coords(env.mult(g_u, {u_mono: one}), n))
-            canon = Echelon.of(field, rows).rows
-            pbw = env.pbw_basis(n)
-            qindex = {i: j for j, i in enumerate(i for i in range(len(pbw)) if i not in canon)}
+                    heads = env.heads(n - w)
+                    us = range(len(heads))
+                    if len(g) == 1:  # a basis key k: k.u is a unit row for u's head >= k
+                        k = env._first[w] + g[0][0]
+                        start, shift = bisect_left(heads, k), env._shifts[n][k]
+                        units.update(range(start + shift, len(heads) + shift))
+                        us = range(start)
+                    g = dict(g)
+                    rows += [env.mult(w, g, n - w, {p: one}) for p in us]
+            rows = [{c: x for c, x in row.items() if c not in units} for row in rows]
+            canon = Echelon.of(field, [row for row in rows if row]).rows
+            qindex = {p: j for j, p in enumerate(
+                p for p in range(size) if p not in units and p not in canon)}
             residues = {p: {qindex[c]: field.neg(x) for c, x in row.items() if c != p}
                         for p, row in canon.items()}  # pivot position -> residue
-            got = ([pbw[i] for i in qindex], qindex, residues)
+            got = (qindex, residues)
             self._state[n] = got
         return got
 
     def dim(self, n: int) -> int:
         return len(self._build(n)[0])
 
-    def quotient_basis(self, n: int) -> list[tuple]:
-        return self._build(n)[0]
+    def quotient_basis(self, n: int) -> list[int]:
+        """The quotient basis as weight-n positions."""
+        return list(self._build(n)[0])
 
     def project(self, u: dict, n: int) -> dict:
         """Class of a weight-n U(L) element, in quotient coordinates."""
-        _, qindex, residues = self._build(n)
-        field, index = self.field, self.env.pbw_index(n)
+        qindex, residues = self._build(n)
+        field, one = self.field, self.field.one
         out: dict = {}
-        for m, c in u.items():
-            i = index[m]
-            field.axpy(out, c, residues[i] if i in residues else {qindex[i]: field.one})
+        for p, c in u.items():
+            if p in qindex:
+                field.axpy(out, c, {qindex[p]: one})
+            elif p in residues:  # any other position is a unit pivot: residue 0
+                field.axpy(out, c, residues[p])
         return out
 
     def right_action(self, coords: dict, n: int, u: dict, j: int) -> dict:
-        """Act on a weight-n class by a weight-j element of U(L)."""
-        basis = self._build(n)[0]
-        lift = {basis[i]: c for i, c in coords.items()}
-        return self.project(self.env.mult(lift, u), n + j)
+        """Act on a weight-n class by a weight-j element of U(L): the lift
+        times u, key by key from the lift's last key."""
+        env, one = self.env, self.field.one
+        basis, monos = self.quotient_basis(n), env.pbw_basis(n)
+        out: dict = {}
+        for i, c in coords.items():
+            v, m = u, j
+            for w, k in reversed(monos[basis[i]]):
+                v, m = env.mult(w, {k: one}, m, v), m + w
+            self.field.axpy(out, c, v)
+        return self.project(out, n + j)
 
 
 def _span_key(sub: Optional[GradedSubalgebra]) -> tuple:

@@ -386,12 +386,6 @@ class FundamentalAlgebra:
         images = {g.name: self._into[e.src](sigma.images[g.name]) for g in e.algebra.generators}
         return LieHomomorphism(e.algebra, self.algebra, images)
 
-    def stable_letter_u(self, env: Envelope, eid: str):
-        """The stable letter of a non-forest edge as a U(L) element."""
-        e = next(e for e in self.graph.edges if e.id == eid)
-        _, vec = self.algebra.evaluate(self.algebra.free.gen_element(eid))
-        return env.lie_vector_as_u(e.stable_weight, vec)
-
 
 # ----------------------------------------------------------------------
 # Theorem A verification
@@ -438,9 +432,11 @@ def verify_theorem_a(
     max(N, explicit_to), as the explicit checks rely on it).  An embedding
     failure leaves the Euler values None and the explicit lists empty, and
     makes "ok" and "explicit_ok" False.  The vertex and edge modules live
-    on one Envelope, so those of equal subalgebras (an edge whose image is
-    a vertex's) share one module state and each right ideal is built once
-    per weight.
+    on one Envelope: they share its PBW position tables and its memo of
+    straightened sub-products, alpha's columns read positions (1 (x) u
+    for u a quotient position of Q_e, and t.u by the left product), and
+    modules of equal subalgebras (an edge whose image is a vertex's) share
+    one module state, so each right ideal is built once per weight.
     """
     fund = graph.fundamental()
     L = fund.algebra
@@ -493,7 +489,7 @@ def _sequence_checks(fund: FundamentalAlgebra, embeddings: dict, M: int) -> tupl
     env = Envelope(L)
     modules = {x: InducedModule(env, hom.image_subalgebra()) for x, hom in embeddings.items()}
     field, one = L.field, L.field.one
-    t_us = {e.id: fund.stable_letter_u(env, e.id) for e in graph.edges if not e.in_forest}
+    ts = {e.id: L.evaluate(L.free.gen_element(e.id))[1] for e in graph.edges if not e.in_forest}
     checks, ranks = [], []
     for n in range(M + 1):
         offsets, mid_dim = {}, 0  # vertex id -> its first coordinate in (+)_v Q_v
@@ -509,13 +505,13 @@ def _sequence_checks(fund: FundamentalAlgebra, embeddings: dict, M: int) -> tupl
         columns = []
         for e in graph.edges:
             if e.shift <= n:
-                for mono in modules["e", e.id].quotient_basis(n - e.shift):
-                    u = {mono: one}
+                for p in modules["e", e.id].quotient_basis(n - e.shift):
+                    u = {p: one}
                     if e.in_forest:
                         col = at(e.dst, u)
                         field.axpy(col, field.neg(one), at(e.src, u))
                     else:
-                        col = at(e.src, env.mult(t_us[e.id], u))
+                        col = at(e.src, env.mult(e.shift, ts[e.id], n - e.shift, u))
                     columns.append(col)
         src_dim = sum(modules["e", e.id].dim(n - e.shift) for e in graph.edges if n >= e.shift)
         rank_alpha = Echelon.of(field, columns).rank

@@ -67,10 +67,13 @@ MUTANTS = [
      "if e.shift < n:",
      ["tests/test_graphalg.py::test_theorem_a_hnn_loop",
       "tests/test_graphalg.py::test_theorem_a_one_edge[free2-loop]"]),
-    # Theorem A: u.t in place of t.u in the HNN columns
+    # Theorem A: u.t in place of t.u in the HNN columns (the class of u.t
+    # in Q_src is the class of u acted on by t, t being t.1)
     (GRAPHALG,
-     "env.mult(t_us[e.id], u)",
-     "env.mult(u, t_us[e.id])",
+     "col = at(e.src, env.mult(e.shift, ts[e.id], n - e.shift, u))",
+     'col = {offsets[e.src] + i: c for i, c in modules["v", e.src].right_action('
+     'modules["v", e.src].project(u, n - e.shift), n - e.shift,'
+     ' env.mult(e.shift, ts[e.id], 0, {0: one}), e.shift).items()}',
      ["tests/test_graphalg.py::test_theorem_a_loop_tree_mix",
       "tests/test_span_properties.py::test_euler_identity_gives_explicit_theorem_a_ranks"]),
     # Theorem A: the Euler sum's edge shift dropped
@@ -213,19 +216,41 @@ MUTANTS = [
      "qindex[c]: x",
      ["tests/test_span_properties.py::test_projections_match_product_span_oracle[Q]",
       "tests/test_span_properties.py::test_projections_match_product_span_oracle[F7]"]),
-    # induced modules: a right-ideal row written as a concatenation exactly
-    # when the product is not in PBW order
+    # induced modules: a right-ideal row taken as a unit vector exactly
+    # when the product is not in PBW order, and multiplied when it is
     (ENVELOPE,
-     "if g_mono and env.ordered(g_mono, u_mono):",
-     "if g_mono and not env.ordered(g_mono, u_mono):",
+     "units.update(range(start + shift, len(heads) + shift))\n"
+     "                        us = range(start)",
+     "units.update(range(shift, start + shift))\n"
+     "                        us = range(start, len(heads))",
      ["tests/test_span_properties.py::test_projections_match_product_span_oracle[F7]",
       "tests/test_graphalg.py::test_theorem_a_amalgam_path"]),
-    # PBW: a product taken as ordered when m1 ends below m2's last key
+    # PBW: a left product taken as ordered when the key is at most the
+    # greatest head of the weight, not the monomial's own head
     (ENVELOPE,
-     "m1[-1] <= m2[0]",
-     "m1[-1] <= m2[-1]",
-     ["tests/test_envelope.py::test_mult_mono_matches_key_by_key_products[Q-mn.lie]",
-      "tests/test_envelope.py::test_mult_mono_matches_key_by_key_products[F7-mix.graph]"]),
+     "if k <= head:",
+     "if k <= self._heads[m][-1]:",
+     ["tests/test_envelope.py::test_left_products_match_the_right_straightener[Q-mn.lie]",
+      "tests/test_envelope.py::test_left_products_match_the_right_straightener[F7-mix.graph]"]),
+    # PBW: the left recursion's bracket term [k,h].t dropped
+    (ENVELOPE,
+     "self.field.axpy(out, c, self._left(first + i, t, mt, True))",
+     "pass",
+     ["tests/test_envelope.py::test_left_products_match_the_right_straightener[Q-mn.lie]",
+      "tests/test_envelope.py::test_left_products_match_the_right_straightener[F7-mix.graph]",
+      "tests/test_envelope.py::test_straightening_lie_compatible"]),
+    # PBW: every block shift one position too high
+    (ENVELOPE,
+     "shifts.append(len(heads) - start)",
+     "shifts.append(len(heads) - start + 1)",
+     ["tests/test_envelope.py::test_left_products_match_the_right_straightener[Q-mn.lie]",
+      "tests/test_envelope.py::test_straightening_lie_compatible"]),
+    # PBW: the memo store deleted, so every sub-product is straightened anew
+    (ENVELOPE,
+     "self._memo[k, m, p] = out",
+     "pass",
+     ["tests/test_envelope.py::test_induced_modules_skip_dependent_generators[mix.graph]",
+      "tests/test_envelope.py::test_induced_modules_skip_dependent_generators[hnn.graph]"]),
     # Echelon.add keeps a stale primitive-row cache
     ("src/gradedlie/linalg.py",
      "        self._prim = self._canon = None\n        return p",

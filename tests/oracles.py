@@ -186,11 +186,13 @@ def resolution_d_squared_failure(res, N: int):
 class PbwResolution(RaagResolution):
     """The RAAG resolution with chains indexed (clique, PBW monomial) and
     d(c_w (x) u) = sum_r (-1)^(r-1) c_{w minus v_r} (x) v_r . u straightened
-    in the envelope: the same maps as `RaagResolution`, in the PBW basis."""
+    by :class:`RightStraightener`: the same maps as `RaagResolution`, in the
+    PBW basis."""
 
     def __init__(self, graph, field):
         super().__init__(graph, field)
         self.env = Envelope(self.algebra)
+        self.right = RightStraightener(self.algebra)
         self.gen_keys = {}
         for i, v in enumerate(graph.vertices):
             (idx, _), = gen_reduction(self.algebra, i).items()
@@ -205,7 +207,7 @@ class PbwResolution(RaagResolution):
             for r, v in enumerate(w, start=1):
                 sign = field.one if r % 2 == 1 else field.neg(field.one)
                 rest = tuple(x for x in w if x != v)
-                prod = self.env.mult_mono((self.gen_keys[v],), mono)
+                prod = self.right.mult_mono((self.gen_keys[v],), mono)
                 field.axpy(out, sign, {index[rest, m2]: c for m2, c in prod.items()})
             rows.append(out)
         return rows
@@ -386,16 +388,85 @@ def ce_differential_columns(cx, i: int, n: int) -> list[dict]:
 # PBW products
 
 
-def mult_mono_by_keys(env: Envelope, m1: tuple, m2: tuple) -> dict:
+class RightStraightener:
+    """PBW products on monomials as nondecreasing key tuples, by right
+    multiplication: a monomial times one basis key straightens the
+    out-of-order last factor, (p.l).z = (p.z).l + p.[l,z], and the
+    straightened (monomial, key) products are memoised.  An ordered
+    product, whose first factor ends at or below where the second starts,
+    is the concatenation.  The library's left product on PBW positions
+    (:meth:`gradedlie.envelope.Envelope.mult`) is checked against it."""
+
+    def __init__(self, algebra: PresentedLieAlgebra):
+        self.algebra = algebra
+        self.field = algebra.field
+        self._memo: dict = {}  # (mono, key) -> dict
+
+    def mult_by_key(self, mono: tuple, key: tuple) -> dict:
+        """(PBW monomial) . (basis element key), a combination of PBW
+        monomials of weight w(mono) + w(key)."""
+        field = self.field
+        if not mono or mono[-1] <= key:
+            return {mono + (key,): field.one}
+        got = self._memo.get((mono, key))
+        if got is not None:
+            return got
+        prefix, last = mono[:-1], mono[-1]
+        out: dict = {}
+        for m, c in self.mult_by_key(prefix, key).items():
+            field.axpy(out, c, self.mult_by_key(m, last))
+        for i, c in self.algebra.engine.pair(last, key).items():
+            field.axpy(out, c, self.mult_by_key(prefix, (last[0] + key[0], i)))
+        self._memo[(mono, key)] = out
+        return out
+
+    def mult_mono(self, m1: tuple, m2: tuple) -> dict:
+        """m1 . m2: the concatenation when ordered, else m1 times m2's keys
+        one at a time."""
+        if not m1 or not m2 or m1[-1] <= m2[0]:
+            return {m1 + m2: self.field.one}
+        return mult_mono_by_keys(self, m1, m2)
+
+    def mult(self, a: dict, b: dict) -> dict:
+        """Product of two U(L) elements given as {monomial: coefficient}."""
+        field = self.field
+        out: dict = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                field.axpy(out, field.mul(c1, c2), self.mult_mono(m1, m2))
+        return out
+
+
+def mult_mono_by_keys(straightener: RightStraightener, m1: tuple, m2: tuple) -> dict:
     """m1 . m2 in U(L), multiplying m1 on the right by m2's keys in turn."""
-    field = env.field
+    field = straightener.field
     acc = {m1: field.one}
     for key in m2:
         nxt: dict = {}
         for m, c in acc.items():
-            field.axpy(nxt, c, env.mult_by_key(m, key))
+            field.axpy(nxt, c, straightener.mult_by_key(m, key))
         acc = nxt
     return acc
+
+
+def u_product(env: Envelope, a: dict, i: int, b: dict, j: int) -> dict:
+    """a . b in U(L) for a of weight i and b of weight j, both in PBW
+    positions: b multiplied on the left by each monomial of a key by key,
+    a's last key first, with the library's left product."""
+    field, monos = env.field, env.pbw_basis(i)
+    out: dict = {}
+    for p, c in a.items():
+        v, m = b, j
+        for w, k in reversed(monos[p]):
+            v, m = env.mult(w, {k: field.one}, m, v), m + w
+        field.axpy(out, c, v)
+    return out
+
+
+def as_monomials(env: Envelope, u: dict, n: int) -> dict:
+    """A weight-n U(L) element in positions as {key tuple: coefficient}."""
+    monos = env.pbw_basis(n)
+    return {monos[p]: c for p, c in u.items()}
 
 
 # ----------------------------------------------------------------------
@@ -649,21 +720,24 @@ def induced_module_dims(
 def basis_product_ideal(env, sub, n: int) -> Echelon:
     """(S.U(L))_n over pbw_basis(n) positions: the span of the products
     s.u, with s over a basis of each S_w and u over the PBW monomials of
-    weight n - w, added one at a time."""
+    weight n - w, straightened by :class:`RightStraightener` and added one
+    at a time."""
     one = env.field.one
+    right = RightStraightener(env.algebra)
+    index = {m: i for i, m in enumerate(env.pbw_basis(n))}
     ech = Echelon(env.field)
     for w in range(1, n + 1):
         for s in sub.span(w).basis():
-            s_u = env.lie_vector_as_u(w, s)
+            s_u = {((w, i),): c for i, c in s.items()}
             for u_mono in env.pbw_basis(n - w):
-                ech.add(env.coords(env.mult(s_u, {u_mono: one}), n))
+                ech.add({index[m]: c for m, c in right.mult(s_u, {u_mono: one}).items()})
     return ech
 
 
 def basis_product_quotient_basis(env, sub, n: int) -> list:
-    """Non-pivot PBW monomials of weight n modulo :func:`basis_product_ideal`."""
+    """Non-pivot positions of weight n modulo :func:`basis_product_ideal`."""
     pivots = set(basis_product_ideal(env, sub, n).pivots())
-    return [m for i, m in enumerate(env.pbw_basis(n)) if i not in pivots]
+    return [i for i in range(len(env.pbw_basis(n))) if i not in pivots]
 
 
 def bracket_ideal_with_redundant_term(P: PresentedLieAlgebra, N: int) -> dict:

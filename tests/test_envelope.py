@@ -8,7 +8,14 @@ from gradedlie.fields import GF, QQ, FieldError
 from gradedlie.graphalg import load_graph, verify_theorem_a
 from gradedlie.presented import PresentedLieAlgebra, load_presentation
 from gradedlie.series import HilbertSeries
-from oracles import EmbeddingError, induced_module_dims, mult_mono_by_keys
+from oracles import (
+    EmbeddingError,
+    RightStraightener,
+    as_monomials,
+    induced_module_dims,
+    mult_mono_by_keys,
+    u_product,
+)
 
 GOLDEN_INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
 
@@ -49,45 +56,36 @@ def test_pbw_count_matches_series(gens, rels):
 
 
 def test_straightening_associative():
+    # the general product, built from left products, is associative
     import random
 
     L = PresentedLieAlgebra(QQ, ["a", "b", "x"], ["[a,b]"])
     env = Envelope(L)
     rng = random.Random(7)
-    monos = []
-    for n in range(1, 5):
-        monos.extend(env.pbw_basis(n))
 
     def rand_elt():
-        out = {}
-        for _ in range(rng.randint(1, 2)):
-            out[rng.choice(monos)] = QQ.of(rng.randint(-3, 3))
-        return out
+        n = rng.randint(1, 4)
+        size = len(env.pbw_basis(n))
+        return {rng.randrange(size): QQ.of(rng.randint(1, 3)) for _ in range(rng.randint(1, 2))}, n
 
     for _ in range(40):
-        a, b, c = rand_elt(), rand_elt(), rand_elt()
-        left = env.mult(env.mult(a, b), c)
-        right = env.mult(a, env.mult(b, c))
+        (a, i), (b, j), (c, k) = rand_elt(), rand_elt(), rand_elt()
+        left = u_product(env, u_product(env, a, i, b, j), i + j, c, k)
+        right = u_product(env, a, i, u_product(env, b, j, c, k), j + k)
         assert left == right
 
 
 def test_straightening_lie_compatible():
-    # xy - yx = [x,y] in U(L)
+    # xy - yx = [x,y] in U(L); in weight 1 the positions are the keys
     L = PresentedLieAlgebra(QQ, ["x", "y"])
     env = Envelope(L)
-    kx, ky = (1, 0), (1, 1)
-    xy = env.mult_mono((kx,), (ky,))
-    yx = env.mult_mono((ky,), (kx,))
+    xy = env.mult(1, {0: QQ.one}, 1, {1: QQ.one})
+    yx = env.mult(1, {1: QQ.one}, 1, {0: QQ.one})
     diff = dict(xy)
-    for m, c in yx.items():
-        v = QQ.of(diff.get(m, QQ.zero) - c)
-        if QQ.is_zero(v):
-            diff.pop(m, None)
-        else:
-            diff[m] = v
+    QQ.axpy(diff, QQ.of(-1), yx)
     _, vec = L.evaluate(L.parse("[x,y]"))
-    expected = env.lie_vector_as_u(2, vec)
-    assert diff == expected
+    assert as_monomials(env, diff, 2) == {((2, i),): c for i, c in vec.items()}
+    assert diff == env.mult(2, vec, 0, {0: QQ.one})
 
 
 def _pbw_algebra(name, field):
@@ -103,13 +101,54 @@ def _pbw_algebra(name, field):
 @settings(max_examples=10, deadline=None, database=None)
 @given(data=st.data())
 def test_mult_mono_matches_key_by_key_products(name, field, data):
-    # an ordered product is a concatenation; every product equals m1 times
-    # m2's keys one at a time
-    env = Envelope(_pbw_algebra(name, field))
+    # the general product, m2 multiplied on the left by m1's keys, equals
+    # m1 multiplied on the right by m2's keys one at a time
+    L = _pbw_algebra(name, field)
+    env, right = Envelope(L), RightStraightener(L)
     for _ in range(20):
-        m1, m2 = (data.draw(st.sampled_from(env.pbw_basis(data.draw(st.integers(0, 3)))))
-                  for _ in range(2))
-        assert env.mult_mono(m1, m2) == mult_mono_by_keys(env, m1, m2)
+        (i, p), (j, q) = (_position(env, data) for _ in range(2))
+        got = u_product(env, {p: field.one}, i, {q: field.one}, j)
+        want = mult_mono_by_keys(right, env.pbw_basis(i)[p], env.pbw_basis(j)[q])
+        assert as_monomials(env, got, i + j) == want
+
+
+def _position(env, data):
+    """(weight, position) of a drawn PBW monomial of weight 0..3."""
+    n = data.draw(st.sampled_from([n for n in range(4) if env.pbw_basis(n)]))
+    return n, data.draw(st.integers(0, len(env.pbw_basis(n)) - 1))
+
+
+def _key(L, data):
+    """A drawn basis key (weight, index) of L of weight 1..2."""
+    w = data.draw(st.sampled_from([w for w in (1, 2) if L.dim(w)]))
+    return w, data.draw(st.integers(0, L.dim(w) - 1))
+
+
+@pytest.mark.parametrize("name", ["mn.lie", "mix.graph"])
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+@seed(20210105)
+@settings(max_examples=10, deadline=None, database=None)
+@given(data=st.data())
+def test_left_products_match_the_right_straightener(name, field, data):
+    # k.u by left insertion on positions equals the right straightener's
+    # product, and k1.(k2.v) - k2.(k1.v) = [k1,k2].v on positions
+    L = _pbw_algebra(name, field)
+    env, right = Envelope(L), RightStraightener(L)
+    one = field.one
+
+    def left(key, m, v):
+        return env.mult(key[0], {key[1]: one}, m, v)
+
+    for _ in range(10):
+        key, (m, p) = _key(L, data), _position(env, data)
+        want = right.mult_mono((key,), env.pbw_basis(m)[p])
+        assert as_monomials(env, left(key, m, {p: one}), key[0] + m) == want
+        k1, k2 = _key(L, data), _key(L, data)
+        picks = data.draw(st.lists(st.integers(0, len(env.pbw_basis(m)) - 1), max_size=3))
+        v = {q: field.of(data.draw(st.integers(1, 6))) for q in picks}
+        lhs = left(k1, m + k2[0], left(k2, m, v))
+        field.axpy(lhs, field.neg(one), left(k2, m + k1[0], left(k1, m, v)))
+        assert lhs == env.mult(k1[0] + k2[0], L.engine.pair(k1, k2), m, v)
 
 
 def test_induced_module_trivial_cases():
@@ -167,64 +206,59 @@ def test_right_action():
     env = Envelope(L)
     S = L.subalgebra(["a", "b"])
     module = InducedModule(env, S)
-    one = module.project({(): QQ.one}, 0)
+    one = module.project({0: QQ.one}, 0)
     assert one == {0: QQ.one}
     # m . 1 = m
     for n in range(3):
         for i in range(module.dim(n)):
             m = {i: QQ.one}
-            assert module.right_action(m, n, {(): QQ.one}, 0) == m
-    # (1 (x) 1) . x = class of x (nonzero), . a = 0 (killed by S.U(L))
+            assert module.right_action(m, n, {0: QQ.one}, 0) == m
+    # (1 (x) 1) . x = class of x (nonzero), . a = 0 (killed by S.U(L));
+    # a Lie element times 1 is its position vector
     _, vx = L.evaluate(L.parse("x"))
-    ux = env.lie_vector_as_u(1, vx)
+    ux = env.mult(1, vx, 0, {0: QQ.one})
     assert module.right_action(one, 0, ux, 1)
     _, va = L.evaluate(L.parse("a"))
-    ua = env.lie_vector_as_u(1, va)
+    ua = env.mult(1, va, 0, {0: QQ.one})
     assert module.right_action(one, 0, ua, 1) == {}
     # associativity of the action through the quotient
     got1 = module.right_action(module.right_action(one, 0, ux, 1), 1, ux, 1)
-    got2 = module.right_action(one, 0, env.mult(ux, ux), 2)
+    got2 = module.right_action(one, 0, env.mult(1, vx, 1, ux), 2)
     assert got1 == got2
 
 
-def test_coords_reject_a_monomial_of_another_weight():
-    L = PresentedLieAlgebra(QQ, ["a", "b", "x"], ["[a,b]"])
-    env = Envelope(L)
-    u = env.mult({env.pbw_basis(1)[0]: QQ.one}, {env.pbw_basis(1)[2]: QQ.one})
-    assert env.coords(u, 2) == {env.pbw_index(2)[m]: c for m, c in u.items()}
-    with pytest.raises(KeyError):
-        env.coords({**u, env.pbw_basis(1)[0]: QQ.one}, 2)
-    with pytest.raises(KeyError):
-        env.coords(u, 3)
-
-
 @pytest.mark.parametrize(
-    "name, products, modules, states",
-    [("mix.graph", 183, 4, 3), ("hnn.graph", 247, 2, 1)],
+    "name, products, memoised, modules, states",
+    [("mix.graph", 183, 414, 4, 3), ("hnn.graph", 247, 729, 2, 1)],
     ids=["mix.graph", "hnn.graph"],
 )
-def test_induced_modules_skip_dependent_generators(monkeypatch, name, products, modules, states):
+def test_induced_modules_skip_dependent_generators(
+    monkeypatch, name, products, memoised, modules, states
+):
     # by PBW the module depends only on the subalgebra, so the vertex and
     # edge modules of equal subalgebras share one right ideal per weight:
     # on hnn.graph the edge t and the vertex v both generate <a,b>;
     # mix.graph's fundamental algebra identifies v2.b with v1.a, so the
     # vertex v2 and the edge e1 both generate <v1.a>.
     # A generator that is one basis key k times an ordered monomial u
-    # (k <= u[0]) is the PBW monomial (k,) + u and needs no product, so
-    # only the other rows count.  Building each module on its own from its
+    # (k <= u[0]) is the PBW monomial (k,) + u, a pivot that is never
+    # built, so only the other rows count.  Only the sub-products the left
+    # recursion reaches are memoised: deleting the memo store empties the
+    # memo and repeats their straightening.  Building each module on its own from its
     # independent generators gave 2,259 products on mix.graph and 2,502 on
     # hnn.graph; sharing states and multiplying every row gave 919 and 1,004.
     graph = load_graph(os.path.join(GOLDEN_INPUTS, name), GF(2147483647))
     mult, build = Envelope.mult, InducedModule._build
     count = {"inside": False, "products": 0}
-    built, users = [], {}  # users keeps each module alive, so ids stay distinct
+    built, users, envs = [], {}, {}  # users keeps each module alive, so ids stay distinct
 
-    def counting_mult(env, a, b):
+    def counting_mult(env, *args):
         count["products"] += count["inside"]
-        return mult(env, a, b)
+        return mult(env, *args)
 
     def flagged_build(module, n):
         users[id(module)] = module
+        envs[id(module.env)] = module.env
         if n not in module._state:
             built.append((module._gens, n))
         count["inside"] = True
@@ -237,6 +271,9 @@ def test_induced_modules_skip_dependent_generators(monkeypatch, name, products, 
     monkeypatch.setattr(InducedModule, "_build", flagged_build)
     assert verify_theorem_a(graph, 8, explicit_to=8)["ok"]
     assert count["products"] == products
+    # the straightened sub-products the left recursion reached, each stored once
+    (env,) = envs.values()
+    assert len(env._memo) == memoised
     # each distinct subalgebra's right ideal is built once per weight
     assert len(built) == len(set(built))
     assert (len(users), len({key for key, _ in built})) == (modules, states)
